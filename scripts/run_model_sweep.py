@@ -15,47 +15,9 @@ import time
 
 sys.path.insert(0, "src")
 
-from isoflag.fields import get_finite_field  # noqa: E402
+from isoflag.cases import cuts_for, fields_for, sweep_cases  # noqa: E402
 from isoflag.model import (build_model, flags_from, position_check,  # noqa: E402
                            split_check)
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, psi  # noqa: E402
-
-
-def partitions_up_to(total):
-    out = set()
-
-    def rec(rem, mx, cur):
-        if cur:
-            out.add(tuple(cur))
-        for p in range(min(rem, mx), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    for n in range(1, total + 1):
-        rec(n, n, [])
-    return sorted(out)
-
-
-def fields_for(mode, kappa):
-    if mode == SYMPLECTIC:
-        fields = []
-        if kappa == 0:
-            fields += [("rat", None), ("gf3", get_finite_field(3)),
-                       ("gf5", get_finite_field(5)),
-                       ("gf7", get_finite_field(7))]
-        fields += [("gf2", get_finite_field(2)),
-                   ("gf4", get_finite_field(2, 2))]
-        return fields
-    return [("rat", None), ("gf3", get_finite_field(3)),
-            ("gf5", get_finite_field(5)), ("gf7", get_finite_field(7))]
-
-
-def cuts_for(shape, mode):
-    if mode == SYMPLECTIC:
-        return range(1, shape.sigma + shape.kappa)
-    ps = psi(shape)
-    return [r for r in range(1, shape.sigma + 1) if ps[r - 1] == -1]
 
 
 def main():
@@ -66,26 +28,22 @@ def main():
 
     t0 = time.monotonic()
     built = 0
-    for parts in partitions_up_to(args.total):
-        for kappa in (0, 1):
-            shape = ShapeSeq(parts, kappa)
-            for mode in (SYMPLECTIC, ORTHOGONAL):
-                if not shape.valid_for_mode(mode):
-                    continue
-                for name, field in fields_for(mode, kappa):
-                    t1 = time.monotonic()
-                    model = build_model(shape, mode, field)
-                    flag, flag_prime = flags_from(model)
-                    pos = position_check(flag, flag_prime, shape)
-                    splits = {str(c): split_check(model, c)["pass"]
-                              for c in cuts_for(shape, mode)}
-                    built += 1
-                    print(json.dumps({
-                        "shape": list(parts), "kappa": kappa, "mode": mode,
-                        "field": name, "position": pos, "splits": splits,
-                        "seconds": round(time.monotonic() - t1, 3),
-                    }))
-                    assert pos and all(splits.values())
+    for shape, mode in sweep_cases(args.total):
+        for name, field in fields_for(mode, shape.kappa):
+            t1 = time.monotonic()
+            model = build_model(shape, mode, field)
+            flag, flag_prime = flags_from(model)
+            pos = position_check(flag, flag_prime, shape)
+            splits = {str(c): split_check(model, c)["pass"]
+                      for c in cuts_for(shape, mode)}
+            built += 1
+            print(json.dumps({
+                "shape": list(shape.parts), "kappa": shape.kappa,
+                "mode": mode, "field": name, "position": pos,
+                "splits": splits,
+                "seconds": round(time.monotonic() - t1, 3),
+            }))
+            assert pos and all(splits.values())
     print(json.dumps({"models": built,
                       "total_seconds": round(time.monotonic() - t0, 1)}))
 

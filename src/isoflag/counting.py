@@ -17,10 +17,13 @@ from collections import Counter
 from math import gcd, prod
 from typing import Dict, List, Optional, Tuple
 
-from .shapes import ShapeSeq
+from .shapes import InvalidInput, ShapeSeq
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
+
+#: Hard cap on both the space dimension nu and the field size q.
+MAX_NU_AND_Q = 7
 
 TYPE_A = "typeA"
 SP = "symplectic"
@@ -156,18 +159,20 @@ class FiniteFormSpace:
     split symmetric form (antidiagonal ones; Q(v) = (v, v)/2)."""
 
     def __init__(self, mode: str, nu: int, q: int):
-        assert mode in (TYPE_A, SP, SO_ODD, SO_EVEN)
+        if mode not in (TYPE_A, SP, SO_ODD, SO_EVEN):
+            raise InvalidInput(f"unknown space mode {mode!r}")
         if not _is_prime(q):
-            raise ValueError(f"q = {q} must be prime")
+            raise InvalidInput(f"q = {q} must be prime")
         if mode != TYPE_A and q == 2:
-            raise ValueError("form-based counting needs odd q")
-        if mode == SP:
-            assert nu % 2 == 0
-        if mode == SO_ODD:
-            assert nu % 2 == 1
-        if mode == SO_EVEN:
-            assert nu % 2 == 0
-        assert nu <= 7 and q <= 7, "tractability bounds"
+            raise InvalidInput("form-based counting needs odd q")
+        if mode in (SP, SO_EVEN) and nu % 2:
+            raise InvalidInput(f"{mode} needs even dimension, got nu = {nu}")
+        if mode == SO_ODD and nu % 2 == 0:
+            raise InvalidInput(f"{mode} needs odd dimension, got nu = {nu}")
+        for name, value in (("nu", nu), ("q", q)):
+            if value > MAX_NU_AND_Q:
+                raise BoundExceeded(f"{name} = {value} exceeds the "
+                                    f"tractability bound {MAX_NU_AND_Q}")
         self.mode = mode
         self.nu = nu
         self.q = q
@@ -487,11 +492,6 @@ def coxeter_cycle(n: int) -> Tuple[int, ...]:
     return tuple((j + 1) % n for j in range(n))
 
 
-def relative_position_typeA(flag_a: dict, flag_b: dict, q: int) -> tuple:
-    m = mat_mul(flag_a["inv"], flag_b["basis"], q)
-    return bruhat_pivots(m, q)
-
-
 def _position_dims_ok(pivots: Tuple[int, ...], shape: ShapeSeq,
                       nu: int) -> bool:
     """The four dimension conditions, read off the Bruhat permutation."""
@@ -538,8 +538,10 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
 
     For type A the position test is equality with the fixed Coxeter
     cycle; otherwise the four dimension conditions of the shape.  The
-    report carries per-g and per-flag subtotals whose independently
-    accumulated grand totals must agree (double counting).
+    report carries per-g and per-flag subtotals.  G is transitive on
+    complete isotropic flags and both tests are conjugation invariant, so
+    ``double_count_consistent`` requires one subtotal on every flag and
+    count = flag_count x per_flag[0].
     """
     q, nu = space.q, space.nu
     if group is None:
@@ -570,16 +572,16 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     per_flag = [0] * len(flags)
     for _gi, fi in hits:
         per_flag[fi] += 1
-    total_g = sum(per_g)
-    total_flag = sum(per_flag)
-    assert total_g == total_flag, "double counting failed"
+    per_orbit = per_flag[0] if per_flag else 0
+    consistent = per_flag == [per_orbit] * len(flags) and \
+        len(hits) == len(flags) * per_orbit
     return {
-        "count": total_g,
+        "count": len(hits),
         "unipotent_count": len(unis),
         "flag_count": len(flags),
         "per_g": per_g,
         "per_flag": per_flag,
-        "double_count_consistent": total_g == total_flag,
+        "double_count_consistent": consistent,
     }
 
 

@@ -220,13 +220,6 @@ RATIONALS = TowerField(())
 # Finite fields GF(p**m)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _poly_mulmod(a, b, modulus, p):
     """Product of little-endian coefficient tuples, reduced mod (modulus, p)."""
     m = len(modulus) - 1
@@ -245,18 +238,6 @@ def _poly_mulmod(a, b, modulus, p):
     prod = prod[:m]
     prod += [0] * (m - len(prod))
     return tuple(prod)
-
-
-def _poly_powmod(a, e, modulus, p):
-    m = len(modulus) - 1
-    result = tuple([1] + [0] * (m - 1))
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
 
 
 @lru_cache(maxsize=None)

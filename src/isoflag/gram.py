@@ -31,8 +31,8 @@ from typing import Dict, Optional, Tuple
 
 from .fields import FieldElement, RATIONALS, sqrt_extend
 from .linalg import Matrix, Unique, solve_linear
-from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, ShapeSeq,
-                     binomial_nk, pi_window, psi)
+from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, InvalidInput,
+                     ShapeSeq, binomial_nk, pi_window, psi)
 
 
 class WindowExceeded(Exception):
@@ -86,9 +86,6 @@ class _ConstPair:
     def lift(self, field):
         return _ConstPair(field.lift(self.value))
 
-    def deltas(self, bound):
-        return range(-bound, bound + 1)
-
 
 class _RangePair:
     """Values stored for offsets lo..hi inclusive."""
@@ -110,24 +107,24 @@ class _RangePair:
         return _RangePair(self.lo, self.hi,
                           {d: field.lift(v) for d, v in self.values.items()})
 
-    def deltas(self, bound):
-        return range(max(self.lo, -bound), min(self.hi, bound) + 1)
-
 
 class GramTable:
     """Memoized canonical pairing values for one (shape, mode, field)."""
 
     def __init__(self, shape: ShapeSeq, mode: str, field=None,
                  delta_bound: Optional[int] = None):
-        assert mode in MODES
-        assert shape.valid_for_mode(mode)
+        if mode not in MODES:
+            raise InvalidInput(f"unknown mode {mode!r}")
+        if not shape.valid_for_mode(mode):
+            raise InvalidInput(f"shape {shape.parts} kappa={shape.kappa} "
+                               f"is invalid for mode {mode}")
         if field is None:
             field = RATIONALS
-        if mode == ORTHOGONAL:
-            assert field.char != 2, "orthogonal-odd mode needs characteristic != 2"
-        if mode == SYMPLECTIC and shape.kappa == 1:
-            assert field.char == 2, \
-                "kappa=1 in symplectic-or-char2 mode is the char-2 orthogonal case"
+        if mode == ORTHOGONAL and field.char == 2:
+            raise InvalidInput("orthogonal-odd mode needs characteristic != 2")
+        if mode == SYMPLECTIC and shape.kappa == 1 and field.char != 2:
+            raise InvalidInput("kappa=1 in symplectic-or-char2 mode is the "
+                               "char-2 orthogonal case")
         self.shape = shape
         self.mode = mode
         self.field = field

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .fields import FieldElement
 
@@ -43,11 +43,6 @@ class Matrix:
     @classmethod
     def from_scalars(cls, field, rows):
         return cls(field, [[field.from_int(x) for x in r] for r in rows])
-
-    def lift_to(self, field) -> "Matrix":
-        if field == self.field:
-            return self
-        return Matrix(field, [[field.lift(x) for x in r] for r in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows)
@@ -104,10 +99,6 @@ class Matrix:
     def is_zero(self):
         return all(x.is_zero for r in self.rows for x in r)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        assert self.ncols == other.ncols
-        return Matrix(self.field, list(self.rows) + list(other.rows))
-
     def hstack(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows
         return Matrix(self.field, [list(a) + list(b) for a, b in zip(self.rows, other.rows)])
@@ -145,9 +136,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self._echelon()[1])
-
-    def rref(self) -> "Matrix":
-        return Matrix(self.field, self._echelon()[0])
 
     def nullspace(self) -> List[tuple]:
         """Basis of the right kernel, as coordinate tuples."""

@@ -237,8 +237,9 @@ def build_model(shape: ShapeSeq, mode: str, field=None,
 
 def _verify_model(model: IsometryModel):
     shape, g, space = model.shape, model.g, model.space
-    if g.transpose() * space.gram * g != space.gram:
-        raise VerificationFailed("g does not preserve the bilinear form")
+    report = check_adapted(model)  # form preservation included
+    if report:
+        raise VerificationFailed(f"collection clauses violated: {report[:3]}")
     if space.q_basis is not None:
         for m in range(space.dim):
             if space.quad(g.col(m)) != space.q_basis[m]:
@@ -250,9 +251,6 @@ def _verify_model(model: IsometryModel):
         raise VerificationFailed(
             f"Jordan multiset {dict(jordan)} differs from the predicted "
             f"{dict(predicted)}")
-    report = check_adapted(model)
-    if report:
-        raise VerificationFailed(f"collection clauses violated: {report[:3]}")
     bad = round_trip_mismatches(model)
     if bad:
         raise VerificationFailed(f"table round trip failed at {bad[:3]}")
@@ -263,73 +261,58 @@ def _check_window(shape: ShapeSeq):
     return range(-2 * p1, 4 * p1 + 1)
 
 
+def _window_profile(model: IsometryModel) -> dict:
+    """The pairing profile over every offset i - j of the check window."""
+    return collection_pairings(model, 6 * model.shape.part(1))
+
+
 def check_adapted(model: IsometryModel) -> List[tuple]:
     """Violations of the six collection clauses over the standard window.
 
-    Returns an empty list on pass; otherwise tuples
-    (clause, witness indices, got) for each violation found.
+    Form preservation by g and clause (a) give (w^t_i, w^r_j) =
+    (w^t_{i-j}, w^r_0), so clauses b to e are read off the pairing profile
+    at offsets d; if either precondition fails, only its violations are
+    returned.  Returns tuples (clause, witness indices, got); empty on pass.
     """
-    shape, space = model.shape, model.space
+    shape, space, g = model.shape, model.space, model.g
     sigma, kappa = shape.sigma, shape.kappa
     f = space.field
-    window = _check_window(shape)
     ext = model.extend_index
-    bil = space.bilinear
-    bad: List[tuple] = []
-    gv_cache = {(t, j): space.gram.apply(ext(t, j))
-                for t in range(1, sigma + kappa + 1) for j in window}
-
-    def pair(t, i, r, j):
-        u, gv = ext(t, i), gv_cache[(r, j)]
-        acc = f.zero
-        for x, y in zip(u, gv):
-            if not (x.is_zero or y.is_zero):
-                acc = acc + x * y
-        return acc
-
+    preserved = g.transpose() * space.gram * g
+    bad: List[tuple] = [
+        ("form", (m, mp), x) for m, row in enumerate(preserved.rows)
+        for mp, x in enumerate(row) if x != space.gram.rows[m][mp]]
     for t in range(1, sigma + kappa + 1):
-        for i in window:
+        for i in _check_window(shape):
             got = ext(t, i + 1)
-            want = model.g.apply(ext(t, i))
-            if got != want:
+            if got != g.apply(ext(t, i)):
                 bad.append(("a", (t, i), got))
+    if bad:
+        return bad
+
+    profile = _window_profile(model)
+
+    def expect(clause, t, r, offsets, want):
+        for d in offsets:
+            v = profile[(t, r, d)]
+            if v != want:
+                bad.append((clause, (t, r, d), v))
+
     for t in range(1, sigma + 1):
         p_t = shape.part(t)
-        for i in window:
-            for j in window:
-                v = pair(t, i, t, j)
-                if abs(i - j) < p_t and not v.is_zero:
-                    bad.append(("b", (t, i, j), v))
-                elif j - i == p_t and v != f.one:
-                    bad.append(("b", (t, i, j), v))
-    for t in range(1, sigma + 1):
-        p_t = shape.part(t)
+        expect("b", t, t, range(1 - p_t, p_t), f.zero)
+        expect("b", t, t, (-p_t,), f.one)
         for r in range(t + 1, sigma + 1):
             p_r = shape.part(r)
-            for i in window:
-                for j in window:
-                    if 0 <= i - j + p_r < 2 * p_t:
-                        v = pair(t, i, r, j)
-                        if not v.is_zero:
-                            bad.append(("c", (t, i, r, j), v))
+            expect("c", t, r, range(-p_r, 2 * p_t - p_r), f.zero)
     if kappa:
-        two = f.from_int(2)
-        for i in window:
-            v = pair(sigma + 1, i, sigma + 1, i)
-            if v != two:
-                bad.append(("d", (i,), v))
+        expect("d", sigma + 1, sigma + 1, (0,), f.from_int(2))
         for t in range(1, sigma + 1):
-            p_t = shape.part(t)
-            for i in window:
-                for j in window:
-                    if 0 <= i - j < 2 * p_t:
-                        v = pair(t, i, sigma + 1, j)
-                        if not v.is_zero:
-                            bad.append(("e", (t, i, j), v))
+            expect("e", t, sigma + 1, range(2 * shape.part(t)), f.zero)
     if space.q_basis is not None:
         for t in range(1, sigma + kappa + 1):
             want = f.one if t > sigma else f.zero
-            for i in window:
+            for i in _check_window(shape):
                 v = space.quad(ext(t, i))
                 if v != want:
                     bad.append(("f", (t, i), v))
@@ -337,28 +320,16 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
 
 
 def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
-    """Indices where extended-collection pairings differ from the table."""
+    """Offsets (t, r, d) where the pairing profile differs from the table.
+
+    Assumes check_adapted passed, so that every window pairing
+    (w^t_i, w^r_j) equals the profile entry at d = i - j.
+    """
     if model.table is None:
         return []
-    shape, space, table = model.shape, model.space, model.table
-    sigma_k = shape.sigma + shape.kappa
-    window = list(_check_window(shape))
-    gv = {(r, j): space.gram.apply(model.extend_index(r, j))
-          for r in range(1, sigma_k + 1) for j in window}
-    f = space.field
-    bad = []
-    for t in range(1, sigma_k + 1):
-        for r in range(1, sigma_k + 1):
-            for i in window:
-                u = model.extend_index(t, i)
-                for j in window:
-                    acc = f.zero
-                    for x, y in zip(u, gv[(r, j)]):
-                        if not (x.is_zero or y.is_zero):
-                            acc = acc + x * y
-                    if acc != table.value(t, r, i - j):
-                        bad.append((t, i, r, j))
-    return bad
+    table = model.table
+    return [key for key, v in _window_profile(model).items()
+            if v != table.value(*key)]
 
 
 # -- flags -------------------------------------------------------------------
@@ -476,21 +447,19 @@ def position_check(flag: IsoFlag, flag_prime: IsoFlag,
 # -- sign normalization and the intertwiner ----------------------------------
 
 def collection_pairings(model: IsometryModel, bound: int) -> dict:
-    """Pairings (w^t_i, w^r_0) for offsets |i| <= bound, keyed (t, r, i)."""
+    """Pairings (w^t_d, w^r_0) for offsets |d| <= bound, keyed (t, r, d).
+
+    The one pairing computation of this module: the clause checks, the
+    table round trip and the intertwiner all read it.
+    """
     shape, space = model.shape, model.space
-    sigma_k = shape.sigma + shape.kappa
+    blocks = range(1, shape.sigma + shape.kappa + 1)
+    keys = [(t, d) for t in blocks for d in range(-bound, bound + 1)]
+    vectors = Matrix(space.field, [model.extend_index(t, d) for t, d in keys])
     out = {}
-    for r in range(1, sigma_k + 1):
-        gv = space.gram.apply(model.extend_index(r, 0))
-        f = space.field
-        for t in range(1, sigma_k + 1):
-            for d in range(-bound, bound + 1):
-                u = model.extend_index(t, d)
-                acc = f.zero
-                for x, y in zip(u, gv):
-                    if not (x.is_zero or y.is_zero):
-                        acc = acc + x * y
-                out[(t, r, d)] = acc
+    for r in blocks:
+        values = vectors.apply(space.gram.apply(model.extend_index(r, 0)))
+        out.update(((t, r, d), v) for (t, d), v in zip(keys, values))
     return out
 
 
@@ -575,8 +544,7 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
         raise VerificationFailed("T does not preserve the bilinear form")
     if space.q_basis is not None:
         for m in range(space.dim):
-            if space.quad(t_mat.col(m)) != space.quad(
-                    Matrix.identity(f, space.dim).col(m)):
+            if space.quad(t_mat.col(m)) != space.q_basis[m]:
                 raise VerificationFailed("T does not preserve Q")
     if t_mat * model_a.g != model_b.g * t_mat:
         raise VerificationFailed("T does not intertwine the isometries")

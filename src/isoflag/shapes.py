@@ -9,7 +9,7 @@ represented by the HALF_LEVEL marker, never as a stored rational.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Tuple
@@ -22,17 +22,25 @@ ORTHOGONAL = "orthogonal-odd"
 MODES = (SYMPLECTIC, ORTHOGONAL)
 
 
+class InvalidInput(ValueError):
+    """A shape, mode, field or space outside the supported domain."""
+
+
 @dataclass(frozen=True)
 class ShapeSeq:
     parts: Tuple[int, ...]
     kappa: int = 0
 
     def __post_init__(self):
-        assert len(self.parts) >= 1, "at least one part required"
-        assert all(isinstance(p, int) and p >= 1 for p in self.parts)
-        assert all(a >= b for a, b in zip(self.parts, self.parts[1:])), \
-            "parts must be weakly decreasing"
-        assert self.kappa in (0, 1)
+        if not self.parts:
+            raise InvalidInput("at least one part required")
+        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+            raise InvalidInput(f"parts {self.parts} must be positive integers")
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+            raise InvalidInput(
+                f"parts {self.parts} must be weakly decreasing")
+        if self.kappa not in (0, 1):
+            raise InvalidInput(f"kappa = {self.kappa} must be 0 or 1")
 
     @property
     def sigma(self) -> int:
@@ -45,10 +53,6 @@ class ShapeSeq:
     @property
     def nu(self) -> int:
         return 2 * self.n + self.kappa
-
-    @property
-    def kappa_sigma(self) -> int:
-        return self.sigma % 2
 
     def part(self, t: int) -> int:
         """1-based part access; t in [1, sigma]."""

@@ -1,51 +1,6 @@
 import pytest
 
-from isoflag.fields import get_finite_field
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq
-
-
-def partitions_up_to(total):
-    """All weakly decreasing positive integer tuples with sum <= total."""
-    out = set()
-
-    def rec(rem, mx, cur):
-        if cur:
-            out.add(tuple(cur))
-        for p in range(min(rem, mx), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    for n in range(1, total + 1):
-        rec(n, n, [])
-    return sorted(out)
-
-
-def sweep_cases(total):
-    """(shape, mode) pairs of the standard acceptance sweep."""
-    cases = []
-    for parts in partitions_up_to(total):
-        for kappa in (0, 1):
-            shape = ShapeSeq(parts, kappa)
-            for mode in (SYMPLECTIC, ORTHOGONAL):
-                if shape.valid_for_mode(mode):
-                    cases.append((shape, mode))
-    return cases
-
-
-def fields_for(mode, kappa):
-    """The acceptance field list for one (mode, kappa) combination."""
-    if mode == SYMPLECTIC:
-        fields = []
-        if kappa == 0:
-            fields += [("rat", None), ("gf3", get_finite_field(3)),
-                       ("gf5", get_finite_field(5)),
-                       ("gf7", get_finite_field(7))]
-        fields += [("gf2", get_finite_field(2)),
-                   ("gf4", get_finite_field(2, 2))]
-        return fields
-    return [("rat", None), ("gf3", get_finite_field(3)),
-            ("gf5", get_finite_field(5)), ("gf7", get_finite_field(7))]
+from isoflag.cases import fields_for, sweep_cases
 
 
 @pytest.fixture(scope="session")

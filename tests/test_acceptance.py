@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fields_for, partitions_up_to, sweep_cases
+from isoflag.cases import fields_for, partitions_up_to, sweep_cases
 from isoflag.counting import (SO_ODD, SP, TYPE_A, FiniteFormSpace,
                               adjoint_order, count_pairs, count_report)
 from isoflag.fields import get_finite_field

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,35 @@ class TestExitCodes:
         code, _out, err = run(capsys, "count", "--type", "A",
                               "--n", "5", "--q", "5")
         assert code == 3 and "resource bound" in err
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (("count", "--type", "A", "--n", "2", "--q", "4"), "prime"),
+        # type B needs an odd dimension; shape (2), kappa 0 gives nu = 4
+        (("count", "--type", "B", "--shape", "2", "--q", "3"), "nu = 4"),
+        (("gram", "--mode", "orthogonal", "--shape", "2"), "invalid"),
+        (("build", "--mode", "orthogonal", "--shape", "1", "--kappa", "1",
+          "--field", "gf:2"), "characteristic"),
+    ], ids=["nonprime-q", "count-parity", "shape-mode", "orthogonal-char2"])
+    def test_bad_input_is_usage_error(self, capsys, argv, fragment):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2 and "usage error" in err and fragment in err
+
+    def test_tractability_bound_names_bound_and_value(self, capsys):
+        code, _out, err = run(capsys, "count", "--type", "C",
+                              "--shape", "4", "--q", "3")
+        assert code == 3 and "resource bound" in err
+        assert "nu = 8" in err and "bound 7" in err
+
+    def test_increasing_shape_rejected_without_asserts(self):
+        # python -O strips assert statements; shape validation must not
+        # depend on them
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "isoflag.cli", "psi",
+             "--shape", "1,3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and "usage error" in proc.stderr
 
 
 class TestOutputFormats:

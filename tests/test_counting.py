@@ -11,7 +11,7 @@ from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               mat_identity, mat_inv, mat_mul, mat_rank,
                               mat_vec, nullspace_mod, unipotent_jordan_type,
                               unipotents_of_type)
-from isoflag.shapes import ShapeSeq
+from isoflag.shapes import ORTHOGONAL, ShapeSeq, jordan_prediction
 
 
 class TestModularLinalg:
@@ -175,3 +175,21 @@ class TestCounting:
         space = FiniteFormSpace(TYPE_A, 2, 3)
         rep = count_pairs(space, Counter({2: 1}))
         assert len(set(rep["per_flag"])) == 1
+
+    def test_flag_outside_orbit_breaks_double_count(self):
+        # in SO3(F3) every complete isotropic flag starts with an isotropic
+        # line; a flag on the anisotropic line of e_1 lies outside the
+        # G-orbit and need not meet the same number of unipotents
+        space = FiniteFormSpace(SO_ODD, 3, 3)
+        shape = ShapeSeq((1,), kappa=1)
+        gamma = jordan_prediction(shape, ORTHOGONAL)
+        flags = enumerate_isotropic_flags(space)
+        rep = count_pairs(space, gamma, shape=shape, flags=flags)
+        assert rep["double_count_consistent"]
+        cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        assert space.bilinear(cols[0], cols[0]) != 0
+        basis = tuple(zip(*cols))
+        outside = {"basis": basis, "inv": mat_inv(basis, 3), "cols": cols}
+        rep = count_pairs(space, gamma, shape=shape, flags=flags + [outside])
+        assert rep["per_flag"][-1] != rep["per_flag"][0]
+        assert not rep["double_count_consistent"]

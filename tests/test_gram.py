@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import partitions_up_to
+from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.gram import GramTable, check_conjecture_210, closed_form_value, sg
 from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, binomial_nk, psi

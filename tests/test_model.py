@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from conftest import sweep_cases, fields_for
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
@@ -16,6 +15,110 @@ from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq
 @pytest.fixture(scope="module")
 def sp1():
     return build_model(ShapeSeq((1,)), SYMPLECTIC)
+
+
+def wrong_symplectic_g(sp1):
+    """sp1 with g = [[0,-1],[1,3]]: still symplectic, but not the model's g.
+
+    The windowed clauses cannot see the difference at p = 1; the table
+    round trip can.
+    """
+    f = sp1.field
+    bad_g = Matrix.from_scalars(f, [[0, -1], [1, 3]])
+    return IsometryModel(sp1.shape, sp1.mode, sp1.space, bad_g,
+                         Matrix.identity(f, 2), sp1.table)
+
+
+def scaled_collection():
+    """Shape (2) with w_1 doubled.
+
+    At p = 2 clause (b) has real content: scaling one collection vector
+    breaks the (w_i, w_{i+p}) = 1 normalization.
+    """
+    m = build_model(ShapeSeq((2,)), SYMPLECTIC)
+    f = m.field
+    cols = [m.w_cols.col(j) for j in range(4)]
+    cols[1] = tuple(x * f.from_int(2) for x in cols[1])
+    return IsometryModel(m.shape, m.mode, m.space, m.g,
+                         Matrix(f, cols).transpose())
+
+
+# -- full-window reference checkers ------------------------------------------
+#
+# The library decides clauses b-e and the table round trip on the pairing
+# profile (w^t_d, w^r_0).  These oracles form every window pair (w^t_i, w^r_j)
+# directly, so the offset reduction stays tested rather than assumed.
+
+def _window(shape):
+    p1 = shape.part(1)
+    return range(-2 * p1, 4 * p1 + 1)
+
+
+def window_pairs(model):
+    """Every window pairing (w^t_i, w^r_j), keyed (t, i, r, j)."""
+    space = model.space
+    blocks = range(1, model.shape.sigma + model.shape.kappa + 1)
+    keys = [(t, i) for t in blocks for i in _window(model.shape)]
+    rows = Matrix(space.field, [model.extend_index(*k) for k in keys])
+    out = {}
+    for r, j in keys:
+        gv = space.gram.apply(model.extend_index(r, j))
+        for (t, i), v in zip(keys, rows.apply(gv)):
+            out[(t, i, r, j)] = v
+    return out
+
+
+def full_window_check_adapted(model, pairs):
+    """Clause violations (a)-(f) read off all window pairs; no form check."""
+    shape, space = model.shape, model.space
+    sigma, kappa = shape.sigma, shape.kappa
+    f = space.field
+    window = _window(shape)
+    ext = model.extend_index
+    bad = []
+    for t in range(1, sigma + kappa + 1):
+        for i in window:
+            if ext(t, i + 1) != model.g.apply(ext(t, i)):
+                bad.append(("a", (t, i)))
+    for t in range(1, sigma + 1):
+        p_t = shape.part(t)
+        for i in window:
+            for j in window:
+                v = pairs[(t, i, t, j)]
+                if abs(i - j) < p_t and not v.is_zero:
+                    bad.append(("b", (t, i, j)))
+                elif j - i == p_t and v != f.one:
+                    bad.append(("b", (t, i, j)))
+        for r in range(t + 1, sigma + 1):
+            p_r = shape.part(r)
+            for i in window:
+                for j in window:
+                    if 0 <= i - j + p_r < 2 * p_t and \
+                            not pairs[(t, i, r, j)].is_zero:
+                        bad.append(("c", (t, i, r, j)))
+    if kappa:
+        for i in window:
+            if pairs[(sigma + 1, i, sigma + 1, i)] != f.from_int(2):
+                bad.append(("d", (i,)))
+        for t in range(1, sigma + 1):
+            for i in window:
+                for j in window:
+                    if 0 <= i - j < 2 * shape.part(t) and \
+                            not pairs[(t, i, sigma + 1, j)].is_zero:
+                        bad.append(("e", (t, i, j)))
+    if space.q_basis is not None:
+        for t in range(1, sigma + kappa + 1):
+            want = f.one if t > sigma else f.zero
+            for i in window:
+                if space.quad(ext(t, i)) != want:
+                    bad.append(("f", (t, i)))
+    return bad
+
+
+def full_window_round_trip(model, pairs):
+    """Window index pairs whose pairing differs from the table."""
+    return [(t, i, r, j) for (t, i, r, j), v in pairs.items()
+            if v != model.table.value(t, r, i - j)]
 
 
 class TestBuildModel:
@@ -44,24 +147,10 @@ class TestBuildModel:
         assert round_trip_mismatches(sp1) == []
 
     def test_perturbed_isometry_fails_round_trip(self, sp1):
-        # [[0,-1],[1,3]] is still symplectic, so the windowed clauses
-        # cannot see the difference at p = 1; the table round trip can
-        f = sp1.field
-        bad_g = Matrix.from_scalars(f, [[0, -1], [1, 3]])
-        bad = IsometryModel(sp1.shape, sp1.mode, sp1.space, bad_g,
-                            Matrix.identity(f, 2), sp1.table)
-        assert round_trip_mismatches(bad) != []
+        assert round_trip_mismatches(wrong_symplectic_g(sp1)) != []
 
     def test_perturbed_collection_fails_clauses(self):
-        # at p = 2 clause (b) has real content: scaling one collection
-        # vector breaks the (w_i, w_{i+p}) = 1 normalization
-        m = build_model(ShapeSeq((2,)), SYMPLECTIC)
-        f = m.field
-        cols = [m.w_cols.col(j) for j in range(4)]
-        cols[1] = tuple(x * f.from_int(2) for x in cols[1])
-        bad = IsometryModel(m.shape, m.mode, m.space, m.g,
-                            Matrix(f, cols).transpose())
-        assert check_adapted(bad) != []
+        assert check_adapted(scaled_collection()) != []
 
     def test_sign_flip_stays_adapted(self, sp1):
         flipped = sp1.with_signs({1: -1})
@@ -75,6 +164,43 @@ class TestSweep:
         assert len(model_sweep) > 0
         for (parts, kappa, mode, _name), m in model_sweep.items():
             assert m.shape.parts == parts and m.mode == mode
+
+
+class TestPairingProfileOracle:
+    """The profile-based checks agree with the full-window reference."""
+
+    def test_sweep_models_pass_both(self, model_sweep):
+        checked = 0
+        for (parts, _kappa, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 4:
+                continue
+            pairs = window_pairs(m)
+            assert full_window_check_adapted(m, pairs) == []
+            assert check_adapted(m) == []
+            assert full_window_round_trip(m, pairs) == []
+            assert round_trip_mismatches(m) == []
+            checked += 1
+        assert checked > 0
+
+    def test_wrong_symplectic_g_fails_both(self, sp1):
+        bad = wrong_symplectic_g(sp1)
+        assert full_window_round_trip(bad, window_pairs(bad)) != []
+        assert round_trip_mismatches(bad) != []
+
+    def test_scaled_collection_fails_both(self):
+        bad = scaled_collection()
+        assert full_window_check_adapted(bad, window_pairs(bad)) != []
+        assert check_adapted(bad) != []
+
+    def test_non_isometry_reports_form(self, sp1):
+        # g e_0 = e_1 still holds, so clause (a) passes; det g = 2, so g
+        # does not preserve the symplectic form
+        f = sp1.field
+        g = Matrix.from_scalars(f, [[0, -2], [1, 2]])
+        bad = IsometryModel(sp1.shape, sp1.mode, sp1.space, g,
+                            Matrix.identity(f, 2), sp1.table)
+        report = check_adapted(bad)
+        assert report and {v[0] for v in report} == {"form"}
 
 
 class TestFlags:

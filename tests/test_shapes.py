@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import partitions_up_to
-from isoflag.shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, PiWindow,
-                            ShapeSeq, binomial_nk, jordan_prediction,
+from isoflag.cases import partitions_up_to
+from isoflag.shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, InvalidInput,
+                            PiWindow, ShapeSeq, binomial_nk, jordan_prediction,
                             pi_window, psi, verify_series_identity)
 
 
@@ -15,7 +15,7 @@ class TestShapeSeq:
         assert s.n == 8 and s.nu == 17 and s.sigma == 4
 
     def test_rejects_increasing(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInput):
             ShapeSeq((1, 2))
 
     def test_block_indices(self):
