@@ -239,26 +239,33 @@ def make_parser() -> argparse.ArgumentParser:
         prog="isoflag",
         description="Exact pairing tables, isometry models and flag counts.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--shape", help="comma-separated parts, e.g. 3,2,2,1")
-        sp.add_argument("--kappa", type=int, default=0, choices=(0, 1))
-        sp.add_argument("--mode", default=SYMPLECTIC,
-                        help="symplectic-or-char2 | orthogonal-odd")
-        sp.add_argument("--field", default="rat",
-                        help="rat | gf:p[,m]")
-        sp.add_argument("--window", type=int, default=None)
-        sp.add_argument("--kmax", type=int, default=None)
-        sp.add_argument("--type", dest="group_type", choices=("A", "B", "C"))
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--gamma", default=None,
-                        help="comma-separated Jordan block sizes")
-        sp.add_argument("--format", dest="fmt", default="json",
+    # option groups: each subcommand takes only the options it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", default="json",
                         choices=("json", "csv"))
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--per-element", action="store_true",
-                        help="include per-g and per-flag subtotals")
+    output.add_argument("--out")
+    shape = argparse.ArgumentParser(add_help=False, parents=[output])
+    shape.add_argument("--shape", help="comma-separated parts, e.g. 3,2,2,1")
+    shape.add_argument("--kappa", type=int, default=0, choices=(0, 1))
+    model = argparse.ArgumentParser(add_help=False, parents=[shape])
+    model.add_argument("--mode", default=SYMPLECTIC,
+                       help="symplectic-or-char2 | orthogonal-odd")
+    model.add_argument("--field", default="rat", help="rat | gf:p[,m]")
+    group = {"psi": shape, "count": shape, "conjecture210": output,
+             "identities": output}
+    sps = {name: sub.add_parser(name, parents=[group.get(name, model)])
+           for name in COMMANDS}
+    for name in ("gram", "identities"):
+        sps[name].add_argument("--window", type=int)
+    for name in ("conjecture210", "identities"):
+        sps[name].add_argument("--kmax", type=int)
+    count = sps["count"]
+    count.add_argument("--type", dest="group_type", choices=("A", "B", "C"))
+    count.add_argument("--n", type=int)
+    count.add_argument("--q", type=int)
+    count.add_argument("--gamma", help="comma-separated Jordan block sizes")
+    count.add_argument("--per-element", action="store_true",
+                       help="include per-g and per-flag subtotals")
     return parser
 
 

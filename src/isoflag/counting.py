@@ -17,7 +17,7 @@ from collections import Counter
 from math import gcd, prod
 from typing import Dict, List, Optional, Tuple
 
-from .shapes import InvalidInput, ShapeSeq
+from .shapes import InvalidInput, ShapeSeq, position_dims_ok
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
@@ -492,30 +492,6 @@ def coxeter_cycle(n: int) -> Tuple[int, ...]:
     return tuple((j + 1) % n for j in range(n))
 
 
-def _position_dims_ok(pivots: Tuple[int, ...], shape: ShapeSeq,
-                      nu: int) -> bool:
-    """The four dimension conditions, read off the Bruhat permutation."""
-    def dim(i, j):  # dim(V_i cap V'_j), 1-based flag indices
-        return sum(1 for k in range(j) if pivots[k] < i)
-
-    p_lt = 0
-    for r in range(1, shape.sigma + 1):
-        p_r = shape.part(r)
-        p_le = p_lt + p_r
-        for i in range(1, p_r):
-            d = p_lt + i
-            if dim(d, d) != d - r:
-                return False
-            if dim(d + 1, d) != d - r + 1:
-                return False
-        if dim(nu - p_lt - 1, p_le) != p_le - r:
-            return False
-        if dim(nu - p_lt, p_le) != p_le - r + 1:
-            return False
-        p_lt = p_le
-    return True
-
-
 # -- pair counting -----------------------------------------------------------
 
 def adjoint_order(group_type: str, n: int, q: int) -> int:
@@ -555,7 +531,8 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     else:
         assert shape is not None and shape.nu == nu
         target = None
-        ok_test = lambda piv: _position_dims_ok(piv, shape, nu)  # noqa: E731
+        ok_test = lambda piv: position_dims_ok(  # noqa: E731
+            lambda i, j: sum(1 for k in range(j) if piv[k] < i), shape, nu)
 
     hits: List[Tuple[int, int]] = []
     for gi, g in enumerate(unis):

@@ -74,17 +74,6 @@ class Matrix:
                           [[_dot(r, c, self.field) for c in cols] for r in self.rows])
         return Matrix(self.field, [[a * other for a in r] for r in self.rows])
 
-    def __pow__(self, e: int):
-        assert self.nrows == self.ncols and e >= 0
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
 
@@ -213,15 +202,13 @@ def nilpotent_jordan_multiset(n: Matrix) -> Counter:
     """Jordan block sizes of a nilpotent matrix, as a Counter {size: count}."""
     assert n.nrows == n.ncols
     dim = n.nrows
-    if not (n ** dim).is_zero:
-        raise NotNilpotent("matrix is not nilpotent")
     ranks = [dim]
     power = Matrix.identity(n.field, dim)
-    for _ in range(dim):
+    while ranks[-1]:
+        if len(ranks) > dim:
+            raise NotNilpotent(f"rank(N^{dim}) = {ranks[-1]}, not 0")
         power = power * n
         ranks.append(power.rank())
-        if ranks[-1] == 0:
-            break
     while len(ranks) < dim + 2:
         ranks.append(0)
     result: Counter = Counter()

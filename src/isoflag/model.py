@@ -20,7 +20,8 @@ from .fields import FieldElement
 from .gram import GramTable
 from .linalg import (Affine, Matrix, NoSolution, Unique,
                      nilpotent_jordan_multiset, solve_linear)
-from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, jordan_prediction, psi
+from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
+                     jordan_prediction, position_dims_ok, psi)
 
 
 class VerificationFailed(Exception):
@@ -114,6 +115,7 @@ class IsometryModel:
         self.index_of = {ti: m for m, ti in enumerate(self.basis_index)}
         self._ext: Dict[Tuple[int, int], tuple] = {
             ti: w_cols.col(m) for m, ti in enumerate(self.basis_index)}
+        self._pairings: Dict[int, dict] = {}
 
     @property
     def field(self):
@@ -335,45 +337,55 @@ def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
 # -- flags -------------------------------------------------------------------
 
 class IsoFlag:
-    """A complete flag of subspaces with isotropic lower half."""
+    """A complete flag as one adapted basis: the first i columns of the
+    nu x nu Matrix ``basis`` span V_i.  ``inverse`` is its inverse, or
+    None when it is singular, which verify rejects.
+    """
 
-    def __init__(self, space: QuadSpace, subspaces: List[List[tuple]]):
+    def __init__(self, space: QuadSpace, basis: Matrix):
         self.space = space
-        self.subspaces = subspaces
-        assert len(subspaces) == space.dim + 1
+        self.basis = basis
+        try:
+            self.inverse: Optional[Matrix] = basis.inverse()
+        except ZeroDivisionError:
+            self.inverse = None
 
-    def basis(self, i: int) -> List[tuple]:
-        return self.subspaces[i]
+    @property
+    def subspaces(self) -> List[List[tuple]]:
+        """Spanning vectors of V_0, ..., V_nu: the column prefixes."""
+        cols = [self.basis.col(c) for c in range(self.space.dim)]
+        return [cols[:i] for i in range(self.space.dim + 1)]
 
     def verify(self):
-        """Raise IsotropyViolation unless all flag invariants hold."""
-        space = self.space
-        nu = space.dim
-        n = nu // 2
-        f = space.field
-        for i, vecs in enumerate(self.subspaces):
-            if _span_dim(f, vecs) != i:
-                raise IsotropyViolation(f"dim V_{i} != {i}")
-        for i in range(nu):
-            if not _span_contains(f, self.subspaces[i + 1], self.subspaces[i]):
-                raise IsotropyViolation(f"V_{i} not inside V_{i+1}")
-        for i in range(n + 1):
-            vecs = self.subspaces[i]
-            for a, u in enumerate(vecs):
-                for v in vecs[a:]:
-                    if not space.bilinear(u, v).is_zero:
-                        raise IsotropyViolation(f"form nonzero on V_{i}")
-                if space.q_basis is not None and not space.quad(u).is_zero:
-                    raise IsotropyViolation(f"Q nonzero on V_{i}")
-            perp = space.perp(vecs)
-            other = self.subspaces[nu - i]
-            if _span_dim(f, perp) != nu - i or \
-                    not _span_contains(f, perp, other):
-                raise IsotropyViolation(f"V_{i} perp is not V_{nu - i}")
+        """Raise IsotropyViolation unless all flag invariants hold.
+
+        B invertible gives dim V_i = i.  With M = B^T G B, M[a][c] = 0 for
+        a + c <= nu - 2 puts V_{nu-i} inside V_i-perp, and M[a][nu-1-a] != 0
+        for a < n makes them equal, also when the form has a radical.
+        """
+        space, b = self.space, self.basis
+        nu, n = space.dim, space.dim // 2
+        if self.inverse is None:
+            pivots = b._echelon()[1] + [nu]
+            i = next(c for c, p in enumerate(pivots) if p != c) + 1
+            raise IsotropyViolation(f"dim V_{i} != {i}")
+        m = (b.transpose() * space.gram * b).rows
+        for a in range(nu - 1):
+            for c in range(nu - 1 - a):
+                if not m[a][c].is_zero:
+                    raise IsotropyViolation(
+                        f"V_{c + 1} not inside V_{a + 1} perp: "
+                        f"(b_{a}, b_{c}) = {m[a][c]}")
+        for a in range(n):
+            if m[a][nu - 1 - a].is_zero:
+                raise IsotropyViolation(f"V_{a + 1} perp is not V_{nu - a - 1}")
+        for a in range(n if space.q_basis is not None else 0):
+            q = space.quad(b.col(a))
+            if not q.is_zero:
+                raise IsotropyViolation(f"Q(b_{a}) = {q} on V_{n}")
 
     def apply(self, h: Matrix) -> "IsoFlag":
-        return IsoFlag(self.space,
-                       [[h.apply(v) for v in vecs] for vecs in self.subspaces])
+        return IsoFlag(self.space, h * self.basis)
 
 
 def _span_dim(field, vectors) -> int:
@@ -389,31 +401,29 @@ def _span_contains(field, big, small) -> bool:
     return _span_dim(field, list(big) + list(small)) == base
 
 
-def _intersection_dim(field, a, b) -> int:
-    return _span_dim(field, a) + _span_dim(field, b) \
-        - _span_dim(field, list(a) + list(b))
-
-
 def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
     """The flag pair (V_*, V'_* = g V_*) attached to the collection.
 
-    The lower half of V_* is spanned block by block from the collection
-    vectors w^t_h with h in the upper index range; the upper half is
-    completed by perpendicularity.  Both flags are fully verified.
+    The adapted basis B starts with the collection vectors w^r_h, h in
+    [p_r, 2p_r - 1], block by block: they span the isotropic V_n.  Column
+    b_c, c = n..nu-1, is the first basis vector v of V_k-perp, k = nu-1-c,
+    outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle column of an
+    odd nu.  V' has basis g B.  Both flags are fully verified.
     """
     shape, space = model.shape, model.space
-    nu, n = space.dim, shape.n
+    nu = space.dim
     ext = model.extend_index
-    lower: List[List[tuple]] = [[]]
-    for r in range(1, shape.sigma + 1):
-        p_r = shape.part(r)
-        base = list(lower[-1])
-        for i in range(1, p_r + 1):
-            lower.append(base + [ext(r, h) for h in range(p_r, p_r + i)])
-    subspaces: List[List[tuple]] = lower[:n + 1]
-    for i in range(n + 1, nu + 1):
-        subspaces.append(space.perp(subspaces[nu - i]))
-    flag = IsoFlag(space, subspaces)
+    cols = [ext(r, h) for r in range(1, shape.sigma + 1)
+            for h in range(shape.part(r), 2 * shape.part(r))]
+    for c in range(shape.n, nu):
+        k = nu - 1 - c
+        v = next((v for v in space.perp(cols[:k])
+                  if not (space.bilinear(cols[k], v) if k < c
+                          else space.quad(v)).is_zero), None)
+        if v is None:
+            raise IsotropyViolation(f"V_{k} perp has no vector outside V_{c}")
+        cols.append(v)
+    flag = IsoFlag(space, Matrix(space.field, cols).transpose())
     flag.verify()
     flag_prime = flag.apply(model.g)
     flag_prime.verify()
@@ -422,26 +432,14 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
 
 def position_check(flag: IsoFlag, flag_prime: IsoFlag,
                    shape: ShapeSeq) -> bool:
-    """The four relative-position dimension conditions for the shape."""
-    f = flag.space.field
+    """The four relative-position dimension conditions for the shape.
+
+    With M = B^{-1} B', dim(V_i meet V'_j) = j - rank(M[i:, :j]).
+    """
     nu = flag.space.dim
-    v, vp = flag.subspaces, flag_prime.subspaces
-    p_lt = 0
-    for r in range(1, shape.sigma + 1):
-        p_r = shape.part(r)
-        p_le = p_lt + p_r
-        for i in range(1, p_r):
-            d = p_lt + i
-            if _intersection_dim(f, vp[d], v[d]) != d - r:
-                return False
-            if _intersection_dim(f, vp[d], v[d + 1]) != d - r + 1:
-                return False
-        if _intersection_dim(f, vp[p_le], v[nu - p_lt - 1]) != p_le - r:
-            return False
-        if _intersection_dim(f, vp[p_le], v[nu - p_lt]) != p_le - r + 1:
-            return False
-        p_lt = p_le
-    return True
+    m = flag.inverse * flag_prime.basis
+    return position_dims_ok(
+        lambda i, j: j - m.submatrix(i, nu, 0, j).rank(), shape, nu)
 
 
 # -- sign normalization and the intertwiner ----------------------------------
@@ -450,8 +448,11 @@ def collection_pairings(model: IsometryModel, bound: int) -> dict:
     """Pairings (w^t_d, w^r_0) for offsets |d| <= bound, keyed (t, r, d).
 
     The one pairing computation of this module: the clause checks, the
-    table round trip and the intertwiner all read it.
+    table round trip and the intertwiner all read it.  Memoized per bound
+    on the model: callers share the dict and must not change it.
     """
+    if bound in model._pairings:
+        return model._pairings[bound]
     shape, space = model.shape, model.space
     blocks = range(1, shape.sigma + shape.kappa + 1)
     keys = [(t, d) for t in blocks for d in range(-bound, bound + 1)]
@@ -460,6 +461,7 @@ def collection_pairings(model: IsometryModel, bound: int) -> dict:
     for r in blocks:
         values = vectors.apply(space.gram.apply(model.extend_index(r, 0)))
         out.update(((t, r, d), v) for (t, d), v in zip(keys, values))
+    model._pairings[bound] = out
     return out
 
 
@@ -550,12 +552,14 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
         raise VerificationFailed("T does not intertwine the isometries")
     flag, flag_prime = flags_pair if flags_pair is not None \
         else flags_from(model_a)
+    # preserving the form (and Q) makes T invertible, so T fixes a flag
+    # iff B^{-1} T B is upper triangular
     for name, fl in (("V", flag), ("V'", flag_prime)):
-        for i, vecs in enumerate(fl.subspaces):
-            image = [t_mat.apply(v) for v in vecs]
-            if not (_span_contains(f, vecs, image)
-                    and _span_contains(f, image, vecs)):
-                raise VerificationFailed(f"T does not stabilize {name}_{i}")
+        m = fl.inverse * t_mat * fl.basis
+        for c in range(space.dim):
+            if any(not row[c].is_zero for row in m.rows[c + 1:]):
+                raise VerificationFailed(
+                    f"T does not stabilize {name}_{c + 1}")
     return t_mat
 
 
@@ -574,9 +578,9 @@ def component_check(model: IsometryModel, t_mat: Matrix,
     if model.field.char == 0:
         return None
     n = model.space.dim // 2
-    vn = flag.subspaces[n]
-    image = [t_mat.apply(v) for v in vn]
-    return (_intersection_dim(model.field, image, vn) - n) % 2 == 0
+    m = flag.inverse * t_mat * flag.basis
+    # dim(T V_n meet V_n) = n - rank(M[n:, :n]) for M = B^{-1} T B
+    return m.submatrix(n, m.nrows, 0, n).rank() % 2 == 0
 
 
 # -- decomposition checks ----------------------------------------------------
@@ -613,10 +617,12 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     """
     shape, mode, space = model.shape, model.mode, model.space
     sigma, kappa = shape.sigma, shape.kappa
-    assert 1 <= cut <= sigma + kappa
-    if mode == ORTHOGONAL:
-        assert cut <= sigma and psi(shape)[cut - 1] == -1, \
-            "orthogonal cuts sit at indices with psi = -1"
+    if not 1 <= cut <= sigma + kappa:
+        raise InvalidInput(f"cut {cut} outside 1..{sigma + kappa}")
+    if mode == ORTHOGONAL and not (cut <= sigma
+                                   and psi(shape)[cut - 1] == -1):
+        raise InvalidInput(
+            f"orthogonal cuts sit at indices with psi = -1, not {cut}")
     f = space.field
     w_low, w_high, stable, n_low, n_high = _restricted_blocks(model, cut)
     report = {"g_stable": stable}

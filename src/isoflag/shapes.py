@@ -121,6 +121,27 @@ def jordan_prediction(shape: ShapeSeq, mode: str) -> Counter:
     return result
 
 
+def position_dims_ok(dim, shape: ShapeSeq, nu: int) -> bool:
+    """The four relative-position dimension conditions of the shape.
+
+    ``dim(i, j)`` returns dim(V_i meet V'_j) for the two flags, with
+    1-based flag indices.
+    """
+    p_lt = 0
+    for r in range(1, shape.sigma + 1):
+        p_r = shape.part(r)
+        p_le = p_lt + p_r
+        for i in range(1, p_r):
+            d = p_lt + i
+            if dim(d, d) != d - r or dim(d + 1, d) != d - r + 1:
+                return False
+        if dim(nu - p_lt - 1, p_le) != p_le - r or \
+                dim(nu - p_lt, p_le) != p_le - r + 1:
+            return False
+        p_lt = p_le
+    return True
+
+
 @dataclass(frozen=True)
 class PiWindow:
     a: int

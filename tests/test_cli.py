@@ -84,6 +84,9 @@ class TestSubcommands:
         assert code == 0
         res = payload["result"]
         assert res["count"] == 24 and res["verdict"] == "equal"
+        # count takes no model options, so its manifest records none
+        params = payload["manifest"]["parameters"]
+        assert "mode" not in params and "field" not in params
 
     def test_count_off_class(self, capsys):
         code, payload = run_json(capsys, "count", "--type", "A", "--n", "2",
@@ -116,6 +119,12 @@ class TestExitCodes:
     def test_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])
+        assert exc.value.code == 2
+
+    def test_foreign_option_rejected(self, capsys):
+        # --q belongs to count only
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", "--shape", "2,1", "--q", "3"])
         assert exc.value.code == 2
 
     def test_resource_bound(self, capsys):

@@ -87,6 +87,12 @@ class TestJordan:
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotent):
             nilpotent_jordan_multiset(Matrix.identity(RATIONALS, 2))
+        # nilpotent on the first two coordinates only: the rank sequence
+        # 2, 1, 1 stalls above zero
+        partly = Matrix.from_scalars(RATIONALS,
+                                     [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        with pytest.raises(NotNilpotent):
+            nilpotent_jordan_multiset(partly)
 
     def test_single_block(self):
         n = Matrix.from_scalars(RATIONALS, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])

@@ -5,11 +5,13 @@ import pytest
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
-                           IsotropyViolation, VerificationFailed, build_T,
-                           build_model, check_adapted, collection_pairings,
+                           IsotropyViolation, VerificationFailed,
+                           _span_contains, _span_dim, build_T, build_model,
+                           check_adapted, collection_pairings,
                            component_check, flags_from, normalize_signs,
-                           position_check, round_trip_mismatches, split_check)
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq
+                           position_check, round_trip_mismatches,
+                           split_check)
+from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,116 @@ def full_window_round_trip(model, pairs):
             if v != model.table.value(t, r, i - j)]
 
 
+# -- rank-per-subspace flag references ---------------------------------------
+#
+# The library reads every flag condition off one matrix in the adapted basis.
+# These oracles check each subspace V_i separately by ranks of spanning sets,
+# so the reduction to one matrix stays tested rather than assumed.
+
+def rank_verify(flag):
+    """Raise IsotropyViolation unless every flag invariant holds."""
+    space = flag.space
+    nu = space.dim
+    f = space.field
+    subspaces = flag.subspaces
+    for i, vecs in enumerate(subspaces):
+        if _span_dim(f, vecs) != i:
+            raise IsotropyViolation(f"dim V_{i} != {i}")
+    for i in range(nu):
+        if not _span_contains(f, subspaces[i + 1], subspaces[i]):
+            raise IsotropyViolation(f"V_{i} not inside V_{i+1}")
+    for i in range(nu // 2 + 1):
+        vecs = subspaces[i]
+        for a, u in enumerate(vecs):
+            for v in vecs[a:]:
+                if not space.bilinear(u, v).is_zero:
+                    raise IsotropyViolation(f"form nonzero on V_{i}")
+            if space.q_basis is not None and not space.quad(u).is_zero:
+                raise IsotropyViolation(f"Q nonzero on V_{i}")
+        perp = space.perp(vecs)
+        if _span_dim(f, perp) != nu - i or \
+                not _span_contains(f, perp, subspaces[nu - i]):
+            raise IsotropyViolation(f"V_{i} perp is not V_{nu - i}")
+
+
+def passes(check, flag):
+    """Whether check(flag) returns without an IsotropyViolation."""
+    try:
+        check(flag)
+    except IsotropyViolation:
+        return False
+    return True
+
+
+def intersection_dim(field, a, b):
+    return _span_dim(field, a) + _span_dim(field, b) \
+        - _span_dim(field, list(a) + list(b))
+
+
+def rank_position(flag, flag_prime, shape):
+    """The four position conditions, each intersection by ranks."""
+    f = flag.space.field
+    nu = flag.space.dim
+    v, vp = flag.subspaces, flag_prime.subspaces
+    p_lt = 0
+    for r in range(1, shape.sigma + 1):
+        p_r = shape.part(r)
+        p_le = p_lt + p_r
+        for i in range(1, p_r):
+            d = p_lt + i
+            if intersection_dim(f, vp[d], v[d]) != d - r:
+                return False
+            if intersection_dim(f, vp[d], v[d + 1]) != d - r + 1:
+                return False
+        if intersection_dim(f, vp[p_le], v[nu - p_lt - 1]) != p_le - r:
+            return False
+        if intersection_dim(f, vp[p_le], v[nu - p_lt]) != p_le - r + 1:
+            return False
+        p_lt = p_le
+    return True
+
+
+def rank_stabilization(t_mat, flags_pair):
+    """build_T's message for the first V_i with T V_i != V_i, else None."""
+    f = t_mat.field
+    for name, fl in zip(("V", "V'"), flags_pair):
+        for i, vecs in enumerate(fl.subspaces):
+            image = [t_mat.apply(v) for v in vecs]
+            if not (_span_contains(f, vecs, image)
+                    and _span_contains(f, image, vecs)):
+                return f"T does not stabilize {name}_{i}"
+    return None
+
+
+def stabilization_message(model, other, flags_pair):
+    try:
+        build_T(model, other, flags_pair=flags_pair)
+    except VerificationFailed as exc:
+        return str(exc)
+    return None
+
+
+def basis_mutations(basis):
+    """Every column swap and every column add c_b += c_a (a != b)."""
+    cols = [basis.col(c) for c in range(basis.ncols)]
+    for a, col_a in enumerate(cols):
+        for b, col_b in enumerate(cols):
+            if a < b:
+                swapped = list(cols)
+                swapped[a], swapped[b] = col_b, col_a
+                yield Matrix(basis.field, swapped).transpose()
+            if a != b:
+                added = list(cols)
+                added[b] = tuple(x + y for x, y in zip(col_b, col_a))
+                yield Matrix(basis.field, added).transpose()
+
+
+def sign_flip(model):
+    return model.with_signs({t: -1 if t % 2 else 1 for t in
+                             range(1, model.shape.sigma
+                                   + model.shape.kappa + 1)})
+
+
 class TestBuildModel:
     def test_smallest_symplectic_matrix(self, sp1):
         assert sp1.g.to_json() == [[["0"], ["-1"]], [["1"], ["2"]]]
@@ -222,10 +334,67 @@ class TestFlags:
 
     def test_broken_flag_rejected(self, sp1):
         flag, _ = flags_from(sp1)
-        broken = list(flag.subspaces)
-        broken[1] = []
-        with pytest.raises(IsotropyViolation):
-            IsoFlag(sp1.space, broken).verify()
+        col = flag.basis.col(0)
+        singular = Matrix(sp1.field, [col, col]).transpose()
+        broken = IsoFlag(sp1.space, singular)
+        with pytest.raises(IsotropyViolation, match="dim V_2"):
+            broken.verify()
+        assert not passes(rank_verify, broken)
+
+    def test_non_isotropic_swap_rejected(self):
+        # for shape (2) the swap makes V_1 = <b_3> and V_2 = <b_3, b_1>
+        # with (b_3, b_1) != 0; the mutation test below also covers the
+        # models where the same swap stays a valid flag
+        m = build_model(ShapeSeq((2,)), SYMPLECTIC)
+        flag, _ = flags_from(m)
+        cols = [flag.basis.col(c) for c in range(4)]
+        cols[0], cols[3] = cols[3], cols[0]
+        swapped = IsoFlag(m.space, Matrix(m.field, cols).transpose())
+        with pytest.raises(IsotropyViolation, match="V_2 not inside V_1"):
+            swapped.verify()
+        assert not passes(rank_verify, swapped)
+
+
+class TestFlagOracle:
+    """The adapted-basis flag checks agree with the rank-based references."""
+
+    def test_sweep_models_agree(self, model_sweep):
+        models = [m for (parts, _k, _mode, _name), m in model_sweep.items()
+                  if sum(parts) <= 3]
+        for m in models:
+            pair = flags_from(m)
+            assert all(passes(rank_verify, fl) for fl in pair)
+            assert rank_position(*pair, m.shape)
+            assert position_check(*pair, m.shape)
+            t_mat = build_T(m, sign_flip(m), flags_pair=pair)
+            assert rank_stabilization(t_mat, pair) is None
+        assert len(models) > 50
+
+    def test_mutated_bases_agree(self, model_sweep):
+        # the rank oracles cost ~0.03 s per mutant, so the mutation family
+        # runs on the GF(2) and GF(3) models only, which cover both
+        # characteristic classes and the char-2 radical; rational and larger
+        # fields are covered unmutated by test_sweep_models_agree
+        verdicts = Counter()
+        models = [m for (parts, _k, _mode, name), m in model_sweep.items()
+                  if sum(parts) <= 3 and name in ("gf2", "gf3")]
+        for m in models:
+            flag, flag_prime = flags_from(m)
+            other = sign_flip(m)
+            t_mat = build_T(m, other, flags_pair=(flag, flag_prime))
+            for basis in basis_mutations(flag.basis):
+                mutant = IsoFlag(m.space, basis)
+                pair = (mutant, mutant.apply(m.g))
+                ok = passes(IsoFlag.verify, mutant)
+                assert ok == passes(rank_verify, mutant)
+                position = position_check(*pair, m.shape)
+                assert position == rank_position(*pair, m.shape)
+                message = stabilization_message(m, other, pair)
+                assert message == rank_stabilization(t_mat, pair)
+                verdicts[ok, position, message is None] += 1
+        # the family reaches both verdicts of every check
+        for k in range(3):
+            assert {key[k] for key in verdicts} == {True, False}
 
 
 class TestNormalizeSigns:
@@ -288,6 +457,15 @@ class TestIntertwiner:
         with pytest.raises(VerificationFailed):
             build_T(sp1, bad)
 
+    def test_pairings_memoized_per_model(self, sp1):
+        assert collection_pairings(sp1, 3) is collection_pairings(sp1, 3)
+        assert collection_pairings(sp1, 3) is not \
+            collection_pairings(sp1.with_signs({1: -1}), 3)
+        # a perturbed model sharing sp1's space and table keeps its own
+        # profile, so it still fails against sp1's memoized one
+        assert round_trip_mismatches(sp1) == []
+        assert round_trip_mismatches(wrong_symplectic_g(sp1)) != []
+
     def test_pairings_reproduce_table(self, sp1):
         pairs = collection_pairings(sp1, 3)
         for (t, r, d), v in pairs.items():
@@ -336,5 +514,5 @@ class TestSplitCheck:
 
     def test_orthogonal_cut_restricted(self):
         m = build_model(ShapeSeq((2, 2)), ORTHOGONAL)
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInput):
             split_check(m, 1)  # psi(1) = 1, not a valid cut
