@@ -50,7 +50,19 @@ def parse_field(text: str):
 
 
 def parse_gamma(text: str) -> Counter:
-    return Counter(int(x) for x in text.split(","))
+    """Comma-separated positive Jordan block sizes, as {size: count}."""
+    sizes = text.split(",")
+    if not all(x.isdecimal() and int(x) > 0 for x in sizes):
+        raise UsageError(f"bad gamma {text!r}: sizes must be positive "
+                         "integers")
+    return Counter(map(int, sizes))
+
+
+def _at_least(args, name: str, low: int, default: int) -> int:
+    value = getattr(args, name)
+    if value is not None and value < low:
+        raise UsageError(f"--{name} {value} must be at least {low}")
+    return default if value is None else value
 
 
 def _shape_from(args) -> ShapeSeq:
@@ -168,18 +180,19 @@ def cmd_count(args):
             raise UsageError("type A needs --n (matrix size)")
         nu = args.n
         space = counting.FiniteFormSpace(counting.TYPE_A, nu, q)
-        gamma = parse_gamma(args.gamma) if args.gamma else Counter({nu: 1})
+        gamma = parse_gamma(args.gamma) if args.gamma is not None \
+            else Counter({nu: 1})
         report = counting.count_report(space, gamma, "A", nu - 1)
     else:
         shape = _shape_from(args)
         mode = counting.SP if args.group_type == "C" else counting.SO_ODD
         space = counting.FiniteFormSpace(mode, shape.nu, q)
         pred_mode = SYMPLECTIC if args.group_type == "C" else ORTHOGONAL
-        gamma = parse_gamma(args.gamma) if args.gamma \
-            else jordan_prediction(shape, pred_mode)
+        predicted = jordan_prediction(shape, pred_mode)
+        gamma = parse_gamma(args.gamma) if args.gamma is not None \
+            else predicted
         rank = shape.nu // 2
-        expect = args.gamma is None or \
-            parse_gamma(args.gamma) == jordan_prediction(shape, pred_mode)
+        expect = gamma == predicted
         report = counting.count_report(space, gamma, args.group_type, rank,
                                        shape=shape, expect_equal=expect)
     report["runtime"] = round(time.monotonic() - t0, 3)
@@ -195,7 +208,7 @@ def cmd_count(args):
 
 
 def cmd_conjecture210(args):
-    kmax = args.kmax or 4
+    kmax = _at_least(args, "kmax", 2, 4)
     results = []
     all_ok = True
     for k in range(2, kmax + 1):
@@ -209,8 +222,8 @@ def cmd_conjecture210(args):
 
 
 def cmd_identities(args):
-    kmax = args.kmax or 8
-    degree = args.window or 20
+    kmax = _at_least(args, "kmax", 1, 8)
+    degree = _at_least(args, "window", 0, 20)
     results = []
     ok = True
     for which, lo in (("negative-binomial", 1), ("two-pole", 2)):

@@ -17,7 +17,8 @@ from collections import Counter
 from math import gcd, prod
 from typing import Dict, List, Optional, Tuple
 
-from .shapes import InvalidInput, ShapeSeq, position_dims_ok
+from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
+                     jordan_from_ranks, position_dims_ok)
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
@@ -62,70 +63,57 @@ def mat_vec(a, v, p: int) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
 
 
-def mat_inv(a, p: int) -> tuple:
-    n = len(a)
-    rows = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(a)]
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if sel is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[c], rows[sel] = rows[sel], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        rows[c] = [x * inv % p for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(r[n:]) for r in rows)
+def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form over GF(p) of the first ``ncols`` columns.
 
-
-def mat_rank(rows, p: int) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
+    Pivots on the first nonzero entry top-down, column by column, and
+    stops once every row has a pivot; later columns (an augmented block)
+    are carried along.  Returns the rows and the pivot columns: row i has
+    a 1 at pivots[i] and zeros in every other pivot column.
+    """
+    work = [[x % p for x in r] for r in rows]
+    pivots: List[int] = []
     for c in range(ncols):
-        sel = next((i for i in range(rank, len(work)) if work[i][c] % p), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = pow(work[rank][c], p - 2, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p
-                           for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def nullspace_mod(rows, p: int, ncols: int) -> List[tuple]:
-    work = [list(r) for r in rows] or [[0] * ncols]
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        sel = next((i for i in range(pr, len(work)) if work[i][c] % p), None)
+        pr = len(pivots)
+        if pr == len(work):
+            break
+        sel = next((i for i in range(pr, len(work)) if work[i][c]), None)
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]
         inv = pow(work[pr][c], p - 2, p)
         work[pr] = [x * inv % p for x in work[pr]]
-        for i in range(len(work)):
-            if i != pr and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[pr])]
+        for i, row in enumerate(work):
+            if i != pr and row[c]:
+                f = row[c]
+                work[i] = [(x - f * y) % p for x, y in zip(row, work[pr])]
         pivots.append(c)
-        pr += 1
+    return work, pivots
+
+
+def mat_inv(a, p: int) -> tuple:
+    n = len(a)
+    rows, pivots = echelon_mod(
+        [list(r) + [1 if i == j else 0 for j in range(n)]
+         for i, r in enumerate(a)], p, n)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def mat_rank(rows, p: int) -> int:
+    return len(echelon_mod(rows, p, len(rows[0]) if rows else 0)[1])
+
+
+def nullspace_mod(rows, p: int, ncols: int) -> List[tuple]:
+    """Basis of the right kernel; the standard basis when rows is empty."""
+    work, pivots = echelon_mod(rows, p, ncols)
     basis = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[free] = 1
-        for pi, pc in enumerate(pivots):
-            v[pc] = (-work[pi][free]) % p
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[free] % p
         basis.append(tuple(v))
     return basis
 
@@ -138,18 +126,11 @@ def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
     power = nm
     ranks = [n, mat_rank(nm, p)]
     while ranks[-1]:
+        if len(ranks) > n:
+            return None
         power = mat_mul(power, nm, p)
         ranks.append(mat_rank(power, p))
-        if len(ranks) > n + 1:
-            return None
-    while len(ranks) < n + 2:
-        ranks.append(0)
-    out: Counter = Counter()
-    for s in range(1, n + 1):
-        m = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        if m:
-            out[s] = m
-    return out
+    return jordan_from_ranks(ranks)
 
 
 # -- spaces and groups -------------------------------------------------------
@@ -161,6 +142,8 @@ class FiniteFormSpace:
     def __init__(self, mode: str, nu: int, q: int):
         if mode not in (TYPE_A, SP, SO_ODD, SO_EVEN):
             raise InvalidInput(f"unknown space mode {mode!r}")
+        if nu < 1:
+            raise InvalidInput(f"nu = {nu} must be positive")
         if not _is_prime(q):
             raise InvalidInput(f"q = {q} must be prime")
         if mode != TYPE_A and q == 2:
@@ -206,13 +189,9 @@ def group_order_formula(space: FiniteFormSpace) -> int:
     q, nu = space.q, space.nu
     if space.mode == TYPE_A:
         return prod(q ** nu - q ** i for i in range(nu))
-    if space.mode == SP:
-        n = nu // 2
-        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
-    if space.mode == SO_ODD:
-        n = nu // 2
-        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
     n = nu // 2
+    if space.mode in (SP, SO_ODD):
+        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
     return (q ** (n * (n - 1)) * (q ** n - 1)
             * prod(q ** (2 * i) - 1 for i in range(1, n)))
 
@@ -334,8 +313,9 @@ def enumerate_isotropic_flags_cached(space: FiniteFormSpace) -> List[dict]:
 def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     """All group elements by breadth-first closure from generators.
 
-    The generator pool is grown until the closure order matches the
-    classical order formula, which acts as the correctness gate.
+    Every generator must preserve the form, so every element does.  The
+    generator pool is grown until the closure order matches the classical
+    order formula; a closure that never matches raises VerificationFailed.
     """
     target = group_order_formula(space)
     if target > MAX_GROUP_ORDER:
@@ -343,6 +323,10 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     q = space.q
     for attempt in range(3):
         gens = _generators(space, attempt)
+        for i, h in enumerate(gens):
+            if not space.preserves_form(h):
+                raise VerificationFailed(
+                    f"generator {i} = {h} does not preserve the form")
         seen = {mat_identity(space.nu)}
         frontier = [mat_identity(space.nu)]
         while frontier and len(seen) <= target:
@@ -355,12 +339,8 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
                         nxt.append(gh)
             frontier = nxt
         if len(seen) == target:
-            elements = sorted(seen)
-            if space.mode in (SO_ODD, SO_EVEN):
-                assert all(space.preserves_form(g) for g in
-                           elements[:50])
-            return GroupEnum(space, elements, gens)
-    raise AssertionError(
+            return GroupEnum(space, sorted(seen), gens)
+    raise VerificationFailed(
         f"closure order {len(seen)} never matched the formula {target}")
 
 
@@ -386,7 +366,8 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     Each flag is returned as {"basis": columns matrix, "inv": its inverse};
     the span of the first i columns is V_i.  For type A all complete flags
     are produced (depth nu); otherwise isotropic chains of depth n are
-    completed upward by perpendicularity.
+    completed upward by perpendicularity, as model.flags_from does, and
+    the result passes check_isotropic_flags.
     """
     nu, q = space.nu, space.q
     depth = nu if space.mode == TYPE_A else nu // 2
@@ -420,44 +401,58 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     rec([], [])
 
     out = []
-    for chosen in flags:
-        cols = list(chosen)
-        echelon = []
-        for v in cols:
-            r = _canonical_rep(v, echelon, q)
-            echelon.append((r, next(i for i, x in enumerate(r) if x)))
-        for i in range(depth, nu):
-            # V_{i+1} is the perpendicular of V_{nu-i-1}
-            lower = cols[:nu - i - 1]
-            if lower:
-                rows = [mat_vec(space.form, v, q) for v in lower]
-                perp = nullspace_mod(rows, q, nu)
-            else:
-                perp = [tuple(1 if k == j else 0 for k in range(nu))
-                        for j in range(nu)]
-            for v in perp:
-                rep = _canonical_rep(v, echelon, q)
-                if rep is not None:
-                    cols.append(rep)
-                    echelon.append((rep, next(i for i, x in
-                                              enumerate(rep) if x)))
-                    break
-            else:
-                raise AssertionError("flag completion failed")
+    for cols in flags:
+        for c in range(depth, nu):
+            # V_{c+1} = V_k-perp; its first vector outside V_c extends V_c
+            k = nu - 1 - c
+            perp = nullspace_mod([mat_vec(space.form, v, q)
+                                  for v in cols[:k]], q, nu)
+            v = next((v for v in perp
+                      if (space.bilinear(cols[k], v) if k < c
+                          else space.bilinear(v, v))), None)
+            if v is None:
+                raise VerificationFailed(
+                    f"V_{k} perp has no vector outside V_{c}")
+            cols.append(v)
         basis = tuple(zip(*cols))
         out.append({"basis": basis, "inv": mat_inv(basis, q),
                     "cols": tuple(cols)})
+    check_isotropic_flags(space, out)
     return out
+
+
+def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
+    """Raise VerificationFailed unless the flags pass two gates.
+
+    With B a flag basis and F the form, M = B^T F B must vanish for
+    a + c <= nu - 2 and be nonzero at (a, nu - 1 - a) for a < n, so that
+    V_n is isotropic and V_{nu-i} = V_i-perp.  For Sp and odd SO the
+    number of flags must be prod_{i=1..n} (q^{2i} - 1)/(q - 1).
+    """
+    if space.form is None:
+        return
+    nu, q, n = space.nu, space.q, space.nu // 2
+    for fi, fl in enumerate(flags):
+        b = fl["basis"]
+        m = mat_mul(mat_mul(tuple(zip(*b)), space.form, q), b, q)
+        for a in range(nu):
+            for c in range(nu - a):
+                # zero above the antidiagonal, nonzero on it for a < n
+                if m[a][c] if a + c < nu - 1 else a < n and not m[a][c]:
+                    raise VerificationFailed(
+                        f"flag {fi}: (b_{a}, b_{c}) = {m[a][c]}, so "
+                        f"V_{a + 1} perp is not V_{nu - 1 - a}")
+    if space.mode in (SP, SO_ODD):
+        want = prod((q ** (2 * i) - 1) // (q - 1) for i in range(1, n + 1))
+        if len(flags) != want:
+            raise VerificationFailed(
+                f"{len(flags)} isotropic flags, not the {want} of the "
+                f"formula")
 
 
 def unipotents_of_type(group: GroupEnum, target: Counter) -> List[tuple]:
-    target = Counter(dict(target))
-    out = []
-    for g in group.elements:
-        jt = unipotent_jordan_type(g, group.space.q)
-        if jt is not None and jt == target:
-            out.append(g)
-    return out
+    return [g for g in group.elements
+            if unipotent_jordan_type(g, group.space.q) == target]
 
 
 # -- relative position -------------------------------------------------------
@@ -520,6 +515,8 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     count = flag_count x per_flag[0].
     """
     q, nu = space.q, space.nu
+    if sum(s * c for s, c in gamma.items()) != nu:
+        raise InvalidInput(f"gamma {dict(gamma)} must sum to nu = {nu}")
     if group is None:
         group = enumerate_group_cached(space)
     if flags is None:

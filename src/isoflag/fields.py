@@ -261,6 +261,8 @@ def _canonical_modulus(p: int, m: int) -> tuple:
 def get_finite_field(p: int, m: int = 1) -> "FiniteField":
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"characteristic {p} is not prime")
+    if m < 1:
+        raise ValueError(f"extension degree {m} must be at least 1")
     return FiniteField(p, m)
 
 

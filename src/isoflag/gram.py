@@ -125,6 +125,8 @@ class GramTable:
         if mode == SYMPLECTIC and shape.kappa == 1 and field.char != 2:
             raise InvalidInput("kappa=1 in symplectic-or-char2 mode is the "
                                "char-2 orthogonal case")
+        if delta_bound is not None and delta_bound < 0:
+            raise InvalidInput(f"window {delta_bound} must be nonnegative")
         self.shape = shape
         self.mode = mode
         self.field = field

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .fields import FieldElement
+from .shapes import jordan_from_ranks
 
 
 class NotNilpotent(Exception):
@@ -209,12 +210,4 @@ def nilpotent_jordan_multiset(n: Matrix) -> Counter:
             raise NotNilpotent(f"rank(N^{dim}) = {ranks[-1]}, not 0")
         power = power * n
         ranks.append(power.rank())
-    while len(ranks) < dim + 2:
-        ranks.append(0)
-    result: Counter = Counter()
-    for s in range(1, dim + 1):
-        mult = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        if mult:
-            result[s] = mult
-    assert sum(s * c for s, c in result.items()) == dim
-    return result
+    return jordan_from_ranks(ranks)

@@ -21,11 +21,8 @@ from .gram import GramTable
 from .linalg import (Affine, Matrix, NoSolution, Unique,
                      nilpotent_jordan_multiset, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
-                     jordan_prediction, position_dims_ok, psi)
-
-
-class VerificationFailed(Exception):
-    pass
+                     VerificationFailed, jordan_prediction, position_dims_ok,
+                     psi)
 
 
 class IsotropyViolation(Exception):
@@ -115,7 +112,7 @@ class IsometryModel:
         self.index_of = {ti: m for m, ti in enumerate(self.basis_index)}
         self._ext: Dict[Tuple[int, int], tuple] = {
             ti: w_cols.col(m) for m, ti in enumerate(self.basis_index)}
-        self._pairings: Dict[int, dict] = {}
+        self._pairings: Optional[dict] = None
 
     @property
     def field(self):
@@ -263,11 +260,6 @@ def _check_window(shape: ShapeSeq):
     return range(-2 * p1, 4 * p1 + 1)
 
 
-def _window_profile(model: IsometryModel) -> dict:
-    """The pairing profile over every offset i - j of the check window."""
-    return collection_pairings(model, 6 * model.shape.part(1))
-
-
 def check_adapted(model: IsometryModel) -> List[tuple]:
     """Violations of the six collection clauses over the standard window.
 
@@ -292,7 +284,7 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
     if bad:
         return bad
 
-    profile = _window_profile(model)
+    profile = collection_pairings(model)
 
     def expect(clause, t, r, offsets, want):
         for d in offsets:
@@ -330,7 +322,7 @@ def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
     if model.table is None:
         return []
     table = model.table
-    return [key for key, v in _window_profile(model).items()
+    return [key for key, v in collection_pairings(model).items()
             if v != table.value(*key)]
 
 
@@ -444,16 +436,18 @@ def position_check(flag: IsoFlag, flag_prime: IsoFlag,
 
 # -- sign normalization and the intertwiner ----------------------------------
 
-def collection_pairings(model: IsometryModel, bound: int) -> dict:
-    """Pairings (w^t_d, w^r_0) for offsets |d| <= bound, keyed (t, r, d).
+def collection_pairings(model: IsometryModel) -> dict:
+    """Pairings (w^t_d, w^r_0) for offsets |d| <= 6p_1, keyed (t, r, d).
 
-    The one pairing computation of this module: the clause checks, the
-    table round trip and the intertwiner all read it.  Memoized per bound
-    on the model: callers share the dict and must not change it.
+    6p_1 is the largest offset i - j of the check window.  The one pairing
+    computation of this module: the clause checks, the table round trip
+    and the intertwiner all read it.  Memoized on the model: callers share
+    the dict and must not change it.
     """
-    if bound in model._pairings:
-        return model._pairings[bound]
+    if model._pairings is not None:
+        return model._pairings
     shape, space = model.shape, model.space
+    bound = 6 * shape.part(1)
     blocks = range(1, shape.sigma + shape.kappa + 1)
     keys = [(t, d) for t in blocks for d in range(-bound, bound + 1)]
     vectors = Matrix(space.field, [model.extend_index(t, d) for t, d in keys])
@@ -461,7 +455,7 @@ def collection_pairings(model: IsometryModel, bound: int) -> dict:
     for r in blocks:
         values = vectors.apply(space.gram.apply(model.extend_index(r, 0)))
         out.update(((t, r, d), v) for (t, d), v in zip(keys, values))
-    model._pairings[bound] = out
+    model._pairings = out
     return out
 
 
@@ -515,7 +509,7 @@ def normalize_signs(a_data: dict, b_data: dict, block_count: int):
 
 
 def build_T(model_a: IsometryModel, model_b: IsometryModel,
-            bound: Optional[int] = None, flags_pair=None) -> Matrix:
+            flags_pair=None) -> Matrix:
     """The intertwiner T with T g T^{-1} = g~, fixing both flags.
 
     T sends the first model's collection to the sign-normalized second
@@ -529,10 +523,8 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
         model_a.space.gram == model_b.space.gram
     space = model_a.space
     f = space.field
-    if bound is None:
-        bound = 4 * shape.part(1) + 2
-    eps = normalize_signs(collection_pairings(model_a, bound),
-                          collection_pairings(model_b, bound),
+    eps = normalize_signs(collection_pairings(model_a),
+                          collection_pairings(model_b),
                           shape.sigma + shape.kappa)
     if eps == INCOMPATIBLE:
         raise VerificationFailed("collection pairings are incompatible")
@@ -585,25 +577,10 @@ def component_check(model: IsometryModel, t_mat: Matrix,
 
 # -- decomposition checks ----------------------------------------------------
 
-def _restricted_blocks(model: IsometryModel, cut: int):
-    """Coordinates of N restricted to the two block spans at the cut."""
-    shape = model.shape
-    f = model.field
-    idx = model.basis_index
-    low = [m for m, (t, _i) in enumerate(idx) if t <= cut]
-    high = [m for m, (t, _i) in enumerate(idx) if t > cut]
-    w_low = [model.w_cols.col(m) for m in low]
-    w_high = [model.w_cols.col(m) for m in high]
-    p = Matrix(f, w_low + w_high).transpose()
-    m_full = p.inverse() * model.g * p
-    k = len(low)
-    off1 = m_full.submatrix(k, p.nrows, 0, k)
-    off2 = m_full.submatrix(0, k, k, p.nrows)
-    stable = off1.is_zero and off2.is_zero
-    n_low = m_full.submatrix(0, k, 0, k) - Matrix.identity(f, k)
-    n_high = m_full.submatrix(k, p.nrows, k, p.nrows) \
-        - Matrix.identity(f, p.nrows - k)
-    return w_low, w_high, stable, n_low, n_high
+def _block_diagonal(m: Matrix, labels) -> bool:
+    """Whether m[a][c] = 0 whenever labels[a] != labels[c]."""
+    return all(x.is_zero for a, row in enumerate(m.rows)
+               for c, x in enumerate(row) if labels[a] != labels[c])
 
 
 def split_check(model: IsometryModel, cut: int) -> dict:
@@ -614,6 +591,11 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     their restricted Jordan multisets must match the per-block predicted
     sizes.  In symplectic-or-char2 mode every single block is additionally
     checked to be g-stable and orthogonal to every other block.
+
+    Each block's columns are contiguous in w_cols, so with M = W^{-1} g W
+    and H = W^T G W for W = w_cols, the blocks up to the cut are the first
+    k coordinates: g-stability is M block-diagonal, W' perp to W is
+    H[:k, k:] = 0, and then W' = W-perp iff rank H[:k, :k] = k.
     """
     shape, mode, space = model.shape, model.mode, model.space
     sigma, kappa = shape.sigma, shape.kappa
@@ -623,15 +605,16 @@ def split_check(model: IsometryModel, cut: int) -> dict:
                                    and psi(shape)[cut - 1] == -1):
         raise InvalidInput(
             f"orthogonal cuts sit at indices with psi = -1, not {cut}")
-    f = space.field
-    w_low, w_high, stable, n_low, n_high = _restricted_blocks(model, cut)
-    report = {"g_stable": stable}
-    report["mutually_perpendicular"] = all(
-        space.bilinear(u, v).is_zero for u in w_low for v in w_high)
-    perp = space.perp(w_low)
-    report["perp_complement"] = (
-        _span_dim(f, perp) == len(w_high)
-        and _span_contains(f, perp, w_high))
+    f, nu, w = space.field, space.dim, model.w_cols
+    blocks = [t for t, _i in model.basis_index]
+    low = [t <= cut for t in blocks]
+    k = sum(low)
+    m = w.inverse() * model.g * w
+    h = w.transpose() * space.gram * w
+    report = {"g_stable": _block_diagonal(m, low)}
+    report["mutually_perpendicular"] = h.submatrix(0, k, k, nu).is_zero
+    report["perp_complement"] = report["mutually_perpendicular"] and \
+        h.submatrix(0, k, 0, k).rank() == k
 
     if mode == SYMPLECTIC:
         sizes = [2 * shape.part(t) for t in range(1, sigma + 1)]
@@ -640,34 +623,20 @@ def split_check(model: IsometryModel, cut: int) -> dict:
         sizes = [2 * shape.part(t) + ps[t - 1] for t in range(1, sigma + 1)]
     if kappa:
         sizes.append(1)
-    expect_low = Counter(sizes[:cut])
-    expect_high = Counter(sizes[cut:])
-    report["jordan_low"] = dict(nilpotent_jordan_multiset(n_low)) \
-        if n_low.nrows else {}
-    report["jordan_high"] = dict(nilpotent_jordan_multiset(n_high)) \
-        if n_high.nrows else {}
-    report["jordan_low_matches"] = report["jordan_low"] == \
-        {k: v for k, v in expect_low.items()}
-    report["jordan_high_matches"] = report["jordan_high"] == \
-        {k: v for k, v in expect_high.items()}
+    report["jordan_low"] = dict(nilpotent_jordan_multiset(
+        m.submatrix(0, k, 0, k) - Matrix.identity(f, k)))
+    report["jordan_high"] = dict(nilpotent_jordan_multiset(
+        m.submatrix(k, nu, k, nu) - Matrix.identity(f, nu - k)))
+    report["jordan_low_matches"] = \
+        report["jordan_low"] == dict(Counter(sizes[:cut]))
+    report["jordan_high_matches"] = \
+        report["jordan_high"] == dict(Counter(sizes[cut:]))
 
     if mode == SYMPLECTIC:
-        per_block = True
-        idx = model.basis_index
-        for t in range(1, sigma + kappa + 1):
-            mine = [model.w_cols.col(m) for m, (x, _i) in enumerate(idx)
-                    if x == t]
-            others = [model.w_cols.col(m) for m, (x, _i) in enumerate(idx)
-                      if x != t]
-            images = [model.g.apply(v) for v in mine]
-            if not _span_contains(f, mine, images):
-                per_block = False
-            if not all(space.bilinear(u, v).is_zero
-                       for u in mine for v in others):
-                per_block = False
-        report["blocks_stable_orthogonal"] = per_block
-    report["pass"] = all(v for k, v in report.items()
-                         if k.endswith(("stable", "matches",
-                                        "perpendicular", "perp_complement",
-                                        "blocks_stable_orthogonal")))
+        report["blocks_stable_orthogonal"] = \
+            _block_diagonal(m, blocks) and _block_diagonal(h, blocks)
+    report["pass"] = all(v for key, v in report.items()
+                         if key.endswith(("stable", "matches",
+                                          "perpendicular", "perp_complement",
+                                          "blocks_stable_orthogonal")))
     return report

@@ -26,6 +26,10 @@ class InvalidInput(ValueError):
     """A shape, mode, field or space outside the supported domain."""
 
 
+class VerificationFailed(Exception):
+    """A computed object failed one of its invariants."""
+
+
 @dataclass(frozen=True)
 class ShapeSeq:
     parts: Tuple[int, ...]
@@ -118,6 +122,21 @@ def jordan_prediction(shape: ShapeSeq, mode: str) -> Counter:
         if shape.kappa and shape.sigma % 2 == 0:
             result[1] += 1
     assert sum(s * c for s, c in result.items()) == shape.nu
+    return result
+
+
+def jordan_from_ranks(ranks) -> Counter:
+    """Jordan block sizes {size: count} of a nilpotent N from its ranks.
+
+    ``ranks[k]`` is rank(N^k) for k = 0, 1, ... up to the first 0.  The
+    number of blocks of size s is r_{s-1} - 2 r_s + r_{s+1}.
+    """
+    r = list(ranks) + [0]
+    result: Counter = Counter()
+    for s in range(1, len(ranks)):
+        mult = r[s - 1] - 2 * r[s] + r[s + 1]
+        if mult:
+            result[s] = mult
     return result
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from isoflag import counting
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
 
@@ -139,10 +140,39 @@ class TestExitCodes:
         (("gram", "--mode", "orthogonal", "--shape", "2"), "invalid"),
         (("build", "--mode", "orthogonal", "--shape", "1", "--kappa", "1",
           "--field", "gf:2"), "characteristic"),
-    ], ids=["nonprime-q", "count-parity", "shape-mode", "orthogonal-char2"])
+        (("count", "--type", "A", "--n", "3", "--q", "3", "--gamma", "x"),
+         "bad gamma"),
+        (("count", "--type", "A", "--n", "3", "--q", "3", "--gamma", "2"),
+         "sum to nu = 3"),
+        (("count", "--type", "A", "--n", "3", "--q", "3", "--gamma", "0,3"),
+         "positive"),
+        (("count", "--type", "A", "--n", "0", "--q", "3"), "nu = 0"),
+        (("count", "--type", "A", "--n", "-1", "--q", "3"), "nu = -1"),
+        (("gram", "--shape", "1", "--field", "gf:3,0"), "degree 0"),
+        (("gram", "--shape", "1", "--field", "gf:3,-1"), "degree -1"),
+        (("gram", "--shape", "1", "--window", "-3"), "window -3"),
+        (("identities", "--window", "-1"), "--window -1"),
+        (("identities", "--kmax", "0", "--window", "0"), "--kmax 0"),
+        (("conjecture210", "--kmax", "1"), "--kmax 1"),
+    ], ids=["nonprime-q", "count-parity", "shape-mode", "orthogonal-char2",
+            "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero",
+            "n-negative", "degree-zero", "degree-negative", "gram-window",
+            "identities-window", "identities-kmax", "conjecture-kmax"])
     def test_bad_input_is_usage_error(self, capsys, argv, fragment):
         code, _out, err = run(capsys, *argv)
         assert code == 2 and "usage error" in err and fragment in err
+
+    def test_failed_group_gate_exits_1(self, capsys, monkeypatch):
+        # a generator that is no isometry must stop the count with a
+        # message, not a traceback
+        real = counting._generators
+        monkeypatch.setattr(counting, "_GROUP_CACHE", {})
+        monkeypatch.setattr(counting, "_generators", lambda space, attempt:
+                            real(space, attempt) + [((2, 0), (0, 1))])
+        code, _out, err = run(capsys, "count", "--type", "C",
+                              "--shape", "1", "--q", "5")
+        assert code == 1 and "verification failed" in err
+        assert "does not preserve the form" in err
 
     def test_tractability_bound_names_bound_and_value(self, capsys):
         code, _out, err = run(capsys, "count", "--type", "C",

@@ -3,15 +3,23 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
+from isoflag import counting
+from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
                               FiniteFormSpace, adjoint_order, bruhat_pivots,
-                              count_pairs, count_report, coxeter_cycle,
-                              enumerate_group, enumerate_group_cached,
+                              check_isotropic_flags, count_pairs,
+                              count_report, coxeter_cycle, enumerate_group,
+                              enumerate_group_cached,
                               enumerate_isotropic_flags, group_order_formula,
                               mat_identity, mat_inv, mat_mul, mat_rank,
                               mat_vec, nullspace_mod, unipotent_jordan_type,
                               unipotents_of_type)
-from isoflag.shapes import ORTHOGONAL, ShapeSeq, jordan_prediction
+from isoflag.shapes import (ORTHOGONAL, ShapeSeq, VerificationFailed,
+                            jordan_prediction)
+
+
+def flag_dict(cols, q):
+    basis = tuple(zip(*cols))
+    return {"basis": basis, "inv": mat_inv(basis, q), "cols": tuple(cols)}
 
 
 class TestModularLinalg:
@@ -67,6 +75,30 @@ class TestSpacesAndGroups:
         with pytest.raises(ValueError):
             FiniteFormSpace(TYPE_A, 2, 4)
 
+    @pytest.mark.parametrize("mode, nu", [(SP, 4), (SO_ODD, 3)])
+    @pytest.mark.parametrize("tamper", ["extra", "conjugate"])
+    def test_non_isometry_generator_rejected(self, monkeypatch, mode, nu,
+                                             tamper):
+        # h = diag(2, 1, ...) is no isometry; conjugating every generator by
+        # h gives a group of the right order for the wrong form, which the
+        # order gate alone cannot see (in Sp2 = SL2 the conjugate would
+        # still be symplectic, hence Sp4)
+        h = tuple(tuple(2 if i == j == 0 else int(i == j) for j in range(nu))
+                  for i in range(nu))
+        h_inv = mat_inv(h, 3)
+        real = counting._generators
+
+        def tampered(space, attempt):
+            gens = real(space, attempt)
+            if tamper == "extra":
+                return gens + [h]
+            return [mat_mul(mat_mul(h, g, 3), h_inv, 3) for g in gens]
+
+        monkeypatch.setattr(counting, "_generators", tampered)
+        with pytest.raises(VerificationFailed,
+                           match="does not preserve the form"):
+            enumerate_group(FiniteFormSpace(mode, nu, 3))
+
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))
         assert len(unipotents_of_type(g, Counter({2: 1}))) == 8
@@ -89,6 +121,39 @@ class TestFlags:
         for fl in flags:
             v = fl["cols"][0]
             assert space.bilinear(v, v) == 0
+
+    @pytest.mark.parametrize("mode, nu, q, count", [
+        (SP, 2, 7, 8), (SO_ODD, 3, 7, 8), (SP, 4, 3, 160),
+        (SO_ODD, 5, 3, 160), (SP, 4, 5, 936), (SO_EVEN, 4, 3, 32)])
+    def test_isotropic_flag_counts_and_perps(self, mode, nu, q, count):
+        # (b_a, b_c) = 0 for a + c <= nu - 2 and != 0 on the antidiagonal
+        # below n: V_n is isotropic and V_{nu-i} = V_i-perp
+        space = FiniteFormSpace(mode, nu, q)
+        flags = enumerate_isotropic_flags(space)
+        assert len(flags) == count
+        for fl in flags:
+            cols = fl["cols"]
+            for a in range(nu):
+                for c in range(nu - 1 - a):
+                    assert space.bilinear(cols[a], cols[c]) == 0
+                if a < nu // 2:
+                    assert space.bilinear(cols[a], cols[nu - 1 - a]) != 0
+
+    def test_flag_gate_can_fail(self):
+        space = FiniteFormSpace(SO_ODD, 3, 3)
+        flags = enumerate_isotropic_flags(space)
+        check_isotropic_flags(space, flags)
+        with pytest.raises(VerificationFailed, match="3 isotropic flags"):
+            check_isotropic_flags(space, flags[1:])
+        # e_1 is anisotropic, so V_1 is not inside its own perp
+        anisotropic = flag_dict(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 3)
+        with pytest.raises(VerificationFailed, match=r"\(b_0, b_0\) = 1"):
+            check_isotropic_flags(space, flags + [anisotropic])
+        # b_1 pairs with b_0, so V_2 = <b_0, b_1> is not inside V_1 perp
+        cols = flags[0]["cols"]
+        swapped = flag_dict((cols[0], cols[2], cols[1]), 3)
+        with pytest.raises(VerificationFailed, match=r"\(b_0, b_1\)"):
+            check_isotropic_flags(space, [swapped])
 
     def test_flag_bases_invertible(self):
         for fl in enumerate_isotropic_flags(FiniteFormSpace(TYPE_A, 3, 2)):
@@ -188,8 +253,7 @@ class TestCounting:
         assert rep["double_count_consistent"]
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         assert space.bilinear(cols[0], cols[0]) != 0
-        basis = tuple(zip(*cols))
-        outside = {"basis": basis, "inv": mat_inv(basis, 3), "cols": cols}
+        outside = flag_dict(cols, 3)
         rep = count_pairs(space, gamma, shape=shape, flags=flags + [outside])
         assert rep["per_flag"][-1] != rep["per_flag"][0]
         assert not rep["double_count_consistent"]

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from isoflag.cases import cuts_for
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
@@ -11,7 +12,8 @@ from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
                            component_check, flags_from, normalize_signs,
                            position_check, round_trip_mismatches,
                            split_check)
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq
+from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
+                            psi)
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,72 @@ def basis_mutations(basis):
                 added = list(cols)
                 added[b] = tuple(x + y for x, y in zip(col_b, col_a))
                 yield Matrix(basis.field, added).transpose()
+
+
+# -- span-based split reference ----------------------------------------------
+#
+# The library reads split_check off M = W^{-1} g W and H = W^T G W.  This
+# oracle forms the two block spans, their perpendicular and every pairing
+# directly, so the reduction to two matrices stays tested rather than assumed.
+
+def span_split_check(model, cut):
+    """The split_check report, each condition by spans and ranks."""
+    shape, mode, space = model.shape, model.mode, model.space
+    sigma, kappa = shape.sigma, shape.kappa
+    f = space.field
+    idx = model.basis_index
+    low = [m for m, (t, _i) in enumerate(idx) if t <= cut]
+    high = [m for m, (t, _i) in enumerate(idx) if t > cut]
+    w_low = [model.w_cols.col(m) for m in low]
+    w_high = [model.w_cols.col(m) for m in high]
+    p = Matrix(f, w_low + w_high).transpose()
+    m_full = p.inverse() * model.g * p
+    k = len(low)
+    report = {"g_stable": m_full.submatrix(k, p.nrows, 0, k).is_zero
+              and m_full.submatrix(0, k, k, p.nrows).is_zero}
+    n_low = m_full.submatrix(0, k, 0, k) - Matrix.identity(f, k)
+    n_high = m_full.submatrix(k, p.nrows, k, p.nrows) \
+        - Matrix.identity(f, p.nrows - k)
+    report["mutually_perpendicular"] = all(
+        space.bilinear(u, v).is_zero for u in w_low for v in w_high)
+    perp = space.perp(w_low)
+    report["perp_complement"] = (
+        _span_dim(f, perp) == len(w_high)
+        and _span_contains(f, perp, w_high))
+    if mode == SYMPLECTIC:
+        sizes = [2 * shape.part(t) for t in range(1, sigma + 1)]
+    else:
+        ps = psi(shape)
+        sizes = [2 * shape.part(t) + ps[t - 1] for t in range(1, sigma + 1)]
+    if kappa:
+        sizes.append(1)
+    report["jordan_low"] = dict(nilpotent_jordan_multiset(n_low)) \
+        if n_low.nrows else {}
+    report["jordan_high"] = dict(nilpotent_jordan_multiset(n_high)) \
+        if n_high.nrows else {}
+    report["jordan_low_matches"] = \
+        report["jordan_low"] == dict(Counter(sizes[:cut]))
+    report["jordan_high_matches"] = \
+        report["jordan_high"] == dict(Counter(sizes[cut:]))
+    if mode == SYMPLECTIC:
+        per_block = True
+        for t in range(1, sigma + kappa + 1):
+            mine = [model.w_cols.col(m) for m, (x, _i) in enumerate(idx)
+                    if x == t]
+            others = [model.w_cols.col(m) for m, (x, _i) in enumerate(idx)
+                      if x != t]
+            images = [model.g.apply(v) for v in mine]
+            if not _span_contains(f, mine, images):
+                per_block = False
+            if not all(space.bilinear(u, v).is_zero
+                       for u in mine for v in others):
+                per_block = False
+        report["blocks_stable_orthogonal"] = per_block
+    report["pass"] = all(v for key, v in report.items()
+                         if key.endswith(("stable", "matches",
+                                          "perpendicular", "perp_complement",
+                                          "blocks_stable_orthogonal")))
+    return report
 
 
 def sign_flip(model):
@@ -458,16 +526,16 @@ class TestIntertwiner:
             build_T(sp1, bad)
 
     def test_pairings_memoized_per_model(self, sp1):
-        assert collection_pairings(sp1, 3) is collection_pairings(sp1, 3)
-        assert collection_pairings(sp1, 3) is not \
-            collection_pairings(sp1.with_signs({1: -1}), 3)
+        assert collection_pairings(sp1) is collection_pairings(sp1)
+        assert collection_pairings(sp1) is not \
+            collection_pairings(sp1.with_signs({1: -1}))
         # a perturbed model sharing sp1's space and table keeps its own
         # profile, so it still fails against sp1's memoized one
         assert round_trip_mismatches(sp1) == []
         assert round_trip_mismatches(wrong_symplectic_g(sp1)) != []
 
     def test_pairings_reproduce_table(self, sp1):
-        pairs = collection_pairings(sp1, 3)
+        pairs = collection_pairings(sp1)
         for (t, r, d), v in pairs.items():
             assert v == sp1.table.value(t, r, d)
 
@@ -511,6 +579,27 @@ class TestSplitCheck:
                         get_finite_field(2))
         rep = split_check(m, 2)
         assert rep["pass"] and rep["blocks_stable_orthogonal"]
+
+    def test_agrees_with_span_oracle(self, model_sweep):
+        # the shear h = 1 + e_0 e_{nu-1}^T is no isometry, so the conjugate
+        # model (h g h^{-1}, h W) breaks perpendicularity at some cuts
+        verdicts = Counter()
+        for (parts, _k, mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            f, nu = m.field, m.space.dim
+            h = Matrix(f, [[f.one if i == j or (i, j) == (0, nu - 1)
+                            else f.zero for j in range(nu)]
+                           for i in range(nu)])
+            # symplectic cuts include the last one, whose upper span is 0
+            cuts = range(1, m.shape.sigma + m.shape.kappa + 1) \
+                if mode == SYMPLECTIC else cuts_for(m.shape, mode)
+            for variant in (m, sign_flip(m), m.conjugated(h)):
+                for cut in cuts:
+                    rep = split_check(variant, cut)
+                    assert rep == span_split_check(variant, cut)
+                    verdicts[rep["pass"]] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
 
     def test_orthogonal_cut_restricted(self):
         m = build_model(ShapeSeq((2, 2)), ORTHOGONAL)
