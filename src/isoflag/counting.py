@@ -126,8 +126,8 @@ def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
     power = nm
     ranks = [n, mat_rank(nm, p)]
     while ranks[-1]:
-        if len(ranks) > n:
-            return None
+        if ranks[-1] == ranks[-2]:
+            return None  # a stalled rank above 0 never reaches 0
         power = mat_mul(power, nm, p)
         ranks.append(mat_rank(power, p))
     return jordan_from_ranks(ranks)
@@ -208,58 +208,41 @@ def _primitive_root(q: int) -> int:
     return 1
 
 
-def _vector_pool(nu: int, q: int, size: int) -> List[tuple]:
-    """The first ``size`` nonzero vectors in ascending base-q encoding."""
-    out = []
-    code = 1
-    while len(out) < size and code < q ** nu:
-        v = []
-        c = code
-        for _ in range(nu):
-            v.append(c % q)
-            c //= q
-        out.append(tuple(v))
-        code += 1
-    return out
+def _nonzero_vectors(nu: int, q: int) -> List[tuple]:
+    """Every nonzero vector of GF(q)^nu, in ascending base-q encoding."""
+    return [tuple(code // q ** k % q for k in range(nu))
+            for code in range(1, q ** nu)]
 
 
-def _generators(space: FiniteFormSpace, attempt: int) -> List[tuple]:
+def _generators(space: FiniteFormSpace) -> List[tuple]:
+    """Generators of the group, without repeats; a is a primitive root.
+
+    Type A: the elementary transvections and diag(a, 1, ..., 1).  Sp: the
+    transvections x -> x + c (x, v) v with c in {1, a} over every nonzero
+    v.  SO: r_0 r_v over every anisotropic v, with r_v the reflection in v
+    and r_0 the first of them.
+    """
     nu, q = space.nu, space.q
-    gens: List[tuple] = []
+    a = _primitive_root(q)
     if space.mode == TYPE_A:
+        gens = []
         for i in range(nu):
             for j in range(nu):
                 if i != j:
                     g = [list(r) for r in mat_identity(nu)]
                     g[i][j] = 1
                     gens.append(tuple(tuple(r) for r in g))
-        a = _primitive_root(q)
         d = [list(r) for r in mat_identity(nu)]
         d[0][0] = a
         gens.append(tuple(tuple(r) for r in d))
-    elif space.mode == SP:
-        # symplectic transvections x -> x + c (x, v) v over a vector pool
-        pool = _vector_pool(nu, q, [2 * nu, 4 * nu, q ** nu][min(attempt, 2)])
-        a = _primitive_root(q)
-        for v in pool:
-            for c in (1, a):
-                gens.append(_transvection_sp(space, v, c))
-    else:
-        # products of a fixed reflection with reflections over a pool of
-        # anisotropic vectors
-        pool = [v for v in _vector_pool(
-            nu, q, [6 * nu, 16 * nu, q ** nu][min(attempt, 2)])
-            if space.bilinear(v, v) % q]
-        refs = [_reflection(space, v) for v in pool]
-        gens.extend(mat_mul(refs[0], r, q) for r in refs[1:])
-    out = []
-    seen = set()
-    for g in gens:
-        for h in (g, mat_inv(g, space.q)):
-            if h not in seen:
-                seen.add(h)
-                out.append(h)
-    return out
+        return gens
+    pool = _nonzero_vectors(nu, q)
+    if space.mode == SP:
+        return list(dict.fromkeys(_transvection_sp(space, v, c)
+                                  for v in pool for c in (1, a)))
+    refs = list(dict.fromkeys(_reflection(space, v) for v in pool
+                              if space.bilinear(v, v)))
+    return [mat_mul(refs[0], r, q) for r in refs[1:]]
 
 
 def _transvection_sp(space: FiniteFormSpace, v, c) -> tuple:
@@ -311,37 +294,56 @@ def enumerate_isotropic_flags_cached(space: FiniteFormSpace) -> List[dict]:
 
 
 def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
-    """All group elements by breadth-first closure from generators.
+    """All group elements by coset closure (Dimino's algorithm).
 
     Every generator must preserve the form, so every element does.  The
-    generator pool is grown until the closure order matches the classical
-    order formula; a closure that never matches raises VerificationFailed.
+    generators s_1, s_2, ... are taken in turn; when s_i comes up, the
+    set lists H = <s_1 .. s_{i-1}> and is a union of right cosets of H.
+    An s_i already in the set is skipped.  Otherwise a list of right
+    coset representatives grows from s_i: for each representative r and
+    each kept generator s, r s either lies in the set or is a new
+    representative x, and then the whole coset H x joins the set with no
+    membership test, since distinct cosets are disjoint.  Each element is
+    thus one product, and in a finite group closing under the generators
+    needs no inverses.  A set that outgrows the classical order formula,
+    or ends at another order, raises VerificationFailed.
     """
     target = group_order_formula(space)
     if target > MAX_GROUP_ORDER:
         raise BoundExceeded(f"group order {target} exceeds cap")
     q = space.q
-    for attempt in range(3):
-        gens = _generators(space, attempt)
-        for i, h in enumerate(gens):
-            if not space.preserves_form(h):
-                raise VerificationFailed(
-                    f"generator {i} = {h} does not preserve the form")
-        seen = {mat_identity(space.nu)}
-        frontier = [mat_identity(space.nu)]
-        while frontier and len(seen) <= target:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    gh = mat_mul(g, h, q)
-                    if gh not in seen:
-                        seen.add(gh)
-                        nxt.append(gh)
-            frontier = nxt
-        if len(seen) == target:
-            return GroupEnum(space, sorted(seen), gens)
-    raise VerificationFailed(
-        f"closure order {len(seen)} never matched the formula {target}")
+    gens = _generators(space)
+    for i, h in enumerate(gens):
+        if not space.preserves_form(h):
+            raise VerificationFailed(
+                f"generator {i} = {h} does not preserve the form")
+    one = mat_identity(space.nu)
+    elements = [one]
+    seen = {one}
+    kept: List[tuple] = []
+    for s in gens:
+        if s in seen:
+            continue
+        kept.append(s)
+        sub = elements[1:]  # H without the identity
+        reps = [one]
+        for r in reps:  # grows as the walk proceeds
+            for t in kept:
+                x = t if r is one else mat_mul(r, t, q)
+                if x in seen:
+                    continue
+                reps.append(x)
+                coset = [x] + [mat_mul(h, x, q) for h in sub]
+                elements.extend(coset)
+                seen.update(coset)
+                if len(seen) > target:
+                    raise VerificationFailed(
+                        f"closure passed {len(seen)} elements, more than "
+                        f"the formula {target}")
+    if len(seen) != target:
+        raise VerificationFailed(
+            f"closure order {len(seen)} never matched the formula {target}")
+    return GroupEnum(space, sorted(seen), gens)
 
 
 # -- flags -------------------------------------------------------------------
@@ -371,7 +373,7 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     """
     nu, q = space.nu, space.q
     depth = nu if space.mode == TYPE_A else nu // 2
-    all_vectors = _vector_pool(nu, q, q ** nu - 1)
+    all_vectors = _nonzero_vectors(nu, q)
     flags: List[List[tuple]] = []
 
     def candidates(chosen, echelon):

@@ -331,16 +331,20 @@ def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
 class IsoFlag:
     """A complete flag as one adapted basis: the first i columns of the
     nu x nu Matrix ``basis`` span V_i.  ``inverse`` is its inverse, or
-    None when it is singular, which verify rejects.
+    None when it is singular, which verify rejects.  An ``inverse`` passed
+    in is taken as given; without one it is found by elimination.
     """
 
-    def __init__(self, space: QuadSpace, basis: Matrix):
+    def __init__(self, space: QuadSpace, basis: Matrix,
+                 inverse: Optional[Matrix] = None):
         self.space = space
         self.basis = basis
-        try:
-            self.inverse: Optional[Matrix] = basis.inverse()
-        except ZeroDivisionError:
-            self.inverse = None
+        if inverse is None:
+            try:
+                inverse = basis.inverse()
+            except ZeroDivisionError:
+                pass
+        self.inverse = inverse
 
     @property
     def subspaces(self) -> List[List[tuple]]:
@@ -376,8 +380,10 @@ class IsoFlag:
             if not q.is_zero:
                 raise IsotropyViolation(f"Q(b_{a}) = {q} on V_{n}")
 
-    def apply(self, h: Matrix) -> "IsoFlag":
-        return IsoFlag(self.space, h * self.basis)
+    def apply(self, h: Matrix, h_inv: Matrix) -> "IsoFlag":
+        """The flag h V_*, with (h B)^-1 = B^-1 h^-1 from h_inv = h^-1."""
+        inverse = None if self.inverse is None else self.inverse * h_inv
+        return IsoFlag(self.space, h * self.basis, inverse)
 
 
 def _span_dim(field, vectors) -> int:
@@ -400,7 +406,8 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
     [p_r, 2p_r - 1], block by block: they span the isotropic V_n.  Column
     b_c, c = n..nu-1, is the first basis vector v of V_k-perp, k = nu-1-c,
     outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle column of an
-    odd nu.  V' has basis g B.  Both flags are fully verified.
+    odd nu.  V' has basis g B, whose inverse B^-1 g^-1 reuses the model's
+    g^-1.  Both flags are fully verified.
     """
     shape, space = model.shape, model.space
     nu = space.dim
@@ -417,7 +424,7 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
         cols.append(v)
     flag = IsoFlag(space, Matrix(space.field, cols).transpose())
     flag.verify()
-    flag_prime = flag.apply(model.g)
+    flag_prime = flag.apply(model.g, model.g_inv)
     flag_prime.verify()
     return flag, flag_prime
 

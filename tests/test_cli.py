@@ -167,12 +167,25 @@ class TestExitCodes:
         # message, not a traceback
         real = counting._generators
         monkeypatch.setattr(counting, "_GROUP_CACHE", {})
-        monkeypatch.setattr(counting, "_generators", lambda space, attempt:
-                            real(space, attempt) + [((2, 0), (0, 1))])
+        monkeypatch.setattr(counting, "_generators", lambda space:
+                            real(space) + [((2, 0), (0, 1))])
         code, _out, err = run(capsys, "count", "--type", "C",
                               "--shape", "1", "--q", "5")
         assert code == 1 and "verification failed" in err
         assert "does not preserve the form" in err
+
+    def test_runaway_closure_exits_1(self, capsys, monkeypatch):
+        # a reflection is an isometry outside SO3, so the closure outgrows
+        # the order formula and the count stops with a message
+        real = counting._generators
+        reflection = ((1, 0, 0), (0, 2, 0), (0, 0, 1))
+        monkeypatch.setattr(counting, "_GROUP_CACHE", {})
+        monkeypatch.setattr(counting, "_generators", lambda space:
+                            real(space) + [reflection])
+        code, _out, err = run(capsys, "count", "--type", "B", "--shape", "1",
+                              "--kappa", "1", "--q", "3")
+        assert code == 1 and "verification failed" in err
+        assert "more than the formula 24" in err
 
     def test_tractability_bound_names_bound_and_value(self, capsys):
         code, _out, err = run(capsys, "count", "--type", "C",

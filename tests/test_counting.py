@@ -14,7 +14,39 @@ from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
                               mat_vec, nullspace_mod, unipotent_jordan_type,
                               unipotents_of_type)
 from isoflag.shapes import (ORTHOGONAL, ShapeSeq, VerificationFailed,
-                            jordan_prediction)
+                            jordan_from_ranks, jordan_prediction)
+
+
+def breadth_first_closure(space):
+    """Reference enumeration: breadth-first closure under the generators
+    and their inverses, one product per (element, generator) pair."""
+    q = space.q
+    gens = counting._generators(space)
+    gens += [mat_inv(g, q) for g in gens]
+    seen = {mat_identity(space.nu)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = mat_mul(g, h, q)
+                if gh not in seen:
+                    seen.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    return sorted(seen)
+
+
+def jordan_type_all_ranks(g, p):
+    """Reference Jordan rule: ranks of N^k for k up to nu, no early stop."""
+    n = len(g)
+    nm = tuple(tuple((x - (i == j)) % p for j, x in enumerate(r))
+               for i, r in enumerate(g))
+    ranks, power = [n], mat_identity(n)
+    for _ in range(n):
+        power = mat_mul(power, nm, p)
+        ranks.append(mat_rank(power, p))
+    return jordan_from_ranks(ranks) if ranks[-1] == 0 else None
 
 
 def flag_dict(cols, q):
@@ -44,6 +76,24 @@ class TestModularLinalg:
         assert unipotent_jordan_type(g, 3) == Counter({2: 1})
         assert unipotent_jordan_type(mat_identity(2), 3) == Counter({1: 2})
         assert unipotent_jordan_type(((2, 0), (0, 1)), 3) is None
+
+    def test_jordan_type_stops_at_first_stalled_rank(self, monkeypatch):
+        # g - 1 = 1 has full rank, so rank(N) = rank(N^0) already stalls
+        # and N^2 is never formed
+        calls = []
+        real = counting.mat_mul
+        monkeypatch.setattr(counting, "mat_mul",
+                            lambda a, b, p: calls.append(1) or real(a, b, p))
+        assert unipotent_jordan_type(((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                                     3) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("mode, nu, q", [
+        (TYPE_A, 3, 3), (SP, 2, 7), (SO_ODD, 3, 7)])
+    def test_jordan_type_matches_all_ranks(self, mode, nu, q):
+        group = enumerate_group_cached(FiniteFormSpace(mode, nu, q))
+        for g in group.elements:
+            assert unipotent_jordan_type(g, q) == jordan_type_all_ranks(g, q)
 
 
 class TestSpacesAndGroups:
@@ -88,8 +138,8 @@ class TestSpacesAndGroups:
         h_inv = mat_inv(h, 3)
         real = counting._generators
 
-        def tampered(space, attempt):
-            gens = real(space, attempt)
+        def tampered(space):
+            gens = real(space)
             if tamper == "extra":
                 return gens + [h]
             return [mat_mul(mat_mul(h, g, 3), h_inv, 3) for g in gens]
@@ -98,6 +148,38 @@ class TestSpacesAndGroups:
         with pytest.raises(VerificationFailed,
                            match="does not preserve the form"):
             enumerate_group(FiniteFormSpace(mode, nu, 3))
+
+    @pytest.mark.parametrize("mode, nu, q", [
+        (TYPE_A, 2, 2), (TYPE_A, 2, 3), (TYPE_A, 3, 2), (SP, 2, 3),
+        (SP, 2, 7), (SO_ODD, 3, 3), (SO_ODD, 3, 7), (SO_EVEN, 4, 3)])
+    def test_coset_closure_matches_breadth_first(self, mode, nu, q):
+        space = FiniteFormSpace(mode, nu, q)
+        group = enumerate_group(space)
+        assert group.elements == breadth_first_closure(space)
+        assert group.order == group_order_formula(space)
+
+    def test_proper_subgroup_fails_order_gate(self, monkeypatch):
+        # one transvection generates a group of order 3 in Sp2(F3)
+        real = counting._generators
+        monkeypatch.setattr(counting, "_generators",
+                            lambda space: real(space)[:1])
+        with pytest.raises(VerificationFailed, match="closure order 3 never "
+                           "matched the formula 24"):
+            enumerate_group(FiniteFormSpace(SP, 2, 3))
+
+    def test_runaway_closure_stops_past_formula(self, monkeypatch):
+        # a reflection preserves the form but has determinant -1, so it
+        # closes SO3(F3) (24 elements) up to O3(F3)
+        space = FiniteFormSpace(SO_ODD, 3, 3)
+        real = counting._generators
+        reflection = counting._reflection(space, (0, 1, 0))
+        assert space.preserves_form(reflection)
+        monkeypatch.setattr(counting, "_generators",
+                            lambda space: real(space) + [reflection])
+        with pytest.raises(VerificationFailed,
+                           match="closure passed 48 elements, more than "
+                           "the formula 24"):
+            enumerate_group(space)
 
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))

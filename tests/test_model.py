@@ -438,6 +438,13 @@ class TestFlagOracle:
             assert rank_stabilization(t_mat, pair) is None
         assert len(models) > 50
 
+    def test_second_flag_reuses_inverse(self, model_sweep):
+        # flags_from builds (g B)^-1 as B^-1 g^-1 instead of eliminating
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) <= 3:
+                _flag, flag_prime = flags_from(m)
+                assert flag_prime.inverse == flag_prime.basis.inverse()
+
     def test_mutated_bases_agree(self, model_sweep):
         # the rank oracles cost ~0.03 s per mutant, so the mutation family
         # runs on the GF(2) and GF(3) models only, which cover both
@@ -452,7 +459,7 @@ class TestFlagOracle:
             t_mat = build_T(m, other, flags_pair=(flag, flag_prime))
             for basis in basis_mutations(flag.basis):
                 mutant = IsoFlag(m.space, basis)
-                pair = (mutant, mutant.apply(m.g))
+                pair = (mutant, mutant.apply(m.g, m.g_inv))
                 ok = passes(IsoFlag.verify, mutant)
                 assert ok == passes(rank_verify, mutant)
                 position = position_check(*pair, m.shape)
