@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +9,11 @@ from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.gram import GramTable, check_conjecture_210, closed_form_value, sg
 from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, binomial_nk, psi
+
+
+# table_digest() of the reference recursion; a rewrite must keep it
+PINNED_DIGEST = \
+    "b2e78ea1b03ae2da3ff779d655d96712f8e49c7a11e538fc0239b7f23d544d52"
 
 
 def orthogonal_shapes(total):
@@ -151,3 +158,47 @@ class TestConjecture:
         for k in (5, 6):
             table, square, expected, matches = check_conjecture_210(k)
             assert matches in (True, False)  # reported, not asserted
+
+
+def _canonical(obj):
+    """A JSON-ready form of table data with dict keys in a fixed order."""
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return [[repr(k), _canonical(v)]
+                for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))]
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    return obj
+
+
+def table_digest():
+    """SHA-256 over every orthogonal table with part sum <= 5 and the scan.
+
+    Each table contributes its field, all values over its window, its
+    case map, its auxiliary systems and its diagnostics; the corner scan
+    contributes square, expected value and verdict for k = 2..8.
+    """
+    out = []
+    for field in (RATIONALS, get_finite_field(5), get_finite_field(7)):
+        for shape in orthogonal_shapes(5):
+            t = GramTable(shape, ORTHOGONAL, field)
+            sig = shape.sigma + shape.kappa
+            out.append([shape.parts, shape.kappa, t.field.to_json(),
+                        [t.value(a, b, d).to_json()
+                         for a in range(1, sig + 1)
+                         for b in range(a, sig + 1)
+                         for d in range(-t.delta_bound, t.delta_bound + 1)],
+                        _canonical(t.case_map), _canonical(t.aux),
+                        _canonical(t.diagnostics)])
+    for k in range(2, 9):
+        _, square, expected, matches = check_conjecture_210(k)
+        out.append([k, square.to_json(), expected.to_json(), matches])
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pinned_tables():
+    # any change to a value, a case label, an auxiliary coefficient or a
+    # diagnostic of these tables changes the digest
+    assert table_digest() == PINNED_DIGEST
