@@ -180,9 +180,11 @@ def cmd_count(args):
             raise UsageError("type A needs --n (matrix size)")
         nu = args.n
         space = counting.FiniteFormSpace(counting.TYPE_A, nu, q)
+        predicted = Counter({nu: 1})
         gamma = parse_gamma(args.gamma) if args.gamma is not None \
-            else Counter({nu: 1})
-        report = counting.count_report(space, gamma, "A", nu - 1)
+            else predicted
+        report = counting.count_report(space, gamma, "A", nu - 1,
+                                       expect_equal=gamma == predicted)
     else:
         shape = _shape_from(args)
         mode = counting.SP if args.group_type == "C" else counting.SO_ODD
@@ -191,16 +193,14 @@ def cmd_count(args):
         predicted = jordan_prediction(shape, pred_mode)
         gamma = parse_gamma(args.gamma) if args.gamma is not None \
             else predicted
-        rank = shape.nu // 2
-        expect = gamma == predicted
-        report = counting.count_report(space, gamma, args.group_type, rank,
-                                       shape=shape, expect_equal=expect)
+        report = counting.count_report(space, gamma, args.group_type,
+                                       shape.nu // 2, shape=shape,
+                                       expect_equal=gamma == predicted)
     report["runtime"] = round(time.monotonic() - t0, 3)
     report["type"] = args.group_type
     report["q"] = q
     report["gamma"] = sorted(gamma.elements(), reverse=True)
-    ok = report["verdict"] == report["expected_relation"] and \
-        report["double_count_consistent"]
+    ok = report["relation_holds"] and report["double_count_consistent"]
     if not args.per_element:
         report.pop("per_g")
         report.pop("per_flag")

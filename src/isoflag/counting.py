@@ -565,10 +565,21 @@ def count_report(space: FiniteFormSpace, gamma: Counter,
                  group_type: str, rank: int,
                  shape: Optional[ShapeSeq] = None,
                  expect_equal: bool = True, **kw) -> dict:
-    """count_pairs plus the adjoint-order comparison verdict."""
+    """count_pairs plus the relation the count must satisfy.
+
+    The count is checked against |PGL_n(F_q)| in type A and |G(F_q)| in
+    types B and C: equal for the predicted Jordan type, different for an
+    off-class one (``expect_equal`` False); ``relation_holds`` records the
+    outcome.  ``verdict`` compares the count with the adjoint order and is
+    reported as a finding only: in types B and C at odd q the count is
+    gcd(2, q - 1) times that order.
+    """
     result = count_pairs(space, gamma, shape=shape, **kw)
-    expected = adjoint_order(group_type, rank, space.q)
-    result["adjoint_order"] = expected
-    result["verdict"] = "equal" if result["count"] == expected else "differs"
+    adjoint = adjoint_order(group_type, rank, space.q)
+    result["group_order"] = group_order_formula(space)
+    result["adjoint_order"] = adjoint
+    result["verdict"] = "equal" if result["count"] == adjoint else "differs"
     result["expected_relation"] = "equal" if expect_equal else "differs"
+    target = adjoint if group_type == "A" else result["group_order"]
+    result["relation_holds"] = (result["count"] == target) == expect_equal
     return result

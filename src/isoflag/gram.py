@@ -44,6 +44,19 @@ def sg(i: int) -> int:
     return 1 if i > 0 else -1
 
 
+def _recur(vals, coeffs, ds, step, rhs):
+    """Solve sum_j coeffs[j] vals[d - step j] = rhs(d) for each d in ds.
+
+    coeffs[0] is one, and every vals[d - step j] with j >= 1 is already
+    set when d comes up: step 1 runs upwards, step -1 downwards.
+    """
+    for d in ds:
+        acc = rhs(d)
+        for j in range(1, len(coeffs)):
+            acc = acc - coeffs[j] * vals[d - step * j]
+        vals[d] = acc
+
+
 def closed_form_value(case: str, level: int, s: int) -> Fraction:
     """Closed-form oracle values, as exact rationals.
 
@@ -244,19 +257,19 @@ class GramTable:
                 for x in xs[yi + 1:]:
                     self._off_26(y, x, level, d_level)
             return
-        a, b = win.a, win.b
-        window = list(range(a, b + 1))
+        window = list(range(win.a, win.b + 1))
         x0 = xs[0]
-        if b % 2 == 1:
-            self._compute_aux(level, window, a)
-            aux = self.aux[level]
+        if win.b % 2 == 1:
+            self._compute_aux(level, window)
+            # built after any field extension, so K lives in the final field
+            K = self._kernel(level, win.a, self.aux[level]["atilde"])
             for t in window:
                 if self._has_even_drop(t, x0):
                     for x in xs:
                         self._memo[(t, x)] = _ConstPair(self.field.zero)
                         self.case_map[(t, x)] = "2.2"
                 else:
-                    self._cross_23(t, x0, level, a, window, aux, d_cross)
+                    self._cross_23(t, x0, level, K, d_cross)
                     for x in xs[1:]:
                         self._memo[(t, x)] = self._memo[(t, x0)]
                         self.case_map[(t, x)] = "2.3"
@@ -268,7 +281,7 @@ class GramTable:
                         self._memo[(y, x)] = _ConstPair(self.field.zero)
                         self.case_map[(y, x)] = "2.2"
             for x in xs:
-                self._diag_24(x, level, a, window, d_diag)
+                self._diag_24(x, level, K, d_diag)
         else:
             # b even: every higher row pairs to zero against this level
             for y in range(1, shape.sigma + 1):
@@ -284,91 +297,86 @@ class GramTable:
             for x in xs[yi + 1:]:
                 self._off_26(y, x, level, d_level)
 
+    # -- the one linear form of the recursion --------------------------------
+
+    def _nk_elems(self, level):
+        return [self.field.from_int(binomial_nk(level, k))
+                for k in range(2 * level + 1)]
+
+    def _kernel(self, level, a, coef):
+        """The merged coefficients K of the level's linear form.
+
+        K convolves n_k = (-1)^k C(2 level, k) with the row-a term
+        (coefficient one at (a, 2 p_a - 2 level)) plus the coefficient dict
+        ``coef`` = {(r, h): c}:  K[(r, m)] = sum_k n_k c[(r, m - k)].  It
+        defines
+
+            L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e),
+
+        evaluated by ``_apply``.  With coef = atilde this is the full form
+        behind nu, the cross values and the diagonal of a window level; the
+        alpha and beta steps pass only the coefficients already solved for.
+        Zero entries are dropped, so no value behind one is ever read.
+        """
+        f = self.field
+        nk = self._nk_elems(level)
+        # coef indices of row a stay below 2 p_a - 2 level
+        terms = {**coef, (a, 2 * self.shape.part(a) - 2 * level): f.one}
+        K: Dict[Tuple[int, int], FieldElement] = {}
+        for (r, h), c in terms.items():
+            if c.is_zero:
+                continue
+            for k, n in enumerate(nk):
+                K[(r, h + k)] = K.get((r, h + k), f.zero) + n * c
+        return {key: c for key, c in K.items() if not c.is_zero}
+
+    def _apply(self, K, t, e):
+        """L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e)."""
+        acc = self.field.zero
+        for (r, m), c in K.items():
+            acc = acc + c * self._val(r, t, m + e)
+        return acc
+
     # -- auxiliary systems (alpha, beta, merged coefficients, mu) ------------
 
-    def _compute_aux(self, level: int, window, a: int):
-        shape = self.shape
-        f = self.field
-        pi2 = 2 * level
-        nk = [f.from_int(binomial_nk(level, k)) for k in range(pi2 + 1)]
-        p = shape.part
-        p_a = p(a)
+    def _compute_aux(self, level: int, window):
+        p = self.shape.part
+        a = window[0]
         alpha: Dict[Tuple[int, int], FieldElement] = {}
         beta: Dict[Tuple[int, int], FieldElement] = {}
         max_h = max(p(r) - level for r in window)
         for h in range(max_h + 1):
-            # alpha step: descending induction over the window
+            # alpha step, descending over the window: reads alpha_i for
+            # i < h and every beta found so far (those of j < h)
+            K = self._kernel(level, a, {**alpha, **beta})
             for r in reversed(window):
                 if h > p(r) - level - 1:
                     continue
-                rhs = f.zero
-                for k in range(pi2 + 1):
-                    if not nk[k].is_zero:
-                        rhs = rhs - nk[k] * self._val(a, r, k + 2 * p_a - pi2 - (p(r) + h))
-                for rp in window:
-                    for i in range(min(h, p(rp) - level)):
-                        if alpha[(rp, i)].is_zero:
-                            continue
-                        for k in range(pi2 + 1):
-                            rhs = rhs - alpha[(rp, i)] * nk[k] * \
-                                self._val(rp, r, k + i - (p(r) + h))
-                    for j in range(1, min(h, p(rp) - level + 1)):
-                        bcoef = beta[(rp, 2 * p(rp) - 2 * level - j)]
-                        if bcoef.is_zero:
-                            continue
-                        for k in range(pi2 + 1):
-                            rhs = rhs - bcoef * nk[k] * \
-                                self._val(rp, r, k + 2 * p(rp) - 2 * level - j - (p(r) + h))
+                rhs = -self._apply(K, r, -(p(r) + h))
                 for rp in window:
                     if rp > r and p(rp) == p(r):
                         rhs = rhs - alpha[(rp, h)] * self._val(rp, r, -p(r))
                 alpha[(r, h)] = rhs
-            # beta step: ascending induction over the window
-            if h >= 1:
-                for r in window:
-                    if h > p(r) - level:
-                        continue
-                    rhs = f.zero
-                    for k in range(pi2 + 1):
-                        if not nk[k].is_zero:
-                            rhs = rhs - nk[k] * self._val(a, r, k + 2 * p_a - pi2 - (p(r) - h))
-                    for rp in window:
-                        for i in range(min(h - 1, p(rp) - level)):
-                            if alpha[(rp, i)].is_zero:
-                                continue
-                            for k in range(pi2 + 1):
-                                rhs = rhs - alpha[(rp, i)] * nk[k] * \
-                                    self._val(rp, r, k + i - (p(r) - h))
-                        for j in range(1, min(h, p(rp) - level + 1)):
-                            bcoef = beta[(rp, 2 * p(rp) - 2 * level - j)]
-                            if bcoef.is_zero:
-                                continue
-                            for k in range(pi2 + 1):
-                                rhs = rhs - bcoef * nk[k] * \
-                                    self._val(rp, r, k + 2 * p(rp) - 2 * level - j - (p(r) - h))
-                    for rp in window:
-                        if rp < r:
-                            rhs = rhs - beta[(rp, 2 * p(rp) - 2 * level - h)] * \
-                                self._val(rp, r, 2 * p(rp) - p(r))
-                    beta[(r, 2 * p(r) - 2 * level - h)] = rhs
-        atilde: Dict[Tuple[int, int], FieldElement] = {}
-        for t in window:
-            for j in range(2 * p(t) - 2 * level):
-                atilde[(t, j)] = alpha[(t, j)] if j <= p(t) - level - 1 \
-                    else beta[(t, j)]
-        nu: Dict[int, FieldElement] = {}
-        for t in window:
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * self._val(a, t, k + 2 * p_a - pi2 - (2 * p(t) - level))
+            if h == 0:
+                continue
+            # beta step, ascending over the window: alpha_i for i < h - 1,
+            # beta_(2p - 2 level - j) for j < h
+            K = self._kernel(level, a, {
+                **{key: c for key, c in alpha.items() if key[1] < h - 1},
+                **beta})
             for r in window:
-                for i in range(2 * p(r) - 2 * level):
-                    if atilde[(r, i)].is_zero:
-                        continue
-                    for k in range(pi2 + 1):
-                        acc = acc + nk[k] * self._val(r, t, k + i - (2 * p(t) - level)) \
-                            * atilde[(r, i)]
-            nu[t] = acc
+                if h > p(r) - level:
+                    continue
+                rhs = -self._apply(K, r, -(p(r) - h))
+                for rp in window:
+                    if rp < r:
+                        rhs = rhs - beta[(rp, 2 * p(rp) - 2 * level - h)] * \
+                            self._val(rp, r, 2 * p(rp) - p(r))
+                beta[(r, 2 * p(r) - 2 * level - h)] = rhs
+        # alpha holds the indices below p - level, beta the rest
+        atilde = {**alpha, **beta}
+        K = self._kernel(level, a, atilde)
+        nu = {t: self._apply(K, t, -(2 * p(t) - level)) for t in window}
         self.aux[level] = {"alpha": alpha, "beta": beta, "atilde": atilde, "nu": nu}
         nu_a = nu[a]
         if nu_a.is_zero:
@@ -382,97 +390,37 @@ class GramTable:
 
     # -- the recursion cases -------------------------------------------------
 
-    def _nk_elems(self, level):
-        return [self.field.from_int(binomial_nk(level, k))
-                for k in range(2 * level + 1)]
-
-    def _cross_23(self, t, x, level, a, window, aux, d_range):
+    def _cross_23(self, t, x, level, K, d_range):
         """Values for a window row t against a level representative x."""
-        shape = self.shape
         f = self.field
-        p_t = shape.part(t)
-        p_a = shape.part(a)
-        pi2 = 2 * level
+        p_t = self.shape.part(t)
         nk = self._nk_elems(level)
-        mu = aux["mu"]
-        atilde = aux["atilde"]
-        nu_t = aux["nu"][t]
+        mu = self.aux[level]["mu"]
         vals: Dict[int, FieldElement] = {}
         for d in range(-level, 2 * p_t - level):
             vals[d] = f.zero
-        vals[2 * p_t - level] = mu * nu_t
-
-        def rhs_up(d):
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * self._val(t, a, d - k - (2 * p_a - pi2))
-            for r in window:
-                for h in range(2 * shape.part(r) - pi2):
-                    if atilde[(r, h)].is_zero:
-                        continue
-                    for k in range(pi2 + 1):
-                        acc = acc + nk[k] * self._val(t, r, d - k - h) * atilde[(r, h)]
-            return mu * acc
-
-        for s in range(1, d_range - (2 * p_t - level) + 1):
-            d = 2 * p_t - level + s
-            acc = rhs_up(d)
-            for k in range(1, min(pi2, s) + 1):
-                acc = acc - nk[k] * vals[d - k]
-            vals[d] = acc
-
-        def rhs_down(d):
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * self._val(a, t, k + 2 * p_a - pi2 - (d + pi2))
-            for r in window:
-                for h in range(2 * shape.part(r) - pi2):
-                    if atilde[(r, h)].is_zero:
-                        continue
-                    for k in range(pi2 + 1):
-                        acc = acc + nk[k] * self._val(r, t, k + h - (d + pi2)) * atilde[(r, h)]
-            return mu * acc
-
-        for s in range(1, d_range - level + 1):
-            d = -level - s
-            acc = rhs_down(d)
-            for k in range(max(0, pi2 - s), pi2):
-                acc = acc - nk[k] * vals[d + pi2 - k]
-            vals[d] = acc
+        vals[2 * p_t - level] = mu * self.aux[level]["nu"][t]
+        _recur(vals, nk, range(2 * p_t - level + 1, d_range + 1), 1,
+               lambda d: mu * self._apply(K, t, -d))
+        _recur(vals, nk, range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: mu * self._apply(K, t, -d - 2 * level))
         self._memo[(t, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(t, x)] = "2.3"
 
-    def _diag_24(self, x, level, a, window, d_range):
+    def _diag_24(self, x, level, K, d_range):
         """Same-index values at a level whose window ends at an odd b."""
-        shape = self.shape
         f = self.field
-        p_a = shape.part(a)
-        pi2 = 2 * level
-        nk = self._nk_elems(level)
-        aux = self.aux[level]
-        mu = aux["mu"]
-        atilde = aux["atilde"]
+        mu = self.aux[level]["mu"]
         vals: Dict[int, FieldElement] = {}
         for d in range(-level + 1, level):
             vals[d] = f.zero
         vals[-level] = f.one
         vals[level] = f.one
-        for s in range(1, d_range - level + 1):
-            d = -level - s
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * self._val(a, x, d + k + 2 * p_a - pi2)
-            for r in window:
-                for h in range(2 * shape.part(r) - pi2):
-                    if atilde[(r, h)].is_zero:
-                        continue
-                    for k in range(pi2 + 1):
-                        acc = acc + nk[k] * self._val(r, x, d + k + h) * atilde[(r, h)]
-            acc = mu * acc
-            for k in range(1, min(pi2, s) + 1):
-                acc = acc - nk[k] * vals[d + k]
-            vals[d] = acc
-            vals[-d] = acc
+        _recur(vals, self._nk_elems(level),
+               range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: mu * self._apply(K, x, d))
+        for d in range(level + 1, d_range + 1):
+            vals[d] = vals[-d]
         self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(x, x)] = "2.4"
 
@@ -486,44 +434,27 @@ class GramTable:
         vals[level] = f.one
         if d_range >= level + 1:
             vals[-level - 1] = f.from_int(2 * level + 2)
-            vals[level + 1] = vals[-level - 1]
         coeffs = [f.from_int((-1) ** k * comb(2 * level + 1, k))
                   for k in range(2 * level + 2)]
-        for s in range(2, d_range - level + 1):
-            d = -level - s
-            acc = f.zero
-            for k in range(1, min(2 * level + 1, s) + 1):
-                acc = acc - coeffs[k] * vals[d + k]
-            vals[d] = acc
-            vals[-d] = acc
+        _recur(vals, coeffs, range(-level - 2, -d_range - 1, -1), -1,
+               lambda d: f.zero)
+        for d in range(level + 1, d_range + 1):
+            vals[d] = vals[-d]
         self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(x, x)] = "2.5"
 
     def _off_26(self, y, x, level, d_range):
         """Distinct indices at the same level."""
         f = self.field
-        pi2 = 2 * level
         nk = self._nk_elems(level)
-        diag = self._memo[(x, x)]
+        K = self._kernel(level, x, {})
         vals: Dict[int, FieldElement] = {}
         for d in range(-level, level):
             vals[d] = f.zero
-        for s in range(1, d_range - level + 1):
-            d = -level - s
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * diag.get(d + k)
-            for k in range(1, min(pi2, s - 1) + 1):
-                acc = acc - nk[k] * vals[d + k]
-            vals[d] = acc
-        for s in range(0, d_range - level + 1):
-            d = level + s
-            acc = f.zero
-            for k in range(pi2 + 1):
-                acc = acc + nk[k] * diag.get(d + k - pi2)
-            for k in range(max(0, pi2 - s), pi2):
-                acc = acc - nk[k] * vals[d + k - pi2]
-            vals[d] = acc
+        _recur(vals, nk, range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: self._apply(K, x, d))
+        _recur(vals, nk, range(level, d_range + 1), 1,
+               lambda d: self._apply(K, x, d - 2 * level))
         self._memo[(y, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(y, x)] = "2.6"
 
@@ -555,12 +486,9 @@ class GramTable:
         else:
             self.diagnostics["sec28_singular"] = True
             c = {key: self.field.zero for key in idx}
-        nu = self.field.zero
-        for (r, i) in idx:
-            if c[(r, i)].is_zero:
-                continue
-            for (rp, ip) in idx:
-                nu = nu - c[(r, i)] * c[(rp, ip)] * self._val(r, rp, i - ip)
+        cv = [c[key] for key in idx]
+        nu = -sum((ci * gi for ci, gi in zip(cv, gmat.apply(cv))),
+                  self.field.zero)
         self.aux[HALF_LEVEL] = {"c": c, "nu": nu}
         root, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)

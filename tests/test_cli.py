@@ -90,10 +90,56 @@ class TestSubcommands:
         assert "mode" not in params and "field" not in params
 
     def test_count_off_class(self, capsys):
+        # an off-class gamma must find a count different from |PGL_n|;
+        # zero pairs is that relation holding, not a failed check
         code, payload = run_json(capsys, "count", "--type", "A", "--n", "2",
                                  "--q", "3", "--gamma", "1,1")
+        res = payload["result"]
+        assert code == 0
+        assert res["count"] == 0 and res["expected_relation"] == "differs"
+        assert res["relation_holds"] and res["verdict"] == "differs"
+
+    def test_count_rank1_type_c_doubling(self, capsys):
+        # |Sp2(F3)| = 24 = 2 x the adjoint order 12: the doubling is a
+        # reported finding, and the count meets |G(F_q)| exactly
+        code, payload = run_json(capsys, "count", "--type", "C",
+                                 "--shape", "1", "--q", "3")
+        res = payload["result"]
+        assert code == 0
+        assert res["count"] == 24 and res["verdict"] == "differs"
+        assert res["group_order"] == 24 and res["adjoint_order"] == 12
+        assert res["relation_holds"] and res["double_count_consistent"]
+
+    @pytest.mark.parametrize("override", [
+        {"count": 23}, {"double_count_consistent": False}],
+        ids=["count-misses-group-order", "double-count-fails"])
+    def test_count_failed_check_exits_1(self, capsys, monkeypatch, override):
+        # each of the two checks alone decides the exit code
+        real = counting.count_pairs
+        monkeypatch.setattr(counting, "count_pairs", lambda *a, **kw:
+                            dict(real(*a, **kw), **override))
+        code, payload = run_json(capsys, "count", "--type", "C",
+                                 "--shape", "1", "--q", "3")
+        res = payload["result"]
         assert code == 1
-        assert payload["result"]["count"] == 0
+        assert res["relation_holds"] == ("count" not in override)
+
+    def test_broken_double_count_exits_1(self, capsys, monkeypatch):
+        # a flag on the anisotropic line of e_1 lies outside the SO3(F3)
+        # orbit of isotropic flags and meets a different number of
+        # unipotents, so the double count fails
+        cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        basis = tuple(zip(*cols))
+        outside = {"basis": basis, "inv": counting.mat_inv(basis, 3),
+                   "cols": cols}
+        real = counting.enumerate_isotropic_flags_cached
+        monkeypatch.setattr(counting, "enumerate_isotropic_flags_cached",
+                            lambda space: real(space) + [outside])
+        code, payload = run_json(capsys, "count", "--type", "B",
+                                 "--shape", "1", "--kappa", "1", "--q", "3")
+        res = payload["result"]
+        assert code == 1 and not res["double_count_consistent"]
+        assert res["count"] == 24 + 4
 
     def test_identities(self, capsys):
         code, payload = run_json(capsys, "identities", "--kmax", "4")
