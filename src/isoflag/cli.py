@@ -278,7 +278,8 @@ def make_parser() -> argparse.ArgumentParser:
     count.add_argument("--q", type=int)
     count.add_argument("--gamma", help="comma-separated Jordan block sizes")
     count.add_argument("--per-element", action="store_true",
-                       help="include per-g and per-flag subtotals")
+                       help="include per-g subtotals and the subtotal "
+                       "of the one flag tested")
     return parser
 
 

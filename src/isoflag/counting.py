@@ -7,14 +7,15 @@ matches either the classical dimension conditions of the shape or, in
 type A, a fixed Coxeter cycle.
 
 All arithmetic here is dense modular arithmetic on plain integer tuples,
-independent of the exact-field layer, for the speed the ~10^6-pair loops
-need.  Only prime q is supported.
+independent of the exact-field layer, for the speed the group closure and
+the position tests need.  Only prime q is supported.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import gcd, prod
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
@@ -54,9 +55,9 @@ def mat_identity(n: int) -> tuple:
 
 
 def mat_mul(a, b, p: int) -> tuple:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-                 for row in a)
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in bt])
+                  for row in a])
 
 
 def mat_vec(a, v, p: int) -> tuple:
@@ -267,11 +268,16 @@ def _reflection(space: FiniteFormSpace, v) -> tuple:
 
 
 class GroupEnum:
+    """The elements of a group, sorted, with the generators it was closed
+    under: ``kept`` are those the closure needed, and they alone generate
+    the group."""
+
     def __init__(self, space: FiniteFormSpace, elements: List[tuple],
-                 generators: List[tuple]):
+                 generators: List[tuple], kept: List[tuple]):
         self.space = space
         self.elements = elements
         self.generators = generators
+        self.kept = kept
         self.order = len(elements)
 
 
@@ -343,7 +349,7 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     if len(seen) != target:
         raise VerificationFailed(
             f"closure order {len(seen)} never matched the formula {target}")
-    return GroupEnum(space, sorted(seen), gens)
+    return GroupEnum(space, sorted(seen), gens, kept)
 
 
 # -- flags -------------------------------------------------------------------
@@ -452,9 +458,76 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
                 f"formula")
 
 
+def unipotent_count_formula(space: FiniteFormSpace) -> int:
+    """Steinberg's count q^(2N) of the unipotent elements, where 2N is the
+    number of roots: nu(nu - 1) in type A, 2n^2 for Sp and odd SO, and
+    2n(n - 1) for even SO."""
+    nu, n = space.nu, space.nu // 2
+    roots = {TYPE_A: nu * (nu - 1), SP: 2 * n * n, SO_ODD: 2 * n * n,
+             SO_EVEN: 2 * n * (n - 1)}[space.mode]
+    return space.q ** roots
+
+
 def unipotents_of_type(group: GroupEnum, target: Counter) -> List[tuple]:
-    return [g for g in group.elements
-            if unipotent_jordan_type(g, group.space.q) == target]
+    """The elements of Jordan type ``target``, in group order.
+
+    Every eigenvalue of a unipotent element is 1, so its trace is nu mod
+    q; an element with another trace skips the Jordan rule.  The
+    unipotents of every type are counted on the way, and a total other
+    than Steinberg's q^(2N) raises VerificationFailed.
+    """
+    space = group.space
+    q, nu = space.q, space.nu
+    trace = nu % q
+    diagonal = range(nu)
+    total = 0
+    out = []
+    for g in group.elements:
+        if sum(g[i][i] for i in diagonal) % q != trace:
+            continue
+        jordan = unipotent_jordan_type(g, q)
+        if jordan is not None:
+            total += 1
+            if jordan == target:
+                out.append(g)
+    want = unipotent_count_formula(space)
+    if total != want:
+        raise VerificationFailed(
+            f"{total} unipotent elements, not the {want} of Steinberg's "
+            f"count q^(2N)")
+    return out
+
+
+def conjugacy_classes(elements: List[tuple], generators: List[tuple],
+                      p: int) -> List[List[int]]:
+    """Orbits of ``elements`` under conjugation u -> s u s^-1 by the
+    generators, as lists of indices, each led by its smallest index.
+
+    The orbits are the classes of the group the generators generate.  A
+    conjugate outside ``elements`` raises VerificationFailed.
+    """
+    index = {u: i for i, u in enumerate(elements)}
+    pairs = [(s, mat_inv(s, p)) for s in generators]
+    seen = [False] * len(elements)
+    classes = []
+    for start in range(len(elements)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for i in orbit:  # grows as the walk proceeds
+            for s, s_inv in pairs:
+                c = mat_mul(mat_mul(s, elements[i], p), s_inv, p)
+                j = index.get(c)
+                if j is None:
+                    raise VerificationFailed(
+                        f"the conjugate {c} of element {i} by {s} is not "
+                        f"in the list")
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        classes.append(orbit)
+    return classes
 
 
 # -- relative position -------------------------------------------------------
@@ -510,54 +583,66 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     """Count pairs (g, flag) in the required relative position.
 
     For type A the position test is equality with the fixed Coxeter
-    cycle; otherwise the four dimension conditions of the shape.  The
-    report carries per-g and per-flag subtotals.  G is transitive on
-    complete isotropic flags and both tests are conjugation invariant, so
-    ``double_count_consistent`` requires one subtotal on every flag and
-    count = flag_count x per_flag[0].
+    cycle; otherwise the four dimension conditions of the shape.  Both
+    tests are invariant under conjugation, and the isometries permute
+    the flags transitively, so one flag F0 = flags[0] carries the count:
+    with S the unipotents u for which (F0, u F0) passes,
+    count = flag_count x |S|, and a unipotent u meets
+    per_g = flag_count x |S cap Cl(u)| / |Cl(u)| flags, Cl(u) its class
+    under conjugation by the kept generators.  ``per_flag`` is [|S|].
+
+    ``double_count_consistent`` is an independent check by rows: one
+    representative of each class is tested against every flag.  Its
+    number of hits must equal the class's per_g, rounded down, and
+    ``row_count``, the sum over classes of |Cl| x hits(rep), must equal
+    the count; with every row on its per_g, the sum falls short exactly
+    when some per_g is not an integer.  ``class_sizes`` lists |Cl| in
+    ascending order.
     """
     q, nu = space.q, space.nu
     if sum(s * c for s, c in gamma.items()) != nu:
         raise InvalidInput(f"gamma {dict(gamma)} must sum to nu = {nu}")
+    if space.mode == TYPE_A:
+        target = coxeter_cycle(nu)
+        admissible = lambda piv: piv == target  # noqa: E731
+    elif shape is None or shape.nu != nu:
+        raise InvalidInput(f"{space.mode} counting needs a shape with "
+                           f"nu = {nu}, got {shape}")
+    else:
+        admissible = lambda piv: position_dims_ok(  # noqa: E731
+            lambda i, j: sum(1 for k in range(j) if piv[k] < i), shape, nu)
     if group is None:
         group = enumerate_group_cached(space)
     if flags is None:
         flags = enumerate_isotropic_flags_cached(space)
     unis = unipotents_of_type(group, gamma)
-    if space.mode == TYPE_A:
-        target = coxeter_cycle(nu)
-        ok_test = None
-    else:
-        assert shape is not None and shape.nu == nu
-        target = None
-        ok_test = lambda piv: position_dims_ok(  # noqa: E731
-            lambda i, j: sum(1 for k in range(j) if piv[k] < i), shape, nu)
 
-    hits: List[Tuple[int, int]] = []
-    for gi, g in enumerate(unis):
-        for fi, fl in enumerate(flags):
-            gb = mat_mul(g, fl["basis"], q)
-            m = mat_mul(fl["inv"], gb, q)
-            piv = bruhat_pivots(m, q)
-            if (piv == target) if target is not None else ok_test(piv):
-                hits.append((gi, fi))
+    def hit(g, fl) -> bool:
+        m = mat_mul(fl["inv"], mat_mul(g, fl["basis"], q), q)
+        return admissible(bruhat_pivots(m, q))
 
+    column = [hit(u, flags[0]) for u in unis]
+    count = len(flags) * sum(column)
+    classes = conjugacy_classes(unis, group.kept, q)
     per_g = [0] * len(unis)
-    for gi, _fi in hits:
-        per_g[gi] += 1
-    per_flag = [0] * len(flags)
-    for _gi, fi in hits:
-        per_flag[fi] += 1
-    per_orbit = per_flag[0] if per_flag else 0
-    consistent = per_flag == [per_orbit] * len(flags) and \
-        len(hits) == len(flags) * per_orbit
+    rows_agree = True
+    row_count = 0
+    for cls in classes:
+        share = len(flags) * sum(column[i] for i in cls) // len(cls)
+        row = sum(hit(unis[cls[0]], fl) for fl in flags)
+        rows_agree = rows_agree and row == share
+        row_count += len(cls) * row
+        for i in cls:
+            per_g[i] = share
     return {
-        "count": len(hits),
+        "count": count,
         "unipotent_count": len(unis),
         "flag_count": len(flags),
         "per_g": per_g,
-        "per_flag": per_flag,
-        "double_count_consistent": consistent,
+        "per_flag": [sum(column)],
+        "double_count_consistent": rows_agree and row_count == count,
+        "row_count": row_count,
+        "class_sizes": sorted(len(cls) for cls in classes),
     }
 
 

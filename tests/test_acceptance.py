@@ -146,7 +146,7 @@ def test_criterion_08_type_bc_counts():
         ("C", SP, ShapeSeq((1, 1)), SYMPLECTIC),
         ("B", SO_ODD, ShapeSeq((2,), kappa=1), ORTHOGONAL),
     ]
-    counts = []
+    counts, classes = [], []
     for group_type, space_mode, shape, pred_mode in cases:
         space = FiniteFormSpace(space_mode, shape.nu, 3)
         gamma = jordan_prediction(shape, pred_mode)
@@ -154,6 +154,7 @@ def test_criterion_08_type_bc_counts():
                            shape=shape)
         assert rep["double_count_consistent"]
         counts.append(rep["count"])
+        classes.append(rep["class_sizes"])
         adj = rep["adjoint_order"]
         assert adj == 25920
         if rep["count"] != adj:
@@ -166,6 +167,9 @@ def test_criterion_08_type_bc_counts():
     # group order by the factor gcd(2, q - 1) = 2
     assert counts == [51840, 51840, 51840]
     assert all(c == 2 * 25920 for c in counts)
+    # the regular unipotents split into two classes in Sp4(F3) and stay
+    # one in SO5(F3); shape (1,1) meets a class of 240 and one of 480
+    assert classes == [[2880, 2880], [240, 480], [5760]]
     announce(8, "counts recorded as 51840 = 2 x 25920; the doubling "
                 "relative to the adjoint order is reported as a finding")
 

@@ -126,8 +126,8 @@ class TestSubcommands:
 
     def test_broken_double_count_exits_1(self, capsys, monkeypatch):
         # a flag on the anisotropic line of e_1 lies outside the SO3(F3)
-        # orbit of isotropic flags and meets a different number of
-        # unipotents, so the double count fails
+        # orbit of isotropic flags, so the rows over all five flags no
+        # longer meet the column on the first, and the double count fails
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         basis = tuple(zip(*cols))
         outside = {"basis": basis, "inv": counting.mat_inv(basis, 3),
@@ -139,7 +139,24 @@ class TestSubcommands:
                                  "--shape", "1", "--kappa", "1", "--q", "3")
         res = payload["result"]
         assert code == 1 and not res["double_count_consistent"]
-        assert res["count"] == 24 + 4
+        assert res["count"] == 5 * 6 and res["row_count"] == 8 * 4
+
+    def test_lost_unipotent_exits_1(self, capsys, monkeypatch):
+        # a group list short of one unipotent fails Steinberg's count
+        real = counting.enumerate_group_cached
+
+        def short(space):
+            group = real(space)
+            one = counting.mat_identity(space.nu)
+            return counting.GroupEnum(
+                space, [g for g in group.elements if g != one],
+                group.generators, group.kept)
+
+        monkeypatch.setattr(counting, "enumerate_group_cached", short)
+        code, _out, err = run(capsys, "count", "--type", "C",
+                              "--shape", "1", "--q", "3")
+        assert code == 1 and "verification failed" in err
+        assert "8 unipotent elements, not the 9" in err
 
     def test_identities(self, capsys):
         code, payload = run_json(capsys, "identities", "--kmax", "4")

@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 from isoflag import counting
 from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
                               FiniteFormSpace, adjoint_order, bruhat_pivots,
-                              check_isotropic_flags, count_pairs,
-                              count_report, coxeter_cycle, enumerate_group,
-                              enumerate_group_cached,
-                              enumerate_isotropic_flags, group_order_formula,
-                              mat_identity, mat_inv, mat_mul, mat_rank,
-                              mat_vec, nullspace_mod, unipotent_jordan_type,
+                              check_isotropic_flags, conjugacy_classes,
+                              count_pairs, count_report, coxeter_cycle,
+                              enumerate_group, enumerate_group_cached,
+                              enumerate_isotropic_flags,
+                              enumerate_isotropic_flags_cached,
+                              group_order_formula, mat_identity, mat_inv,
+                              mat_mul, mat_rank, mat_vec, nullspace_mod,
+                              unipotent_count_formula, unipotent_jordan_type,
                               unipotents_of_type)
-from isoflag.shapes import (ORTHOGONAL, ShapeSeq, VerificationFailed,
-                            jordan_from_ranks, jordan_prediction)
+from isoflag.shapes import (ORTHOGONAL, InvalidInput, ShapeSeq,
+                            VerificationFailed, jordan_from_ranks,
+                            jordan_prediction, position_dims_ok)
 
 
 def breadth_first_closure(space):
@@ -47,6 +50,34 @@ def jordan_type_all_ranks(g, p):
         power = mat_mul(power, nm, p)
         ranks.append(mat_rank(power, p))
     return jordan_from_ranks(ranks) if ranks[-1] == 0 else None
+
+
+def pair_loop(space, gamma, shape=None):
+    """Reference count: every unipotent of type gamma, found by the Jordan
+    rule on every element, against every flag, with per-unipotent and
+    per-flag subtotals."""
+    q, nu = space.q, space.nu
+    group = enumerate_group_cached(space)
+    flags = enumerate_isotropic_flags_cached(space)
+    unis = [g for g in group.elements
+            if unipotent_jordan_type(g, q) == gamma]
+    per_g = [0] * len(unis)
+    per_flag = [0] * len(flags)
+    for gi, g in enumerate(unis):
+        for fi, fl in enumerate(flags):
+            m = mat_mul(fl["inv"], mat_mul(g, fl["basis"], q), q)
+            piv = bruhat_pivots(m, q)
+            if shape is None:
+                hit = piv == coxeter_cycle(nu)
+            else:
+                hit = position_dims_ok(
+                    lambda i, j: sum(1 for k in range(j) if piv[k] < i),
+                    shape, nu)
+            if hit:
+                per_g[gi] += 1
+                per_flag[fi] += 1
+    return {"unis": unis, "count": sum(per_g), "per_g": per_g,
+            "per_flag": per_flag}
 
 
 def flag_dict(cols, q):
@@ -180,6 +211,39 @@ class TestSpacesAndGroups:
                            match="closure passed 48 elements, more than "
                            "the formula 24"):
             enumerate_group(space)
+
+    @pytest.mark.parametrize("mode, nu, q, total", [
+        (TYPE_A, 2, 3, 9), (TYPE_A, 3, 2, 64), (TYPE_A, 3, 3, 729),
+        (TYPE_A, 2, 5, 25), (SP, 2, 7, 49), (SO_ODD, 3, 7, 49),
+        (SO_EVEN, 4, 3, 81), (SO_EVEN, 2, 3, 1), (SP, 4, 3, 6561),
+        (SO_ODD, 5, 3, 6561)])
+    def test_steinberg_count(self, mode, nu, q, total):
+        space = FiniteFormSpace(mode, nu, q)
+        assert unipotent_count_formula(space) == total
+        group = enumerate_group_cached(space)
+        # the filter raises unless the unipotents of all types total q^(2N)
+        assert unipotents_of_type(group, Counter({1: nu})) == \
+            [mat_identity(nu)]
+        if group.order < 20000:
+            assert sum(unipotent_jordan_type(g, q) is not None
+                       for g in group.elements) == total
+
+    def test_lost_unipotent_fails_steinberg_gate(self):
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        short = counting.GroupEnum(
+            group.space, [g for g in group.elements if g != mat_identity(2)],
+            group.generators, group.kept)
+        with pytest.raises(VerificationFailed,
+                           match="8 unipotent elements, not the 9"):
+            unipotents_of_type(short, Counter({2: 1}))
+
+    def test_conjugate_outside_list_fails_class_split(self):
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        unis = unipotents_of_type(group, Counter({2: 1}))
+        assert sorted(map(len, conjugacy_classes(unis, group.kept, 3))) == \
+            [4, 4]
+        with pytest.raises(VerificationFailed, match="is not in the list"):
+            conjugacy_classes(unis[1:], group.kept, 3)
 
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))
@@ -318,24 +382,105 @@ class TestCounting:
         assert rep["count"] == 0
 
     def test_per_flag_constant_on_orbit(self):
-        # flags form one orbit in type A, so per-flag subtotals agree
+        # flags form one orbit in type A, so the reference loop finds one
+        # subtotal on every flag, and the one flag tested carries it
         space = FiniteFormSpace(TYPE_A, 2, 3)
-        rep = count_pairs(space, Counter({2: 1}))
-        assert len(set(rep["per_flag"])) == 1
+        ref = pair_loop(space, Counter({2: 1}))
+        assert set(ref["per_flag"]) == {6}
+        assert count_pairs(space, Counter({2: 1}))["per_flag"] == [6]
+
+    @pytest.mark.parametrize("shape", [None, ShapeSeq((2,))],
+                             ids=["missing", "nu-mismatch"])
+    def test_count_pairs_rejects_bad_shape(self, shape):
+        # a raise, not an assert, so the check survives python -O
+        with pytest.raises(InvalidInput, match="needs a shape with nu = 2"):
+            count_pairs(FiniteFormSpace(SP, 2, 3), Counter({2: 1}),
+                        shape=shape)
 
     def test_flag_outside_orbit_breaks_double_count(self):
         # in SO3(F3) every complete isotropic flag starts with an isotropic
         # line; a flag on the anisotropic line of e_1 lies outside the
-        # G-orbit and need not meet the same number of unipotents
+        # G-orbit, so the rows over all five flags no longer meet the
+        # column on the first
         space = FiniteFormSpace(SO_ODD, 3, 3)
         shape = ShapeSeq((1,), kappa=1)
         gamma = jordan_prediction(shape, ORTHOGONAL)
         flags = enumerate_isotropic_flags(space)
         rep = count_pairs(space, gamma, shape=shape, flags=flags)
         assert rep["double_count_consistent"]
+        assert rep["count"] == rep["row_count"] == 24
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         assert space.bilinear(cols[0], cols[0]) != 0
         outside = flag_dict(cols, 3)
         rep = count_pairs(space, gamma, shape=shape, flags=flags + [outside])
-        assert rep["per_flag"][-1] != rep["per_flag"][0]
+        # column: 5 flags x 6 hits on flags[0]; rows: the class of 8 has
+        # per_g 5 x 6 / 8, not an integer, and its representative meets
+        # 3 isotropic flags and the outside one
+        assert rep["per_flag"] == [6] and rep["count"] == 30
+        assert rep["class_sizes"] == [8] and rep["row_count"] == 8 * 4
         assert not rep["double_count_consistent"]
+        # with four copies the quotient 8 x 6 / 8 = 6 is an integer, and
+        # the row 3 + 4 still disagrees with it
+        rep = count_pairs(space, gamma, shape=shape,
+                          flags=flags + [outside] * 4)
+        assert rep["per_g"] == [6] * 8 and rep["count"] == 48
+        assert rep["row_count"] == 8 * 7
+        assert not rep["double_count_consistent"]
+
+    def test_each_row_check_fails_alone(self):
+        # Sp2(F3) has two classes of 4 regular unipotents, each meeting 3
+        # of the 4 flags; the first representative misses flags[2], the
+        # second flags[3]
+        space = FiniteFormSpace(SP, 2, 3)
+        flags = enumerate_isotropic_flags(space)
+
+        def rep_on(picks):
+            return count_pairs(space, Counter({2: 1}), shape=ShapeSeq((1,)),
+                               flags=[flags[i] for i in picks])
+
+        # doubling flags[2] and dropping flags[3] puts the rows at 2 and 4
+        # where the quotients are 4 x 3 / 4 = 3, while the sum
+        # 4 x 2 + 4 x 4 still equals the count
+        rep = rep_on((0, 2, 2, 1))
+        assert rep["class_sizes"] == [4, 4] and rep["per_g"] == [3] * 8
+        assert rep["count"] == rep["row_count"] == 24
+        assert not rep["double_count_consistent"]
+        # on flags[2] and flags[3] the quotients 2 x 3 / 4 are no integers:
+        # both rows sit on their rounded-down per_g 1, and only the sum
+        # 4 x 1 + 4 x 1 falls short of the count 2 x 6
+        rep = rep_on((2, 3))
+        assert rep["per_g"] == [1] * 8
+        assert rep["count"] == 12 and rep["row_count"] == 8
+        assert not rep["double_count_consistent"]
+
+
+GAMMAS_OF_4 = [Counter({4: 1}), Counter({3: 1, 1: 1}), Counter({2: 2}),
+               Counter({2: 1, 1: 2}), Counter({1: 4})]
+
+
+@pytest.mark.parametrize("mode, nu, q, shape, gamma", [
+    (TYPE_A, 3, 3, None, Counter({3: 1})),
+    (TYPE_A, 2, 5, None, Counter({2: 1})),
+    (SP, 2, 7, ShapeSeq((1,)), Counter({2: 1})),
+    (SO_ODD, 3, 7, ShapeSeq((1,), kappa=1), Counter({3: 1})),
+    *[(SO_EVEN, 4, 3, shape, gamma)
+      for shape in (ShapeSeq((2,)), ShapeSeq((1, 1)))
+      for gamma in GAMMAS_OF_4],
+    (SP, 4, 3, ShapeSeq((1, 1)), Counter({2: 2})),
+])
+def test_one_flag_count_matches_pair_loop(mode, nu, q, shape, gamma):
+    space = FiniteFormSpace(mode, nu, q)
+    ref = pair_loop(space, gamma, shape)
+    assert unipotents_of_type(enumerate_group_cached(space), gamma) == \
+        ref["unis"]
+    rep = count_pairs(space, gamma, shape=shape)
+    assert rep["count"] == ref["count"] and rep["per_g"] == ref["per_g"]
+    assert rep["per_flag"] == ref["per_flag"][:1]
+    assert rep["double_count_consistent"]
+    assert sum(rep["class_sizes"]) == rep["unipotent_count"]
+    if mode == SP and nu == 4:
+        # type (2, 2) falls into two classes of different sizes, so per_g
+        # is not constant and the class split decides it
+        assert rep["class_sizes"] == [240, 480]
+        assert sorted(set(rep["per_g"])) == [54, 108]
+        assert rep["count"] == 51840
