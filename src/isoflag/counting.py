@@ -7,8 +7,9 @@ matches either the classical dimension conditions of the shape or, in
 type A, a fixed Coxeter cycle.
 
 All arithmetic here is dense modular arithmetic on plain integer tuples,
-independent of the exact-field layer, for the speed the group closure and
-the position tests need.  Only prime q is supported.
+without field elements, for the speed the group closure and the position
+tests need; elimination is ``linalg.echelon_mod``, the one GF(p) pivot
+loop.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
+from .linalg import echelon_mod
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
                      jordan_from_ranks, position_dims_ok)
 
@@ -62,34 +64,6 @@ def mat_mul(a, b, p: int) -> tuple:
 
 def mat_vec(a, v, p: int) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
-
-
-def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form over GF(p) of the first ``ncols`` columns.
-
-    Pivots on the first nonzero entry top-down, column by column, and
-    stops once every row has a pivot; later columns (an augmented block)
-    are carried along.  Returns the rows and the pivot columns: row i has
-    a 1 at pivots[i] and zeros in every other pivot column.
-    """
-    work = [[x % p for x in r] for r in rows]
-    pivots: List[int] = []
-    for c in range(ncols):
-        pr = len(pivots)
-        if pr == len(work):
-            break
-        sel = next((i for i in range(pr, len(work)) if work[i][c]), None)
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = pow(work[pr][c], p - 2, p)
-        work[pr] = [x * inv % p for x in work[pr]]
-        for i, row in enumerate(work):
-            if i != pr and row[c]:
-                f = row[c]
-                work[i] = [(x - f * y) % p for x, y in zip(row, work[pr])]
-        pivots.append(c)
-    return work, pivots
 
 
 def mat_inv(a, p: int) -> tuple:

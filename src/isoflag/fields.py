@@ -128,6 +128,12 @@ class TowerField:
         h = 1 << (d - 1)
         a1, a2 = a[:h], a[h:]
         b1, b2 = b[:h], b[h:]
+        # a zero sqrt half drops the a2*b2*r term and one cross term
+        if not any(a2):
+            hi = a2 if not any(b2) else self._mul(d - 1, a1, b2)
+            return self._mul(d - 1, a1, b1) + hi
+        if not any(b2):
+            return self._mul(d - 1, a1, b1) + self._mul(d - 1, a2, b1)
         r = self.radicands[d - 1]
         lo = _vadd(self._mul(d - 1, a1, b1), self._mul(d - 1, self._mul(d - 1, a2, b2), r))
         hi = _vadd(self._mul(d - 1, a1, b2), self._mul(d - 1, a2, b1))
@@ -367,25 +373,35 @@ class FiniteField:
         if self.p == 2:
             # Frobenius inverse: squaring is bijective, the root is a^(q/2).
             return elem ** (2 ** (self.m - 1)) if self.m > 1 else elem
-        euler = elem ** ((self.q - 1) // 2)
-        if euler != self.one:
+        one = self.one
+        if elem ** ((self.q - 1) // 2) != one:
             return None
-        if self.q % 4 == 3:
-            root = elem ** ((self.q + 1) // 4)
-        else:
-            root = None
-            if self.q > FINITE_SCAN_CAP:
-                raise FiniteScanCapExceeded(f"sqrt scan in {self!r} exceeds cap")
-            for enc in range(1, self.q):
-                cand = FieldElement(self, self.decode(enc))
-                if cand * cand == elem:
-                    root = cand
-                    break
-            assert root is not None
+        # Tonelli-Shanks with q - 1 = 2^s t, t odd; for q = 3 mod 4 (s = 1)
+        # the loop never runs and the root is elem^((q+1)/4).
+        s, t = 0, self.q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        root, b = elem ** ((t + 1) // 2), elem ** t
+        if b != one:
+            c = self._least_nonresidue() ** t
+            while b != one:
+                i, b2 = 0, b
+                while b2 != one:
+                    i, b2 = i + 1, b2 * b2
+                g = c ** (1 << (s - i - 1))
+                root, c = root * g, g * g
+                b, s = b * c, i
         other = -root
         if self.encode(other.coords) < self.encode(root.coords):
             root = other
         return root
+
+    def _least_nonresidue(self) -> "FieldElement":
+        """The non-square of least encoding (q odd)."""
+        half = (self.q - 1) // 2
+        return next(z for z in (FieldElement(self, self.decode(enc))
+                                for enc in range(2, self.q))
+                    if z ** half != self.one)
 
     def to_json(self):
         return {
@@ -413,11 +429,11 @@ class FieldElement:
     # -- coercion -----------------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self, self.field.from_int(other)
         if not isinstance(other, FieldElement):
+            if isinstance(other, (int, Fraction)):
+                return self, self.field.from_int(other)
             return NotImplemented
-        if self.field == other.field:
+        if other.field is self.field or self.field == other.field:
             return self, other
         if self.field.extends(other.field):
             return self, self.field.lift(other)
@@ -434,7 +450,11 @@ class FieldElement:
         a, b = pair
         f = a.field
         if f.is_finite:
+            if f.m == 1:
+                return FieldElement(f, ((a.coords[0] + b.coords[0]) % f.p,))
             return FieldElement(f, tuple((x + y) % f.p for x, y in zip(a.coords, b.coords)))
+        if not f.depth:
+            return FieldElement(f, (a.coords[0] + b.coords[0],))
         return FieldElement(f, _vadd(a.coords, b.coords))
 
     __radd__ = __add__
@@ -462,7 +482,11 @@ class FieldElement:
         a, b = pair
         f = a.field
         if f.is_finite:
+            if f.m == 1:
+                return FieldElement(f, (a.coords[0] * b.coords[0] % f.p,))
             return FieldElement(f, _poly_mulmod(a.coords, b.coords, f.modulus, f.p))
+        if not f.depth:
+            return FieldElement(f, (a.coords[0] * b.coords[0],))
         return FieldElement(f, f._mul(f.depth, a.coords, b.coords))
 
     __rmul__ = __mul__
@@ -472,6 +496,8 @@ class FieldElement:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         if f.is_finite:
+            if f.m == 1:
+                return FieldElement(f, (pow(self.coords[0], f.p - 2, f.p),))
             # Lagrange: a^(q-2)
             return self ** (f.q - 2)
         return FieldElement(f, f._inv(f.depth, self.coords))
@@ -502,7 +528,7 @@ class FieldElement:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         try:

@@ -2,15 +2,32 @@
 
 Elimination is fraction-free only in the sense of being exact; pivoting always
 picks the first nonzero entry top-down, so every result is deterministic.
+
+Products, ``apply`` and elimination run on raw coordinates whenever every
+entry is a FieldElement of the matrix's own field.  A matrix unwraps its
+entries once, on first use, and keeps them (matrices are immutable); each
+operation runs one loop for the field's kind and wraps its results once.
+
+* GF(p): plain ints, one ``% p`` per dot product; elimination is
+  :func:`echelon_mod`, the one modular pivot loop, also used by counting;
+* Q: ``Fraction`` values, skipping zero terms;
+* deeper towers and GF(p^m): coordinate tuples multiplied by
+  ``TowerField._mul`` or ``_poly_mulmod``, skipping zero terms.
+
+Mixed-field entries and non-FieldElement operands take the generic loop on
+FieldElement operators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List
+from fractions import Fraction
+from functools import partial, reduce
+from operator import add, mul
+from typing import List, Tuple
 
-from .fields import FieldElement
+from .fields import FieldElement, _poly_mulmod, _vadd, _vneg, _vsub
 from .shapes import jordan_from_ranks
 
 
@@ -18,18 +35,161 @@ class NotNilpotent(Exception):
     pass
 
 
+# -- the one modular elimination kernel ---------------------------------------
+
+def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form over GF(p) of the first ``ncols`` columns.
+
+    Pivots on the first nonzero entry top-down, column by column, and
+    stops once every row has a pivot; later columns (an augmented block)
+    are carried along.  Returns the rows and the pivot columns: row i has
+    a 1 at pivots[i] and zeros in every other pivot column.
+    """
+    work = [[x % p for x in r] for r in rows]
+    pivots: List[int] = []
+    for c in range(ncols):
+        pr = len(pivots)
+        if pr == len(work):
+            break
+        sel = next((i for i in range(pr, len(work)) if work[i][c]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = pow(work[pr][c], p - 2, p)
+        work[pr] = [x * inv % p for x in work[pr]]
+        for i, row in enumerate(work):
+            if i != pr and row[c]:
+                f = row[c]
+                work[i] = [(x - f * y) % p for x, y in zip(row, work[pr])]
+        pivots.append(c)
+    return work, pivots
+
+
+# -- per-field scalar kernels -------------------------------------------------
+
+class _ModKernel:
+    """GF(p): a raw scalar is its int in [0, p)."""
+
+    def __init__(self, field):
+        self.field, self.p = field, field.p
+
+    def unwrap(self, rows):
+        return [[x.coords[0] for x in r] for r in rows]
+
+    def dot(self, a, b):
+        return sum(map(mul, a, b)) % self.p
+
+    def wrap(self, v):
+        return FieldElement(self.field, (v,))
+
+    def echelon(self, rows, ncols):
+        return echelon_mod(rows, self.p, ncols)
+
+
+class _CoordKernel:
+    """Any other field: a raw scalar is None for zero, else its Fraction (Q)
+    or its coordinate tuple.  ``mul`` and ``inv`` take nonzero scalars;
+    ``sub(a, b)`` takes a nonzero b and returns None for zero."""
+
+    def __init__(self, field):
+        self.field = field
+        self.scalar = not field.is_finite and not field.depth
+        if self.scalar:
+            self.zero = Fraction(0)
+            self.mul, self.add = mul, add
+            self.sub = lambda a, b: -b if a is None else (a - b) or None
+            self.inv = lambda a: 1 / a
+            return
+        zero = self.zero = field.zero.coords
+        if field.is_finite:
+            p = field.p
+            self.mul = partial(_poly_mulmod, modulus=field.modulus, p=p)
+            self.add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
+            self.inv = lambda a: FieldElement(field, a).inverse().coords
+
+            def sub_(a, b):
+                d = tuple((x - y) % p for x, y in zip(a or zero, b))
+                return d if any(d) else None
+        else:
+            self.mul = partial(field._mul, field.depth)
+            self.add = _vadd
+            self.inv = partial(field._inv, field.depth)
+
+            def sub_(a, b):
+                d = _vneg(b) if a is None else _vsub(a, b)
+                return d if any(d) else None
+        self.sub = sub_
+
+    def unwrap(self, rows):
+        if self.scalar:
+            return [[x.coords[0] or None for x in r] for r in rows]
+        return [[x.coords if any(x.coords) else None for x in r]
+                for r in rows]
+
+    def dot(self, a, b):
+        mul_ = self.mul
+        terms = [mul_(x, y) for x, y in zip(a, b)
+                 if x is not None and y is not None]
+        return reduce(self.add, terms) if terms else None
+
+    def wrap(self, v):
+        if v is None:
+            v = self.zero
+        return FieldElement(self.field, (v,) if self.scalar else v)
+
+    def echelon(self, rows, ncols):
+        """The pivot loop of ``echelon_mod`` on raw scalars."""
+        mul_, sub_, inv = self.mul, self.sub, self.inv
+        rows = [list(r) for r in rows]
+        pivots: List[int] = []
+        for c in range(ncols):
+            pr = len(pivots)
+            if pr == len(rows):
+                break
+            sel = next((i for i in range(pr, len(rows))
+                        if rows[i][c] is not None), None)
+            if sel is None:
+                continue
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            s = inv(rows[pr][c])
+            prow = rows[pr] = [x if x is None else mul_(x, s)
+                               for x in rows[pr]]
+            support = [j for j, y in enumerate(prow) if y is not None]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if i != pr and f is not None:
+                    for j in support:
+                        row[j] = sub_(row[j], mul_(f, prow[j]))
+            pivots.append(c)
+        return rows, pivots
+
+
+def _kernel(field):
+    if field.is_finite and field.m == 1:
+        return _ModKernel(field)
+    return _CoordKernel(field)
+
+
+def _all_of(field, rows) -> bool:
+    """Whether every entry of ``rows`` is a FieldElement of ``field`` itself."""
+    try:
+        return all(x.field is field for r in rows for x in r)
+    except AttributeError:
+        return False
+
+
 class Matrix:
     """Immutable exact matrix; entries are FieldElement sharing one field."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_unwrapped")
 
     def __init__(self, field, rows):
         self.field = field
         self.rows = tuple(tuple(rows_i) for rows_i in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            assert len(r) == self.ncols, "ragged rows"
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged rows")
 
     @classmethod
     def identity(cls, field, n):
@@ -54,33 +214,65 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
+    def _same_shape(self, other, op):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"{op} of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
+
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other, "sum")
         return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other, "difference")
         return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
                                    for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return Matrix(self.field, [[-a for a in r] for r in self.rows])
 
+    def _raw(self):
+        """(kernel, raw rows), unwrapped on first use, or None when an entry
+        is not a FieldElement of ``self.field``."""
+        try:
+            return self._unwrapped
+        except AttributeError:
+            self._unwrapped = None
+            if _all_of(self.field, self.rows):
+                k = _kernel(self.field)
+                self._unwrapped = (k, k.unwrap(self.rows))
+            return self._unwrapped
+
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.ncols == other.nrows
+        if not isinstance(other, Matrix):
+            return Matrix(self.field, [[a * other for a in r] for r in self.rows])
+        if self.ncols != other.nrows:
+            raise ValueError(f"product of a {self.nrows}x{self.ncols} and a "
+                             f"{other.nrows}x{other.ncols} matrix")
+        f = self.field
+        a, b = self._raw(), other._raw()
+        if a is None or b is None or other.field is not f:
             cols = list(zip(*other.rows))
-            return Matrix(self.field,
-                          [[_dot(r, c, self.field) for c in cols] for r in self.rows])
-        return Matrix(self.field, [[a * other for a in r] for r in self.rows])
+            return Matrix(f, [[_generic_dot(r, c, f) for c in cols]
+                              for r in self.rows])
+        (k, ra), rb = a, b[1]
+        dot, wrap = k.dot, k.wrap
+        cols = list(zip(*rb))
+        return Matrix(f, [[wrap(dot(r, c)) for c in cols] for r in ra])
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of FieldElement."""
-        return tuple(_dot(r, vec, self.field) for r in self.rows)
+        raw = self._raw()
+        if raw is None or not _all_of(self.field, (vec,)):
+            return tuple(_generic_dot(r, vec, self.field) for r in self.rows)
+        k, ra = raw
+        dot, wrap = k.dot, k.wrap
+        (v,) = k.unwrap((vec,))
+        return tuple(wrap(dot(r, v)) for r in ra)
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -90,7 +282,8 @@ class Matrix:
         return all(x.is_zero for r in self.rows for x in r)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows
+        if self.nrows != other.nrows:
+            raise ValueError(f"hstack of {self.nrows} and {other.nrows} rows")
         return Matrix(self.field, [list(a) + list(b) for a, b in zip(self.rows, other.rows)])
 
     def submatrix(self, row_lo, row_hi, col_lo, col_hi) -> "Matrix":
@@ -99,7 +292,16 @@ class Matrix:
     # -- elimination --------------------------------------------------------
 
     def _echelon(self):
-        """Row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (rows, pivot column list)."""
+        raw = self._raw()
+        if raw is None:
+            return self._generic_echelon()
+        k, rows = raw
+        rows, pivots = k.echelon(rows, self.ncols)
+        wrap = k.wrap
+        return [[wrap(x) for x in r] for r in rows], pivots
+
+    def _generic_echelon(self):
         rows = [list(r) for r in self.rows]
         pivots = []
         pr = 0
@@ -143,7 +345,8 @@ class Matrix:
         return basis
 
     def inverse(self) -> "Matrix":
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(f"inverse of a {self.nrows}x{self.ncols} matrix")
         aug = self.hstack(Matrix.identity(self.field, self.nrows))
         rows, pivots = aug._echelon()
         if pivots != list(range(self.nrows)):
@@ -154,7 +357,17 @@ class Matrix:
         return [[x.to_json() for x in r] for r in self.rows]
 
 
-def _dot(a, b, field):
+def dot(a, b, field) -> FieldElement:
+    """sum a_i b_i for sequences of FieldElement, in ``field`` or an
+    extension of it."""
+    if not _all_of(field, (a, b)):
+        return _generic_dot(a, b, field)
+    k = _kernel(field)
+    ra, rb = k.unwrap((a, b))
+    return k.wrap(k.dot(ra, rb))
+
+
+def _generic_dot(a, b, field):
     acc = field.zero
     for x, y in zip(a, b):
         if not (x.is_zero or (isinstance(y, FieldElement) and y.is_zero)):
@@ -201,7 +414,8 @@ def solve_linear(a: Matrix, b):
 
 def nilpotent_jordan_multiset(n: Matrix) -> Counter:
     """Jordan block sizes of a nilpotent matrix, as a Counter {size: count}."""
-    assert n.nrows == n.ncols
+    if n.nrows != n.ncols:
+        raise ValueError(f"Jordan type of a {n.nrows}x{n.ncols} matrix")
     dim = n.nrows
     ranks = [dim]
     power = Matrix.identity(n.field, dim)

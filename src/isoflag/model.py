@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldElement
 from .gram import GramTable
-from .linalg import (Affine, Matrix, NoSolution, Unique,
+from .linalg import (Affine, Matrix, NoSolution, Unique, dot,
                      nilpotent_jordan_multiset, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                      VerificationFailed, jordan_prediction, position_dims_ok,
@@ -51,12 +51,7 @@ class QuadSpace:
         self.q_basis = q_basis
 
     def bilinear(self, u, v) -> FieldElement:
-        acc = self.field.zero
-        gv = self.gram.apply(v)
-        for x, y in zip(u, gv):
-            if not (x.is_zero or y.is_zero):
-                acc = acc + x * y
-        return acc
+        return dot(u, self.gram.apply(v), self.field)
 
     def quad(self, v) -> FieldElement:
         assert self.q_basis is not None, "no quadratic form on this space"

@@ -3,8 +3,38 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag.fields import (RATIONALS, FieldElement, get_finite_field,
-                            sqrt_extend)
+from isoflag.fields import (FINITE_SCAN_CAP, RATIONALS, FieldElement,
+                            get_finite_field, sqrt_extend)
+
+Q2 = RATIONALS.extend((Fraction(2),))
+Q23 = Q2.extend((Fraction(3), Fraction(0)))
+
+# coordinates of Q(sqrt2, sqrt3) on 1, sqrt2, sqrt3, sqrt6; zero entries and
+# zero sqrt halves are common, for the zero-half branches of TowerField._mul
+small = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=5))
+pair = st.one_of(st.just((Fraction(0), Fraction(0))), st.tuples(small, small))
+depth2 = st.one_of(st.just((Fraction(0),) * 2), pair).flatmap(
+    lambda lo: st.one_of(st.just((Fraction(0),) * 2), pair).map(
+        lambda hi: Q23.element(lo + hi)))
+
+
+def q23_product(a, b):
+    """Schoolbook product on the basis e_i, i = bit 0 (sqrt2) + 2 bit 1
+    (sqrt3): e_i e_j = e_(i xor j) times 2 and 3 for each shared root."""
+    out = [Fraction(0)] * 4
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            both = i & j
+            out[i ^ j] += x * y * (2 if both & 1 else 1) * \
+                (3 if both & 2 else 1)
+    return Q23.element(out)
+
+
+def brute_sqrt(f, x):
+    """The square root of least encoding, by scanning the field."""
+    return next((r for r in (f.element(f.decode(n)) for n in range(f.q))
+                 if r * r == x), None)
 
 
 class TestRationalTower:
@@ -47,6 +77,24 @@ class TestRationalTower:
             assert (x / y) * y == x
 
 
+class TestDepthTwoTower:
+    @given(depth2, depth2, depth2)
+    @settings(max_examples=150, deadline=None)
+    def test_field_axioms(self, x, y, z):
+        assert x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert x * y == q23_product(x, y)
+        if not x.is_zero:
+            assert x * x.inverse() == Q23.one
+
+    def test_zero_halves(self):
+        s2 = Q23.element((0, 1, 0, 0))
+        s3 = Q23.element((0, 0, 1, 0))
+        assert s2 * s3 == Q23.element((0, 0, 0, 1))
+        assert s3 * s3 == Q23.from_int(3)
+        assert s2 * s2 == Q23.from_int(2)
+
+
 class TestFiniteFields:
     def test_sqrt_gf7(self):
         f = get_finite_field(7)
@@ -56,6 +104,28 @@ class TestFiniteFields:
         f = get_finite_field(7)
         r = f.sqrt_or_none(f.from_int(2))
         assert f.encode(r.coords) <= f.encode((-r).coords)
+
+    @pytest.mark.parametrize("p,m", [(5, 1), (13, 1), (17, 1), (3, 2),
+                                     (5, 2)])
+    def test_sqrt_matches_brute_force(self, p, m):
+        f = get_finite_field(p, m)
+        for n in range(f.q):
+            x = f.element(f.decode(n))
+            root, brute = f.sqrt_or_none(x), brute_sqrt(f, x)
+            if brute is None:
+                assert root is None
+            else:
+                assert root.coords == brute.coords
+
+    def test_sqrt_above_scan_cap(self):
+        p = 1000033  # prime, 1 mod 4 (p - 1 = 2^5 * 31251)
+        assert p > FINITE_SCAN_CAP and p % 4 == 1
+        f = get_finite_field(p)
+        root = f.sqrt_or_none(f.from_int(123456) ** 2)
+        assert root == f.from_int(123456)
+        nonsquare = next(k for k in range(2, p)
+                         if pow(k, (p - 1) // 2, p) == p - 1)
+        assert f.sqrt_or_none(f.from_int(nonsquare)) is None
 
     def test_char2_sqrt_never_extends(self):
         for f in (get_finite_field(2), get_finite_field(2, 2),

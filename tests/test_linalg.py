@@ -1,13 +1,25 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoflag.counting import mat_rank, nullspace_mod
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import (Affine, Matrix, NoSolution, NotNilpotent, Unique,
                             nilpotent_jordan_multiset, solve_linear)
 
 GF5 = get_finite_field(5)
+GF7 = get_finite_field(7)
+GF4 = get_finite_field(2, 2)
+Q2 = RATIONALS.extend((Fraction(2),))
+Q23 = Q2.extend((Fraction(3), Fraction(0)))
+KERNEL_FIELDS = {"GF5": GF5, "GF4": GF4, "Q": RATIONALS, "Q2": Q2,
+                 "Q23": Q23}
 
 
 def gf5_matrix(n, m):
@@ -15,6 +27,79 @@ def gf5_matrix(n, m):
         st.lists(st.integers(0, 4), min_size=m, max_size=m),
         min_size=n, max_size=n,
     ).map(lambda rows: Matrix.from_scalars(GF5, rows))
+
+
+def coords(field):
+    """Coordinates of ``field``, zero about half the time; tower halves
+    are zero as a whole just as often, so zero sqrt halves are common."""
+    if field.is_finite:
+        return st.one_of(st.just(0), st.integers(1, field.q - 1)).map(
+            field.decode)
+    small = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+
+    def level(dim):
+        if dim == 1:
+            return small.map(lambda c: (c,))
+        half = level(dim // 2)
+        zero = st.just((Fraction(0),) * (dim // 2))
+        return st.tuples(st.one_of(zero, half), st.one_of(zero, half)).map(
+            lambda lo_hi: lo_hi[0] + lo_hi[1])
+    return level(field.dim)
+
+
+def matrix(field, n, m):
+    entry = coords(field).map(field.element)
+    return st.lists(st.lists(entry, min_size=m, max_size=m),
+                    min_size=n, max_size=n).map(
+        lambda rows: Matrix(field, rows))
+
+
+# -- schoolbook reference on FieldElement operators ---------------------------
+
+def ref_dot(a, b, field):
+    acc = field.zero
+    for x, y in zip(a, b):
+        acc = acc + x * y
+    return acc
+
+
+def ref_mul(a, b):
+    return [[ref_dot(r, c, a.field) for c in zip(*b.rows)] for r in a.rows]
+
+
+def ref_rref(rows, field):
+    """Reduced row echelon form and pivot columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        pr = len(pivots)
+        sel = next((i for i in range(pr, len(rows)) if rows[i][c] != 0),
+                   None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = field.one / rows[pr][c]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def ref_nullspace(a):
+    rows, pivots = ref_rref(a.rows, a.field)
+    basis = []
+    for free in (j for j in range(a.ncols) if j not in pivots):
+        v = [a.field.zero] * a.ncols
+        v[free] = a.field.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free]
+        basis.append(tuple(v))
+    return basis
 
 
 class TestBasics:
@@ -123,3 +208,112 @@ class TestJordan:
             return
         assert nilpotent_jordan_multiset(p * n * p.inverse()) == \
             nilpotent_jordan_multiset(n)
+
+
+class TestKernelOracle:
+    """Every kernel path against the schoolbook reference above."""
+
+    @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_product_and_apply(self, data, name, n, k, m):
+        field = KERNEL_FIELDS[name]
+        a = data.draw(matrix(field, n, k))
+        b = data.draw(matrix(field, k, m))
+        product = a * b
+        assert [list(r) for r in product.rows] == ref_mul(a, b)
+        assert all(x.field is field for r in product.rows for x in r)
+        v = b.col(0)
+        assert list(a.apply(v)) == [ref_dot(r, v, field) for r in a.rows]
+
+    @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
+           st.integers(1, 4), st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_elimination(self, data, name, n, m):
+        field = KERNEL_FIELDS[name]
+        a = data.draw(matrix(field, n, m))
+        pivots = ref_rref(a.rows, field)[1]
+        assert a.rank() == len(pivots)
+        assert a.nullspace() == ref_nullspace(a)
+        b = data.draw(matrix(field, n, 1)).col(0)
+        sol = solve_linear(a, b)
+        aug_rows, aug_pivots = ref_rref(
+            [list(r) + [x] for r, x in zip(a.rows, b)], field)
+        if m in aug_pivots:
+            assert isinstance(sol, NoSolution)
+        else:
+            x0 = [field.zero] * m
+            for row, pc in zip(aug_rows, aug_pivots):
+                x0[pc] = row[m]
+            assert (sol.x if isinstance(sol, Unique) else sol.x0) == \
+                tuple(x0)
+            assert isinstance(sol, Unique) == (len(pivots) == m)
+        if n == m:
+            if len(pivots) < n:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+            else:
+                inv = a.inverse()
+                assert ref_mul(a, inv) == \
+                    [list(r) for r in Matrix.identity(field, n).rows]
+
+    def test_mixed_product_takes_generic_path(self):
+        # Q entries times a Q(sqrt2) matrix: the result lies in Q(sqrt2)
+        a = Matrix.from_scalars(RATIONALS, [[1, 2], [0, 3]])
+        s2 = Q2.element((0, 1))
+        b = Matrix(Q2, [[s2, Q2.one], [Q2.zero, s2]])
+        product = a * b
+        assert [list(r) for r in product.rows] == \
+            [[s2, Q2.one + 2 * s2], [Q2.zero, 3 * s2]]
+        assert product.rows[0][0].field == Q2
+        # a Q(sqrt2) matrix holding Q entries; apply to ints
+        mixed = Matrix(Q2, [[RATIONALS.one, s2], [s2, RATIONALS.zero]])
+        assert mixed * mixed == \
+            Matrix(Q2, [[Q2.from_int(3), s2], [s2, Q2.from_int(2)]])
+        assert mixed.apply((1, 1)) == (Q2.one + s2, s2)
+        assert mixed.rank() == 2
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, 6), min_size=m, max_size=m),
+        min_size=1, max_size=4)))
+    @settings(max_examples=80, deadline=None)
+    def test_gf7_agrees_with_counting(self, gf_rows):
+        a = Matrix.from_scalars(GF7, gf_rows)
+        assert a.rank() == mat_rank(gf_rows, 7)
+        assert [tuple(x.coords[0] for x in v) for v in a.nullspace()] == \
+            nullspace_mod(gf_rows, 7, a.ncols)
+
+
+class TestShapeErrors:
+    def test_shape_mismatches_raise(self):
+        a = Matrix.from_scalars(GF5, [[1, 2, 3], [4, 0, 1]])
+        with pytest.raises(ValueError):
+            a * a
+        with pytest.raises(ValueError):
+            a + a.transpose()
+        with pytest.raises(ValueError):
+            a - a.transpose()
+        with pytest.raises(ValueError):
+            a.hstack(a.transpose())
+        with pytest.raises(ValueError):
+            a.inverse()
+        with pytest.raises(ValueError):
+            nilpotent_jordan_multiset(a)
+        with pytest.raises(ValueError):
+            Matrix(GF5, [[GF5.one], [GF5.one, GF5.zero]])
+
+    def test_mismatched_product_raises_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("from isoflag.fields import RATIONALS\n"
+                "from isoflag.linalg import Matrix\n"
+                "a = Matrix.from_scalars(RATIONALS, [[1, 2, 3]])\n"
+                "try:\n"
+                "    a * a\n"
+                "except ValueError:\n"
+                "    print('ValueError')\n")
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "ValueError"
