@@ -1,9 +1,18 @@
-"""The experiment cases shared by the tests, the scripts and the CLI."""
+"""The experiment cases, shared by the tests and the CLI.
+
+The model sweep (``sweep_cases`` x ``fields_for``) is what ``isoflag
+sweep`` verifies and what acceptance criteria 3, 5 and 6 build; the
+counting cases are the ``isoflag count`` runs of criteria 7, 8 and 9.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple, Optional, Tuple
+
+from . import counting
 from .fields import get_finite_field
-from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, psi
+from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, jordan_prediction, psi
 
 
 def partitions_up_to(total):
@@ -56,3 +65,58 @@ def cuts_for(shape, mode):
         return list(range(1, shape.sigma + shape.kappa))
     ps = psi(shape)
     return [r for r in range(1, shape.sigma + 1) if ps[r - 1] == -1]
+
+
+class CountCase(NamedTuple):
+    """One ``isoflag count`` run.  Type A takes the matrix size ``n``, types
+    B and C a shape; ``gamma`` (Jordan block sizes) defaults to the
+    predicted Jordan type."""
+
+    group_type: str
+    q: int
+    n: Optional[int] = None
+    shape: Optional[ShapeSeq] = None
+    gamma: Optional[Tuple[int, ...]] = None
+
+    def report(self) -> dict:
+        """``counting.count_report`` for this case, with its type, q and
+        Jordan type added."""
+        if self.group_type == "A":
+            space = counting.FiniteFormSpace(counting.TYPE_A, self.n, self.q)
+            predicted, rank, shape = Counter({self.n: 1}), self.n - 1, None
+        else:
+            shape = self.shape
+            c = self.group_type == "C"
+            space = counting.FiniteFormSpace(
+                counting.SP if c else counting.SO_ODD, shape.nu, self.q)
+            predicted = jordan_prediction(shape,
+                                          SYMPLECTIC if c else ORTHOGONAL)
+            rank = shape.nu // 2
+        gamma = predicted if self.gamma is None else Counter(self.gamma)
+        report = counting.count_report(space, gamma, self.group_type, rank,
+                                       shape=shape,
+                                       expect_equal=gamma == predicted)
+        report["type"] = self.group_type
+        report["q"] = self.q
+        report["gamma"] = sorted(gamma.elements(), reverse=True)
+        return report
+
+
+#: Criterion 7: the regular unipotents of GL_n(F_q) against |PGL_n(F_q)|.
+TYPE_A_COUNTS = tuple(CountCase("A", q, n=n) for n, q in
+                      ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)))
+
+#: Criterion 8: the rank-2 types C and B at q = 3.
+BC_COUNTS = (
+    CountCase("C", 3, shape=ShapeSeq((2,))),
+    CountCase("C", 3, shape=ShapeSeq((1, 1))),
+    CountCase("B", 3, shape=ShapeSeq((2,), kappa=1)),
+)
+
+#: Criterion 9: Jordan types off the predicted class.
+OFF_CLASS_COUNTS = (
+    CountCase("A", 3, n=2, gamma=(1, 1)),
+    CountCase("C", 3, shape=ShapeSeq((2,)), gamma=(2, 2)),
+)
+
+COUNT_CASES = TYPE_A_COUNTS + BC_COUNTS + OFF_CLASS_COUNTS

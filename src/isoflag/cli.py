@@ -1,6 +1,6 @@
 """Batch command surface: reproducible JSON/CSV reports for all layers.
 
-Subcommands: psi, gram, build, verify, flags, count, conjecture210,
+Subcommands: psi, gram, build, verify, sweep, flags, count, conjecture210,
 identities.  Output is JSON by default (``--format csv`` for a flat
 projection) and always embeds a run manifest.  Exit codes: 0 success,
 1 a verification falsifier fired, 2 usage error, 3 resource bound hit.
@@ -17,7 +17,7 @@ import time
 from collections import Counter
 
 from . import __version__
-from .cases import cuts_for
+from .cases import CountCase, cuts_for, fields_for, sweep_cases
 from .fields import (FiniteScanCapExceeded, RATIONALS, TowerDepthExceeded,
                      get_finite_field)
 from .gram import GramTable, WindowExceeded, check_conjecture_210
@@ -26,7 +26,7 @@ from .model import (IsotropyViolation, VerificationFailed, build_T,
                     build_model, check_adapted, flags_from, position_check,
                     split_check)
 from .shapes import (MODES, ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
-                     jordan_prediction, psi, verify_series_identity)
+                     psi, verify_series_identity)
 from . import counting
 
 
@@ -141,10 +141,8 @@ def cmd_build(args):
     return out, (0 if ok else 1)
 
 
-def cmd_verify(args):
-    shape = _shape_from(args)
-    mode = _mode_from(args)
-    field = parse_field(args.field)
+def _verify(shape, mode, field):
+    """Build one model, run every check and an intertwiner: (result, ok)."""
     model, checks = _build_and_check(shape, mode, field)
     eps = {t: -1 if t % 2 else 1
            for t in range(1, shape.sigma + shape.kappa + 1)}
@@ -154,7 +152,24 @@ def cmd_verify(args):
         all(checks["split"].values())
     return {"shape": shape.to_json(), "mode": mode,
             "field": model.field.to_json(), "checks": checks,
-            "diagnostics": model.table.diagnostics}, (0 if ok else 1)
+            "diagnostics": model.table.diagnostics}, ok
+
+
+def cmd_verify(args):
+    result, ok = _verify(_shape_from(args), _mode_from(args),
+                         parse_field(args.field))
+    return result, (0 if ok else 1)
+
+
+def cmd_sweep(args):
+    total = _at_least(args, "total", 1, 5)
+    cases, all_ok = [], True
+    for shape, mode in sweep_cases(total):
+        for name, field in fields_for(mode, shape.kappa):
+            result, ok = _verify(shape, mode, field)
+            cases.append(dict(result, field_name=name))
+            all_ok = all_ok and ok
+    return {"models": len(cases), "cases": cases}, (0 if all_ok else 1)
 
 
 def cmd_flags(args):
@@ -173,33 +188,16 @@ def cmd_flags(args):
 def cmd_count(args):
     if args.group_type is None or args.q is None:
         raise UsageError("count needs --type and --q")
-    q = args.q
+    if args.group_type == "A" and args.n is None:
+        raise UsageError("type A needs --n (matrix size)")
+    gamma = None if args.gamma is None else \
+        tuple(parse_gamma(args.gamma).elements())
+    case = CountCase(args.group_type, args.q, n=args.n,
+                     shape=None if args.group_type == "A" else
+                     _shape_from(args), gamma=gamma)
     t0 = time.monotonic()
-    if args.group_type == "A":
-        if args.n is None:
-            raise UsageError("type A needs --n (matrix size)")
-        nu = args.n
-        space = counting.FiniteFormSpace(counting.TYPE_A, nu, q)
-        predicted = Counter({nu: 1})
-        gamma = parse_gamma(args.gamma) if args.gamma is not None \
-            else predicted
-        report = counting.count_report(space, gamma, "A", nu - 1,
-                                       expect_equal=gamma == predicted)
-    else:
-        shape = _shape_from(args)
-        mode = counting.SP if args.group_type == "C" else counting.SO_ODD
-        space = counting.FiniteFormSpace(mode, shape.nu, q)
-        pred_mode = SYMPLECTIC if args.group_type == "C" else ORTHOGONAL
-        predicted = jordan_prediction(shape, pred_mode)
-        gamma = parse_gamma(args.gamma) if args.gamma is not None \
-            else predicted
-        report = counting.count_report(space, gamma, args.group_type,
-                                       shape.nu // 2, shape=shape,
-                                       expect_equal=gamma == predicted)
+    report = case.report()
     report["runtime"] = round(time.monotonic() - t0, 3)
-    report["type"] = args.group_type
-    report["q"] = q
-    report["gamma"] = sorted(gamma.elements(), reverse=True)
     ok = report["relation_holds"] and report["double_count_consistent"]
     if not args.per_element:
         report.pop("per_g")
@@ -240,6 +238,7 @@ COMMANDS = {
     "gram": cmd_gram,
     "build": cmd_build,
     "verify": cmd_verify,
+    "sweep": cmd_sweep,
     "flags": cmd_flags,
     "count": cmd_count,
     "conjecture210": cmd_conjecture210,
@@ -265,13 +264,16 @@ def make_parser() -> argparse.ArgumentParser:
                        help="symplectic-or-char2 | orthogonal-odd")
     model.add_argument("--field", default="rat", help="rat | gf:p[,m]")
     group = {"psi": shape, "count": shape, "conjecture210": output,
-             "identities": output}
+             "identities": output, "sweep": output}
     sps = {name: sub.add_parser(name, parents=[group.get(name, model)])
            for name in COMMANDS}
     for name in ("gram", "identities"):
         sps[name].add_argument("--window", type=int)
     for name in ("conjecture210", "identities"):
         sps[name].add_argument("--kmax", type=int)
+    sps["sweep"].add_argument("--total", type=int,
+                              help="maximum part sum of the shapes "
+                              "(default 5)")
     count = sps["count"]
     count.add_argument("--type", dest="group_type", choices=("A", "B", "C"))
     count.add_argument("--n", type=int)

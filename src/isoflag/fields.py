@@ -334,6 +334,20 @@ class FiniteField:
             n //= self.p
         return tuple(digits)
 
+    def _inv(self, a) -> tuple:
+        """Inverse of the nonzero coordinate tuple ``a``: a^(q-2) (Lagrange),
+        by square-and-multiply on coordinates."""
+        if not any(a):
+            raise ZeroDivisionError("inverse of zero")
+        mod, p = self.modulus, self.p
+        result, e = (1,) + (0,) * (self.m - 1), self.q - 2
+        while e:
+            if e & 1:
+                result = _poly_mulmod(result, a, mod, p)
+            a = _poly_mulmod(a, a, mod, p)
+            e >>= 1
+        return result
+
     def _embedding_image(self, sub: "FiniteField") -> tuple:
         """Image of ``sub``'s generator under the canonical embedding."""
         key = (sub.p, sub.m)
@@ -498,8 +512,7 @@ class FieldElement:
         if f.is_finite:
             if f.m == 1:
                 return FieldElement(f, (pow(self.coords[0], f.p - 2, f.p),))
-            # Lagrange: a^(q-2)
-            return self ** (f.q - 2)
+            return FieldElement(f, f._inv(self.coords))
         return FieldElement(f, f._inv(f.depth, self.coords))
 
     def __truediv__(self, other):

@@ -30,7 +30,7 @@ from math import comb
 from typing import Dict, Optional, Tuple
 
 from .fields import FieldElement, RATIONALS, sqrt_extend
-from .linalg import Matrix, Unique, solve_linear
+from .linalg import Matrix, Unique, dot, solve_linear
 from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, InvalidInput,
                      ShapeSeq, binomial_nk, pi_window, psi)
 
@@ -487,13 +487,14 @@ class GramTable:
             self.diagnostics["sec28_singular"] = True
             c = {key: self.field.zero for key in idx}
         cv = [c[key] for key in idx]
-        nu = -sum((ci * gi for ci, gi in zip(cv, gmat.apply(cv))),
-                  self.field.zero)
+        nu = -dot(cv, gmat.apply(cv), self.field)
         self.aux[HALF_LEVEL] = {"c": c, "nu": nu}
         root, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
         nu = self.field.lift(nu) if newfield != nu.field else nu
         c = self.aux[HALF_LEVEL]["c"]
+        cv = [c[key] for key in idx]
+        f = self.field
         cx0 = root
         self.aux[HALF_LEVEL]["cx0"] = cx0
         if cx0.is_zero:
@@ -510,27 +511,20 @@ class GramTable:
             vals: Dict[int, FieldElement] = {}
             for d in range(-d_range, d_range + 1):
                 # d = i' - h for the pair (r', x)
-                acc = self._val(a, rp, 2 * p_a - d)
-                for (r, i) in idx:
-                    if not c[(r, i)].is_zero:
-                        acc = acc - c[(r, i)] * self._val(r, rp, i - d)
-                vals[d] = inv * acc
+                row = [self._val(r, rp, i - d) for (r, i) in idx]
+                vals[d] = inv * (self._val(a, rp, 2 * p_a - d)
+                                 - dot(cv, row, f))
             self._memo[(rp, x)] = _RangePair(-d_range, d_range, vals)
             self.case_map[(rp, x)] = "2.8"
         inv2 = inv * inv
         vals = {}
         for d in range(-d_range, d_range + 1):
-            acc = self._val(a, a, d)
-            for (r, i) in idx:
-                if c[(r, i)].is_zero:
-                    continue
-                acc = acc - c[(r, i)] * (self._val(r, a, i + d - 2 * p_a)
-                                         + self._val(r, a, i - d - 2 * p_a))
-                for (rp, ip) in idx:
-                    if not c[(rp, ip)].is_zero:
-                        acc = acc + c[(r, i)] * c[(rp, ip)] * \
-                            self._val(r, rp, i - ip + d)
-            vals[d] = inv2 * acc
+            cross = [self._val(r, a, i + d - 2 * p_a)
+                     + self._val(r, a, i - d - 2 * p_a) for (r, i) in idx]
+            square = Matrix(f, [[self._val(r, rp, i - ip + d)
+                                 for (rp, ip) in idx] for (r, i) in idx])
+            vals[d] = inv2 * (self._val(a, a, d) - dot(cv, cross, f)
+                              + dot(cv, square.apply(cv), f))
         self._memo[(x, x)] = _RangePair(-d_range, d_range, vals)
         self.case_map[(x, x)] = "2.8"
 

@@ -3,19 +3,17 @@
 Elimination is fraction-free only in the sense of being exact; pivoting always
 picks the first nonzero entry top-down, so every result is deterministic.
 
-Products, ``apply`` and elimination run on raw coordinates whenever every
-entry is a FieldElement of the matrix's own field.  A matrix unwraps its
-entries once, on first use, and keeps them (matrices are immutable); each
-operation runs one loop for the field's kind and wraps its results once.
+Every entry of a matrix is a FieldElement of the matrix's own field; a
+foreign entry or operand raises ``TypeError``.  Products, ``apply`` and
+elimination run on raw coordinates: a matrix unwraps its entries once, on
+first use, and keeps them (matrices are immutable); each operation runs one
+loop for the field's kind and wraps its results once.
 
 * GF(p): plain ints, one ``% p`` per dot product; elimination is
   :func:`echelon_mod`, the one modular pivot loop, also used by counting;
 * Q: ``Fraction`` values, skipping zero terms;
 * deeper towers and GF(p^m): coordinate tuples multiplied by
   ``TowerField._mul`` or ``_poly_mulmod``, skipping zero terms.
-
-Mixed-field entries and non-FieldElement operands take the generic loop on
-FieldElement operators.
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ class _CoordKernel:
             p = field.p
             self.mul = partial(_poly_mulmod, modulus=field.modulus, p=p)
             self.add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
-            self.inv = lambda a: FieldElement(field, a).inverse().coords
+            self.inv = field._inv
 
             def sub_(a, b):
                 d = tuple((x - y) % p for x, y in zip(a or zero, b))
@@ -170,12 +168,21 @@ def _kernel(field):
     return _CoordKernel(field)
 
 
-def _all_of(field, rows) -> bool:
-    """Whether every entry of ``rows`` is a FieldElement of ``field`` itself."""
+def _check_field(field, rows):
+    """Raise TypeError unless every entry of ``rows`` is an element of
+    ``field``."""
     try:
-        return all(x.field is field for r in rows for x in r)
+        if all(x.field is field for r in rows for x in r):
+            return
     except AttributeError:
-        return False
+        pass
+    for r in rows:
+        for x in r:
+            if not isinstance(x, FieldElement):
+                raise TypeError(f"{x!r} is not an element of {field!r}")
+            if x.field != field:
+                raise TypeError(f"an element of {x.field!r} where one of "
+                                f"{field!r} is expected")
 
 
 class Matrix:
@@ -233,15 +240,13 @@ class Matrix:
         return Matrix(self.field, [[-a for a in r] for r in self.rows])
 
     def _raw(self):
-        """(kernel, raw rows), unwrapped on first use, or None when an entry
-        is not a FieldElement of ``self.field``."""
+        """(kernel, raw rows), unwrapped on first use."""
         try:
             return self._unwrapped
         except AttributeError:
-            self._unwrapped = None
-            if _all_of(self.field, self.rows):
-                k = _kernel(self.field)
-                self._unwrapped = (k, k.unwrap(self.rows))
+            _check_field(self.field, self.rows)
+            k = _kernel(self.field)
+            self._unwrapped = (k, k.unwrap(self.rows))
             return self._unwrapped
 
     def __mul__(self, other):
@@ -251,12 +256,10 @@ class Matrix:
             raise ValueError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
         f = self.field
-        a, b = self._raw(), other._raw()
-        if a is None or b is None or other.field is not f:
-            cols = list(zip(*other.rows))
-            return Matrix(f, [[_generic_dot(r, c, f) for c in cols]
-                              for r in self.rows])
-        (k, ra), rb = a, b[1]
+        if other.field is not f and other.field != f:
+            raise TypeError(f"product of a matrix over {f!r} and one over "
+                            f"{other.field!r}")
+        (k, ra), rb = self._raw(), other._raw()[1]
         dot, wrap = k.dot, k.wrap
         cols = list(zip(*rb))
         return Matrix(f, [[wrap(dot(r, c)) for c in cols] for r in ra])
@@ -266,10 +269,8 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of FieldElement."""
-        raw = self._raw()
-        if raw is None or not _all_of(self.field, (vec,)):
-            return tuple(_generic_dot(r, vec, self.field) for r in self.rows)
-        k, ra = raw
+        k, ra = self._raw()
+        _check_field(self.field, (vec,))
         dot, wrap = k.dot, k.wrap
         (v,) = k.unwrap((vec,))
         return tuple(wrap(dot(r, v)) for r in ra)
@@ -293,38 +294,10 @@ class Matrix:
 
     def _echelon(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""
-        raw = self._raw()
-        if raw is None:
-            return self._generic_echelon()
-        k, rows = raw
+        k, rows = self._raw()
         rows, pivots = k.echelon(rows, self.ncols)
         wrap = k.wrap
         return [[wrap(x) for x in r] for r in rows], pivots
-
-    def _generic_echelon(self):
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            sel = None
-            for i in range(pr, len(rows)):
-                if not rows[i][pc].is_zero:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [x * inv for x in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and not rows[i][pc].is_zero:
-                    f = rows[i][pc]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
-                break
-        return rows, pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -358,21 +331,11 @@ class Matrix:
 
 
 def dot(a, b, field) -> FieldElement:
-    """sum a_i b_i for sequences of FieldElement, in ``field`` or an
-    extension of it."""
-    if not _all_of(field, (a, b)):
-        return _generic_dot(a, b, field)
+    """sum a_i b_i for sequences of FieldElement of ``field``."""
+    _check_field(field, (a, b))
     k = _kernel(field)
     ra, rb = k.unwrap((a, b))
     return k.wrap(k.dot(ra, rb))
-
-
-def _generic_dot(a, b, field):
-    acc = field.zero
-    for x, y in zip(a, b):
-        if not (x.is_zero or (isinstance(y, FieldElement) and y.is_zero)):
-            acc = acc + x * y
-    return acc
 
 
 # -- linear solving ---------------------------------------------------------

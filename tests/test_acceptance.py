@@ -5,20 +5,19 @@ criteria reuse the module-level group/flag caches, so the expensive
 enumerations run once per session.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from isoflag.cases import fields_for, partitions_up_to, sweep_cases
-from isoflag.counting import (SO_ODD, SP, TYPE_A, FiniteFormSpace,
-                              adjoint_order, count_pairs, count_report)
+from isoflag.cases import (BC_COUNTS, OFF_CLASS_COUNTS, TYPE_A_COUNTS,
+                           fields_for, partitions_up_to, sweep_cases)
+from isoflag.counting import adjoint_order
 from isoflag.fields import get_finite_field
 from isoflag.gram import (GramTable, check_conjecture_210, closed_form_value,
                           sg)
 from isoflag.model import build_T, flags_from, position_check
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, ShapeSeq,
-                            jordan_prediction, verify_series_identity)
+                            verify_series_identity)
 
 
 def announce(n: int, text: str):
@@ -130,9 +129,11 @@ def test_criterion_06_intertwiner(model_sweep, flag_sweep):
 
 
 def test_criterion_07_type_a_counts():
-    for n, q in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
-        space = FiniteFormSpace(TYPE_A, n, q)
-        rep = count_report(space, Counter({n: 1}), "A", n - 1)
+    assert [(c.n, c.q) for c in TYPE_A_COUNTS] == \
+        [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+    for case in TYPE_A_COUNTS:
+        n, q = case.n, case.q
+        rep = case.report()
         assert rep["double_count_consistent"]
         assert rep["count"] == adjoint_order("A", n - 1, q)
         if n == 2:
@@ -141,17 +142,13 @@ def test_criterion_07_type_a_counts():
 
 
 def test_criterion_08_type_bc_counts():
-    cases = [
-        ("C", SP, ShapeSeq((2,)), SYMPLECTIC),
-        ("C", SP, ShapeSeq((1, 1)), SYMPLECTIC),
-        ("B", SO_ODD, ShapeSeq((2,), kappa=1), ORTHOGONAL),
-    ]
+    assert [(c.group_type, c.q, c.shape, c.gamma) for c in BC_COUNTS] == [
+        ("C", 3, ShapeSeq((2,)), None), ("C", 3, ShapeSeq((1, 1)), None),
+        ("B", 3, ShapeSeq((2,), kappa=1), None)]
     counts, classes = [], []
-    for group_type, space_mode, shape, pred_mode in cases:
-        space = FiniteFormSpace(space_mode, shape.nu, 3)
-        gamma = jordan_prediction(shape, pred_mode)
-        rep = count_report(space, gamma, group_type, shape.nu // 2,
-                           shape=shape)
+    for case in BC_COUNTS:
+        group_type, shape = case.group_type, case.shape
+        rep = case.report()
         assert rep["double_count_consistent"]
         counts.append(rep["count"])
         classes.append(rep["class_sizes"])
@@ -175,12 +172,15 @@ def test_criterion_08_type_bc_counts():
 
 
 def test_criterion_09_off_class_divergence():
-    rep_a = count_pairs(FiniteFormSpace(TYPE_A, 2, 3), Counter({1: 2}))
+    case_a, case_c = OFF_CLASS_COUNTS
+    assert (case_a.group_type, case_a.n, case_a.q, case_a.gamma) == \
+        ("A", 2, 3, (1, 1))
+    assert (case_c.group_type, case_c.shape, case_c.q, case_c.gamma) == \
+        ("C", ShapeSeq((2,)), 3, (2, 2))
+    rep_a = case_a.report()
     assert rep_a["count"] == 0
 
-    shape = ShapeSeq((2,))
-    space = FiniteFormSpace(SP, shape.nu, 3)
-    rep_c = count_pairs(space, Counter({2: 2}), shape=shape)
+    rep_c = case_c.report()
     assert rep_c["double_count_consistent"]
     assert rep_c["count"] != adjoint_order("C", 2, 3)
     announce(9, f"off-class counts diverge: typeA 0, C2 {rep_c['count']} "

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from isoflag import counting
+from isoflag import cli, counting
+from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
 
@@ -158,6 +159,28 @@ class TestSubcommands:
         assert code == 1 and "verification failed" in err
         assert "8 unipotent elements, not the 9" in err
 
+    def test_sweep_covers_the_registry(self, capsys):
+        code, payload = run_json(capsys, "sweep", "--total", "2")
+        assert code == 0
+        res = payload["result"]
+        got = [(tuple(c["shape"]["parts"]), c["shape"]["kappa"], c["mode"],
+                c["field_name"]) for c in res["cases"]]
+        want = [(shape.parts, shape.kappa, mode, name)
+                for shape, mode in sweep_cases(2)
+                for name, _field in fields_for(mode, shape.kappa)]
+        assert got == want and res["models"] == len(want) == 40
+        assert all(c["checks"]["intertwiner"] for c in res["cases"])
+
+    def test_sweep_failed_split_exits_1(self, capsys, monkeypatch):
+        real = cli.split_check
+        monkeypatch.setattr(cli, "split_check", lambda model, cut:
+                            dict(real(model, cut), **{"pass": False}))
+        code, payload = run_json(capsys, "sweep", "--total", "2")
+        assert code == 1
+        failed = [c["shape"]["parts"] for c in payload["result"]["cases"]
+                  if not all(c["checks"]["split"].values())]
+        assert [1, 1] in failed
+
     def test_identities(self, capsys):
         code, payload = run_json(capsys, "identities", "--kmax", "4")
         assert code == 0
@@ -217,10 +240,12 @@ class TestExitCodes:
         (("identities", "--window", "-1"), "--window -1"),
         (("identities", "--kmax", "0", "--window", "0"), "--kmax 0"),
         (("conjecture210", "--kmax", "1"), "--kmax 1"),
+        (("sweep", "--total", "0"), "--total 0"),
     ], ids=["nonprime-q", "count-parity", "shape-mode", "orthogonal-char2",
             "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero",
             "n-negative", "degree-zero", "degree-negative", "gram-window",
-            "identities-window", "identities-kmax", "conjecture-kmax"])
+            "identities-window", "identities-kmax", "conjecture-kmax",
+            "sweep-total"])
     def test_bad_input_is_usage_error(self, capsys, argv, fragment):
         code, _out, err = run(capsys, *argv)
         assert code == 2 and "usage error" in err and fragment in err

@@ -257,21 +257,27 @@ class TestKernelOracle:
                 assert ref_mul(a, inv) == \
                     [list(r) for r in Matrix.identity(field, n).rows]
 
-    def test_mixed_product_takes_generic_path(self):
-        # Q entries times a Q(sqrt2) matrix: the result lies in Q(sqrt2)
-        a = Matrix.from_scalars(RATIONALS, [[1, 2], [0, 3]])
+    def test_foreign_field_raises(self):
         s2 = Q2.element((0, 1))
         b = Matrix(Q2, [[s2, Q2.one], [Q2.zero, s2]])
-        product = a * b
-        assert [list(r) for r in product.rows] == \
-            [[s2, Q2.one + 2 * s2], [Q2.zero, 3 * s2]]
-        assert product.rows[0][0].field == Q2
-        # a Q(sqrt2) matrix holding Q entries; apply to ints
+        # a product of matrices over Q and Q(sqrt2)
+        a = Matrix.from_scalars(RATIONALS, [[1, 2], [0, 3]])
+        with pytest.raises(TypeError, match="over TowerField"):
+            a * b
+        # a Q(sqrt2) matrix holding Q entries
         mixed = Matrix(Q2, [[RATIONALS.one, s2], [s2, RATIONALS.zero]])
-        assert mixed * mixed == \
-            Matrix(Q2, [[Q2.from_int(3), s2], [s2, Q2.from_int(2)]])
-        assert mixed.apply((1, 1)) == (Q2.one + s2, s2)
-        assert mixed.rank() == 2
+        with pytest.raises(TypeError, match="depth=0"):
+            mixed * mixed
+        with pytest.raises(TypeError, match="depth=0"):
+            mixed.rank()
+        # an operand that is no FieldElement
+        with pytest.raises(TypeError, match="1 is not an element"):
+            b.apply((1, 1))
+        # an equal field built separately is the same field
+        twin = RATIONALS.extend((Fraction(2),))
+        assert twin is not Q2
+        c = Matrix(twin, [[twin.one, twin.zero], [twin.zero, twin.one]])
+        assert b * c == b
 
     @given(st.integers(1, 4).flatmap(lambda m: st.lists(
         st.lists(st.integers(0, 6), min_size=m, max_size=m),

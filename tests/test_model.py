@@ -264,7 +264,7 @@ def span_split_check(model, cut):
     else:
         ps = psi(shape)
         sizes = [2 * shape.part(t) + ps[t - 1] for t in range(1, sigma + 1)]
-    if kappa:
+    if kappa and (mode == SYMPLECTIC or sigma % 2 == 0):
         sizes.append(1)
     report["jordan_low"] = dict(nilpotent_jordan_multiset(n_low)) \
         if n_low.nrows else {}
@@ -566,6 +566,36 @@ class TestComponentCheck:
         assert component_check(m, t, flag) is True
 
 
+def schoolbook_quad(space, v):
+    """Q(v) from Q on the basis and the Gram matrix, one term at a time."""
+    acc = space.field.zero
+    n = space.dim
+    for m in range(n):
+        if v[m].is_zero:
+            continue
+        acc = acc + v[m] * v[m] * space.q_basis[m]
+        for mp in range(m + 1, n):
+            if not v[mp].is_zero:
+                acc = acc + v[m] * v[mp] * space.gram.rows[m][mp]
+    return acc
+
+
+class TestQuadOracle:
+    def test_quad_matches_schoolbook(self, model_sweep):
+        fields = set()
+        for (parts, _k, _mode, name), m in model_sweep.items():
+            space = m.space
+            if sum(parts) > 3 or space.q_basis is None:
+                continue
+            f, nu = space.field, space.dim
+            dense = tuple(f.from_int(j + 1) for j in range(nu))
+            vecs = [m.g.col(j) for j in range(nu)] + [dense, m.g.apply(dense)]
+            for v in vecs:
+                assert space.quad(v) == schoolbook_quad(space, v)
+            fields.add(name)
+        assert fields == {"rat", "gf2", "gf3", "gf4", "gf5", "gf7"}
+
+
 class TestSplitCheck:
     def test_symplectic_two_blocks(self):
         m = build_model(ShapeSeq((2, 1)), SYMPLECTIC)
@@ -580,6 +610,17 @@ class TestSplitCheck:
         assert rep["pass"]
         assert rep["jordan_low"] == {5: 1, 1: 1}
         assert rep["jordan_high"] == {1: 1}
+
+    def test_orthogonal_marker_in_last_chain(self):
+        # sigma odd: the kappa row lies in block 3's chain of size 2 + 1
+        for parts, low in (((2, 2, 1), {5: 1, 3: 1}),
+                           ((3, 2, 1), {7: 1, 3: 1})):
+            for field in (None, get_finite_field(5)):
+                m = build_model(ShapeSeq(parts, kappa=1), ORTHOGONAL, field)
+                rep = split_check(m, 2)
+                assert rep["pass"]
+                assert rep["jordan_low"] == low
+                assert rep["jordan_high"] == {3: 1}
 
     def test_symplectic_per_block(self):
         m = build_model(ShapeSeq((2, 1), kappa=1), SYMPLECTIC,
