@@ -6,10 +6,12 @@ given Jordan type, and counts the pairs (g, flag) whose relative position
 matches either the classical dimension conditions of the shape or, in
 type A, a fixed Coxeter cycle.
 
-All arithmetic here is dense modular arithmetic on plain integer tuples,
-without field elements, for the speed the group closure and the position
-tests need; elimination is ``linalg.echelon_mod``, the one GF(p) pivot
-loop.  Only prime q is supported.
+The hot loops -- the group closure, the Jordan-type filter and the pair
+loop -- run dense modular arithmetic on plain integer tuples, without
+field elements; elimination there is ``linalg.echelon_mod``, the one GF(p)
+pivot loop.  Flags follow the model's rule: each isotropic chain is lifted
+into the space's ``model.QuadSpace``, completed by ``model.complete_flag``
+and gated by ``IsoFlag.verify``.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from math import gcd, prod
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import echelon_mod
+from .fields import get_finite_field
+from .linalg import Matrix, echelon_mod
+from .model import IsoFlag, IsotropyViolation, QuadSpace, complete_flag
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
                      jordan_from_ranks, position_dims_ok)
 
@@ -39,17 +43,6 @@ class BoundExceeded(Exception):
     pass
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # -- dense modular linear algebra on int tuples ------------------------------
 
 def mat_identity(n: int) -> tuple:
@@ -60,10 +53,6 @@ def mat_mul(a, b, p: int) -> tuple:
     bt = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % p for col in bt])
                   for row in a])
-
-
-def mat_vec(a, v, p: int) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
 
 
 def mat_inv(a, p: int) -> tuple:
@@ -78,19 +67,6 @@ def mat_inv(a, p: int) -> tuple:
 
 def mat_rank(rows, p: int) -> int:
     return len(echelon_mod(rows, p, len(rows[0]) if rows else 0)[1])
-
-
-def nullspace_mod(rows, p: int, ncols: int) -> List[tuple]:
-    """Basis of the right kernel; the standard basis when rows is empty."""
-    work, pivots = echelon_mod(rows, p, ncols)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[free] = 1
-        for row, pc in zip(work, pivots):
-            v[pc] = -row[free] % p
-        basis.append(tuple(v))
-    return basis
 
 
 def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
@@ -112,29 +88,37 @@ def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
 
 class FiniteFormSpace:
     """GF(q)^nu with no form (type A), the split symplectic form, or the
-    split symmetric form (antidiagonal ones; Q(v) = (v, v)/2)."""
+    split symmetric form (antidiagonal ones; Q(v) = (v, v)/2).
+
+    ``form`` is the Gram matrix as int tuples, for the hot loops; ``quad``
+    is the same form as a ``model.QuadSpace`` over GF(q), for the flags.
+    Both are None in type A.
+    """
 
     def __init__(self, mode: str, nu: int, q: int):
         if mode not in (TYPE_A, SP, SO_ODD, SO_EVEN):
             raise InvalidInput(f"unknown space mode {mode!r}")
         if nu < 1:
             raise InvalidInput(f"nu = {nu} must be positive")
-        if not _is_prime(q):
-            raise InvalidInput(f"q = {q} must be prime")
+        for name, value in (("nu", nu), ("q", q)):
+            if value > MAX_NU_AND_Q:
+                raise BoundExceeded(f"{name} = {value} exceeds the "
+                                    f"tractability bound {MAX_NU_AND_Q}")
+        try:
+            field = get_finite_field(q)
+        except ValueError:
+            raise InvalidInput(f"q = {q} must be prime") from None
         if mode != TYPE_A and q == 2:
             raise InvalidInput("form-based counting needs odd q")
         if mode in (SP, SO_EVEN) and nu % 2:
             raise InvalidInput(f"{mode} needs even dimension, got nu = {nu}")
         if mode == SO_ODD and nu % 2 == 0:
             raise InvalidInput(f"{mode} needs odd dimension, got nu = {nu}")
-        for name, value in (("nu", nu), ("q", q)):
-            if value > MAX_NU_AND_Q:
-                raise BoundExceeded(f"{name} = {value} exceeds the "
-                                    f"tractability bound {MAX_NU_AND_Q}")
         self.mode = mode
         self.nu = nu
         self.q = q
         self.form: Optional[tuple] = None
+        self.quad: Optional[QuadSpace] = None
         if mode == SP:
             n = nu // 2
             self.form = tuple(
@@ -143,6 +127,11 @@ class FiniteFormSpace:
         elif mode in (SO_ODD, SO_EVEN):
             self.form = tuple(tuple(1 if i + j == nu - 1 else 0
                                     for j in range(nu)) for i in range(nu))
+        if self.form is not None:
+            gram = Matrix.from_scalars(field, self.form)
+            q_basis = None if mode == SP else tuple(
+                gram.rows[i][i] / 2 for i in range(nu))
+            self.quad = QuadSpace(field, mode, gram, q_basis)
 
     def bilinear(self, u, v) -> int:
         return sum(u[i] * sum(f * y for f, y in zip(self.form[i], v))
@@ -345,16 +334,17 @@ def _canonical_rep(v, echelon, p):
 def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     """Every complete flag whose lower half is isotropic.
 
-    Each flag is returned as {"basis": columns matrix, "inv": its inverse};
-    the span of the first i columns is V_i.  For type A all complete flags
-    are produced (depth nu); otherwise isotropic chains of depth n are
-    completed upward by perpendicularity, as model.flags_from does, and
-    the result passes check_isotropic_flags.
+    Each flag is returned as {"basis": columns matrix, "inv": its inverse,
+    "cols": the columns}; the span of the first i columns is V_i.  For type
+    A all complete flags are produced (depth nu).  Otherwise each isotropic
+    chain of depth n is lifted into ``space.quad`` and completed upward by
+    model.complete_flag, the rule model.flags_from uses, and the result
+    passes check_isotropic_flags.
     """
     nu, q = space.nu, space.q
     depth = nu if space.mode == TYPE_A else nu // 2
     all_vectors = _nonzero_vectors(nu, q)
-    flags: List[List[tuple]] = []
+    chains: List[List[tuple]] = []
 
     def candidates(chosen, echelon):
         seen = set()
@@ -374,7 +364,7 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
 
     def rec(chosen, echelon):
         if len(chosen) == depth:
-            flags.append(list(chosen))
+            chains.append(chosen)
             return
         for rep in candidates(chosen, echelon):
             piv = next(i for i, x in enumerate(rep) if x)
@@ -383,19 +373,13 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     rec([], [])
 
     out = []
-    for cols in flags:
-        for c in range(depth, nu):
-            # V_{c+1} = V_k-perp; its first vector outside V_c extends V_c
-            k = nu - 1 - c
-            perp = nullspace_mod([mat_vec(space.form, v, q)
-                                  for v in cols[:k]], q, nu)
-            v = next((v for v in perp
-                      if (space.bilinear(cols[k], v) if k < c
-                          else space.bilinear(v, v))), None)
-            if v is None:
-                raise VerificationFailed(
-                    f"V_{k} perp has no vector outside V_{c}")
-            cols.append(v)
+    for cols in chains:
+        if space.quad is not None:
+            lift = space.quad.field.from_int
+            flag = complete_flag(space.quad,
+                                 [tuple(map(lift, v)) for v in cols])
+            cols = [tuple(x.coords[0] for x in flag.basis.col(c))
+                    for c in range(nu)]
         basis = tuple(zip(*cols))
         out.append({"basis": basis, "inv": mat_inv(basis, q),
                     "cols": tuple(cols)})
@@ -406,24 +390,20 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
 def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
     """Raise VerificationFailed unless the flags pass two gates.
 
-    With B a flag basis and F the form, M = B^T F B must vanish for
-    a + c <= nu - 2 and be nonzero at (a, nu - 1 - a) for a < n, so that
-    V_n is isotropic and V_{nu-i} = V_i-perp.  For Sp and odd SO the
-    number of flags must be prod_{i=1..n} (q^{2i} - 1)/(q - 1).
+    Each flag basis, lifted into ``space.quad``, must pass IsoFlag.verify,
+    so that V_n is isotropic and V_{nu-i} = V_i-perp; the message names
+    the flag.  For Sp and odd SO the number of flags must be
+    prod_{i=1..n} (q^{2i} - 1)/(q - 1).  Type A has no form and no gate.
     """
-    if space.form is None:
+    if space.quad is None:
         return
-    nu, q, n = space.nu, space.q, space.nu // 2
+    q, n = space.q, space.nu // 2
     for fi, fl in enumerate(flags):
-        b = fl["basis"]
-        m = mat_mul(mat_mul(tuple(zip(*b)), space.form, q), b, q)
-        for a in range(nu):
-            for c in range(nu - a):
-                # zero above the antidiagonal, nonzero on it for a < n
-                if m[a][c] if a + c < nu - 1 else a < n and not m[a][c]:
-                    raise VerificationFailed(
-                        f"flag {fi}: (b_{a}, b_{c}) = {m[a][c]}, so "
-                        f"V_{a + 1} perp is not V_{nu - 1 - a}")
+        try:
+            IsoFlag(space.quad, Matrix.from_scalars(space.quad.field,
+                                                    fl["basis"])).verify()
+        except IsotropyViolation as exc:
+            raise IsotropyViolation(f"flag {fi}: {exc}") from None
     if space.mode in (SP, SO_ODD):
         want = prod((q ** (2 * i) - 1) // (q - 1) for i in range(1, n + 1))
         if len(flags) != want:

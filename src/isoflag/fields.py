@@ -561,6 +561,13 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({self.field!r}, {list(self.coords)})"
 
+    def __str__(self):
+        """The coordinate in a one-coordinate field (GF(p), Q), else the
+        coordinate list, e.g. ``1``, ``-1/2`` or ``[1, 2]``."""
+        if len(self.coords) == 1:
+            return str(self.coords[0])
+        return f"[{', '.join(map(str, self.coords))}]"
+
     def to_json(self):
         return [str(c) for c in self.coords]
 

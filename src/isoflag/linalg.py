@@ -26,11 +26,11 @@ from operator import add, mul
 from typing import List, Tuple
 
 from .fields import FieldElement, _poly_mulmod, _vadd, _vneg, _vsub
-from .shapes import jordan_from_ranks
+from .shapes import VerificationFailed, jordan_from_ranks
 
 
-class NotNilpotent(Exception):
-    pass
+class NotNilpotent(VerificationFailed):
+    """A matrix read as nilpotent whose powers never reach 0."""
 
 
 # -- the one modular elimination kernel ---------------------------------------

@@ -21,12 +21,12 @@ from .gram import GramTable
 from .linalg import (Affine, Matrix, NoSolution, Unique, dot,
                      nilpotent_jordan_multiset, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
-                     VerificationFailed, jordan_prediction, position_dims_ok,
-                     psi)
+                     VerificationFailed, block_jordan_sizes, jordan_prediction,
+                     position_dims_ok, psi)
 
 
-class IsotropyViolation(Exception):
-    pass
+class IsotropyViolation(VerificationFailed):
+    """A flag that is not an isotropic flag of its space."""
 
 
 #: Returned by normalize_signs when no sign vector exists.
@@ -390,22 +390,17 @@ def _span_contains(field, big, small) -> bool:
     return _span_dim(field, list(big) + list(small)) == base
 
 
-def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
-    """The flag pair (V_*, V'_* = g V_*) attached to the collection.
+def complete_flag(space: QuadSpace, cols) -> IsoFlag:
+    """The flag whose first columns are ``cols``, completed upward.
 
-    The adapted basis B starts with the collection vectors w^r_h, h in
-    [p_r, 2p_r - 1], block by block: they span the isotropic V_n.  Column
-    b_c, c = n..nu-1, is the first basis vector v of V_k-perp, k = nu-1-c,
-    outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle column of an
-    odd nu.  V' has basis g B, whose inverse B^-1 g^-1 reuses the model's
-    g^-1.  Both flags are fully verified.
+    ``cols`` spans V_c for some c; column b_c, c = len(cols)..nu-1, is the
+    first basis vector v of V_k-perp, k = nu-1-c, outside V_c: (b_k, v) != 0,
+    or Q(v) != 0 for the middle column of an odd nu.  When ``cols`` spans an
+    isotropic V_n this gives V_{nu-i} = V_i-perp.  The flag is not verified.
     """
-    shape, space = model.shape, model.space
     nu = space.dim
-    ext = model.extend_index
-    cols = [ext(r, h) for r in range(1, shape.sigma + 1)
-            for h in range(shape.part(r), 2 * shape.part(r))]
-    for c in range(shape.n, nu):
+    cols = list(cols)
+    for c in range(len(cols), nu):
         k = nu - 1 - c
         v = next((v for v in space.perp(cols[:k])
                   if not (space.bilinear(cols[k], v) if k < c
@@ -413,7 +408,22 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
         if v is None:
             raise IsotropyViolation(f"V_{k} perp has no vector outside V_{c}")
         cols.append(v)
-    flag = IsoFlag(space, Matrix(space.field, cols).transpose())
+    return IsoFlag(space, Matrix(space.field, cols).transpose())
+
+
+def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
+    """The flag pair (V_*, V'_* = g V_*) attached to the collection.
+
+    The adapted basis B starts with the collection vectors w^r_h, h in
+    [p_r, 2p_r - 1], block by block: they span the isotropic V_n, which
+    complete_flag completes.  V' has basis g B, whose inverse B^-1 g^-1
+    reuses the model's g^-1.  Both flags are fully verified.
+    """
+    shape = model.shape
+    ext = model.extend_index
+    flag = complete_flag(model.space,
+                         [ext(r, h) for r in range(1, shape.sigma + 1)
+                          for h in range(shape.part(r), 2 * shape.part(r))])
     flag.verify()
     flag_prime = flag.apply(model.g, model.g_inv)
     flag_prime.verify()
@@ -587,8 +597,10 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     The span W of blocks up to the cut and the span W' of the remaining
     blocks must be g-stable, mutually perpendicular with W' = W-perp, and
     their restricted Jordan multisets must match the per-block predicted
-    sizes.  In symplectic-or-char2 mode every single block is additionally
-    checked to be g-stable and orthogonal to every other block.
+    sizes of shapes.block_jordan_sizes.  The multisets are None, and do not
+    match, when W is not g-stable.  In symplectic-or-char2 mode every
+    single block is additionally checked to be g-stable and orthogonal to
+    every other block.
 
     Each block's columns are contiguous in w_cols, so with M = W^{-1} g W
     and H = W^T G W for W = w_cols, the blocks up to the cut are the first
@@ -614,24 +626,16 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     report["perp_complement"] = report["mutually_perpendicular"] and \
         h.submatrix(0, k, 0, k).rank() == k
 
-    if mode == SYMPLECTIC:
-        sizes = [2 * shape.part(t) for t in range(1, sigma + 1)]
-    else:
-        ps = psi(shape)
-        sizes = [2 * shape.part(t) + ps[t - 1] for t in range(1, sigma + 1)]
-    # as in jordan_prediction: for odd sigma the psi sizes 2p + psi already
-    # count the orthogonal kappa row, which has no block of its own
-    if kappa and (mode == SYMPLECTIC or sigma % 2 == 0):
-        sizes.append(1)
-    report["jordan_low"] = dict(nilpotent_jordan_multiset(
-        m.submatrix(0, k, 0, k) - Matrix.identity(f, k)))
-    report["jordan_high"] = dict(nilpotent_jordan_multiset(
-        m.submatrix(k, nu, k, nu) - Matrix.identity(f, nu - k)))
-    report["jordan_low_matches"] = \
-        report["jordan_low"] == dict(Counter(sizes[:cut]))
-    report["jordan_high_matches"] = \
-        report["jordan_high"] == dict(Counter(sizes[cut:]))
-
+    sizes = block_jordan_sizes(shape, mode)
+    for key, lo, hi, want in (("jordan_low", 0, k, sizes[:cut]),
+                              ("jordan_high", k, nu, sizes[cut:])):
+        # a g-stable block of the unipotent M is unipotent; an unstable
+        # one need not be, and gets no Jordan type
+        jordan = dict(nilpotent_jordan_multiset(
+            m.submatrix(lo, hi, lo, hi) - Matrix.identity(f, hi - lo))) \
+            if report["g_stable"] else None
+        report[key] = jordan
+        report[key + "_matches"] = jordan == dict(Counter(want))
     if mode == SYMPLECTIC:
         report["blocks_stable_orthogonal"] = \
             _block_diagonal(m, blocks) and _block_diagonal(h, blocks)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Marker object for the virtual level 1/2 present when kappa = 1.
 HALF_LEVEL = "half"
@@ -104,23 +104,28 @@ def psi(shape: ShapeSeq) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def jordan_prediction(shape: ShapeSeq, mode: str) -> Counter:
-    """Predicted Jordan block multiset of g - 1 for the given mode."""
+def block_jordan_sizes(shape: ShapeSeq, mode: str) -> List[int]:
+    """Jordan block sizes of g - 1, one per block in block order.
+
+    Block t has size 2p_t (symplectic) or 2p_t + psi(t) (orthogonal); the
+    kappa row adds a size-1 block, except in orthogonal mode with odd
+    sigma, where the psi sizes already count it.
+    """
     assert mode in MODES, f"unknown mode {mode}"
     assert shape.valid_for_mode(mode), \
         f"shape {shape.parts} kappa={shape.kappa} invalid for mode {mode}"
-    result: Counter = Counter()
     if mode == SYMPLECTIC:
-        for p in shape.parts:
-            result[2 * p] += 1
-        if shape.kappa:
-            result[1] += 1
+        sizes = [2 * p for p in shape.parts]
     else:
-        ps = psi(shape)
-        for p, s in zip(shape.parts, ps):
-            result[2 * p + s] += 1
-        if shape.kappa and shape.sigma % 2 == 0:
-            result[1] += 1
+        sizes = [2 * p + s for p, s in zip(shape.parts, psi(shape))]
+    if shape.kappa and (mode == SYMPLECTIC or shape.sigma % 2 == 0):
+        sizes.append(1)
+    return sizes
+
+
+def jordan_prediction(shape: ShapeSeq, mode: str) -> Counter:
+    """Predicted Jordan block multiset of g - 1 for the given mode."""
+    result = Counter(block_jordan_sizes(shape, mode))
     assert sum(s * c for s, c in result.items()) == shape.nu
     return result
 

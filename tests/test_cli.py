@@ -1,11 +1,14 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import isoflag
 from isoflag import cli, counting
 from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
@@ -280,6 +283,27 @@ class TestExitCodes:
                               "--shape", "4", "--q", "3")
         assert code == 3 and "resource bound" in err
         assert "nu = 8" in err and "bound 7" in err
+
+    def test_every_package_exception_has_an_exit_code(self, capsys,
+                                                      monkeypatch):
+        # an exception class of the package that main does not map would
+        # end a run with a traceback instead of exit 1, 2 or 3
+        classes = [obj for info in pkgutil.iter_modules(isoflag.__path__)
+                   for obj in vars(importlib.import_module(
+                       f"isoflag.{info.name}")).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__.startswith("isoflag.")]
+        assert {"NotNilpotent", "IsotropyViolation",
+                "BoundExceeded"} <= {c.__name__ for c in classes}
+
+        def raise_(cls):
+            raise cls("probe")
+
+        for cls in classes:
+            monkeypatch.setitem(cli.COMMANDS, "psi",
+                                lambda args, cls=cls: raise_(cls))
+            code, _out, err = run(capsys, "psi", "--shape", "1")
+            assert code in (1, 2, 3) and "probe" in err, cls
 
     def test_increasing_shape_rejected_without_asserts(self):
         # python -O strips assert statements; shape validation must not

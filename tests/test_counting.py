@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -12,9 +13,11 @@ from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
                               enumerate_isotropic_flags,
                               enumerate_isotropic_flags_cached,
                               group_order_formula, mat_identity, mat_inv,
-                              mat_mul, mat_rank, mat_vec, nullspace_mod,
+                              mat_mul, mat_rank,
                               unipotent_count_formula, unipotent_jordan_type,
                               unipotents_of_type)
+from isoflag.fields import get_finite_field
+from isoflag.linalg import Matrix
 from isoflag.shapes import (ORTHOGONAL, InvalidInput, ShapeSeq,
                             VerificationFailed, jordan_from_ranks,
                             jordan_prediction, position_dims_ok)
@@ -97,10 +100,11 @@ class TestModularLinalg:
     def test_rank_and_nullspace(self):
         rows = ((1, 2, 0), (2, 4, 0))
         assert mat_rank(rows, 5) == 1
-        ns = nullspace_mod(rows, 5, 3)
+        a = Matrix.from_scalars(get_finite_field(5), rows)
+        ns = a.nullspace()
         assert len(ns) == 2
         for v in ns:
-            assert all(x == 0 for x in mat_vec(rows, v, 5))
+            assert all(x.is_zero for x in a.apply(v))
 
     def test_jordan_type(self):
         g = ((1, 1), (0, 1))
@@ -153,8 +157,13 @@ class TestSpacesAndGroups:
             enumerate_group(FiniteFormSpace(TYPE_A, 5, 5))
 
     def test_prime_only(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="prime"):
             FiniteFormSpace(TYPE_A, 2, 4)
+
+    def test_bound_before_primality(self):
+        # a large q is refused by the bound before any trial division
+        with pytest.raises(BoundExceeded, match="bound 7"):
+            FiniteFormSpace(TYPE_A, 2, (10 ** 6 + 3) ** 2)
 
     @pytest.mark.parametrize("mode, nu", [(SP, 4), (SO_ODD, 3)])
     @pytest.mark.parametrize("tamper", ["extra", "conjugate"])
@@ -300,6 +309,26 @@ class TestFlags:
         swapped = flag_dict((cols[0], cols[2], cols[1]), 3)
         with pytest.raises(VerificationFailed, match=r"\(b_0, b_1\)"):
             check_isotropic_flags(space, [swapped])
+
+    @pytest.mark.parametrize("mode, nu, q, digest", [
+        (SP, 2, 7, "751ceba2792fa84e4e29762f38e6f5e2"
+                   "21416643d54115e197ebe93958070699"),
+        (SO_ODD, 3, 7, "9735e6557f04a260afb359b2e5e71be3"
+                       "cda684b94be93da5dba034422f3d810d"),
+        (SP, 4, 3, "eeddd8e8d22eaeb0661bab134c5fa502"
+                   "f3341d1534618ba1818b4387a1f1ad6c"),
+        (SO_ODD, 5, 3, "5af553db2101c4863e1d828da8abb9b0"
+                       "f9eb2f873e069b9b5477b6cdade5df3a"),
+        (SO_EVEN, 4, 3, "15bf7630dcdb773c2d500962ad2f0f8a"
+                        "57d149f73a51e38f08bdd5fdbae3a6cb"),
+        (TYPE_A, 3, 3, "b475b0268590a71dca31a99839831cc7"
+                       "e01b7c1084933a6708a0cef92da0fd61")])
+    def test_flags_pinned(self, mode, nu, q, digest):
+        # sha256 of every flag's basis, inverse and columns, in order: pins
+        # the chain order and the completion rule
+        flags = enumerate_isotropic_flags(FiniteFormSpace(mode, nu, q))
+        text = repr([(fl["basis"], fl["inv"], fl["cols"]) for fl in flags])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_flag_bases_invertible(self):
         for fl in enumerate_isotropic_flags(FiniteFormSpace(TYPE_A, 3, 2)):

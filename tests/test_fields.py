@@ -185,3 +185,10 @@ class TestElementProtocol:
         f = get_finite_field(7)
         assert hash(f.from_int(9)) == hash(f.from_int(2))
         assert len({f.from_int(i) for i in range(14)}) == 7
+
+    def test_str_shows_coordinates(self):
+        assert str(get_finite_field(3).from_int(4)) == "1"
+        assert str(RATIONALS.from_int(Fraction(-1, 2))) == "-1/2"
+        gf9 = get_finite_field(3, 2)
+        assert str(FieldElement(gf9, (1, 2))) == "[1, 2]"
+        assert str(Q2.element((Fraction(1, 2), Fraction(0)))) == "[1/2, 0]"

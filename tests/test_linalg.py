@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag.counting import mat_rank, nullspace_mod
+from isoflag.counting import mat_rank
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import (Affine, Matrix, NoSolution, NotNilpotent, Unique,
                             nilpotent_jordan_multiset, solve_linear)
@@ -285,9 +285,12 @@ class TestKernelOracle:
     @settings(max_examples=80, deadline=None)
     def test_gf7_agrees_with_counting(self, gf_rows):
         a = Matrix.from_scalars(GF7, gf_rows)
-        assert a.rank() == mat_rank(gf_rows, 7)
-        assert [tuple(x.coords[0] for x in v) for v in a.nullspace()] == \
-            nullspace_mod(gf_rows, 7, a.ncols)
+        rank = a.rank()
+        assert rank == mat_rank(gf_rows, 7)
+        kernel = a.nullspace()
+        assert len(kernel) == a.ncols - rank
+        for v in kernel:
+            assert all(x.is_zero for x in a.apply(v))
 
 
 class TestShapeErrors:

@@ -266,10 +266,10 @@ def span_split_check(model, cut):
         sizes = [2 * shape.part(t) + ps[t - 1] for t in range(1, sigma + 1)]
     if kappa and (mode == SYMPLECTIC or sigma % 2 == 0):
         sizes.append(1)
-    report["jordan_low"] = dict(nilpotent_jordan_multiset(n_low)) \
-        if n_low.nrows else {}
-    report["jordan_high"] = dict(nilpotent_jordan_multiset(n_high)) \
-        if n_high.nrows else {}
+    # an unstable split has no restricted Jordan types
+    for key, n in (("jordan_low", n_low), ("jordan_high", n_high)):
+        report[key] = None if not report["g_stable"] else \
+            dict(nilpotent_jordan_multiset(n)) if n.nrows else {}
     report["jordan_low_matches"] = \
         report["jordan_low"] == dict(Counter(sizes[:cut]))
     report["jordan_high_matches"] = \
@@ -648,6 +648,23 @@ class TestSplitCheck:
                     assert rep == span_split_check(variant, cut)
                     verdicts[rep["pass"]] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_unstable_split_reported(self):
+        # W = P swaps e_1 and e_2, so the span of its first two columns,
+        # <e_0, e_2>, is not g-stable and g restricted to it is no
+        # unipotent: the report says so instead of raising
+        m = build_model(ShapeSeq((1, 1)), SYMPLECTIC)
+        f = m.field
+        perm = (0, 2, 1, 3)
+        w = Matrix(f, [[f.one if perm[j] == i else f.zero for j in range(4)]
+                       for i in range(4)])
+        variant = IsometryModel(m.shape, m.mode, m.space, m.g, w, m.table)
+        rep = split_check(variant, 1)
+        assert not rep["g_stable"] and not rep["pass"]
+        assert rep["jordan_low"] is None and rep["jordan_high"] is None
+        assert not rep["jordan_low_matches"]
+        assert not rep["jordan_high_matches"]
+        assert rep == span_split_check(variant, 1)
 
     def test_orthogonal_cut_restricted(self):
         m = build_model(ShapeSeq((2, 2)), ORTHOGONAL)
