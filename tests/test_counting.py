@@ -17,7 +17,7 @@ from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
                               unipotent_count_formula, unipotent_jordan_type,
                               unipotents_of_type)
 from isoflag.fields import get_finite_field
-from isoflag.linalg import Matrix
+from isoflag.linalg import Matrix, echelon_mod
 from isoflag.shapes import (ORTHOGONAL, InvalidInput, ShapeSeq,
                             VerificationFailed, jordan_from_ranks,
                             jordan_prediction, position_dims_ok)
@@ -328,6 +328,38 @@ class TestFlags:
         # the chain order and the completion rule
         flags = enumerate_isotropic_flags(FiniteFormSpace(mode, nu, q))
         text = repr([(fl["basis"], fl["inv"], fl["cols"]) for fl in flags])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, nu, q, count, digest", [
+        (TYPE_A, 3, 2, 21, "7e8a775079e4cb9d0dedae1ca57d8cd7"
+                           "0022f2b46da120bd30946ac03d7a6f52"),
+        (TYPE_A, 3, 3, 52, "85f7284c7a1ded40a813276dfb9c74c8"
+                           "d12b5cb9eb33d93e9571a7302e0e8d78"),
+        (SP, 2, 7, 8, "6df4462a14f81ac65c0d28c4b75075cc"
+                      "9612a446f237aa347f0b27d66c659fdc"),
+        (SO_ODD, 3, 7, 8, "63a1e6ad9bca14d1128efde55ffffba8"
+                          "c735a9dbc5d3a9d46aca4fb11293708d"),
+        (SP, 4, 3, 160, "bf79fc3249fc6141384433a73fbbe4b8"
+                        "39ef40c205685799624346d4d857e1cb"),
+        (SO_ODD, 5, 3, 160, "b60b6e18ece050de2d27d10aa6314260"
+                            "446d1887c36cbb611b77650e8b4b98fd"),
+        (SP, 4, 5, 936, "6b9646058bc9a8d9a1df30c94d5d0558"
+                        "2dbf8a0ba7df2c7e1966fc437c07b87c"),
+        (SO_ODD, 5, 5, 936, "2077309248809c4d49f31ecff9be49da"
+                            "b991abb303a69876f25d265f123e8145")])
+    def test_flag_span_sets_pinned(self, mode, nu, q, count, digest):
+        # each flag's key is the RREF of V_1, ..., V_nu, so the digest of
+        # the sorted keys pins the set of flags and not the bases chosen
+        flags = enumerate_isotropic_flags(FiniteFormSpace(mode, nu, q))
+        keys = []
+        for fl in flags:
+            key = []
+            for i in range(1, nu + 1):
+                rows, pivots = echelon_mod(fl["cols"][:i], q, nu)
+                key.append(tuple(map(tuple, rows[:len(pivots)])))
+            keys.append(tuple(key))
+        assert len(flags) == len(set(keys)) == count
+        text = repr(sorted(keys))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_flag_bases_invertible(self):
