@@ -111,44 +111,42 @@ def cmd_gram(args):
 
 
 def _build_and_check(shape, mode, field):
+    """Build one model and run its checks: (model, checks, ok)."""
     model = build_model(shape, mode, field)
     flag, flag_prime = flags_from(model)
-    pos = position_check(flag, flag_prime, shape)
-    splits = {str(cut): split_check(model, cut)["pass"]
-              for cut in cuts_for(shape, mode)}
-    return model, {
+    checks = {
         "adapted": not check_adapted(model),
         "flags": True,
-        "position": pos,
-        "split": splits,
+        "position": position_check(flag, flag_prime, shape),
+        "split": {str(cut): split_check(model, cut)["pass"]
+                  for cut in cuts_for(shape, mode)},
     }
+    ok = checks["adapted"] and checks["position"] and \
+        all(checks["split"].values())
+    return model, checks, ok
 
 
 def cmd_build(args):
     shape = _shape_from(args)
     mode = _mode_from(args)
     field = parse_field(args.field)
-    model, checks = _build_and_check(shape, mode, field)
+    model, checks, ok = _build_and_check(shape, mode, field)
     n = model.g - Matrix.identity(model.field, model.space.dim)
     out = model.to_json()
     out["jordan"] = sorted(nilpotent_jordan_multiset(n).elements(),
                            reverse=True)
     out["index_convention"] = "p_r"
     out["checks"] = checks
-    ok = checks["adapted"] and checks["position"] and \
-        all(checks["split"].values())
     return out, (0 if ok else 1)
 
 
 def _verify(shape, mode, field):
     """Build one model, run every check and an intertwiner: (result, ok)."""
-    model, checks = _build_and_check(shape, mode, field)
+    model, checks, ok = _build_and_check(shape, mode, field)
     eps = {t: -1 if t % 2 else 1
            for t in range(1, shape.sigma + shape.kappa + 1)}
     build_T(model, model.with_signs(eps))
     checks["intertwiner"] = True
-    ok = checks["adapted"] and checks["position"] and \
-        all(checks["split"].values())
     return {"shape": shape.to_json(), "mode": mode,
             "field": model.field.to_json(), "checks": checks,
             "diagnostics": model.table.diagnostics}, ok

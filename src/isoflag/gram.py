@@ -265,9 +265,7 @@ class GramTable:
             K = self._kernel(level, win.a, self.aux[level]["atilde"])
             for t in window:
                 if self._has_even_drop(t, x0):
-                    for x in xs:
-                        self._memo[(t, x)] = _ConstPair(self.field.zero)
-                        self.case_map[(t, x)] = "2.2"
+                    self._zero_pairs(t, xs, "2.2")
                 else:
                     self._cross_23(t, x0, level, K, d_cross)
                     for x in xs[1:]:
@@ -277,9 +275,7 @@ class GramTable:
                 if shape.part(y) > level and y not in window:
                     assert self._has_even_drop(y, x0), \
                         "index above the window must satisfy the even-drop rule"
-                    for x in xs:
-                        self._memo[(y, x)] = _ConstPair(self.field.zero)
-                        self.case_map[(y, x)] = "2.2"
+                    self._zero_pairs(y, xs, "2.2")
             for x in xs:
                 self._diag_24(x, level, K, d_diag)
         else:
@@ -288,14 +284,18 @@ class GramTable:
                 if shape.part(y) > level:
                     assert self._has_even_drop(y, x0), \
                         "b even forces the even-drop rule for every higher row"
-                    for x in xs:
-                        self._memo[(y, x)] = _ConstPair(self.field.zero)
-                        self.case_map[(y, x)] = "2.2"
+                    self._zero_pairs(y, xs, "2.2")
             for x in xs:
                 self._diag_25(x, level, d_diag)
         for yi, y in enumerate(xs):
             for x in xs[yi + 1:]:
                 self._off_26(y, x, level, d_level)
+
+    def _zero_pairs(self, y: int, xs, case: str):
+        """Row y pairs to zero against every x in ``xs``."""
+        for x in xs:
+            self._memo[(y, x)] = _ConstPair(self.field.zero)
+            self.case_map[(y, x)] = case
 
     # -- the one linear form of the recursion --------------------------------
 
@@ -463,8 +463,7 @@ class GramTable:
     def _half_level_even(self):
         sigma = self.shape.sigma
         for y in range(1, sigma + 1):
-            self._memo[(y, sigma + 1)] = _ConstPair(self.field.zero)
-            self.case_map[(y, sigma + 1)] = "2.7"
+            self._zero_pairs(y, [sigma + 1], "2.7")
         self._memo[(sigma + 1, sigma + 1)] = _ConstPair(self.field.from_int(2))
         self.case_map[(sigma + 1, sigma + 1)] = "2.7"
 
@@ -505,8 +504,7 @@ class GramTable:
         x = sigma + 1
         for y in range(1, a):
             assert self._has_even_drop(y, x)
-            self._memo[(y, x)] = _ConstPair(self.field.zero)
-            self.case_map[(y, x)] = "2.2"
+            self._zero_pairs(y, [x], "2.2")
         for rp in range(a, sigma + 1):
             vals: Dict[int, FieldElement] = {}
             for d in range(-d_range, d_range + 1):

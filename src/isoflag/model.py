@@ -62,6 +62,12 @@ class QuadSpace:
         assert self.q_basis is not None, "no quadratic form on this space"
         return dot(v, self._upper.apply(v), self.field)
 
+    def preserves_quad(self, h: Matrix) -> bool:
+        """Whether Q(h e_m) = Q(e_m) on every basis vector; with the form
+        preserved this gives Q(h v) = Q(v) for every v.  True without Q."""
+        return self.q_basis is None or all(
+            self.quad(h.col(m)) == self.q_basis[m] for m in range(self.dim))
+
     def perp(self, vectors) -> List[tuple]:
         """Basis of the right perpendicular of span(vectors)."""
         if not vectors:
@@ -230,10 +236,8 @@ def _verify_model(model: IsometryModel):
     report = check_adapted(model)  # form preservation included
     if report:
         raise VerificationFailed(f"collection clauses violated: {report[:3]}")
-    if space.q_basis is not None:
-        for m in range(space.dim):
-            if space.quad(g.col(m)) != space.q_basis[m]:
-                raise VerificationFailed("g does not preserve Q")
+    if not space.preserves_quad(g):
+        raise VerificationFailed("g does not preserve Q")
     n = g - Matrix.identity(space.field, space.dim)
     jordan = nilpotent_jordan_multiset(n)
     predicted = jordan_prediction(shape, model.mode)
@@ -377,29 +381,22 @@ class IsoFlag:
         return IsoFlag(self.space, h * self.basis, inverse)
 
 
-def _span_dim(field, vectors) -> int:
-    if not vectors:
-        return 0
-    return Matrix(field, vectors).rank()
+def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
+    """The flag pair (V_*, V'_* = g V_*) attached to the collection.
 
-
-def _span_contains(field, big, small) -> bool:
-    if not small:
-        return True
-    base = _span_dim(field, big)
-    return _span_dim(field, list(big) + list(small)) == base
-
-
-def complete_flag(space: QuadSpace, cols) -> IsoFlag:
-    """The flag whose first columns are ``cols``, completed upward.
-
-    ``cols`` spans V_c for some c; column b_c, c = len(cols)..nu-1, is the
-    first basis vector v of V_k-perp, k = nu-1-c, outside V_c: (b_k, v) != 0,
-    or Q(v) != 0 for the middle column of an odd nu.  When ``cols`` spans an
-    isotropic V_n this gives V_{nu-i} = V_i-perp.  The flag is not verified.
+    The adapted basis B starts with the collection vectors w^r_h, h in
+    [p_r, 2p_r - 1], block by block: they span the isotropic V_n.  Column
+    b_c, c = n..nu-1, is then the first basis vector v of V_k-perp,
+    k = nu-1-c, outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle
+    column of an odd nu, which gives V_{nu-i} = V_i-perp.  V' has basis
+    g B, whose inverse B^-1 g^-1 reuses the model's g^-1.  Both flags are
+    fully verified.
     """
+    shape, space = model.shape, model.space
+    ext = model.extend_index
+    cols = [ext(r, h) for r in range(1, shape.sigma + 1)
+            for h in range(shape.part(r), 2 * shape.part(r))]
     nu = space.dim
-    cols = list(cols)
     for c in range(len(cols), nu):
         k = nu - 1 - c
         v = next((v for v in space.perp(cols[:k])
@@ -408,22 +405,7 @@ def complete_flag(space: QuadSpace, cols) -> IsoFlag:
         if v is None:
             raise IsotropyViolation(f"V_{k} perp has no vector outside V_{c}")
         cols.append(v)
-    return IsoFlag(space, Matrix(space.field, cols).transpose())
-
-
-def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
-    """The flag pair (V_*, V'_* = g V_*) attached to the collection.
-
-    The adapted basis B starts with the collection vectors w^r_h, h in
-    [p_r, 2p_r - 1], block by block: they span the isotropic V_n, which
-    complete_flag completes.  V' has basis g B, whose inverse B^-1 g^-1
-    reuses the model's g^-1.  Both flags are fully verified.
-    """
-    shape = model.shape
-    ext = model.extend_index
-    flag = complete_flag(model.space,
-                         [ext(r, h) for r in range(1, shape.sigma + 1)
-                          for h in range(shape.part(r), 2 * shape.part(r))])
+    flag = IsoFlag(space, Matrix(space.field, cols).transpose())
     flag.verify()
     flag_prime = flag.apply(model.g, model.g_inv)
     flag_prime.verify()
@@ -544,10 +526,8 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
 
     if t_mat.transpose() * space.gram * t_mat != space.gram:
         raise VerificationFailed("T does not preserve the bilinear form")
-    if space.q_basis is not None:
-        for m in range(space.dim):
-            if space.quad(t_mat.col(m)) != space.q_basis[m]:
-                raise VerificationFailed("T does not preserve Q")
+    if not space.preserves_quad(t_mat):
+        raise VerificationFailed("T does not preserve Q")
     if t_mat * model_a.g != model_b.g * t_mat:
         raise VerificationFailed("T does not intertwine the isometries")
     flag, flag_prime = flags_pair if flags_pair is not None \

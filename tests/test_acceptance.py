@@ -18,6 +18,7 @@ from isoflag.gram import (GramTable, check_conjecture_210, closed_form_value,
 from isoflag.model import build_T, flags_from, position_check
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, ShapeSeq,
                             verify_series_identity)
+from spans import span_contains, span_dim
 
 
 def announce(n: int, text: str):
@@ -95,8 +96,6 @@ def test_criterion_04_series_identities():
 
 
 def test_criterion_05_flags_and_position(model_sweep, flag_sweep):
-    from isoflag.model import _span_contains, _span_dim
-
     for key, model in model_sweep.items():
         flag, flag_prime = flag_sweep[key]  # both verified by flags_from
         assert position_check(flag, flag_prime, model.shape)
@@ -104,9 +103,9 @@ def test_criterion_05_flags_and_position(model_sweep, flag_sweep):
         for i, vecs in enumerate(flag.subspaces):
             image = [model.g.apply(v) for v in vecs]
             prime = flag_prime.subspaces[i]
-            assert _span_dim(f, image) == i == _span_dim(f, prime)
-            assert _span_contains(f, prime, image)
-            assert _span_contains(f, image, prime)
+            assert span_dim(f, image) == i == span_dim(f, prime)
+            assert span_contains(f, prime, image)
+            assert span_contains(f, image, prime)
     announce(5, f"isotropy, position and gV = V' hold on all "
                 f"{len(model_sweep)} models")
 
@@ -147,28 +146,19 @@ def test_criterion_08_type_bc_counts():
         ("B", 3, ShapeSeq((2,), kappa=1), None)]
     counts, classes = [], []
     for case in BC_COUNTS:
-        group_type, shape = case.group_type, case.shape
         rep = case.report()
-        assert rep["double_count_consistent"]
+        assert rep["double_count_consistent"] and rep["relation_holds"]
         counts.append(rep["count"])
         classes.append(rep["class_sizes"])
+        # the adjoint group is isogenous to Sp4 and SO5, so it has as many
+        # F_3-points: 3^4 (3^2 - 1)(3^4 - 1)
         adj = rep["adjoint_order"]
-        assert adj == 25920
-        if rep["count"] != adj:
-            print(f"FINDING: {group_type} rank 2, q=3, shape {shape.parts} "
-                  f"kappa={shape.kappa}: count {rep['count']} differs from "
-                  f"the adjoint group order {adj}")
-    # the recorded counts are stable across all three cases and equal
-    # 2 x 25920 = 3^4 (3^2 - 1)(3^4 - 1): the fixed-point count matches
-    # the algebraic-group point count, larger than the finite adjoint
-    # group order by the factor gcd(2, q - 1) = 2
-    assert counts == [51840, 51840, 51840]
-    assert all(c == 2 * 25920 for c in counts)
+        assert adj == 51840
+    assert counts == [adj, adj, adj]
     # the regular unipotents split into two classes in Sp4(F3) and stay
     # one in SO5(F3); shape (1,1) meets a class of 240 and one of 480
     assert classes == [[2880, 2880], [240, 480], [5760]]
-    announce(8, "counts recorded as 51840 = 2 x 25920; the doubling "
-                "relative to the adjoint order is reported as a finding")
+    announce(8, "three type-B/C counts equal |G_ad(F_3)| = 51840 exactly")
 
 
 def test_criterion_09_off_class_divergence():
@@ -184,7 +174,7 @@ def test_criterion_09_off_class_divergence():
     assert rep_c["double_count_consistent"]
     assert rep_c["count"] != adjoint_order("C", 2, 3)
     announce(9, f"off-class counts diverge: typeA 0, C2 {rep_c['count']} "
-                f"!= 25920")
+                f"!= 51840")
 
 
 def test_criterion_10_diagnostics_never_fire():

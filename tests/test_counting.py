@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoflag import counting
-from isoflag.counting import (SO_EVEN, SO_ODD, SP, TYPE_A, BoundExceeded,
+from isoflag.cases import CountCase
+from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               FiniteFormSpace, adjoint_order, bruhat_pivots,
                               check_isotropic_flags, conjugacy_classes,
                               count_pairs, count_report, coxeter_cycle,
@@ -191,7 +192,7 @@ class TestSpacesAndGroups:
 
     @pytest.mark.parametrize("mode, nu, q", [
         (TYPE_A, 2, 2), (TYPE_A, 2, 3), (TYPE_A, 3, 2), (SP, 2, 3),
-        (SP, 2, 7), (SO_ODD, 3, 3), (SO_ODD, 3, 7), (SO_EVEN, 4, 3)])
+        (SP, 2, 7), (SO_ODD, 3, 3), (SO_ODD, 3, 7)])
     def test_coset_closure_matches_breadth_first(self, mode, nu, q):
         space = FiniteFormSpace(mode, nu, q)
         group = enumerate_group(space)
@@ -224,8 +225,7 @@ class TestSpacesAndGroups:
     @pytest.mark.parametrize("mode, nu, q, total", [
         (TYPE_A, 2, 3, 9), (TYPE_A, 3, 2, 64), (TYPE_A, 3, 3, 729),
         (TYPE_A, 2, 5, 25), (SP, 2, 7, 49), (SO_ODD, 3, 7, 49),
-        (SO_EVEN, 4, 3, 81), (SO_EVEN, 2, 3, 1), (SP, 4, 3, 6561),
-        (SO_ODD, 5, 3, 6561)])
+        (SP, 4, 3, 6561), (SO_ODD, 5, 3, 6561)])
     def test_steinberg_count(self, mode, nu, q, total):
         space = FiniteFormSpace(mode, nu, q)
         assert unipotent_count_formula(space) == total
@@ -279,14 +279,16 @@ class TestFlags:
 
     @pytest.mark.parametrize("mode, nu, q, count", [
         (SP, 2, 7, 8), (SO_ODD, 3, 7, 8), (SP, 4, 3, 160),
-        (SO_ODD, 5, 3, 160), (SP, 4, 5, 936), (SO_EVEN, 4, 3, 32)])
+        (SO_ODD, 5, 3, 160), (SP, 4, 5, 936)])
     def test_isotropic_flag_counts_and_perps(self, mode, nu, q, count):
         # (b_a, b_c) = 0 for a + c <= nu - 2 and != 0 on the antidiagonal
-        # below n: V_n is isotropic and V_{nu-i} = V_i-perp
+        # below n: V_n is isotropic and V_{nu-i} = V_i-perp; each basis
+        # u w is itself an isometry
         space = FiniteFormSpace(mode, nu, q)
         flags = enumerate_isotropic_flags(space)
         assert len(flags) == count
         for fl in flags:
+            assert space.preserves_form(fl["basis"])
             cols = fl["cols"]
             for a in range(nu):
                 for c in range(nu - 1 - a):
@@ -309,26 +311,16 @@ class TestFlags:
         swapped = flag_dict((cols[0], cols[2], cols[1]), 3)
         with pytest.raises(VerificationFailed, match=r"\(b_0, b_1\)"):
             check_isotropic_flags(space, [swapped])
-
-    @pytest.mark.parametrize("mode, nu, q, digest", [
-        (SP, 2, 7, "751ceba2792fa84e4e29762f38e6f5e2"
-                   "21416643d54115e197ebe93958070699"),
-        (SO_ODD, 3, 7, "9735e6557f04a260afb359b2e5e71be3"
-                       "cda684b94be93da5dba034422f3d810d"),
-        (SP, 4, 3, "eeddd8e8d22eaeb0661bab134c5fa502"
-                   "f3341d1534618ba1818b4387a1f1ad6c"),
-        (SO_ODD, 5, 3, "5af553db2101c4863e1d828da8abb9b0"
-                       "f9eb2f873e069b9b5477b6cdade5df3a"),
-        (SO_EVEN, 4, 3, "15bf7630dcdb773c2d500962ad2f0f8a"
-                        "57d149f73a51e38f08bdd5fdbae3a6cb"),
-        (TYPE_A, 3, 3, "b475b0268590a71dca31a99839831cc7"
-                       "e01b7c1084933a6708a0cef92da0fd61")])
-    def test_flags_pinned(self, mode, nu, q, digest):
-        # sha256 of every flag's basis, inverse and columns, in order: pins
-        # the chain order and the completion rule
-        flags = enumerate_isotropic_flags(FiniteFormSpace(mode, nu, q))
-        text = repr([(fl["basis"], fl["inv"], fl["cols"]) for fl in flags])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        wrong_inv = dict(flags[1], inv=flags[0]["inv"])
+        with pytest.raises(VerificationFailed,
+                           match="flag 1: inv is not the inverse"):
+            check_isotropic_flags(space, [flags[0], wrong_inv])
+        # type A has no form, and the count gate alone guards it
+        space = FiniteFormSpace(TYPE_A, 3, 2)
+        flags = enumerate_isotropic_flags(space)
+        with pytest.raises(VerificationFailed, match=r"20 isotropic flags "
+                           r"times \|B\| = 8 do not make the group order 168"):
+            check_isotropic_flags(space, flags[1:])
 
     @pytest.mark.parametrize("mode, nu, q, count, digest", [
         (TYPE_A, 3, 2, 21, "7e8a775079e4cb9d0dedae1ca57d8cd7"
@@ -414,8 +406,10 @@ class TestAdjointOrder:
     def test_values(self):
         assert adjoint_order("A", 1, 3) == 24
         assert adjoint_order("A", 2, 2) == 168
-        assert adjoint_order("C", 2, 3) == 25920
-        assert adjoint_order("B", 2, 3) == 25920
+        # isogenous groups have equally many F_q-points, so the B/C value
+        # is |Sp4(F3)| = |SO5(F3)|, not |PSp4(F3)| = 25920
+        assert adjoint_order("C", 2, 3) == 51840
+        assert adjoint_order("B", 2, 3) == 51840
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
@@ -427,15 +421,14 @@ class TestCounting:
         space = FiniteFormSpace(TYPE_A, 2, 3)
         rep = count_report(space, Counter({2: 1}), "A", 1)
         assert rep["count"] == 24
-        assert rep["count"] == 3 * (3 ** 2 - 1)
-        assert rep["verdict"] == "equal"
+        assert rep["count"] == 3 * (3 ** 2 - 1) == rep["adjoint_order"]
         assert rep["double_count_consistent"]
 
     def test_gl3_f2_coxeter_count(self):
         space = FiniteFormSpace(TYPE_A, 3, 2)
         rep = count_report(space, Counter({3: 1}), "A", 2)
-        assert rep["count"] == 168
-        assert rep["verdict"] == "equal"
+        assert rep["count"] == 168 == rep["adjoint_order"]
+        assert rep["relation_holds"]
 
     def test_gl2_f3_off_class_zero(self):
         space = FiniteFormSpace(TYPE_A, 2, 3)
@@ -515,18 +508,11 @@ class TestCounting:
         assert not rep["double_count_consistent"]
 
 
-GAMMAS_OF_4 = [Counter({4: 1}), Counter({3: 1, 1: 1}), Counter({2: 2}),
-               Counter({2: 1, 1: 2}), Counter({1: 4})]
-
-
 @pytest.mark.parametrize("mode, nu, q, shape, gamma", [
     (TYPE_A, 3, 3, None, Counter({3: 1})),
     (TYPE_A, 2, 5, None, Counter({2: 1})),
     (SP, 2, 7, ShapeSeq((1,)), Counter({2: 1})),
     (SO_ODD, 3, 7, ShapeSeq((1,), kappa=1), Counter({3: 1})),
-    *[(SO_EVEN, 4, 3, shape, gamma)
-      for shape in (ShapeSeq((2,)), ShapeSeq((1, 1)))
-      for gamma in GAMMAS_OF_4],
     (SP, 4, 3, ShapeSeq((1, 1)), Counter({2: 2})),
 ])
 def test_one_flag_count_matches_pair_loop(mode, nu, q, shape, gamma):
@@ -545,3 +531,15 @@ def test_one_flag_count_matches_pair_loop(mode, nu, q, shape, gamma):
         assert rep["class_sizes"] == [240, 480]
         assert sorted(set(rep["per_g"])) == [54, 108]
         assert rep["count"] == 51840
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_rank_one_types_agree(q):
+    # A1 = B1 = C1: PGL2, Sp2 = SL2 and SO3 are isogenous, so all three
+    # counts are the q(q^2 - 1) points of the adjoint group
+    cases = (CountCase("A", q, n=2), CountCase("C", q, shape=ShapeSeq((1,))),
+             CountCase("B", q, shape=ShapeSeq((1,), kappa=1)))
+    for case in cases:
+        rep = case.report()
+        assert rep["count"] == rep["adjoint_order"] == q * (q ** 2 - 1)
+        assert rep["relation_holds"] and rep["double_count_consistent"]

@@ -6,14 +6,14 @@ from isoflag.cases import cuts_for
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
-                           IsotropyViolation, VerificationFailed,
-                           _span_contains, _span_dim, build_T, build_model,
-                           check_adapted, collection_pairings,
+                           IsotropyViolation, VerificationFailed, build_T,
+                           build_model, check_adapted, collection_pairings,
                            component_check, flags_from, normalize_signs,
                            position_check, round_trip_mismatches,
                            split_check)
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                             psi)
+from spans import span_contains, span_dim
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +138,10 @@ def rank_verify(flag):
     f = space.field
     subspaces = flag.subspaces
     for i, vecs in enumerate(subspaces):
-        if _span_dim(f, vecs) != i:
+        if span_dim(f, vecs) != i:
             raise IsotropyViolation(f"dim V_{i} != {i}")
     for i in range(nu):
-        if not _span_contains(f, subspaces[i + 1], subspaces[i]):
+        if not span_contains(f, subspaces[i + 1], subspaces[i]):
             raise IsotropyViolation(f"V_{i} not inside V_{i+1}")
     for i in range(nu // 2 + 1):
         vecs = subspaces[i]
@@ -152,8 +152,8 @@ def rank_verify(flag):
             if space.q_basis is not None and not space.quad(u).is_zero:
                 raise IsotropyViolation(f"Q nonzero on V_{i}")
         perp = space.perp(vecs)
-        if _span_dim(f, perp) != nu - i or \
-                not _span_contains(f, perp, subspaces[nu - i]):
+        if span_dim(f, perp) != nu - i or \
+                not span_contains(f, perp, subspaces[nu - i]):
             raise IsotropyViolation(f"V_{i} perp is not V_{nu - i}")
 
 
@@ -167,8 +167,8 @@ def passes(check, flag):
 
 
 def intersection_dim(field, a, b):
-    return _span_dim(field, a) + _span_dim(field, b) \
-        - _span_dim(field, list(a) + list(b))
+    return span_dim(field, a) + span_dim(field, b) \
+        - span_dim(field, list(a) + list(b))
 
 
 def rank_position(flag, flag_prime, shape):
@@ -200,8 +200,8 @@ def rank_stabilization(t_mat, flags_pair):
     for name, fl in zip(("V", "V'"), flags_pair):
         for i, vecs in enumerate(fl.subspaces):
             image = [t_mat.apply(v) for v in vecs]
-            if not (_span_contains(f, vecs, image)
-                    and _span_contains(f, image, vecs)):
+            if not (span_contains(f, vecs, image)
+                    and span_contains(f, image, vecs)):
                 return f"T does not stabilize {name}_{i}"
     return None
 
@@ -257,8 +257,8 @@ def span_split_check(model, cut):
         space.bilinear(u, v).is_zero for u in w_low for v in w_high)
     perp = space.perp(w_low)
     report["perp_complement"] = (
-        _span_dim(f, perp) == len(w_high)
-        and _span_contains(f, perp, w_high))
+        span_dim(f, perp) == len(w_high)
+        and span_contains(f, perp, w_high))
     if mode == SYMPLECTIC:
         sizes = [2 * shape.part(t) for t in range(1, sigma + 1)]
     else:
@@ -282,7 +282,7 @@ def span_split_check(model, cut):
             others = [model.w_cols.col(m) for m, (x, _i) in enumerate(idx)
                       if x != t]
             images = [model.g.apply(v) for v in mine]
-            if not _span_contains(f, mine, images):
+            if not span_contains(f, mine, images):
                 per_block = False
             if not all(space.bilinear(u, v).is_zero
                        for u in mine for v in others):
