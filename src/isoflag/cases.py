@@ -17,18 +17,17 @@ from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, jordan_prediction, psi
 
 def partitions_up_to(total):
     """All weakly decreasing positive integer tuples with sum <= total."""
-    out = set()
+    out = []
 
     def rec(rem, mx, cur):
         if cur:
-            out.add(tuple(cur))
+            out.append(tuple(cur))
         for p in range(min(rem, mx), 0, -1):
             cur.append(p)
             rec(rem - p, p, cur)
             cur.pop()
 
-    for n in range(1, total + 1):
-        rec(n, n, [])
+    rec(total, total, [])
     return sorted(out)
 
 

@@ -138,10 +138,8 @@ class FiniteFormSpace:
                    for i in range(self.nu)) % self.q
 
     def preserves_form(self, g) -> bool:
-        if self.form is None:
-            return True
-        gt = tuple(zip(*g))
-        return mat_mul(mat_mul(gt, self.form, self.q), g, self.q) == self.form
+        return self.quad is None or not self.quad.isometry_violations(
+            Matrix.from_scalars(self.quad.field, g))
 
 
 def group_order_formula(space: FiniteFormSpace) -> int:
@@ -535,7 +533,6 @@ def adjoint_order(group_type: str, n: int, q: int) -> int:
 
 def count_pairs(space: FiniteFormSpace, gamma: Counter,
                 shape: Optional[ShapeSeq] = None,
-                group: Optional[GroupEnum] = None,
                 flags: Optional[List[dict]] = None) -> dict:
     """Count pairs (g, flag) in the required relative position.
 
@@ -568,8 +565,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     else:
         admissible = lambda piv: position_dims_ok(  # noqa: E731
             lambda i, j: sum(1 for k in range(j) if piv[k] < i), shape, nu)
-    if group is None:
-        group = enumerate_group_cached(space)
+    group = enumerate_group_cached(space)
     if flags is None:
         flags = enumerate_isotropic_flags_cached(space)
     unis = unipotents_of_type(group, gamma)

@@ -70,9 +70,8 @@ class TowerField:
     whose square root generates level ``d+1``.
     """
 
-    def __init__(self, radicands: tuple = (), depth_bound: int = DEFAULT_TOWER_DEPTH_BOUND):
+    def __init__(self, radicands: tuple = ()):
         self.radicands = radicands
-        self.depth_bound = depth_bound
         self.depth = len(radicands)
         self.dim = 1 << self.depth
 
@@ -116,9 +115,11 @@ class TowerField:
         return FieldElement(self, tuple(elem.coords) + pad)
 
     def extend(self, radicand_coords: tuple) -> "TowerField":
-        if self.depth + 1 > self.depth_bound:
-            raise TowerDepthExceeded(f"tower depth bound {self.depth_bound} exceeded")
-        return TowerField(self.radicands + (radicand_coords,), self.depth_bound)
+        if self.depth + 1 > DEFAULT_TOWER_DEPTH_BOUND:
+            raise TowerDepthExceeded(
+                f"tower depth bound {DEFAULT_TOWER_DEPTH_BOUND} exceeded: "
+                f"extension to depth {self.depth + 1}")
+        return TowerField(self.radicands + (radicand_coords,))
 
     # -- recursive coordinate arithmetic ------------------------------------
 
@@ -443,16 +444,14 @@ class FieldElement:
     # -- coercion -----------------------------------------------------------
 
     def _pair(self, other):
+        """(self, other) over one field: an int or Fraction is coerced in;
+        an element of any other field, an extension included, raises."""
         if not isinstance(other, FieldElement):
             if isinstance(other, (int, Fraction)):
                 return self, self.field.from_int(other)
             return NotImplemented
         if other.field is self.field or self.field == other.field:
             return self, other
-        if self.field.extends(other.field):
-            return self, self.field.lift(other)
-        if other.field.extends(self.field):
-            return other.field.lift(self), other
         raise TypeError(f"incompatible fields {self.field!r} and {other.field!r}")
 
     # -- arithmetic ---------------------------------------------------------

@@ -62,11 +62,23 @@ class QuadSpace:
         assert self.q_basis is not None, "no quadratic form on this space"
         return dot(v, self._upper.apply(v), self.field)
 
-    def preserves_quad(self, h: Matrix) -> bool:
-        """Whether Q(h e_m) = Q(e_m) on every basis vector; with the form
-        preserved this gives Q(h v) = Q(v) for every v.  True without Q."""
-        return self.q_basis is None or all(
-            self.quad(h.col(m)) == self.q_basis[m] for m in range(self.dim))
+    def isometry_violations(self, h: Matrix) -> List[tuple]:
+        """Where h fails to preserve the form and Q; empty for an isometry.
+
+        ("form", (m, m'), value) for each entry where h^T G h differs from
+        G, and ("Q", m, Q(h e_m)) for each basis vector whose Q value
+        changes; with the form preserved, Q right on the basis gives
+        Q(h v) = Q(v) for every v.
+        """
+        gram = self.gram
+        bad = [("form", (m, mp), x)
+               for m, row in enumerate((h.transpose() * gram * h).rows)
+               for mp, x in enumerate(row) if x != gram.rows[m][mp]]
+        for m, want in enumerate(self.q_basis or ()):
+            got = self.quad(h.col(m))
+            if got != want:
+                bad.append(("Q", m, got))
+        return bad
 
     def perp(self, vectors) -> List[tuple]:
         """Basis of the right perpendicular of span(vectors)."""
@@ -153,8 +165,7 @@ class IsometryModel:
         }
 
 
-def build_model(shape: ShapeSeq, mode: str, field=None,
-                delta_bound: Optional[int] = None) -> IsometryModel:
+def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
     """Reconstruct (V, form, g) from the canonical pairing table.
 
     g shifts e^t_i to e^t_{i+1} within each block; each block's last image
@@ -164,7 +175,7 @@ def build_model(shape: ShapeSeq, mode: str, field=None,
     nilpotency, Jordan multiset, the six collection clauses, and the
     table round trip) are verified before returning.
     """
-    table = GramTable(shape, mode, field, delta_bound=delta_bound)
+    table = GramTable(shape, mode, field)
     f = table.field
     gram = table.gram_matrix()
     sigma = shape.sigma
@@ -233,11 +244,9 @@ def build_model(shape: ShapeSeq, mode: str, field=None,
 
 def _verify_model(model: IsometryModel):
     shape, g, space = model.shape, model.g, model.space
-    report = check_adapted(model)  # form preservation included
+    report = check_adapted(model)  # isometry included
     if report:
         raise VerificationFailed(f"collection clauses violated: {report[:3]}")
-    if not space.preserves_quad(g):
-        raise VerificationFailed("g does not preserve Q")
     n = g - Matrix.identity(space.field, space.dim)
     jordan = nilpotent_jordan_multiset(n)
     predicted = jordan_prediction(shape, model.mode)
@@ -250,31 +259,27 @@ def _verify_model(model: IsometryModel):
         raise VerificationFailed(f"table round trip failed at {bad[:3]}")
 
 
-def _check_window(shape: ShapeSeq):
-    p1 = shape.part(1)
-    return range(-2 * p1, 4 * p1 + 1)
-
-
 def check_adapted(model: IsometryModel) -> List[tuple]:
-    """Violations of the six collection clauses over the standard window.
+    """Violations of the isometry and of the six collection clauses.
 
-    Form preservation by g and clause (a) give (w^t_i, w^r_j) =
-    (w^t_{i-j}, w^r_0), so clauses b to e are read off the pairing profile
-    at offsets d; if either precondition fails, only its violations are
-    returned.  Returns tuples (clause, witness indices, got); empty on pass.
+    The precondition is that g is an isometry and that clause (a),
+    w^t_{i+1} = g w^t_i, holds on the stored columns; if it fails, only
+    its violations are returned.  Elsewhere extend_index defines w^t_i by
+    powers of g, so clause (a) holds there by construction.  Then
+    (w^t_i, w^r_j) = (w^t_{i-j}, w^r_0), so clauses b to e are read off
+    the pairing profile at offsets d, and Q(w^t_i) = Q(w^t_0), so clause
+    (f) is read at i = 0.  Returns tuples (clause, witness indices, got);
+    empty on pass.
     """
-    shape, space, g = model.shape, model.space, model.g
+    shape, space, g, w = model.shape, model.space, model.g, model.w_cols
     sigma, kappa = shape.sigma, shape.kappa
     f = space.field
-    ext = model.extend_index
-    preserved = g.transpose() * space.gram * g
-    bad: List[tuple] = [
-        ("form", (m, mp), x) for m, row in enumerate(preserved.rows)
-        for mp, x in enumerate(row) if x != space.gram.rows[m][mp]]
-    for t in range(1, sigma + kappa + 1):
-        for i in _check_window(shape):
-            got = ext(t, i + 1)
-            if got != g.apply(ext(t, i)):
+    bad = space.isometry_violations(g)
+    images = g * w
+    for m, (t, i) in enumerate(model.basis_index):
+        if t <= sigma and i < 2 * shape.part(t) - 1:
+            got = w.col(m + 1)  # (t, i + 1): block indices are in lex order
+            if got != images.col(m):
                 bad.append(("a", (t, i), got))
     if bad:
         return bad
@@ -300,11 +305,9 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
             expect("e", t, sigma + 1, range(2 * shape.part(t)), f.zero)
     if space.q_basis is not None:
         for t in range(1, sigma + kappa + 1):
-            want = f.one if t > sigma else f.zero
-            for i in _check_window(shape):
-                v = space.quad(ext(t, i))
-                if v != want:
-                    bad.append(("f", (t, i), v))
+            v = space.quad(model.extend_index(t, 0))
+            if v != (f.one if t > sigma else f.zero):
+                bad.append(("f", (t, 0), v))
     return bad
 
 
@@ -429,9 +432,9 @@ def position_check(flag: IsoFlag, flag_prime: IsoFlag,
 def collection_pairings(model: IsometryModel) -> dict:
     """Pairings (w^t_d, w^r_0) for offsets |d| <= 6p_1, keyed (t, r, d).
 
-    6p_1 is the largest offset i - j of the check window.  The one pairing
-    computation of this module: the clause checks, the table round trip
-    and the intertwiner all read it.  Memoized on the model: callers share
+    6p_1 is the largest offset i - j for i, j in the window [-2p_1, 4p_1].
+    The one pairing computation of this module: the clause checks, the
+    table round trip and the intertwiner all read it.  Memoized on the model: callers share
     the dict and must not change it.
     """
     if model._pairings is not None:
@@ -453,30 +456,19 @@ def normalize_signs(a_data: dict, b_data: dict, block_count: int):
     """A sign vector eps with eps_t eps_r * a = b on all stored pairs.
 
     Both inputs map (t, r, offset) to pairing values over the same key
-    set.  Signs are propagated from the lowest block index of each
-    coupling component, which receives +1; returns INCOMPATIBLE when no
-    sign vector exists.
+    set.  Signs are propagated along the nonzero pairings of a from the
+    lowest block index of each component, which receives +1.  A nonzero
+    a(t, r, d) fixes eps_t eps_r (outside characteristic 2), so a sign
+    vector exists exactly when the propagated one gives b = +-a on every
+    key; returns INCOMPATIBLE otherwise.
     """
     assert set(a_data) == set(b_data), "pairing key sets differ"
-    ratio: Dict[Tuple[int, int], int] = {}
+    links: Dict[int, List[Tuple[int, int]]] = {}
     for (t, r, d), av in a_data.items():
-        bv = b_data[(t, r, d)]
-        if av.is_zero != bv.is_zero:
-            return INCOMPATIBLE
-        if av.is_zero:
-            continue
-        if bv == av:
-            s = 1
-        elif bv == -av:
-            s = -1
-        else:
-            return INCOMPATIBLE
-        key = (min(t, r), max(t, r))
-        if ratio.setdefault(key, s) != s:
-            return INCOMPATIBLE
-    for (t, t2), s in ratio.items():
-        if t == t2 and s != 1:
-            return INCOMPATIBLE
+        if not av.is_zero:
+            s = 1 if b_data[(t, r, d)] == av else -1
+            links.setdefault(t, []).append((r, s))
+            links.setdefault(r, []).append((t, s))
     eps = {}
     for start in range(1, block_count + 1):
         if start in eps:
@@ -485,16 +477,13 @@ def normalize_signs(a_data: dict, b_data: dict, block_count: int):
         queue = [start]
         while queue:
             t = queue.pop()
-            for (x, y), s in ratio.items():
-                other = y if x == t else (x if y == t else None)
-                if other is None:
-                    continue
-                want = eps[t] * s
-                if other not in eps:
-                    eps[other] = want
-                    queue.append(other)
-                elif eps[other] != want:
-                    return INCOMPATIBLE
+            for r, s in links.get(t, ()):
+                if r not in eps:
+                    eps[r] = eps[t] * s
+                    queue.append(r)
+    for (t, r, d), av in a_data.items():
+        if b_data[(t, r, d)] != (av if eps[t] == eps[r] else -av):
+            return INCOMPATIBLE
     return eps
 
 
@@ -524,10 +513,9 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
         cols.append(tuple(x * s for x in model_b.extend_index(t, i)))
     t_mat = Matrix(f, cols).transpose()
 
-    if t_mat.transpose() * space.gram * t_mat != space.gram:
-        raise VerificationFailed("T does not preserve the bilinear form")
-    if not space.preserves_quad(t_mat):
-        raise VerificationFailed("T does not preserve Q")
+    bad = space.isometry_violations(t_mat)
+    if bad:
+        raise VerificationFailed(f"T is not an isometry: {bad[:3]}")
     if t_mat * model_a.g != model_b.g * t_mat:
         raise VerificationFailed("T does not intertwine the isometries")
     flag, flag_prime = flags_pair if flags_pair is not None \
@@ -544,19 +532,16 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
 
 
 def component_check(model: IsometryModel, t_mat: Matrix,
-                    flag: IsoFlag) -> Optional[bool]:
+                    flag: IsoFlag) -> bool:
     """Whether T lies in the identity component of the isometry group.
 
     Immediate (True) except for even-dimensional orthogonal spaces, where
     the two SO-orbits of maximal isotropic subspaces are compared via the
-    parity of dim(T V_n meet V_n) - n.  Over rational towers the orbit
-    test is not decidable by enumeration and None ("not checked") is
-    returned.
+    parity of dim(T V_n meet V_n) - n, a rank and so exact over every
+    field.
     """
     if model.mode != ORTHOGONAL or model.shape.kappa == 1:
         return True
-    if model.field.char == 0:
-        return None
     n = model.space.dim // 2
     m = flag.inverse * t_mat * flag.basis
     # dim(T V_n meet V_n) = n - rank(M[n:, :n]) for M = B^{-1} T B

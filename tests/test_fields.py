@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag.fields import (FINITE_SCAN_CAP, RATIONALS, FieldElement,
+from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
+                            RATIONALS, FieldElement, TowerDepthExceeded,
                             get_finite_field, sqrt_extend)
 
 Q2 = RATIONALS.extend((Fraction(2),))
@@ -56,6 +57,17 @@ class TestRationalTower:
         # first nonzero coordinate of the canonical root is positive
         nz = next(c for c in root.coords if c != 0)
         assert nz > 0
+
+    def test_depth_bound(self):
+        # sqrt 2, sqrt 3, ..., sqrt 19 fit; sqrt 23 would be a ninth level
+        assert DEFAULT_TOWER_DEPTH_BOUND == 8
+        field = RATIONALS
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            field = field.extend(field.from_int(p).coords)
+        assert field.depth == 8
+        with pytest.raises(TowerDepthExceeded,
+                           match="bound 8 exceeded: extension to depth 9"):
+            field.extend(field.from_int(23).coords)
 
     def test_negative_square(self):
         root, field = sqrt_extend(RATIONALS.from_int(-16))
@@ -180,6 +192,14 @@ class TestElementProtocol:
         b = get_finite_field(5).one
         with pytest.raises(Exception):
             _ = a + b
+        # no implicit lift into an extension either: the lift is explicit
+        gf9 = get_finite_field(3, 2)
+        for x, big in ((a, gf9), (RATIONALS.one, Q2)):
+            with pytest.raises(TypeError, match="incompatible fields"):
+                _ = x + big.one
+            with pytest.raises(TypeError, match="incompatible fields"):
+                _ = big.one + x
+            assert x != big.lift(x) and big.lift(x) == big.one
 
     def test_hash_consistency(self):
         f = get_finite_field(7)

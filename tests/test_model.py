@@ -21,6 +21,12 @@ def sp1():
     return build_model(ShapeSeq((1,)), SYMPLECTIC)
 
 
+@pytest.fixture(scope="module")
+def sp1_gf2():
+    """Shape (1) over GF(2), where Q(x e_0 + y e_1) = xy."""
+    return build_model(ShapeSeq((1,)), SYMPLECTIC, get_finite_field(2))
+
+
 def wrong_symplectic_g(sp1):
     """sp1 with g = [[0,-1],[1,3]]: still symplectic, but not the model's g.
 
@@ -372,6 +378,20 @@ class TestPairingProfileOracle:
         assert full_window_check_adapted(bad, window_pairs(bad)) != []
         assert check_adapted(bad) != []
 
+    def test_q_shifted_collection_fails_both(self):
+        # over GF(2) with kappa = 1, e_2 spans the radical of the form, so
+        # h e_m = e_m + e_2 (m < 2) preserves the form and the conjugate
+        # model (h g h^-1, h e) keeps clauses a to e; Q(h v) = Q(v) +
+        # (v_0 + v_1)^2 and g swaps e_0 and e_1, so h g h^-1 still
+        # preserves Q, but Q(h e_0) = 1 breaks clause (f)
+        m = build_model(ShapeSeq((1,), kappa=1), SYMPLECTIC,
+                        get_finite_field(2))
+        h = Matrix.from_scalars(m.field, [[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+        bad = m.conjugated(h)
+        assert check_adapted(bad) == [("f", (1, 0), m.field.one)]
+        oracle = full_window_check_adapted(bad, window_pairs(bad))
+        assert oracle and {v[0] for v in oracle} == {"f"}
+
     def test_non_isometry_reports_form(self, sp1):
         # g e_0 = e_1 still holds, so clause (a) passes; det g = 2, so g
         # does not preserve the symplectic form
@@ -381,6 +401,16 @@ class TestPairingProfileOracle:
                             Matrix.identity(f, 2), sp1.table)
         report = check_adapted(bad)
         assert report and {v[0] for v in report} == {"form"}
+
+    def test_form_isometry_breaking_q_reports_q(self, sp1_gf2):
+        # over GF(2), g = [[0, 1], [1, 1]] keeps g e_0 = e_1 and det g = 1,
+        # so it preserves the form and clause (a); Q(g e_1) = Q(e_0 + e_1)
+        # = (e_0, e_1) = 1 while Q(e_1) = 0
+        f = sp1_gf2.field
+        g = Matrix.from_scalars(f, [[0, 1], [1, 1]])
+        bad = IsometryModel(sp1_gf2.shape, sp1_gf2.mode, sp1_gf2.space, g,
+                            Matrix.identity(f, 2), sp1_gf2.table)
+        assert check_adapted(bad) == [("Q", 1, f.one)]
 
 
 class TestFlags:
@@ -524,6 +554,15 @@ class TestIntertwiner:
         conj = sp1.conjugated(minus)
         assert build_T(sp1, conj) == minus
 
+    def test_form_isometry_breaking_q_rejected(self, sp1_gf2):
+        # h = [[1, 1], [0, 1]] preserves the form but Q(h e_1) = 1 != Q(e_1),
+        # so h keeps every pairing and intertwines, yet is no isometry
+        f = sp1_gf2.field
+        h = Matrix.from_scalars(f, [[1, 1], [0, 1]])
+        with pytest.raises(VerificationFailed, match="T is not an isometry: "
+                           r"\[\('Q', 1,"):
+            build_T(sp1_gf2, sp1_gf2.conjugated(h))
+
     def test_altered_pairings_rejected(self, sp1):
         m2 = build_model(ShapeSeq((1,)), SYMPLECTIC)
         scale = Matrix.from_scalars(sp1.field, [[2, 0], [0, 2]])
@@ -553,17 +592,39 @@ class TestComponentCheck:
         flag, _ = flags_from(sp1)
         assert component_check(sp1, t, flag) is True
 
-    def test_orthogonal_rational_undecided(self):
+    def test_orthogonal_rational_identity_in_component(self):
         m = build_model(ShapeSeq((1, 1)), ORTHOGONAL)
         flag, _ = flags_from(m)
         t = Matrix.identity(m.field, 4)
-        assert component_check(m, t, flag) is None
+        assert component_check(m, t, flag) is True
 
     def test_orthogonal_finite_identity_in_component(self):
         m = build_model(ShapeSeq((1, 1)), ORTHOGONAL, get_finite_field(3))
         flag, _ = flags_from(m)
         t = Matrix.identity(m.field, 4)
         assert component_check(m, t, flag) is True
+
+    @pytest.mark.parametrize("field", [None, get_finite_field(3)],
+                             ids=["rat", "gf3"])
+    def test_orthogonal_reflection_outside_component(self, field):
+        m = build_model(ShapeSeq((1, 1)), ORTHOGONAL, field)
+        flag, _ = flags_from(m)
+        r = reflection(m.space)
+        assert m.space.isometry_violations(r) == []
+        assert component_check(m, r, flag) is False
+
+
+def reflection(space):
+    """x -> x - ((v, x) / Q(v)) v for the first anisotropic e_a + e_b."""
+    f, nu = space.field, space.dim
+    unit = Matrix.identity(f, nu)
+    v = next(v for a in range(nu) for b in range(a + 1, nu)
+             for v in [tuple(x + y for x, y in zip(unit.col(a), unit.col(b)))]
+             if not space.quad(v).is_zero)
+    gv = space.gram.apply(v)  # (v, x) = (G v)^T x for a symmetric G
+    c = space.quad(v).inverse()
+    return Matrix(f, [[unit.rows[i][j] - c * v[i] * gv[j] for j in range(nu)]
+                      for i in range(nu)])
 
 
 def schoolbook_quad(space, v):
