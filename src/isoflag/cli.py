@@ -195,7 +195,11 @@ def cmd_count(args):
     t0 = time.monotonic()
     report = case.report()
     report["runtime"] = round(time.monotonic() - t0, 3)
-    ok = report["relation_holds"] and report["double_count_consistent"]
+    # the per-class gate binds the predicted type only; the off-class
+    # registry cases have per_g 0 on every class
+    ok = report["relation_holds"] and report["double_count_consistent"] and \
+        (report["class_relation_holds"] or
+         report["expected_relation"] != "equal")
     if not args.per_element:
         report.pop("per_g")
         report.pop("per_flag")

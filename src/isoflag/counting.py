@@ -6,12 +6,15 @@ given Jordan type, and counts the pairs (g, flag) whose relative position
 matches either the classical dimension conditions of the shape or, in
 type A, a fixed Coxeter cycle.
 
-The hot loops -- the group closure, the Jordan-type filter and the pair
-loop -- run dense modular arithmetic on plain integer tuples, without
-field elements; elimination there is ``linalg.echelon_mod``, the one GF(p)
-pivot loop.  The flags are read off the Bruhat cells, u w F0 with u in
-U_w, and gated by ``IsoFlag.verify`` and |flags| x |B| = |G|.  Only prime
-q is supported.
+The hot loops -- the group closure, the class split, the Jordan-type
+filter and the position tests -- run dense modular arithmetic on plain
+integer tuples, without field elements.  A group element has at most
+q^nu - 1 distinct rows, so a product h m is read off a ``RowAction`` of
+m, which computes v m once per distinct row v.  Elimination is
+``linalg.echelon_mod``, the one GF(p) pivot loop, and the Jordan rule
+runs at two members of each class, not at every element.  The flags are
+read off the Bruhat cells, u w F0 with u in U_w, and gated by
+``IsoFlag.verify`` and |flags| x |B| = |G|.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations, product
 from math import prod
-from operator import mul
+from operator import getitem, mul
 from typing import Dict, List, Optional, Tuple
 
 from .fields import get_finite_field
@@ -53,6 +56,30 @@ def mat_mul(a, b, p: int) -> tuple:
     bt = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % p for col in bt])
                   for row in a])
+
+
+class RowAction(dict):
+    """v -> v m mod p for a fixed matrix m, computed once per distinct row
+    v on first lookup.  With ``by_m = RowAction(m, p).__getitem__``, the
+    product h m is ``tuple(map(by_m, h))``, one lookup per row of h."""
+
+    def __init__(self, m, p: int):
+        super().__init__()
+        self.cols = tuple(zip(*m))
+        self.p = p
+
+    def __missing__(self, v: tuple) -> tuple:
+        p = self.p
+        w = self[v] = tuple([sum(map(mul, v, col)) % p for col in self.cols])
+        return w
+
+
+def sandwich(a, b, p: int):
+    """x -> a x b on two row actions: the rows of x go through b, then the
+    columns of x b through a^T, since (a m)^T = m^T a^T."""
+    right = RowAction(b, p).__getitem__
+    left = RowAction(tuple(zip(*a)), p).__getitem__
+    return lambda x: tuple(zip(*map(left, zip(*map(right, x)))))
 
 
 def mat_inv(a, p: int) -> tuple:
@@ -249,10 +276,12 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     coset representatives grows from s_i: for each representative r and
     each kept generator s, r s either lies in the set or is a new
     representative x, and then the whole coset H x joins the set with no
-    membership test, since distinct cosets are disjoint.  Each element is
-    thus one product, and in a finite group closing under the generators
-    needs no inverses.  A set that outgrows the classical order formula,
-    or ends at another order, raises VerificationFailed.
+    membership test, since distinct cosets are disjoint.  In a finite
+    group, closing under the generators needs no inverses.  Each element
+    is one product, read off a ``RowAction``: H x off one of x, and r s
+    off one of each kept s, so each distinct row meets each matrix once.
+    A set that outgrows the classical order formula, or ends at another
+    order, raises VerificationFailed.
     """
     target = group_order_formula(space)
     if target > MAX_GROUP_ORDER:
@@ -267,19 +296,22 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     elements = [one]
     seen = {one}
     kept: List[tuple] = []
+    by_kept = []
     for s in gens:
         if s in seen:
             continue
         kept.append(s)
+        by_kept.append(RowAction(s, q).__getitem__)
         sub = elements[1:]  # H without the identity
         reps = [one]
         for r in reps:  # grows as the walk proceeds
-            for t in kept:
-                x = t if r is one else mat_mul(r, t, q)
+            for t, by_t in zip(kept, by_kept):
+                x = t if r is one else tuple(map(by_t, r))
                 if x in seen:
                     continue
                 reps.append(x)
-                coset = [x] + [mat_mul(h, x, q) for h in sub]
+                by_x = RowAction(x, q).__getitem__
+                coset = [x] + [tuple(map(by_x, h)) for h in sub]
                 elements.extend(coset)
                 seen.update(coset)
                 if len(seen) > target:
@@ -428,30 +460,37 @@ def unipotents_of_type(group: GroupEnum, target: Counter) -> List[tuple]:
     """The elements of Jordan type ``target``, in group order.
 
     Every eigenvalue of a unipotent element is 1, so its trace is nu mod
-    q; an element with another trace skips the Jordan rule.  The
-    unipotents of every type are counted on the way, and a total other
-    than Steinberg's q^(2N) raises VerificationFailed.
+    q; an element with another trace skips the Jordan rule.  Trace is a
+    class function, so the rest is a union of conjugacy classes, and the
+    Jordan type is read at the first and the last member of each class;
+    two different readings raise VerificationFailed.  The unipotent
+    classes must total Steinberg's q^(2N), else VerificationFailed.
     """
     space = group.space
     q, nu = space.q, space.nu
     trace = nu % q
     diagonal = range(nu)
+    candidates = [g for g in group.elements
+                  if sum(map(getitem, g, diagonal)) % q == trace]
     total = 0
-    out = []
-    for g in group.elements:
-        if sum(g[i][i] for i in diagonal) % q != trace:
-            continue
-        jordan = unipotent_jordan_type(g, q)
+    picked: List[int] = []
+    for cls in conjugacy_classes(candidates, group.kept, q):
+        jordan = unipotent_jordan_type(candidates[cls[0]], q)
+        last = unipotent_jordan_type(candidates[cls[-1]], q)
+        if last != jordan:
+            raise VerificationFailed(
+                f"elements {cls[0]} and {cls[-1]} of one class have Jordan "
+                f"types {jordan} and {last}")
         if jordan is not None:
-            total += 1
+            total += len(cls)
             if jordan == target:
-                out.append(g)
+                picked.extend(cls)
     want = unipotent_count_formula(space)
     if total != want:
         raise VerificationFailed(
             f"{total} unipotent elements, not the {want} of Steinberg's "
             f"count q^(2N)")
-    return out
+    return [candidates[i] for i in sorted(picked)]
 
 
 def conjugacy_classes(elements: List[tuple], generators: List[tuple],
@@ -459,11 +498,13 @@ def conjugacy_classes(elements: List[tuple], generators: List[tuple],
     """Orbits of ``elements`` under conjugation u -> s u s^-1 by the
     generators, as lists of indices, each led by its smallest index.
 
-    The orbits are the classes of the group the generators generate.  A
-    conjugate outside ``elements`` raises VerificationFailed.
+    The orbits are the classes of the group the generators generate.  Each
+    generator conjugates through its own ``sandwich`` of row actions, so
+    the walk computes each distinct row product once.  A conjugate
+    outside ``elements`` raises VerificationFailed.
     """
     index = {u: i for i, u in enumerate(elements)}
-    pairs = [(s, mat_inv(s, p)) for s in generators]
+    pairs = [(s, sandwich(s, mat_inv(s, p), p)) for s in generators]
     seen = [False] * len(elements)
     classes = []
     for start in range(len(elements)):
@@ -472,8 +513,8 @@ def conjugacy_classes(elements: List[tuple], generators: List[tuple],
         seen[start] = True
         orbit = [start]
         for i in orbit:  # grows as the walk proceeds
-            for s, s_inv in pairs:
-                c = mat_mul(mat_mul(s, elements[i], p), s_inv, p)
+            for s, conjugate in pairs:
+                c = conjugate(elements[i])
                 j = index.get(c)
                 if j is None:
                     raise VerificationFailed(
@@ -531,6 +572,11 @@ def adjoint_order(group_type: str, n: int, q: int) -> int:
     raise ValueError(f"unsupported type {group_type!r}")
 
 
+def center_order(space: FiniteFormSpace) -> int:
+    """|Z(G)(F_q)|: the q - 1 scalars of GL, +-1 in Sp, 1 in odd SO."""
+    return {TYPE_A: space.q - 1, SP: 2, SO_ODD: 1}[space.mode]
+
+
 def count_pairs(space: FiniteFormSpace, gamma: Counter,
                 shape: Optional[ShapeSeq] = None,
                 flags: Optional[List[dict]] = None) -> dict:
@@ -551,7 +597,9 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     ``row_count``, the sum over classes of |Cl| x hits(rep), must equal
     the count; with every row on its per_g, the sum falls short exactly
     when some per_g is not an integer.  ``class_sizes`` lists |Cl| in
-    ascending order.
+    ascending order.  ``class_relation_holds`` is the per-class gate
+    per_g x |Cl| x |Z(G)(F_q)| = |G(F_q)| on every class, which holds for
+    the predicted Jordan type and fails when a class misses a flag.
     """
     q, nu = space.q, space.nu
     if sum(s * c for s, c in gamma.items()) != nu:
@@ -570,11 +618,13 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
         flags = enumerate_isotropic_flags_cached(space)
     unis = unipotents_of_type(group, gamma)
 
-    def hit(g, fl) -> bool:
-        m = mat_mul(fl["inv"], mat_mul(g, fl["basis"], q), q)
-        return admissible(bruhat_pivots(m, q))
+    # g -> B^-1 g B, g in the basis B of each flag
+    in_basis = [sandwich(fl["inv"], fl["basis"], q) for fl in flags]
 
-    column = [hit(u, flags[0]) for u in unis]
+    def hit(g, k) -> bool:
+        return admissible(bruhat_pivots(in_basis[k](g), q))
+
+    column = [hit(u, 0) for u in unis]
     count = len(flags) * sum(column)
     classes = conjugacy_classes(unis, group.kept, q)
     per_g = [0] * len(unis)
@@ -582,7 +632,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     row_count = 0
     for cls in classes:
         share = len(flags) * sum(column[i] for i in cls) // len(cls)
-        row = sum(hit(unis[cls[0]], fl) for fl in flags)
+        row = sum(hit(unis[cls[0]], k) for k in range(len(flags)))
         rows_agree = rows_agree and row == share
         row_count += len(cls) * row
         for i in cls:
@@ -596,6 +646,9 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
         "double_count_consistent": rows_agree and row_count == count,
         "row_count": row_count,
         "class_sizes": sorted(len(cls) for cls in classes),
+        "class_relation_holds": all(
+            per_g[cls[0]] * len(cls) * center_order(space) == group.order
+            for cls in classes),
     }
 
 

@@ -39,7 +39,9 @@ class QuadSpace:
     ``q_basis`` holds Q on the standard basis vectors, or None when the
     model carries no quadratic form (symplectic over characteristic != 2).
     Q of an arbitrary vector is recovered from the basis values and the
-    bilinear form via Q(x + y) = Q(x) + Q(y) + (x, y).
+    bilinear form via Q(x + y) = Q(x) + Q(y) + (x, y).  Where 2 is
+    invertible a given ``q_basis`` must be diag(G)/2 of a symmetric G, so
+    that Q(v) = (v, v)/2; anything else raises VerificationFailed.
     """
 
     def __init__(self, field, mode: str, gram: Matrix,
@@ -49,6 +51,16 @@ class QuadSpace:
         self.gram = gram
         self.dim = gram.nrows
         self.q_basis = q_basis
+        if q_basis is not None and field.char != 2:
+            if gram != gram.transpose():
+                raise VerificationFailed(
+                    f"a quadratic form over {field} needs a symmetric G")
+            half = field.from_int(2).inverse()
+            for m, q in enumerate(q_basis):
+                if q != gram.rows[m][m] * half:
+                    raise VerificationFailed(
+                        f"Q(e_{m}) = {q} is not (e_{m}, e_{m})/2 = "
+                        f"{gram.rows[m][m] * half} over {field}")
         # Q(v) = v^T U v with U = diag(q_basis) + strict upper triangle of G
         self._upper = None if q_basis is None else Matrix(field, [
             [q_basis[m] if m == mp else gram.rows[m][mp] if m < mp
@@ -68,12 +80,15 @@ class QuadSpace:
         ("form", (m, m'), value) for each entry where h^T G h differs from
         G, and ("Q", m, Q(h e_m)) for each basis vector whose Q value
         changes; with the form preserved, Q right on the basis gives
-        Q(h v) = Q(v) for every v.
+        Q(h v) = Q(v) for every v.  Q is checked in characteristic 2
+        only: elsewhere it is (v, v)/2, which the form check covers.
         """
         gram = self.gram
         bad = [("form", (m, mp), x)
                for m, row in enumerate((h.transpose() * gram * h).rows)
                for mp, x in enumerate(row) if x != gram.rows[m][mp]]
+        if self.field.char != 2:
+            return bad
         for m, want in enumerate(self.q_basis or ()):
             got = self.quad(h.col(m))
             if got != want:

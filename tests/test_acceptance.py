@@ -133,7 +133,7 @@ def test_criterion_07_type_a_counts():
     for case in TYPE_A_COUNTS:
         n, q = case.n, case.q
         rep = case.report()
-        assert rep["double_count_consistent"]
+        assert rep["double_count_consistent"] and rep["class_relation_holds"]
         assert rep["count"] == adjoint_order("A", n - 1, q)
         if n == 2:
             assert rep["count"] == q * (q ** 2 - 1)
@@ -148,6 +148,7 @@ def test_criterion_08_type_bc_counts():
     for case in BC_COUNTS:
         rep = case.report()
         assert rep["double_count_consistent"] and rep["relation_holds"]
+        assert rep["class_relation_holds"]
         counts.append(rep["count"])
         classes.append(rep["class_sizes"])
         # the adjoint group is isogenous to Sp4 and SO5, so it has as many

@@ -103,6 +103,8 @@ class TestSubcommands:
         assert code == 0
         assert res["count"] == 0 and res["expected_relation"] == "differs"
         assert res["relation_holds"]
+        # no class meets a flag, and off class that is no failure
+        assert not res["class_relation_holds"]
 
     def test_count_rank1_type_c(self, capsys):
         # Sp2 = SL2 is isogenous to PGL2, so both have 24 points over F3:
@@ -116,10 +118,12 @@ class TestSubcommands:
         assert res["relation_holds"] and res["double_count_consistent"]
 
     @pytest.mark.parametrize("override", [
-        {"count": 23}, {"double_count_consistent": False}],
-        ids=["count-misses-group-order", "double-count-fails"])
+        {"count": 23}, {"double_count_consistent": False},
+        {"class_relation_holds": False}],
+        ids=["count-misses-group-order", "double-count-fails",
+             "class-gate-fails"])
     def test_count_failed_check_exits_1(self, capsys, monkeypatch, override):
-        # each of the two checks alone decides the exit code
+        # each of the three checks alone decides the exit code
         real = counting.count_pairs
         monkeypatch.setattr(counting, "count_pairs", lambda *a, **kw:
                             dict(real(*a, **kw), **override))

@@ -14,7 +14,7 @@ from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               enumerate_isotropic_flags,
                               enumerate_isotropic_flags_cached,
                               group_order_formula, mat_identity, mat_inv,
-                              mat_mul, mat_rank,
+                              mat_mul, mat_rank, sandwich,
                               unipotent_count_formula, unipotent_jordan_type,
                               unipotents_of_type)
 from isoflag.fields import get_finite_field
@@ -254,6 +254,32 @@ class TestSpacesAndGroups:
         with pytest.raises(VerificationFailed, match="is not in the list"):
             conjugacy_classes(unis[1:], group.kept, 3)
 
+    @pytest.mark.parametrize("mode, nu, q", [
+        (TYPE_A, 3, 3), (SP, 2, 7), (SO_ODD, 3, 7)])
+    def test_table_conjugation_matches_products(self, mode, nu, q):
+        group = enumerate_group_cached(FiniteFormSpace(mode, nu, q))
+        for s in group.kept:
+            s_inv = mat_inv(s, q)
+            conjugate = sandwich(s, s_inv, q)
+            for u in group.elements:
+                assert conjugate(u) == mat_mul(mat_mul(s, u, q), s_inv, q)
+
+    def test_jordan_readings_differing_in_a_class_fail(self, monkeypatch):
+        # the filter reads the Jordan type at the first and the last member
+        # of each class; a rule that answers otherwise at one last member
+        # must be caught
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        trace_two = [g for g in group.elements if (g[0][0] + g[1][1]) % 3 == 2]
+        cls = max(conjugacy_classes(trace_two, group.kept, 3), key=len)
+        last = trace_two[cls[-1]]
+        real = counting.unipotent_jordan_type
+        monkeypatch.setattr(counting, "unipotent_jordan_type",
+                            lambda g, p: Counter({1: 2}) if g == last
+                            else real(g, p))
+        with pytest.raises(VerificationFailed,
+                           match="of one class have Jordan types"):
+            unipotents_of_type(group, Counter({2: 1}))
+
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))
         assert len(unipotents_of_type(g, Counter({2: 1}))) == 8
@@ -480,6 +506,18 @@ class TestCounting:
         assert rep["per_g"] == [6] * 8 and rep["count"] == 48
         assert rep["row_count"] == 8 * 7
         assert not rep["double_count_consistent"]
+
+    def test_class_gate_fails_without_one_flag(self):
+        # Sp2(F3): per_g 3 x |Cl| 4 x |Z| 2 = 24 on both classes; without
+        # the last flag per_g drops to 3 x 3 / 4, rounded down to 2
+        space = FiniteFormSpace(SP, 2, 3)
+        flags = enumerate_isotropic_flags(space)
+        gamma, shape = Counter({2: 1}), ShapeSeq((1,))
+        assert count_pairs(space, gamma, shape=shape,
+                           flags=flags)["class_relation_holds"]
+        rep = count_pairs(space, gamma, shape=shape, flags=flags[:-1])
+        assert rep["per_g"] == [2] * 8
+        assert not rep["class_relation_holds"]
 
     def test_each_row_check_fails_alone(self):
         # Sp2(F3) has two classes of 4 regular unipotents, each meeting 3

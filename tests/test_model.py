@@ -6,7 +6,8 @@ from isoflag.cases import cuts_for
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
-                           IsotropyViolation, VerificationFailed, build_T,
+                           IsotropyViolation, QuadSpace, VerificationFailed,
+                           build_T,
                            build_model, check_adapted, collection_pairings,
                            component_check, flags_from, normalize_signs,
                            position_check, round_trip_mismatches,
@@ -655,6 +656,23 @@ class TestQuadOracle:
                 assert space.quad(v) == schoolbook_quad(space, v)
             fields.add(name)
         assert fields == {"rat", "gf2", "gf3", "gf4", "gf5", "gf7"}
+
+    def test_odd_q_basis_must_be_half_the_diagonal(self):
+        # where 2 is invertible, isometry_violations checks the form alone,
+        # which is sound only when Q(v) = (v, v)/2
+        m = build_model(ShapeSeq((1,), kappa=1), ORTHOGONAL,
+                        get_finite_field(3))
+        space = m.space
+        f, gram = space.field, space.gram
+        QuadSpace(f, space.mode, gram, space.q_basis)
+        wrong = (space.q_basis[0] + f.one,) + space.q_basis[1:]
+        with pytest.raises(VerificationFailed,
+                           match=r"Q\(e_0\) = .* is not \(e_0, e_0\)/2"):
+            QuadSpace(f, space.mode, gram, wrong)
+        # a zero Q on the symplectic form is not (v, v)/2 either
+        sp = build_model(ShapeSeq((1,)), SYMPLECTIC, get_finite_field(3))
+        with pytest.raises(VerificationFailed, match="needs a symmetric G"):
+            QuadSpace(f, sp.mode, sp.space.gram, (f.zero, f.zero))
 
 
 class TestSplitCheck:
