@@ -32,6 +32,24 @@ def q23_product(a, b):
     return Q23.element(out)
 
 
+def gf_product(f, a, b):
+    """Schoolbook product in GF(p^m): sum a_i b_j x^(i+j), each power of x
+    read off a table built by x^(k+1) = x * x^k, with x^m replaced by
+    -(modulus[0] + ... + modulus[m-1] x^(m-1))."""
+    p, m = f.p, f.m
+    powers = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    while len(powers) < 2 * m - 1:
+        top, shifted = powers[-1][-1], (0,) + powers[-1][:-1]
+        powers.append(tuple((s - top * c) % p
+                            for s, c in zip(shifted, f.modulus)))
+    out = [0] * m
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            for k, c in enumerate(powers[i + j]):
+                out[k] += x * y * c
+    return f.element(out)
+
+
 def brute_sqrt(f, x):
     """The square root of least encoding, by scanning the field."""
     return next((r for r in (f.element(f.decode(n)) for n in range(f.q))
@@ -184,6 +202,71 @@ class TestFiniteFields:
         f = get_finite_field(2, 2)
         # x^2 + x + 1 is the only irreducible quadratic over GF(2)
         assert f.modulus == (1, 1, 1)
+
+
+GF4, GF9, GF81, GF125 = (get_finite_field(2, 2), get_finite_field(3, 2),
+                         get_finite_field(3, 4), get_finite_field(5, 3))
+ALL_FIELDS = {"Q": RATIONALS, "Q2": Q2, "Q23": Q23, "GF5": get_finite_field(5),
+              "GF4": GF4, "GF9": GF9, "GF125": GF125}
+
+
+def elements(f):
+    if f.is_finite:
+        return st.integers(0, f.q - 1).map(lambda n: f.element(f.decode(n)))
+    return st.lists(small, min_size=f.dim, max_size=f.dim).map(f.element)
+
+
+class TestCoordinateArithmetic:
+    """The field operators against references written here, on every
+    field kind."""
+
+    @pytest.mark.parametrize("f", [GF4, GF9, GF125], ids=repr)
+    def test_product_is_schoolbook(self, f):
+        xs = [f.element(f.decode(n)) for n in range(f.q)]
+        for x in xs:
+            for y in xs:
+                assert x * y == gf_product(f, x, y)
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIELDS))
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_additive_identities(self, name, data):
+        f = ALL_FIELDS[name]
+        x, y = data.draw(elements(f)), data.draw(elements(f))
+        assert (x + (-x)).is_zero
+        assert (x - y) + y == x
+        assert -(-x) == x
+
+    def test_sqrt_extend_gf9_lands_in_gf81(self):
+        nonsquares = [x for x in (GF9.element(GF9.decode(n))
+                                  for n in range(1, 9))
+                      if GF9.sqrt_or_none(x) is None]
+        assert len(nonsquares) == 4
+        for x in nonsquares:
+            root, big = sqrt_extend(x)
+            assert big == GF81
+            assert root * root == GF81.lift(x)
+
+    def test_lift_gf9_to_gf81_is_homomorphism(self):
+        xs = [GF9.element(GF9.decode(n)) for n in range(9)]
+        lifted = [GF81.lift(x) for x in xs]
+        assert len(set(lifted)) == 9
+        for x, lx in zip(xs, lifted):
+            for y, ly in zip(xs, lifted):
+                assert GF81.lift(x + y) == lx + ly
+                assert GF81.lift(x * y) == lx * ly
+
+    def test_embedding_image_is_least_root(self):
+        def at(poly, z):
+            acc = GF81.zero
+            for c in reversed(poly):
+                acc = acc * z + c
+            return acc
+        least = next(z for z in (GF81.element(GF81.decode(n))
+                                 for n in range(81))
+                     if at(GF9.modulus, z).is_zero)
+        assert GF81.lift(GF9.element((0, 1))) == least
+        assert at(GF9.modulus, least).is_zero
 
 
 class TestElementProtocol:

@@ -16,10 +16,11 @@ from isoflag.linalg import (Affine, Matrix, NoSolution, NotNilpotent, Unique,
 GF5 = get_finite_field(5)
 GF7 = get_finite_field(7)
 GF4 = get_finite_field(2, 2)
+GF9 = get_finite_field(3, 2)
 Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
-KERNEL_FIELDS = {"GF5": GF5, "GF4": GF4, "Q": RATIONALS, "Q2": Q2,
-                 "Q23": Q23}
+KERNEL_FIELDS = {"GF5": GF5, "GF4": GF4, "GF9": GF9, "Q": RATIONALS,
+                 "Q2": Q2, "Q23": Q23}
 
 
 def gf5_matrix(n, m):
