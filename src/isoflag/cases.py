@@ -82,7 +82,7 @@ class CountCase(NamedTuple):
         Jordan type added."""
         if self.group_type == "A":
             space = counting.FiniteFormSpace(counting.TYPE_A, self.n, self.q)
-            predicted, rank, shape = Counter({self.n: 1}), self.n - 1, None
+            predicted, shape = Counter({self.n: 1}), None
         else:
             shape = self.shape
             c = self.group_type == "C"
@@ -90,10 +90,8 @@ class CountCase(NamedTuple):
                 counting.SP if c else counting.SO_ODD, shape.nu, self.q)
             predicted = jordan_prediction(shape,
                                           SYMPLECTIC if c else ORTHOGONAL)
-            rank = shape.nu // 2
         gamma = predicted if self.gamma is None else Counter(self.gamma)
-        report = counting.count_report(space, gamma, self.group_type, rank,
-                                       shape=shape,
+        report = counting.count_report(space, gamma, shape=shape,
                                        expect_equal=gamma == predicted)
         report["type"] = self.group_type
         report["q"] = self.q

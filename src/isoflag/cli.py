@@ -111,7 +111,7 @@ def cmd_gram(args):
 
 
 def _build_and_check(shape, mode, field):
-    """Build one model and run its checks: (model, checks, ok)."""
+    """Build one model and run its checks: (model, flag pair, checks, ok)."""
     model = build_model(shape, mode, field)
     flag, flag_prime = flags_from(model)
     checks = {
@@ -123,14 +123,14 @@ def _build_and_check(shape, mode, field):
     }
     ok = checks["adapted"] and checks["position"] and \
         all(checks["split"].values())
-    return model, checks, ok
+    return model, (flag, flag_prime), checks, ok
 
 
 def cmd_build(args):
     shape = _shape_from(args)
     mode = _mode_from(args)
     field = parse_field(args.field)
-    model, checks, ok = _build_and_check(shape, mode, field)
+    model, _, checks, ok = _build_and_check(shape, mode, field)
     n = model.g - Matrix.identity(model.field, model.space.dim)
     out = model.to_json()
     out["jordan"] = sorted(nilpotent_jordan_multiset(n).elements(),
@@ -142,10 +142,10 @@ def cmd_build(args):
 
 def _verify(shape, mode, field):
     """Build one model, run every check and an intertwiner: (result, ok)."""
-    model, checks, ok = _build_and_check(shape, mode, field)
+    model, pair, checks, ok = _build_and_check(shape, mode, field)
     eps = {t: -1 if t % 2 else 1
            for t in range(1, shape.sigma + shape.kappa + 1)}
-    build_T(model, model.with_signs(eps))
+    build_T(model, model.with_signs(eps), flags_pair=pair)
     checks["intertwiner"] = True
     return {"shape": shape.to_json(), "mode": mode,
             "field": model.field.to_json(), "checks": checks,

@@ -119,7 +119,10 @@ class FiniteFormSpace:
 
     ``form`` is the Gram matrix as int tuples, for the hot loops; ``quad``
     is the same form as a ``model.QuadSpace`` over GF(q), for the flags.
-    Both are None in type A.
+    Both are None in type A.  ``degrees`` are the degrees of the Weyl
+    group's invariants, 1..nu for GL and 2, 4, ..., 2n for Sp_2n and
+    SO_2n+1, from which every order below follows; ``center_order`` is
+    |Z(G)(F_q)|: the q - 1 scalars of GL, +-1 in Sp, 1 in odd SO.
     """
 
     def __init__(self, mode: str, nu: int, q: int):
@@ -144,6 +147,9 @@ class FiniteFormSpace:
         self.mode = mode
         self.nu = nu
         self.q = q
+        self.degrees = tuple(range(1, nu + 1) if mode == TYPE_A
+                             else range(2, nu + 1, 2))
+        self.center_order = {TYPE_A: q - 1, SP: 2, SO_ODD: 1}[mode]
         self.form: Optional[tuple] = None
         self.quad: Optional[QuadSpace] = None
         if mode == SP:
@@ -170,11 +176,10 @@ class FiniteFormSpace:
 
 
 def group_order_formula(space: FiniteFormSpace) -> int:
-    q, nu = space.q, space.nu
-    if space.mode == TYPE_A:
-        return prod(q ** nu - q ** i for i in range(nu))
-    n = nu // 2
-    return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
+    """|G(F_q)| = q^N prod (q^d - 1) over the degrees d."""
+    q = space.q
+    return q ** _positive_roots(space) * prod(q ** d - 1
+                                              for d in space.degrees)
 
 
 def _primitive_root(q: int) -> int:
@@ -390,8 +395,8 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
     """Every flag of G/B: the complete flags in type A, the isotropic ones
     otherwise, with the standard flag F0 first.
 
-    Each flag is returned as {"basis": columns matrix, "inv": its inverse,
-    "cols": the columns}; the span of the first i columns is V_i.  By the
+    Each flag is returned as {"basis": columns matrix, "inv": its
+    inverse}; the span of the first i columns is V_i.  By the
     Bruhat decomposition each flag is u w F0 for exactly one w of
     _weyl_group and one u in U_w = _cell_element(n_w), where n_w holds the
     N of _cell_algebra with w^-1 N w lower.  The basis is u w and the
@@ -412,8 +417,7 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
                           for r in range(nu))
             inv = tuple(tuple(s * y % q for y in u_inv[pj])
                         for s, pj in zip(signs, p))
-            flags.append({"basis": basis, "inv": inv,
-                          "cols": tuple(zip(*basis))})
+            flags.append({"basis": basis, "inv": inv})
     check_isotropic_flags(space, flags)
     return flags
 
@@ -422,7 +426,8 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
     """Raise VerificationFailed unless each flag's "inv" is the inverse of
     its basis, each flag lifted into ``space.quad`` passes IsoFlag.verify
     (V_n isotropic, V_{nu-i} = V_i-perp; the message names the flag), and
-    the flags times |B| = q^N (q - 1)^rank make the group order."""
+    the flags times |B| = q^N (q - 1)^(number of degrees) make the group
+    order."""
     q, nu = space.q, space.nu
     for fi, fl in enumerate(flags):
         if mat_mul(fl["basis"], fl["inv"], q) != mat_identity(nu):
@@ -435,8 +440,7 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
                         Matrix.from_scalars(field, fl["inv"])).verify()
             except IsotropyViolation as exc:
                 raise IsotropyViolation(f"flag {fi}: {exc}") from None
-    borel = q ** _positive_roots(space) * (q - 1) ** (
-        nu if space.mode == TYPE_A else nu // 2)
+    borel = q ** _positive_roots(space) * (q - 1) ** len(space.degrees)
     order = group_order_formula(space)
     if len(flags) * borel != order:
         raise VerificationFailed(
@@ -445,9 +449,8 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
 
 
 def _positive_roots(space: FiniteFormSpace) -> int:
-    """N: nu(nu - 1)/2 in type A, n^2 for Sp and odd SO."""
-    nu = space.nu
-    return nu * (nu - 1) // 2 if space.mode == TYPE_A else (nu // 2) ** 2
+    """N, the sum of d - 1 over the degrees."""
+    return sum(d - 1 for d in space.degrees)
 
 
 def unipotent_count_formula(space: FiniteFormSpace) -> int:
@@ -561,20 +564,13 @@ def coxeter_cycle(n: int) -> Tuple[int, ...]:
 
 # -- pair counting -----------------------------------------------------------
 
-def adjoint_order(group_type: str, n: int, q: int) -> int:
-    """|G_ad(F_q)| for the adjoint group of rank n: |PGL_{n+1}| in type A,
-    the B/C order formula otherwise (isogenous groups have equally many
-    F_q-points, so not the order of PSp_2n(F_q))."""
-    if group_type == "A":
-        return prod(q ** (n + 1) - q ** i for i in range(n + 1)) // (q - 1)
-    if group_type in ("B", "C"):
-        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1))
-    raise ValueError(f"unsupported type {group_type!r}")
-
-
-def center_order(space: FiniteFormSpace) -> int:
-    """|Z(G)(F_q)|: the q - 1 scalars of GL, +-1 in Sp, 1 in odd SO."""
-    return {TYPE_A: space.q - 1, SP: 2, SO_ODD: 1}[space.mode]
+def adjoint_order(space: FiniteFormSpace) -> int:
+    """|G_ad(F_q)|: the product for |G| without its degree-1 factor, so
+    |PGL_nu| in type A and |G| for Sp and odd SO (isogenous groups have
+    equally many F_q-points, so not the order of PSp_2n(F_q))."""
+    q = space.q
+    return q ** _positive_roots(space) * prod(q ** d - 1
+                                              for d in space.degrees if d > 1)
 
 
 def count_pairs(space: FiniteFormSpace, gamma: Counter,
@@ -647,23 +643,22 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
         "row_count": row_count,
         "class_sizes": sorted(len(cls) for cls in classes),
         "class_relation_holds": all(
-            per_g[cls[0]] * len(cls) * center_order(space) == group.order
+            per_g[cls[0]] * len(cls) * space.center_order == group.order
             for cls in classes),
     }
 
 
 def count_report(space: FiniteFormSpace, gamma: Counter,
-                 group_type: str, rank: int,
                  shape: Optional[ShapeSeq] = None,
-                 expect_equal: bool = True, **kw) -> dict:
+                 expect_equal: bool = True) -> dict:
     """count_pairs plus the relation the count must satisfy.
 
     The count is checked against the adjoint order in every type: equal
     for the predicted Jordan type, different for an off-class one
     (``expect_equal`` False); ``relation_holds`` records the outcome.
     """
-    result = count_pairs(space, gamma, shape=shape, **kw)
-    adjoint = adjoint_order(group_type, rank, space.q)
+    result = count_pairs(space, gamma, shape=shape)
+    adjoint = adjoint_order(space)
     result["group_order"] = group_order_formula(space)
     result["adjoint_order"] = adjoint
     result["expected_relation"] = "equal" if expect_equal else "differs"

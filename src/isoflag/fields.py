@@ -10,6 +10,10 @@ Two kinds of field are supported, behind one element interface:
   (coefficient tuples compared most-significant first).  Elements are tuples of
   m integers in [0, p), little-endian polynomial coordinates.
 
+Each field class owns the arithmetic on its coordinate tuples: ``add``,
+``neg``, ``mul`` and ``inv``, with a fast path for a one-coordinate field (Q,
+GF(p)).  ``FieldElement``'s operators and ``linalg``'s kernels both call them.
+
 ``sqrt_extend`` returns a deterministic square root, extending the field by one
 radicand (tower case) or doubling the extension degree (finite case) when the
 argument is not a square.  Characteristic 2 uses the Frobenius inverse and never
@@ -121,7 +125,23 @@ class TowerField:
                 f"extension to depth {self.depth + 1}")
         return TowerField(self.radicands + (radicand_coords,))
 
-    # -- recursive coordinate arithmetic ------------------------------------
+    # -- coordinate arithmetic ----------------------------------------------
+
+    def add(self, a, b) -> tuple:
+        if not self.depth:
+            return (a[0] + b[0],)
+        return _vadd(a, b)
+
+    def neg(self, a) -> tuple:
+        return _vneg(a)
+
+    def mul(self, a, b) -> tuple:
+        if not self.depth:
+            return (a[0] * b[0],)
+        return self._mul(self.depth, a, b)
+
+    def inv(self, a) -> tuple:
+        return self._inv(self.depth, a)
 
     def _mul(self, d: int, a, b):
         if d == 0:
@@ -227,26 +247,6 @@ RATIONALS = TowerField(())
 # Finite fields GF(p**m)
 # ---------------------------------------------------------------------------
 
-def _poly_mulmod(a, b, modulus, p):
-    """Product of little-endian coefficient tuples, reduced mod (modulus, p)."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce: modulus is monic of degree m
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    prod = prod[:m]
-    prod += [0] * (m - len(prod))
-    return tuple(prod)
-
-
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, m: int) -> tuple:
     """Little-endian coefficients of the canonical degree-m modulus over GF(p)."""
@@ -335,19 +335,58 @@ class FiniteField:
             n //= self.p
         return tuple(digits)
 
-    def _inv(self, a) -> tuple:
-        """Inverse of the nonzero coordinate tuple ``a``: a^(q-2) (Lagrange),
-        by square-and-multiply on coordinates."""
+    # -- coordinate arithmetic ----------------------------------------------
+
+    def add(self, a, b) -> tuple:
+        p = self.p
+        if self.m == 1:
+            return ((a[0] + b[0]) % p,)
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def neg(self, a) -> tuple:
+        p = self.p
+        return tuple(-x % p for x in a)
+
+    def mul(self, a, b) -> tuple:
+        """Product of polynomial coordinates, reduced mod (modulus, p)."""
+        p, m = self.p, self.m
+        if m == 1:
+            return (a[0] * b[0] % p,)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce: the modulus is monic of degree m
+        modulus = self.modulus
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i]
+            if c:
+                for j in range(m):
+                    prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
+        return tuple(prod[:m])
+
+    def inv(self, a) -> tuple:
+        """a^(q-2) (Lagrange) for nonzero ``a``, by square-and-multiply."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        mod, p = self.modulus, self.p
-        result, e = (1,) + (0,) * (self.m - 1), self.q - 2
+        if self.m == 1:
+            return (pow(a[0], self.p - 2, self.p),)
+        result, e = self.one.coords, self.q - 2
         while e:
             if e & 1:
-                result = _poly_mulmod(result, a, mod, p)
-            a = _poly_mulmod(a, a, mod, p)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             e >>= 1
         return result
+
+    def _horner(self, poly, x) -> tuple:
+        """The GF(p) polynomial ``poly`` (little-endian) evaluated at x."""
+        acc = self.zero.coords
+        for c in reversed(poly):
+            acc = self.mul(acc, x)
+            acc = ((acc[0] + c) % self.p,) + acc[1:]
+        return acc
 
     def _embedding_image(self, sub: "FiniteField") -> tuple:
         """Image of ``sub``'s generator under the canonical embedding."""
@@ -358,12 +397,7 @@ class FiniteField:
             raise FiniteScanCapExceeded(f"embedding search in {self!r} exceeds scan cap")
         for enc in range(self.q):
             cand = self.decode(enc)
-            acc = self.zero.coords
-            # evaluate sub.modulus at cand, Horner little-endian
-            for c in reversed(sub.modulus):
-                acc = _poly_mulmod(acc, cand, self.modulus, self.p)
-                acc = tuple((a + (c if i == 0 else 0)) % self.p for i, a in enumerate(acc))
-            if all(a == 0 for a in acc):
+            if not any(self._horner(sub.modulus, cand)):
                 self._embed_images[key] = cand
                 return cand
         raise AssertionError("no embedding root found")
@@ -375,12 +409,8 @@ class FiniteField:
             return FieldElement(self, elem.coords)
         if sub.m == 1:
             return self.from_int(elem.coords[0])
-        gen = self._embedding_image(sub)
-        acc = self.zero.coords
-        for c in reversed(elem.coords):
-            acc = _poly_mulmod(acc, gen, self.modulus, self.p)
-            acc = tuple((a + (c if i == 0 else 0)) % self.p for i, a in enumerate(acc))
-        return FieldElement(self, acc)
+        return FieldElement(
+            self, self._horner(elem.coords, self._embedding_image(sub)))
 
     def sqrt_or_none(self, elem: "FieldElement") -> Optional["FieldElement"]:
         if elem.is_zero:
@@ -461,22 +491,12 @@ class FieldElement:
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        f = a.field
-        if f.is_finite:
-            if f.m == 1:
-                return FieldElement(f, ((a.coords[0] + b.coords[0]) % f.p,))
-            return FieldElement(f, tuple((x + y) % f.p for x, y in zip(a.coords, b.coords)))
-        if not f.depth:
-            return FieldElement(f, (a.coords[0] + b.coords[0],))
-        return FieldElement(f, _vadd(a.coords, b.coords))
+        return FieldElement(a.field, a.field.add(a.coords, b.coords))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.is_finite:
-            return FieldElement(f, tuple((-x) % f.p for x in self.coords))
-        return FieldElement(f, _vneg(self.coords))
+        return FieldElement(self.field, self.field.neg(self.coords))
 
     def __sub__(self, other):
         pair = self._pair(other)
@@ -493,26 +513,14 @@ class FieldElement:
         if pair is NotImplemented:
             return NotImplemented
         a, b = pair
-        f = a.field
-        if f.is_finite:
-            if f.m == 1:
-                return FieldElement(f, (a.coords[0] * b.coords[0] % f.p,))
-            return FieldElement(f, _poly_mulmod(a.coords, b.coords, f.modulus, f.p))
-        if not f.depth:
-            return FieldElement(f, (a.coords[0] * b.coords[0],))
-        return FieldElement(f, f._mul(f.depth, a.coords, b.coords))
+        return FieldElement(a.field, a.field.mul(a.coords, b.coords))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        f = self.field
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        if f.is_finite:
-            if f.m == 1:
-                return FieldElement(f, (pow(self.coords[0], f.p - 2, f.p),))
-            return FieldElement(f, f._inv(self.coords))
-        return FieldElement(f, f._inv(f.depth, self.coords))
+        return FieldElement(self.field, self.field.inv(self.coords))
 
     def __truediv__(self, other):
         pair = self._pair(other)

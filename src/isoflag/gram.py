@@ -490,7 +490,6 @@ class GramTable:
         self.aux[HALF_LEVEL] = {"c": c, "nu": nu}
         root, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
-        nu = self.field.lift(nu) if newfield != nu.field else nu
         c = self.aux[HALF_LEVEL]["c"]
         cv = [c[key] for key in idx]
         f = self.field

@@ -9,23 +9,23 @@ elimination run on raw coordinates: a matrix unwraps its entries once, on
 first use, and keeps them (matrices are immutable); each operation runs one
 loop for the field's kind and wraps its results once.
 
-* GF(p): plain ints, one ``% p`` per dot product; elimination is
-  :func:`echelon_mod`, the one modular pivot loop, also used by counting;
-* Q: ``Fraction`` values, skipping zero terms;
-* deeper towers and GF(p^m): coordinate tuples multiplied by
-  ``TowerField._mul`` or ``_poly_mulmod``, skipping zero terms.
+* GF(p): plain ints, one ``% p`` per dot product;
+* any other field: coordinate tuples combined by the field's own ``add``,
+  ``neg``, ``mul`` and ``inv``, skipping zero terms.
+
+Elimination on either is :func:`_pivot_loop`, which also serves
+:func:`echelon_mod`, the modular kernel counting calls.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial, reduce
-from operator import add, mul
+from functools import reduce
+from operator import mul
 from typing import List, Tuple
 
-from .fields import FieldElement, _poly_mulmod, _vadd, _vneg, _vsub
+from .fields import FieldElement
 from .shapes import VerificationFailed, jordan_from_ranks
 
 
@@ -33,34 +33,50 @@ class NotNilpotent(VerificationFailed):
     """A matrix read as nilpotent whose powers never reach 0."""
 
 
-# -- the one modular elimination kernel ---------------------------------------
+# -- the one pivot loop -----------------------------------------------------
 
-def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form over GF(p) of the first ``ncols`` columns.
+def _pivot_loop(rows, ncols: int, scale, eliminate):
+    """Reduced row echelon form of the first ``ncols`` columns of ``rows``
+    (a list of lists, reduced in place), whose zero entries are falsy.
 
     Pivots on the first nonzero entry top-down, column by column, and
     stops once every row has a pivot; later columns (an augmented block)
-    are carried along.  Returns the rows and the pivot columns: row i has
+    are carried along.  ``scale(row, x)`` returns the row divided by its
+    pivot x, ``eliminate(row, prow, c)`` the row less row[c] times the
+    scaled pivot row.  Returns the rows and the pivot columns: row i has
     a 1 at pivots[i] and zeros in every other pivot column.
     """
-    work = [[x % p for x in r] for r in rows]
     pivots: List[int] = []
     for c in range(ncols):
         pr = len(pivots)
-        if pr == len(work):
+        if pr == len(rows):
             break
-        sel = next((i for i in range(pr, len(work)) if work[i][c]), None)
+        sel = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = pow(work[pr][c], p - 2, p)
-        work[pr] = [x * inv % p for x in work[pr]]
-        for i, row in enumerate(work):
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        prow = rows[pr] = scale(rows[pr], rows[pr][c])
+        for i, row in enumerate(rows):
             if i != pr and row[c]:
-                f = row[c]
-                work[i] = [(x - f * y) % p for x, y in zip(row, work[pr])]
+                rows[i] = eliminate(row, prow, c)
         pivots.append(c)
-    return work, pivots
+    return rows, pivots
+
+
+def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form over GF(p) of the first ``ncols`` columns
+    of int rows, by :func:`_pivot_loop`: the rows, reduced mod p, and the
+    pivot columns."""
+
+    def scale(row, x):
+        inv = pow(x, p - 2, p)
+        return [y * inv % p for y in row]
+
+    def eliminate(row, prow, c):
+        f = row[c]
+        return [(x - f * y) % p for x, y in zip(row, prow)]
+    return _pivot_loop([[x % p for x in r] for r in rows], ncols,
+                       scale, eliminate)
 
 
 # -- per-field scalar kernels -------------------------------------------------
@@ -85,42 +101,15 @@ class _ModKernel:
 
 
 class _CoordKernel:
-    """Any other field: a raw scalar is None for zero, else its Fraction (Q)
-    or its coordinate tuple.  ``mul`` and ``inv`` take nonzero scalars;
-    ``sub(a, b)`` takes a nonzero b and returns None for zero."""
+    """Any other field: a raw scalar is None for zero, else its coordinate
+    tuple, combined by the field's ``add``, ``neg``, ``mul`` and ``inv``;
+    ``mul`` and ``inv`` only ever see nonzero scalars."""
 
     def __init__(self, field):
-        self.field = field
-        self.scalar = not field.is_finite and not field.depth
-        if self.scalar:
-            self.zero = Fraction(0)
-            self.mul, self.add = mul, add
-            self.sub = lambda a, b: -b if a is None else (a - b) or None
-            self.inv = lambda a: 1 / a
-            return
-        zero = self.zero = field.zero.coords
-        if field.is_finite:
-            p = field.p
-            self.mul = partial(_poly_mulmod, modulus=field.modulus, p=p)
-            self.add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
-            self.inv = field._inv
-
-            def sub_(a, b):
-                d = tuple((x - y) % p for x, y in zip(a or zero, b))
-                return d if any(d) else None
-        else:
-            self.mul = partial(field._mul, field.depth)
-            self.add = _vadd
-            self.inv = partial(field._inv, field.depth)
-
-            def sub_(a, b):
-                d = _vneg(b) if a is None else _vsub(a, b)
-                return d if any(d) else None
-        self.sub = sub_
+        self.field, self.zero = field, field.zero.coords
+        self.add, self.mul = field.add, field.mul
 
     def unwrap(self, rows):
-        if self.scalar:
-            return [[x.coords[0] or None for x in r] for r in rows]
         return [[x.coords if any(x.coords) else None for x in r]
                 for r in rows]
 
@@ -131,35 +120,27 @@ class _CoordKernel:
         return reduce(self.add, terms) if terms else None
 
     def wrap(self, v):
-        if v is None:
-            v = self.zero
-        return FieldElement(self.field, (v,) if self.scalar else v)
+        return FieldElement(self.field, self.zero if v is None else v)
 
     def echelon(self, rows, ncols):
-        """The pivot loop of ``echelon_mod`` on raw scalars."""
-        mul_, sub_, inv = self.mul, self.sub, self.inv
-        rows = [list(r) for r in rows]
-        pivots: List[int] = []
-        for c in range(ncols):
-            pr = len(pivots)
-            if pr == len(rows):
-                break
-            sel = next((i for i in range(pr, len(rows))
-                        if rows[i][c] is not None), None)
-            if sel is None:
-                continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            s = inv(rows[pr][c])
-            prow = rows[pr] = [x if x is None else mul_(x, s)
-                               for x in rows[pr]]
-            support = [j for j, y in enumerate(prow) if y is not None]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if i != pr and f is not None:
-                    for j in support:
-                        row[j] = sub_(row[j], mul_(f, prow[j]))
-            pivots.append(c)
-        return rows, pivots
+        field, add, mul_ = self.field, self.add, self.mul
+
+        def scale(row, x):
+            s = field.inv(x)
+            return [y if y is None else mul_(y, s) for y in row]
+
+        def plus(x, t):
+            """x + t for a nonzero t; None for zero."""
+            if x is None:
+                return t
+            s = add(x, t)
+            return s if any(s) else None
+
+        def eliminate(row, prow, c):
+            f = field.neg(row[c])
+            return [x if y is None else plus(x, mul_(f, y))
+                    for x, y in zip(row, prow)]
+        return _pivot_loop([list(r) for r in rows], ncols, scale, eliminate)
 
 
 def _kernel(field):

@@ -11,7 +11,7 @@ import pytest
 
 from isoflag.cases import (BC_COUNTS, OFF_CLASS_COUNTS, TYPE_A_COUNTS,
                            fields_for, partitions_up_to, sweep_cases)
-from isoflag.counting import adjoint_order
+from isoflag.counting import SP, TYPE_A, FiniteFormSpace, adjoint_order
 from isoflag.fields import get_finite_field
 from isoflag.gram import (GramTable, check_conjecture_210, closed_form_value,
                           sg)
@@ -134,7 +134,7 @@ def test_criterion_07_type_a_counts():
         n, q = case.n, case.q
         rep = case.report()
         assert rep["double_count_consistent"] and rep["class_relation_holds"]
-        assert rep["count"] == adjoint_order("A", n - 1, q)
+        assert rep["count"] == adjoint_order(FiniteFormSpace(TYPE_A, n, q))
         if n == 2:
             assert rep["count"] == q * (q ** 2 - 1)
     announce(7, "five type-A counts equal |PGL_n(F_q)| exactly")
@@ -173,7 +173,7 @@ def test_criterion_09_off_class_divergence():
 
     rep_c = case_c.report()
     assert rep_c["double_count_consistent"]
-    assert rep_c["count"] != adjoint_order("C", 2, 3)
+    assert rep_c["count"] != adjoint_order(FiniteFormSpace(SP, 4, 3))
     announce(9, f"off-class counts diverge: typeA 0, C2 {rep_c['count']} "
                 f"!= 51840")
 

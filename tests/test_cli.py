@@ -139,8 +139,7 @@ class TestSubcommands:
         # longer meet the column on the first, and the double count fails
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         basis = tuple(zip(*cols))
-        outside = {"basis": basis, "inv": counting.mat_inv(basis, 3),
-                   "cols": cols}
+        outside = {"basis": basis, "inv": counting.mat_inv(basis, 3)}
         real = counting.enumerate_isotropic_flags_cached
         monkeypatch.setattr(counting, "enumerate_isotropic_flags_cached",
                             lambda space: real(space) + [outside])

@@ -86,7 +86,7 @@ def pair_loop(space, gamma, shape=None):
 
 def flag_dict(cols, q):
     basis = tuple(zip(*cols))
-    return {"basis": basis, "inv": mat_inv(basis, q), "cols": tuple(cols)}
+    return {"basis": basis, "inv": mat_inv(basis, q)}
 
 
 class TestModularLinalg:
@@ -300,7 +300,7 @@ class TestFlags:
         flags = enumerate_isotropic_flags(space)
         assert len(flags) == 4  # the projective line over GF(3)
         for fl in flags:
-            v = fl["cols"][0]
+            v = next(zip(*fl["basis"]))
             assert space.bilinear(v, v) == 0
 
     @pytest.mark.parametrize("mode, nu, q, count", [
@@ -315,7 +315,7 @@ class TestFlags:
         assert len(flags) == count
         for fl in flags:
             assert space.preserves_form(fl["basis"])
-            cols = fl["cols"]
+            cols = tuple(zip(*fl["basis"]))
             for a in range(nu):
                 for c in range(nu - 1 - a):
                     assert space.bilinear(cols[a], cols[c]) == 0
@@ -333,7 +333,7 @@ class TestFlags:
         with pytest.raises(VerificationFailed, match=r"\(b_0, b_0\) = 1"):
             check_isotropic_flags(space, flags + [anisotropic])
         # b_1 pairs with b_0, so V_2 = <b_0, b_1> is not inside V_1 perp
-        cols = flags[0]["cols"]
+        cols = tuple(zip(*flags[0]["basis"]))
         swapped = flag_dict((cols[0], cols[2], cols[1]), 3)
         with pytest.raises(VerificationFailed, match=r"\(b_0, b_1\)"):
             check_isotropic_flags(space, [swapped])
@@ -373,7 +373,8 @@ class TestFlags:
         for fl in flags:
             key = []
             for i in range(1, nu + 1):
-                rows, pivots = echelon_mod(fl["cols"][:i], q, nu)
+                rows, pivots = echelon_mod(tuple(zip(*fl["basis"]))[:i],
+                                           q, nu)
                 key.append(tuple(map(tuple, rows[:len(pivots)])))
             keys.append(tuple(key))
         assert len(flags) == len(set(keys)) == count
@@ -430,29 +431,29 @@ class TestBruhat:
 
 class TestAdjointOrder:
     def test_values(self):
-        assert adjoint_order("A", 1, 3) == 24
-        assert adjoint_order("A", 2, 2) == 168
+        assert adjoint_order(FiniteFormSpace(TYPE_A, 2, 3)) == 24
+        assert adjoint_order(FiniteFormSpace(TYPE_A, 3, 2)) == 168
         # isogenous groups have equally many F_q-points, so the B/C value
         # is |Sp4(F3)| = |SO5(F3)|, not |PSp4(F3)| = 25920
-        assert adjoint_order("C", 2, 3) == 51840
-        assert adjoint_order("B", 2, 3) == 51840
+        assert adjoint_order(FiniteFormSpace(SP, 4, 3)) == 51840
+        assert adjoint_order(FiniteFormSpace(SO_ODD, 5, 3)) == 51840
 
-    def test_unknown_type(self):
-        with pytest.raises(ValueError):
-            adjoint_order("G", 2, 3)
+    def test_unknown_mode(self):
+        with pytest.raises(InvalidInput, match="unknown space mode 'G'"):
+            FiniteFormSpace("G", 4, 3)
 
 
 class TestCounting:
     def test_gl2_f3_coxeter_count(self):
         space = FiniteFormSpace(TYPE_A, 2, 3)
-        rep = count_report(space, Counter({2: 1}), "A", 1)
+        rep = count_report(space, Counter({2: 1}))
         assert rep["count"] == 24
         assert rep["count"] == 3 * (3 ** 2 - 1) == rep["adjoint_order"]
         assert rep["double_count_consistent"]
 
     def test_gl3_f2_coxeter_count(self):
         space = FiniteFormSpace(TYPE_A, 3, 2)
-        rep = count_report(space, Counter({3: 1}), "A", 2)
+        rep = count_report(space, Counter({3: 1}))
         assert rep["count"] == 168 == rep["adjoint_order"]
         assert rep["relation_holds"]
 
