@@ -442,6 +442,43 @@ class TestAdjointOrder:
         with pytest.raises(InvalidInput, match="unknown space mode 'G'"):
             FiniteFormSpace("G", 4, 3)
 
+    @pytest.mark.parametrize("nu,order,adjoint", [(2, 48, 24),
+                                                  (4, 103680, 51840)])
+    def test_similitude_group_over_scalars(self, nu, order, adjoint):
+        # independent of the order formulas: close CSp_nu(F_3), Sp_nu(F_3)
+        # and one similitude of multiplier 2, then divide by the q - 1
+        # scalars, which act freely; PCSp is the adjoint group of Sp
+        q, n = 3, nu // 2
+        space = FiniteFormSpace(SP, nu, q)
+        sim = tuple(tuple((2 if i < n else 1) * (i == j) for j in range(nu))
+                    for i in range(nu))
+        gens = list(enumerate_group_cached(space).kept) + [sim]
+        form = space.form
+        for g in gens:
+            scaled = mat_mul(mat_mul(tuple(zip(*g)), form, q), g, q)
+            lam = scaled[0][nu - 1]  # form[0][nu - 1] is 1
+            assert lam % q
+            assert scaled == tuple(tuple(lam * x % q for x in row)
+                                   for row in form)
+        acts = [counting.RowAction(g, q).__getitem__ for g in gens]
+        one = mat_identity(nu)
+        seen, frontier = {one}, [one]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for act in acts:
+                    y = tuple(map(act, x))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        assert len(seen) == order
+        scalars = [tuple(tuple(c * (i == j) for j in range(nu))
+                         for i in range(nu)) for c in range(1, q)]
+        assert all(s in seen for s in scalars)
+        assert len(seen) % (q - 1) == 0
+        assert len(seen) // (q - 1) == adjoint == adjoint_order(space)
+
 
 class TestCounting:
     def test_gl2_f3_coxeter_count(self):

@@ -7,17 +7,23 @@ import pytest
 
 from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
-from isoflag.gram import GramTable, check_conjecture_210, closed_form_value, sg
+from isoflag.gram import (GramTable, WindowExceeded, check_conjecture_210,
+                          closed_form_value, sg)
 from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, binomial_nk, psi
 
 
 # table_digest() of the reference recursion; a rewrite must keep it
 PINNED_DIGEST = \
     "b2e78ea1b03ae2da3ff779d655d96712f8e49c7a11e538fc0239b7f23d544d52"
+# edge_digest() of the same recursion, at the default window and windows 0, 1
+PINNED_EDGE_DIGEST = \
+    "1433172dbdcedd515b73b22fa0d5b2f28cabd62db2b759a7654a1bc27037a660"
 
 
-def orthogonal_shapes(total):
+def orthogonal_shapes(total, exact=False):
     for parts in partitions_up_to(total):
+        if exact and sum(parts) != total:
+            continue
         for kappa in (0, 1):
             s = ShapeSeq(parts, kappa)
             if s.valid_for_mode(ORTHOGONAL):
@@ -155,9 +161,18 @@ class TestConjecture:
         assert expected == table.field.from_int(value)
 
     def test_reported_range(self):
-        for k in (5, 6):
-            table, square, expected, matches = check_conjecture_210(k)
-            assert matches in (True, False)  # reported, not asserted
+        # beyond k = 4 the prediction is reported, not asserted; but the
+        # square over GF(p) must be the rational square reduced mod p, and
+        # give the same verdict, whatever extensions either side takes
+        for k in range(5, 9):
+            _, square, _, matches = check_conjecture_210(k)
+            assert all(c == 0 for c in square.coords[1:])
+            rational = square.coords[0]
+            for p in (5, 7, 11, 13):
+                table, square_p, _, matches_p = check_conjecture_210(
+                    k, get_finite_field(p))
+                assert square_p == table.field.from_int(rational)
+                assert matches_p == matches
 
 
 def _canonical(obj):
@@ -172,33 +187,72 @@ def _canonical(obj):
     return obj
 
 
+def _table_record(t):
+    """A table's field, all values over its window, its case map, its
+    auxiliary systems and its diagnostics."""
+    shape = t.shape
+    sig = shape.sigma + shape.kappa
+    return [shape.parts, shape.kappa, t.field.to_json(), t.delta_bound,
+            [t.value(a, b, d).to_json()
+             for a in range(1, sig + 1)
+             for b in range(a, sig + 1)
+             for d in range(-t.delta_bound, t.delta_bound + 1)],
+            _canonical(t.case_map), _canonical(t.aux),
+            _canonical(t.diagnostics)]
+
+
+def _digest(out):
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def table_digest():
     """SHA-256 over every orthogonal table with part sum <= 5 and the scan.
 
-    Each table contributes its field, all values over its window, its
-    case map, its auxiliary systems and its diagnostics; the corner scan
-    contributes square, expected value and verdict for k = 2..8.
+    Each table contributes its ``_table_record`` without the window; the
+    corner scan contributes square, expected value and verdict for k = 2..8.
     """
     out = []
     for field in (RATIONALS, get_finite_field(5), get_finite_field(7)):
         for shape in orthogonal_shapes(5):
-            t = GramTable(shape, ORTHOGONAL, field)
-            sig = shape.sigma + shape.kappa
-            out.append([shape.parts, shape.kappa, t.field.to_json(),
-                        [t.value(a, b, d).to_json()
-                         for a in range(1, sig + 1)
-                         for b in range(a, sig + 1)
-                         for d in range(-t.delta_bound, t.delta_bound + 1)],
-                        _canonical(t.case_map), _canonical(t.aux),
-                        _canonical(t.diagnostics)])
+            record = _table_record(GramTable(shape, ORTHOGONAL, field))
+            out.append(record[:3] + record[4:])
     for k in range(2, 9):
         _, square, expected, matches = check_conjecture_210(k)
         out.append([k, square.to_json(), expected.to_json(), matches])
-    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _digest(out)
+
+
+def edge_digest():
+    """SHA-256 over the orthogonal tables of part sum exactly 6, over Q and
+    GF(5), at the default window and at the narrowest windows 0 and 1."""
+    return _digest([_table_record(GramTable(shape, ORTHOGONAL, field, window))
+                    for field in (RATIONALS, get_finite_field(5))
+                    for window in (None, 0, 1)
+                    for shape in orthogonal_shapes(6, exact=True)])
 
 
 def test_pinned_tables():
     # any change to a value, a case label, an auxiliary coefficient or a
     # diagnostic of these tables changes the digest
     assert table_digest() == PINNED_DIGEST
+
+
+def test_pinned_window_edges():
+    # the narrowest windows leave each level the least room to read from
+    assert edge_digest() == PINNED_EDGE_DIGEST
+
+
+def test_reading_past_the_computed_range_raises():
+    for shape in orthogonal_shapes(4):
+        for window in (None, 0):
+            t = GramTable(shape, ORTHOGONAL, delta_bound=window)
+            ranged = [pair for pair, case in t.case_map.items()
+                      if case not in ("2.2", "2.7")]
+            assert ranged
+            for (a, b) in ranged:
+                for d in (-t.delta_bound, t.delta_bound):
+                    t.value(a, b, d)
+                for d in (-1000, 1000):
+                    with pytest.raises(WindowExceeded):
+                        t.value(a, b, d)
