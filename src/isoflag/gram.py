@@ -17,10 +17,22 @@ Two modes:
   virtual half level when kappa = 1.  Square roots taken along the way may
   extend the field; the finished table is stored over the final field.
 
-The computed offset range covers |delta| <= 6*p_1 + 2 by default (enough for
-model reconstruction and the adapted-collection checks), with internal
-margins added per level because each level's recursion reads earlier levels
-at shifted offsets.
+The stored values cover |delta| <= delta_bound, 6*p_1 + 2 by default (enough
+for model reconstruction and the adapted-collection checks).  Earlier
+levels store more, exactly as far as the later stages read them:
+
+* the last real level covers delta_bound, plus 2*p_1 when the odd-sigma
+  half level follows: that level reads value(r, r', i - d) and
+  value(r, r', i - i' + d) with 0 <= i, i' < 2 p_r <= 2 p_1;
+* every earlier level covers the range of the next level plus 2*p_1: a
+  cross value at offset d reads the window rows at m - d (m - d - 2 level
+  below the support) with 0 <= m <= 2 p_r <= 2 p_1, and the auxiliary
+  systems read them within 2 p_1 of zero;
+* the diagonal, cross and same-level pairs of one level share its range:
+  the diagonal reads the level's cross values, and a same-level pair the
+  diagonal, only at offsets that pair stores.
+
+A read outside a stored range raises WindowExceeded.
 """
 
 from __future__ import annotations
@@ -55,34 +67,6 @@ def _recur(vals, coeffs, ds, step, rhs):
         for j in range(1, len(coeffs)):
             acc = acc - coeffs[j] * vals[d - step * j]
         vals[d] = acc
-
-
-def closed_form_value(case: str, level: int, s: int) -> Fraction:
-    """Closed-form oracle values, as exact rationals.
-
-    * ``prop16``: the same-index magnitude C(s + level - 1, s - level) for an
-      index distance s >= level (the caller supplies the sign sg(j - i)).
-    * ``sec25``: 2 (2pi+1)(2pi+2)...(2pi+s-1) (pi+s) / s! for s >= 1.
-    * ``sec26``: 2 C(2pi+s, s) for s >= 0.
-    """
-    assert level >= 1
-    if case == "prop16":
-        assert s >= level
-        return Fraction(comb(s + level - 1, s - level))
-    if case == "sec25":
-        if s < 1:
-            raise ValueError("sec25 closed form is defined for s >= 1 only")
-        num = Fraction(2)
-        for j in range(1, s):
-            num *= (2 * level + j)
-        num *= (level + s)
-        for j in range(1, s + 1):
-            num /= j
-        return num
-    if case == "sec26":
-        assert s >= 0
-        return Fraction(2 * comb(2 * level + s, s))
-    raise ValueError(f"unknown case {case!r}")
 
 
 class _ConstPair:
@@ -194,20 +178,18 @@ class GramTable:
         shape = self.shape
         p1 = shape.part(1)
         levels = sorted(set(shape.parts), reverse=True)
-        n_levels = len(levels) + (1 if shape.kappa else 0)
-        # Each level reads the previous one at offsets shifted by up to
-        # 2p_a + 2pi <= 4p_1, and internally the diagonal reads the cross
-        # values (and the off-diagonal the diagonal) at shifted offsets too,
-        # so output ranges shrink by a fixed margin per level.
-        margin = 12 * p1 + 12
+        odd_half = shape.kappa == 1 and shape.sigma % 2 == 1
+        # the range each level stores is what the later stages read (see
+        # the module docstring): delta_bound, plus 2 p_1 when the odd half
+        # level reads the real levels last, plus 2 p_1 for every later real
+        # level, whose cross values read 2 p_1 past their own range
+        last = self.delta_bound + (2 * p1 if odd_half else 0)
         for pos, level in enumerate(levels):
-            d_level = self.delta_bound + (n_levels - 1 - pos) * margin
-            self._do_level(level, d_level)
-        if shape.kappa:
-            if shape.sigma % 2 == 0:
-                self._half_level_even()
-            else:
-                self._half_level_odd(self.delta_bound)
+            self._do_level(level, last + (len(levels) - 1 - pos) * 2 * p1)
+        if odd_half:
+            self._half_level_odd(self.delta_bound)
+        elif shape.kappa:
+            self._half_level_even()
 
     def _val(self, t, r, delta):
         if t <= r:
@@ -246,13 +228,10 @@ class GramTable:
         shape = self.shape
         xs = [x for x in range(1, shape.sigma + 1) if shape.part(x) == level]
         win = pi_window(shape, level)
-        p1 = shape.part(1)
-        d_diag = d_level + 4 * p1 + 4
-        d_cross = d_level + 8 * p1 + 8
         if win is None:
             # top level: self-contained diagonal plus same-level off-diagonal
             for x in xs:
-                self._diag_25(x, level, d_diag)
+                self._diag_25(x, level, d_level)
             for yi, y in enumerate(xs):
                 for x in xs[yi + 1:]:
                     self._off_26(y, x, level, d_level)
@@ -267,7 +246,7 @@ class GramTable:
                 if self._has_even_drop(t, x0):
                     self._zero_pairs(t, xs, "2.2")
                 else:
-                    self._cross_23(t, x0, level, K, d_cross)
+                    self._cross_23(t, x0, level, K, d_level)
                     for x in xs[1:]:
                         self._memo[(t, x)] = self._memo[(t, x0)]
                         self.case_map[(t, x)] = "2.3"
@@ -277,7 +256,7 @@ class GramTable:
                         "index above the window must satisfy the even-drop rule"
                     self._zero_pairs(y, xs, "2.2")
             for x in xs:
-                self._diag_24(x, level, K, d_diag)
+                self._diag_24(x, level, K, d_level)
         else:
             # b even: every higher row pairs to zero against this level
             for y in range(1, shape.sigma + 1):
@@ -286,7 +265,7 @@ class GramTable:
                         "b even forces the even-drop rule for every higher row"
                     self._zero_pairs(y, xs, "2.2")
             for x in xs:
-                self._diag_25(x, level, d_diag)
+                self._diag_25(x, level, d_level)
         for yi, y in enumerate(xs):
             for x in xs[yi + 1:]:
                 self._off_26(y, x, level, d_level)
@@ -474,54 +453,68 @@ class GramTable:
         a = max(t for t in range(1, sigma + 1) if t % 2 == 1 and ps[t - 1] == 1)
         p = shape.part
         p_a = p(a)
+        f = self.field
         idx = [(r, i) for r in range(a, sigma + 1) for i in range(2 * p(r))]
-        gmat = Matrix(self.field,
-                      [[self._val(r, rp, i - ip) for (rp, ip) in idx]
-                       for (r, i) in idx])
+        gmat = Matrix(f, [[self._val(r, rp, i - ip) for (rp, ip) in idx]
+                          for (r, i) in idx])
         rhs = [self._val(a, rp, 2 * p_a - ip) for (rp, ip) in idx]
         sol = solve_linear(gmat, rhs)
         if isinstance(sol, Unique):
             c = {key: v for key, v in zip(idx, sol.x)}
         else:
             self.diagnostics["sec28_singular"] = True
-            c = {key: self.field.zero for key in idx}
+            c = {key: f.zero for key in idx}
         cv = [c[key] for key in idx]
-        nu = -dot(cv, gmat.apply(cv), self.field)
+        nu = -dot(cv, gmat.apply(cv), f)
+
+        def corr(rp, e):
+            """sum over (r, i) of c_(r, i) value(r, rp, i + e)."""
+            return dot(cv, [self._val(r, rp, i + e) for (r, i) in idx], f)
+
+        # Each value is a bracket in the current field times 1/cx0 (cross)
+        # or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2: only the cross
+        # values' final scale needs the root.  For the pair (r', x) the
+        # offset is d = i' - h.
+        cross = {rp: {d: self._val(a, rp, 2 * p_a - d) - corr(rp, -d)
+                      for d in range(-d_range, d_range + 1)}
+                 for rp in range(a, sigma + 1)}
+        # the quadratic term sum c_(r, i) c_(r', i') value(r, r', i - i' + d)
+        # through the correlation C[(r, r', e)] = sum over i - i' = e
+        corr_c: Dict[Tuple[int, int, int], FieldElement] = {}
+        for (r, i), x in c.items():
+            for (rp, ip), y in c.items():
+                key = (r, rp, i - ip)
+                corr_c[key] = corr_c.get(key, f.zero) + x * y
+        keys = list(corr_c)
+        cc = [corr_c[key] for key in keys]
+        # the diagonal is even in d, like value(a, a, .) and the
+        # quadratic term, so only d >= 0 is computed
+        diag = [self._val(a, a, d) - corr(a, d - 2 * p_a)
+                - corr(a, -d - 2 * p_a)
+                + dot(cc, [self._val(r, rp, e + d) for (r, rp, e) in keys], f)
+                for d in range(d_range + 1)]
         self.aux[HALF_LEVEL] = {"c": c, "nu": nu}
-        root, newfield = sqrt_extend(nu / 2)
+        cx0, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
-        c = self.aux[HALF_LEVEL]["c"]
-        cv = [c[key] for key in idx]
-        f = self.field
-        cx0 = root
         self.aux[HALF_LEVEL]["cx0"] = cx0
         if cx0.is_zero:
             raise ArithmeticError("half-level scale factor vanished; "
                                   "the pairing table cannot be completed")
-        inv = cx0.inverse()
+        lift = newfield.lift
+        inv2 = f.from_int(2) / nu  # 1/cx0^2, in the base field
+        inv = cx0 * lift(inv2)
         # rows below the window start pair to zero (even-drop rule)
         x = sigma + 1
         for y in range(1, a):
             assert self._has_even_drop(y, x)
             self._zero_pairs(y, [x], "2.2")
-        for rp in range(a, sigma + 1):
-            vals: Dict[int, FieldElement] = {}
-            for d in range(-d_range, d_range + 1):
-                # d = i' - h for the pair (r', x)
-                row = [self._val(r, rp, i - d) for (r, i) in idx]
-                vals[d] = inv * (self._val(a, rp, 2 * p_a - d)
-                                 - dot(cv, row, f))
+        for rp, brackets in cross.items():
+            vals = {d: inv * lift(v) for d, v in brackets.items()}
             self._memo[(rp, x)] = _RangePair(-d_range, d_range, vals)
             self.case_map[(rp, x)] = "2.8"
-        inv2 = inv * inv
         vals = {}
-        for d in range(-d_range, d_range + 1):
-            cross = [self._val(r, a, i + d - 2 * p_a)
-                     + self._val(r, a, i - d - 2 * p_a) for (r, i) in idx]
-            square = Matrix(f, [[self._val(r, rp, i - ip + d)
-                                 for (rp, ip) in idx] for (r, i) in idx])
-            vals[d] = inv2 * (self._val(a, a, d) - dot(cv, cross, f)
-                              + dot(cv, square.apply(cv), f))
+        for d, v in enumerate(diag):
+            vals[d] = vals[-d] = lift(inv2 * v)
         self._memo[(x, x)] = _RangePair(-d_range, d_range, vals)
         self.case_map[(x, x)] = "2.8"
 

@@ -5,19 +5,17 @@ criteria reuse the module-level group/flag caches, so the expensive
 enumerations run once per session.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from isoflag.cases import (BC_COUNTS, OFF_CLASS_COUNTS, TYPE_A_COUNTS,
                            fields_for, partitions_up_to, sweep_cases)
 from isoflag.counting import SP, TYPE_A, FiniteFormSpace, adjoint_order
 from isoflag.fields import get_finite_field
-from isoflag.gram import (GramTable, check_conjecture_210, closed_form_value,
-                          sg)
+from isoflag.gram import GramTable, check_conjecture_210, sg
 from isoflag.model import build_T, flags_from, position_check
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, ShapeSeq,
                             verify_series_identity)
+from closed_forms import closed_form_value
 from spans import span_contains, span_dim
 
 

@@ -1,15 +1,14 @@
 import hashlib
 import json
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
-from isoflag.gram import (GramTable, WindowExceeded, check_conjecture_210,
-                          closed_form_value, sg)
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, binomial_nk, psi
+from isoflag.gram import GramTable, WindowExceeded, check_conjecture_210, sg
+from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq
+from closed_forms import closed_form_value
 
 
 # table_digest() of the reference recursion; a rewrite must keep it
