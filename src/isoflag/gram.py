@@ -471,9 +471,9 @@ class GramTable:
             """sum over (r, i) of c_(r, i) value(r, rp, i + e)."""
             return dot(cv, [self._val(r, rp, i + e) for (r, i) in idx], f)
 
-        # Each value is a bracket in the current field times 1/cx0 (cross)
-        # or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2: only the cross
-        # values' final scale needs the root.  For the pair (r', x) the
+        # Each value is a bracket in the field this level starts in, times
+        # 1/cx0 (cross) or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2:
+        # only the cross values' final scale needs the root.  For the pair (r', x) the
         # offset is d = i' - h.
         cross = {rp: {d: self._val(a, rp, 2 * p_a - d) - corr(rp, -d)
                       for d in range(-d_range, d_range + 1)}
