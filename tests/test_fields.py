@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
                             RATIONALS, FieldElement, TowerDepthExceeded,
-                            get_finite_field, sqrt_extend)
+                            _canonical_modulus, get_finite_field,
+                            sqrt_extend)
 
 Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
@@ -54,6 +55,99 @@ def brute_sqrt(f, x):
     """The square root of least encoding, by scanning the field."""
     return next((r for r in (f.element(f.decode(n)) for n in range(f.q))
                  if r * r == x), None)
+
+
+#: _canonical_modulus(p, m), little-endian, for p <= 13, m <= 6 and
+#: p^m <= 2 * 10^6, as sympy's gf_irreducible_p chose them.  Every field,
+#: table and digest depends on these; they must never change.
+PINNED_MODULI = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1),
+    (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1),
+    (11, 6): (2, 1, 0, 0, 0, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (13, 4): (2, 0, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1),
+}
+
+
+def monic_polys(p, m):
+    """Every monic polynomial of degree m over GF(p), little-endian, in
+    order of encoding (the x^(m-1) coefficient most significant)."""
+    for enc in range(p ** m):
+        digits = []
+        for _ in range(m):
+            enc, c = divmod(enc, p)
+            digits.append(c)
+        yield tuple(digits) + (1,)
+
+
+def divides(g, f, p):
+    """Whether the monic g divides f over GF(p), by long division."""
+    r = list(f)
+    for i in range(len(f) - len(g), -1, -1):
+        c = r[i + len(g) - 1]
+        if c:
+            for j, x in enumerate(g):
+                r[i + j] = (r[i + j] - c * x) % p
+    return not any(r)
+
+
+def irreducible_by_trial_division(f, p):
+    """The oracle: no monic g of degree 1..m/2 divides the monic f."""
+    m = len(f) - 1
+    return not any(divides(g, f, p) for d in range(1, m // 2 + 1)
+                   for g in monic_polys(p, d))
+
+
+def gauss_count(p, m):
+    """The number of monic irreducibles of degree m over GF(p):
+    (1/m) * sum over d | m of mobius(d) p^(m/d)."""
+    def mobius(n):
+        sign, k = 1, 2
+        while n > 1:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+    return sum(mobius(d) * p ** (m // d)
+               for d in range(1, m + 1) if m % d == 0) // m
+
+
+#: (p, m) small enough to enumerate every monic polynomial of degree m.
+ORACLE_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
 
 
 class TestRationalTower:
@@ -202,6 +296,24 @@ class TestFiniteFields:
         f = get_finite_field(2, 2)
         # x^2 + x + 1 is the only irreducible quadratic over GF(2)
         assert f.modulus == (1, 1, 1)
+
+    def test_pinned_moduli(self):
+        assert len(PINNED_MODULI) == 35
+        for (p, m), modulus in PINNED_MODULI.items():
+            assert _canonical_modulus(p, m) == modulus, (p, m)
+            assert get_finite_field(p, m).modulus == modulus
+
+    @pytest.mark.parametrize("p,m", ORACLE_CASES)
+    def test_modulus_is_least_irreducible_by_trial_division(self, p, m):
+        least = next(f for f in monic_polys(p, m)
+                     if irreducible_by_trial_division(f, p))
+        assert _canonical_modulus(p, m) == least
+
+    @pytest.mark.parametrize("p,m", ORACLE_CASES)
+    def test_trial_division_counts_match_gauss(self, p, m):
+        found = sum(irreducible_by_trial_division(f, p)
+                    for f in monic_polys(p, m))
+        assert found == gauss_count(p, m)
 
 
 GF4, GF9, GF81, GF125 = (get_finite_field(2, 2), get_finite_field(3, 2),
