@@ -8,7 +8,9 @@ Two kinds of field are supported, behind one element interface:
 * ``FiniteField`` -- GF(p**m) with a fixed canonical modulus: the
   lexicographically least monic irreducible polynomial of degree m over GF(p)
   (coefficient tuples compared most-significant first).  Elements are tuples of
-  m integers in [0, p), little-endian polynomial coordinates.
+  m integers in [0, p), little-endian polynomial coordinates.  Irreducibility
+  is Ben-Or's test, run deterministically: a monic f of degree m is
+  irreducible iff gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= m/2.
 
 Each field class owns the arithmetic on its coordinate tuples: ``add``,
 ``neg``, ``mul`` and ``inv``, with a fast path for a one-coordinate field (Q,
@@ -26,9 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence, Union
-
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
 
 Scalar = Union[int, Fraction]
 
@@ -247,6 +246,66 @@ RATIONALS = TowerField(())
 # Finite fields GF(p**m)
 # ---------------------------------------------------------------------------
 
+def _mulmod(a, b, modulus, p) -> tuple:
+    """Product of polynomial coordinates, reduced mod (modulus, p)."""
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    # reduce: the modulus is monic of degree m
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        if c:
+            for j in range(m):
+                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
+    return tuple(prod[:m])
+
+
+def _powmod(a, e: int, modulus, p) -> tuple:
+    """a^e reduced mod (modulus, p), by square-and-multiply."""
+    result = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, modulus, p)
+        a = _mulmod(a, a, modulus, p)
+        e >>= 1
+    return result
+
+
+def _trim(a) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd(a, b, p) -> list:
+    """A gcd of little-endian polynomials over GF(p), by Euclid."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        inv, db = pow(b[-1], p - 2, p), len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = a[i + db] * inv % p
+            if c:
+                for j, y in enumerate(b):
+                    a[i + j] = (a[i + j] - c * y) % p
+        a, b = b, _trim(a[:db])
+    return a
+
+
+def _is_irreducible(f, p) -> bool:
+    """Ben-Or's test for the monic ``f`` (little-endian) of degree >= 2."""
+    m = len(f) - 1
+    h = x = (0, 1) + (0,) * (m - 2)
+    for _ in range(m // 2):
+        h = _powmod(h, p, f, p)  # x^(p^i) mod f
+        if len(_gcd(f, [(c - e) % p for c, e in zip(h, x)], p)) > 1:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, m: int) -> tuple:
     """Little-endian coefficients of the canonical degree-m modulus over GF(p)."""
@@ -258,9 +317,9 @@ def _canonical_modulus(p: int, m: int) -> tuple:
         for _ in range(m):
             digits.append(n % p)
             n //= p
-        poly_desc = [1] + list(reversed(digits))  # sympy wants descending order
-        if gf_irreducible_p(poly_desc, p, ZZ):
-            return tuple(digits) + (1,)
+        f = tuple(digits) + (1,)
+        if _is_irreducible(f, p):
+            return f
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -349,22 +408,9 @@ class FiniteField:
 
     def mul(self, a, b) -> tuple:
         """Product of polynomial coordinates, reduced mod (modulus, p)."""
-        p, m = self.p, self.m
-        if m == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce: the modulus is monic of degree m
-        modulus = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-        return tuple(prod[:m])
+        if self.m == 1:
+            return (a[0] * b[0] % self.p,)
+        return _mulmod(a, b, self.modulus, self.p)
 
     def inv(self, a) -> tuple:
         """a^(q-2) (Lagrange) for nonzero ``a``, by square-and-multiply."""
@@ -372,13 +418,7 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return (pow(a[0], self.p - 2, self.p),)
-        result, e = self.one.coords, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return _powmod(a, self.q - 2, self.modulus, self.p)
 
     def _horner(self, poly, x) -> tuple:
         """The GF(p) polynomial ``poly`` (little-endian) evaluated at x."""

@@ -321,6 +321,25 @@ class TestExitCodes:
         assert proc.returncode == 2 and "usage error" in proc.stderr
 
 
+class TestStandardLibraryOnly:
+    def test_runs_without_sympy(self):
+        # the package needs no third-party module: with sympy made
+        # unimportable, the CLI still builds extension fields and runs
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys\n"
+                "sys.modules['sympy'] = None\n"
+                "from isoflag import cli\n"
+                "from isoflag.fields import get_finite_field\n"
+                "assert get_finite_field(3, 2).modulus == (1, 0, 1)\n"
+                "assert get_finite_field(2, 3).modulus == (1, 1, 0, 1)\n"
+                "sys.exit(cli.main(['psi', '--shape', '2,1']))\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["psi"] == [1, -1]
+
+
 class TestOutputFormats:
     def test_deterministic_json(self, capsys):
         _code, p1 = run_json(capsys, "psi", "--shape", "2,1")

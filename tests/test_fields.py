@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
                             RATIONALS, FieldElement, TowerDepthExceeded,
-                            _canonical_modulus, get_finite_field,
-                            sqrt_extend)
+                            _canonical_modulus, _is_irreducible,
+                            get_finite_field, sqrt_extend)
 
 Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
@@ -314,6 +314,12 @@ class TestFiniteFields:
         found = sum(irreducible_by_trial_division(f, p)
                     for f in monic_polys(p, m))
         assert found == gauss_count(p, m)
+
+    @pytest.mark.parametrize("p,m", ORACLE_CASES)
+    def test_ben_or_agrees_with_trial_division(self, p, m):
+        for f in monic_polys(p, m):
+            assert _is_irreducible(f, p) == \
+                irreducible_by_trial_division(f, p), f
 
 
 GF4, GF9, GF81, GF125 = (get_finite_field(2, 2), get_finite_field(3, 2),
