@@ -144,18 +144,14 @@ class GramTable:
         assert 1 <= t <= sigma_k and 1 <= r <= sigma_k
         if self.mode == SYMPLECTIC:
             return self._symplectic_value(t, r, delta)
-        if t <= r:
-            return self._memo[(t, r)].get(delta)
-        return self._memo[(r, t)].get(-delta)
-
-    def pairing(self, t: int, i: int, r: int, j: int) -> FieldElement:
-        """The bilinear form value of block vector (t, i) against (r, j)."""
-        return self.value(t, r, i - j)
+        return self._val(t, r, delta)
 
     def gram_matrix(self) -> Matrix:
+        """The form on the block vectors: (t, i) against (r, j) is
+        value(t, r, i - j)."""
         idx = self.shape.block_indices()
         return Matrix(self.field,
-                      [[self.pairing(t, i, r, j) for (r, j) in idx]
+                      [[self.value(t, r, i - j) for (r, j) in idx]
                        for (t, i) in idx])
 
     # -- symplectic / char-2 closed form ------------------------------------

@@ -546,23 +546,6 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     return t_mat
 
 
-def component_check(model: IsometryModel, t_mat: Matrix,
-                    flag: IsoFlag) -> bool:
-    """Whether T lies in the identity component of the isometry group.
-
-    Immediate (True) except for even-dimensional orthogonal spaces, where
-    the two SO-orbits of maximal isotropic subspaces are compared via the
-    parity of dim(T V_n meet V_n) - n, a rank and so exact over every
-    field.
-    """
-    if model.mode != ORTHOGONAL or model.shape.kappa == 1:
-        return True
-    n = model.space.dim // 2
-    m = flag.inverse * t_mat * flag.basis
-    # dim(T V_n meet V_n) = n - rank(M[n:, :n]) for M = B^{-1} T B
-    return m.submatrix(n, m.nrows, 0, n).rank() % 2 == 0
-
-
 # -- decomposition checks ----------------------------------------------------
 
 def _block_diagonal(m: Matrix, labels) -> bool:

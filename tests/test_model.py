@@ -9,11 +9,11 @@ from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
                            IsotropyViolation, QuadSpace, VerificationFailed,
                            build_T,
                            build_model, check_adapted, collection_pairings,
-                           component_check, flags_from, normalize_signs,
-                           position_check, round_trip_mismatches,
-                           split_check)
+                           flags_from, normalize_signs, position_check,
+                           round_trip_mismatches, split_check)
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                             psi)
+from components import component_check
 from spans import span_contains, span_dim
 
 
