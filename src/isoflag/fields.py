@@ -296,7 +296,8 @@ def _gcd(a, b, p) -> list:
 
 
 def _is_irreducible(f, p) -> bool:
-    """Ben-Or's test for the monic ``f`` (little-endian) of degree >= 2."""
+    """Ben-Or's test for the monic ``f`` (little-endian); every f of
+    degree 1 passes."""
     m = len(f) - 1
     h = x = (0, 1) + (0,) * (m - 2)
     for _ in range(m // 2):
@@ -309,8 +310,6 @@ def _is_irreducible(f, p) -> bool:
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, m: int) -> tuple:
     """Little-endian coefficients of the canonical degree-m modulus over GF(p)."""
-    if m == 1:
-        return (0, 1)
     for enc in range(p ** m):
         digits = []
         n = enc
