@@ -587,6 +587,56 @@ class TestIntertwiner:
             assert v == sp1.table.value(t, r, d)
 
 
+def dense_shear(f, nu):
+    """L U with L, U unitriangular and every entry off the diagonal set:
+    invertible, dense, and no isometry in general."""
+    lower = Matrix(f, [[f.from_int(i + j + 1) if i > j else
+                        f.one if i == j else f.zero for j in range(nu)]
+                       for i in range(nu)])
+    upper = Matrix(f, [[f.from_int(i * j + 2) if i < j else
+                        f.one if i == j else f.zero for j in range(nu)]
+                       for i in range(nu)])
+    return lower * upper
+
+
+def schoolbook_pairings(model):
+    """(w^t_d, w^r_0) from extend_index, G w^r_0 by Matrix.apply and a
+    FieldElement fold, keyed (t, r, d) in collection_pairings' order."""
+    f, gram = model.field, model.space.gram
+    blocks = range(1, model.shape.sigma + model.shape.kappa + 1)
+    bound = 6 * model.shape.part(1)
+    out = {}
+    for r in blocks:
+        gw = gram.apply(model.extend_index(r, 0))
+        for t in blocks:
+            for d in range(-bound, bound + 1):
+                acc = f.zero
+                for x, y in zip(model.extend_index(t, d), gw):
+                    acc = acc + x * y
+                out[(t, r, d)] = acc
+    return out
+
+
+class TestPairingsOracle:
+    """collection_pairings against the schoolbook pairings, on derived
+    models whose collection is not the standard basis."""
+
+    def test_derived_models_agree(self, model_sweep):
+        seen = set()
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            h = dense_shear(m.field, m.space.dim)
+            for variant in (sign_flip(m), m.conjugated(h)):
+                got = collection_pairings(variant)
+                want = schoolbook_pairings(variant)
+                assert list(got) == list(want)
+                assert got == want
+            seen.add(repr(m.field))
+        assert {"TowerField(depth=0)", "TowerField(depth=1)", "GF(3^2)",
+                "GF(2^2)"} <= seen
+
+
 class TestComponentCheck:
     def test_symplectic_immediate(self, sp1):
         t = Matrix.identity(sp1.field, 2)
