@@ -13,8 +13,13 @@ Two kinds of field are supported, behind one element interface:
   irreducible iff gcd(x^(p^i) - x, f) = 1 for every 1 <= i <= m/2.
 
 Each field class owns the arithmetic on its coordinate tuples: ``add``,
-``neg``, ``mul`` and ``inv``, with a fast path for a one-coordinate field (Q,
-GF(p)).  ``FieldElement``'s operators and ``linalg``'s kernels both call them.
+``neg``, ``mul``, ``inv`` and ``dot``, with a fast path for a one-coordinate
+field (Q, GF(p)).  ``dot(xs, ys)`` is sum x_i y_i, with the products summed
+before one normalisation: integer numerators over one common denominator
+over Q, the ``_mul`` split into sqrt halves at each tower level, one ``% p``
+over GF(p), and over GF(p^m) the unreduced polynomial products, reduced once
+mod p and the modulus.  ``FieldElement``'s operators, ``linalg``'s kernels
+and ``gram``'s recursion call them.
 
 ``sqrt_extend`` returns a deterministic square root, extending the field by one
 radicand (tower case) or doubling the extension degree (finite case) when the
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -64,6 +69,23 @@ def _vneg(a):
 
 def _vscale(a, c):
     return tuple(x * c for x in a)
+
+
+def _qdot(xs, ys) -> Fraction:
+    """sum x[0] y[0] over one-coordinate tuples of Fraction: integer
+    numerators over one common denominator, then one Fraction."""
+    num, den = 0, 1
+    for (x,), (y,) in zip(xs, ys):
+        n = x.numerator * y.numerator
+        if not n:
+            continue
+        d = x.denominator * y.denominator
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den)
 
 
 class TowerField:
@@ -142,6 +164,10 @@ class TowerField:
     def inv(self, a) -> tuple:
         return self._inv(self.depth, a)
 
+    def dot(self, xs, ys) -> tuple:
+        """sum x_i y_i over coordinate tuples, normalised once."""
+        return self._dot(self.depth, xs, ys)
+
     def _mul(self, d: int, a, b):
         if d == 0:
             return (a[0] * b[0],)
@@ -158,6 +184,34 @@ class TowerField:
         lo = _vadd(self._mul(d - 1, a1, b1), self._mul(d - 1, self._mul(d - 1, a2, b2), r))
         hi = _vadd(self._mul(d - 1, a1, b2), self._mul(d - 1, a2, b1))
         return lo + hi
+
+    def _dot(self, d: int, xs, ys):
+        """The depth-d dot, split like ``_mul``: with x = x1 + x2 sqrt(r)
+        and y = y1 + y2 sqrt(r), the low half is the dot of the x1 y1
+        terms and one more, (sum x2 y2) times r; the high half is the dot
+        of the x1 y2 and x2 y1 terms.  Zero sqrt halves drop their terms."""
+        if d == 0:
+            return (_qdot(xs, ys),)
+        h = 1 << (d - 1)
+        lo_x, lo_y, sq_x, sq_y, hi_x, hi_y = [], [], [], [], [], []
+        for a, b in zip(xs, ys):
+            a1, a2, b1, b2 = a[:h], a[h:], b[:h], b[h:]
+            x2, y2 = any(a2), any(b2)
+            lo_x.append(a1)
+            lo_y.append(b1)
+            if y2:
+                hi_x.append(a1)
+                hi_y.append(b2)
+            if x2:
+                hi_x.append(a2)
+                hi_y.append(b1)
+            if x2 and y2:
+                sq_x.append(a2)
+                sq_y.append(b2)
+        if sq_x:
+            lo_x.append(self._dot(d - 1, sq_x, sq_y))
+            lo_y.append(self.radicands[d - 1])
+        return self._dot(d - 1, lo_x, lo_y) + self._dot(d - 1, hi_x, hi_y)
 
     def _inv(self, d: int, a):
         if d == 0:
@@ -261,6 +315,24 @@ def _mulmod(a, b, modulus, p) -> tuple:
             for j in range(m):
                 prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
     return tuple(prod[:m])
+
+
+def _polydot(xs, ys, modulus, p) -> tuple:
+    """sum x_i y_i over polynomial coordinates: the unreduced products
+    summed, then reduced once mod p and the (monic, degree m) modulus."""
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
+    for a, b in zip(xs, ys):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(m):
+                prod[i - m + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:m])
 
 
 def _powmod(a, e: int, modulus, p) -> tuple:
@@ -419,6 +491,12 @@ class FiniteField:
             return (pow(a[0], self.p - 2, self.p),)
         return _powmod(a, self.q - 2, self.modulus, self.p)
 
+    def dot(self, xs, ys) -> tuple:
+        """sum x_i y_i over coordinate tuples, reduced once."""
+        if self.m == 1:
+            return (sum(a[0] * b[0] for a, b in zip(xs, ys)) % self.p,)
+        return _polydot(xs, ys, self.modulus, self.p)
+
     def _horner(self, poly, x) -> tuple:
         """The GF(p) polynomial ``poly`` (little-endian) evaluated at x."""
         acc = self.zero.coords
@@ -472,6 +550,12 @@ class FiniteField:
                 i, b2 = 0, b
                 while b2 != one:
                     i, b2 = i + 1, b2 * b2
+                    # in a field b has order 2^i with i < s
+                    if i == s:
+                        raise ArithmeticError(
+                            f"Tonelli-Shanks found no order below 2^{s} in "
+                            f"{self!r}: its modulus {self.modulus} is not "
+                            f"irreducible")
                 g = c ** (1 << (s - i - 1))
                 root, c = root * g, g * g
                 b, s = b * c, i

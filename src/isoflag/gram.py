@@ -56,17 +56,31 @@ def sg(i: int) -> int:
     return 1 if i > 0 else -1
 
 
-def _recur(vals, coeffs, ds, step, rhs):
+def _recur(field, vals, coeffs, ds, step, rhs):
     """Solve sum_j coeffs[j] vals[d - step j] = rhs(d) for each d in ds.
 
     coeffs[0] is one, and every vals[d - step j] with j >= 1 is already
-    set when d comes up: step 1 runs upwards, step -1 downwards.
+    set when d comes up: step 1 runs upwards, step -1 downwards.  rhs(d)
+    is two lists of coordinate tuples whose dot is the right-hand side;
+    each value is one ``field.dot``, wrapped once.
     """
+    neg = [field.neg(c.coords) for c in coeffs[1:]]
     for d in ds:
-        acc = rhs(d)
-        for j in range(1, len(coeffs)):
-            acc = acc - coeffs[j] * vals[d - step * j]
-        vals[d] = acc
+        xs, ys = rhs(d)
+        vals[d] = FieldElement(field, field.dot(
+            xs + neg,
+            ys + [vals[d - step * j].coords for j in range(1, len(coeffs))]))
+
+
+def _grouped_dots(field, terms):
+    """{key: sum x y} over the (key, x, y) in ``terms`` (x, y coordinate
+    tuples), one ``field.dot`` per key, keys in order of first use."""
+    groups: Dict[object, tuple] = {}
+    for key, x, y in terms:
+        xs, ys = groups.setdefault(key, ([], []))
+        xs.append(x)
+        ys.append(y)
+    return {key: field.dot(xs, ys) for key, (xs, ys) in groups.items()}
 
 
 class _ConstPair:
@@ -291,31 +305,38 @@ class GramTable:
         evaluated by ``_apply``.  With coef = atilde this is the full form
         behind nu, the cross values and the diagonal of a window level; the
         alpha and beta steps pass only the coefficients already solved for.
-        Zero entries are dropped, so no value behind one is ever read.
+        K holds coordinate tuples.  Zero entries are dropped, so no value
+        behind one is ever read.
         """
         f = self.field
-        nk = self._nk_elems(level)
+        nk = [n.coords for n in self._nk_elems(level)]
         # coef indices of row a stay below 2 p_a - 2 level
         terms = {**coef, (a, 2 * self.shape.part(a) - 2 * level): f.one}
-        K: Dict[Tuple[int, int], FieldElement] = {}
-        for (r, h), c in terms.items():
-            if c.is_zero:
-                continue
-            for k, n in enumerate(nk):
-                K[(r, h + k)] = K.get((r, h + k), f.zero) + n * c
-        return {key: c for key, c in K.items() if not c.is_zero}
+        K = _grouped_dots(f, (((r, h + k), n, c.coords)
+                              for (r, h), c in terms.items() if not c.is_zero
+                              for k, n in enumerate(nk)))
+        return {key: c for key, c in K.items() if any(c)}
+
+    def _scaled(self, K, c):
+        """The form c L: every coefficient of K times the scalar c."""
+        mul = self.field.mul
+        return {key: mul(c.coords, k) for key, k in K.items()}
+
+    def _terms(self, K, t, e):
+        """L(t, e) as two coordinate lists: K's coefficients and the
+        values value(r, t, m + e) they multiply."""
+        return (list(K.values()),
+                [self._val(r, t, m + e).coords for (r, m) in K])
 
     def _apply(self, K, t, e):
         """L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e)."""
-        acc = self.field.zero
-        for (r, m), c in K.items():
-            acc = acc + c * self._val(r, t, m + e)
-        return acc
+        return FieldElement(self.field, self.field.dot(*self._terms(K, t, e)))
 
     # -- auxiliary systems (alpha, beta, merged coefficients, mu) ------------
 
     def _compute_aux(self, level: int, window):
         p = self.shape.part
+        f = self.field
         a = window[0]
         alpha: Dict[Tuple[int, int], FieldElement] = {}
         beta: Dict[Tuple[int, int], FieldElement] = {}
@@ -327,11 +348,12 @@ class GramTable:
             for r in reversed(window):
                 if h > p(r) - level - 1:
                     continue
-                rhs = -self._apply(K, r, -(p(r) + h))
+                xs, ys = self._terms(K, r, -(p(r) + h))
                 for rp in window:
                     if rp > r and p(rp) == p(r):
-                        rhs = rhs - alpha[(rp, h)] * self._val(rp, r, -p(r))
-                alpha[(r, h)] = rhs
+                        xs.append(alpha[(rp, h)].coords)
+                        ys.append(self._val(rp, r, -p(r)).coords)
+                alpha[(r, h)] = -FieldElement(f, f.dot(xs, ys))
             if h == 0:
                 continue
             # beta step, ascending over the window: alpha_i for i < h - 1,
@@ -342,12 +364,13 @@ class GramTable:
             for r in window:
                 if h > p(r) - level:
                     continue
-                rhs = -self._apply(K, r, -(p(r) - h))
+                xs, ys = self._terms(K, r, -(p(r) - h))
                 for rp in window:
                     if rp < r:
-                        rhs = rhs - beta[(rp, 2 * p(rp) - 2 * level - h)] * \
-                            self._val(rp, r, 2 * p(rp) - p(r))
-                beta[(r, 2 * p(r) - 2 * level - h)] = rhs
+                        xs.append(beta[(rp, 2 * p(rp) - 2 * level - h)].coords)
+                        ys.append(self._val(rp, r, 2 * p(rp) - p(r)).coords)
+                beta[(r, 2 * p(r) - 2 * level - h)] = \
+                    -FieldElement(f, f.dot(xs, ys))
         # alpha holds the indices below p - level, beta the rest
         atilde = {**alpha, **beta}
         K = self._kernel(level, a, atilde)
@@ -375,10 +398,11 @@ class GramTable:
         for d in range(-level, 2 * p_t - level):
             vals[d] = f.zero
         vals[2 * p_t - level] = mu * self.aux[level]["nu"][t]
-        _recur(vals, nk, range(2 * p_t - level + 1, d_range + 1), 1,
-               lambda d: mu * self._apply(K, t, -d))
-        _recur(vals, nk, range(-level - 1, -d_range - 1, -1), -1,
-               lambda d: mu * self._apply(K, t, -d - 2 * level))
+        K = self._scaled(K, mu)
+        _recur(f, vals, nk, range(2 * p_t - level + 1, d_range + 1), 1,
+               lambda d: self._terms(K, t, -d))
+        _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: self._terms(K, t, -d - 2 * level))
         self._memo[(t, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(t, x)] = "2.3"
 
@@ -391,9 +415,10 @@ class GramTable:
             vals[d] = f.zero
         vals[-level] = f.one
         vals[level] = f.one
-        _recur(vals, self._nk_elems(level),
+        K = self._scaled(K, mu)
+        _recur(f, vals, self._nk_elems(level),
                range(-level - 1, -d_range - 1, -1), -1,
-               lambda d: mu * self._apply(K, x, d))
+               lambda d: self._terms(K, x, d))
         for d in range(level + 1, d_range + 1):
             vals[d] = vals[-d]
         self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
@@ -411,8 +436,8 @@ class GramTable:
             vals[-level - 1] = f.from_int(2 * level + 2)
         coeffs = [f.from_int((-1) ** k * comb(2 * level + 1, k))
                   for k in range(2 * level + 2)]
-        _recur(vals, coeffs, range(-level - 2, -d_range - 1, -1), -1,
-               lambda d: f.zero)
+        _recur(f, vals, coeffs, range(-level - 2, -d_range - 1, -1), -1,
+               lambda d: ([], []))
         for d in range(level + 1, d_range + 1):
             vals[d] = vals[-d]
         self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
@@ -426,10 +451,10 @@ class GramTable:
         vals: Dict[int, FieldElement] = {}
         for d in range(-level, level):
             vals[d] = f.zero
-        _recur(vals, nk, range(-level - 1, -d_range - 1, -1), -1,
-               lambda d: self._apply(K, x, d))
-        _recur(vals, nk, range(level, d_range + 1), 1,
-               lambda d: self._apply(K, x, d - 2 * level))
+        _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: self._terms(K, x, d))
+        _recur(f, vals, nk, range(level, d_range + 1), 1,
+               lambda d: self._terms(K, x, d - 2 * level))
         self._memo[(y, x)] = _RangePair(min(vals), max(vals), vals)
         self.case_map[(y, x)] = "2.6"
 
@@ -476,13 +501,11 @@ class GramTable:
                  for rp in range(a, sigma + 1)}
         # the quadratic term sum c_(r, i) c_(r', i') value(r, r', i - i' + d)
         # through the correlation C[(r, r', e)] = sum over i - i' = e
-        corr_c: Dict[Tuple[int, int, int], FieldElement] = {}
-        for (r, i), x in c.items():
-            for (rp, ip), y in c.items():
-                key = (r, rp, i - ip)
-                corr_c[key] = corr_c.get(key, f.zero) + x * y
+        corr_c = _grouped_dots(f, (((r, rp, i - ip), x.coords, y.coords)
+                                   for (r, i), x in c.items()
+                                   for (rp, ip), y in c.items()))
         keys = list(corr_c)
-        cc = [corr_c[key] for key in keys]
+        cc = [FieldElement(f, corr_c[key]) for key in keys]
         # the diagonal is even in d, like value(a, a, .) and the
         # quadratic term, so only d >= 0 is computed
         diag = [self._val(a, a, d) - corr(a, d - 2 * p_a)

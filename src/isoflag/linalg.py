@@ -11,7 +11,8 @@ loop for the field's kind and wraps its results once.
 
 * GF(p): plain ints, one ``% p`` per dot product;
 * any other field: coordinate tuples combined by the field's own ``add``,
-  ``neg``, ``mul`` and ``inv``, skipping zero terms.
+  ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero terms; a dot product
+  is one ``field.dot``, which sums the products before it normalises.
 
 Elimination on either is :func:`_pivot_loop`, which also serves
 :func:`echelon_mod`, the modular kernel counting calls.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from operator import mul
 from typing import List, Tuple
 
@@ -102,8 +102,8 @@ class _ModKernel:
 
 class _CoordKernel:
     """Any other field: a raw scalar is None for zero, else its coordinate
-    tuple, combined by the field's ``add``, ``neg``, ``mul`` and ``inv``;
-    ``mul`` and ``inv`` only ever see nonzero scalars."""
+    tuple, combined by the field's ``add``, ``neg``, ``mul``, ``inv`` and
+    ``dot``; ``mul``, ``inv`` and ``dot`` only ever see nonzero scalars."""
 
     def __init__(self, field):
         self.field, self.zero = field, field.zero.coords
@@ -114,10 +114,13 @@ class _CoordKernel:
                 for r in rows]
 
     def dot(self, a, b):
-        mul_ = self.mul
-        terms = [mul_(x, y) for x, y in zip(a, b)
-                 if x is not None and y is not None]
-        return reduce(self.add, terms) if terms else None
+        xs, ys = [], []
+        for x, y in zip(a, b):
+            if x is not None and y is not None:
+                xs.append(x)
+                ys.append(y)
+        s = self.field.dot(xs, ys)
+        return s if any(s) else None
 
     def wrap(self, v):
         return FieldElement(self.field, self.zero if v is None else v)

@@ -449,20 +449,42 @@ def collection_pairings(model: IsometryModel) -> dict:
 
     6p_1 is the largest offset i - j for i, j in the window [-2p_1, 4p_1].
     The one pairing computation of this module: the clause checks, the
-    table round trip and the intertwiner all read it.  Memoized on the model: callers share
-    the dict and must not change it.
+    table round trip and the intertwiner all read it.  Memoized on the
+    model: callers share the dict and must not change it.
+
+    Each block's orbit w^t_d is stepped outwards from its stored window
+    in w_cols, by g upwards and g^-1 downwards, on the raw coordinates
+    of the matrices' kernel; each pairing is one kernel dot against the
+    raw G w^r_0, and only the pairing values are wrapped.  The vectors
+    are the ones extend_index gives, which is left as it was.
     """
     if model._pairings is not None:
         return model._pairings
-    shape, space = model.shape, model.space
+    shape = model.shape
     bound = 6 * shape.part(1)
     blocks = range(1, shape.sigma + shape.kappa + 1)
-    keys = [(t, d) for t in blocks for d in range(-bound, bound + 1)]
-    vectors = Matrix(space.field, [model.extend_index(t, d) for t, d in keys])
+    k, g = model.g._raw()
+    g_inv, gram = model.g_inv._raw()[1], model.space.gram._raw()[1]
+    cols = list(zip(*model.w_cols._raw()[1]))
+    dot = k.dot
+    orbits = {}
+    for t in blocks:
+        start = model.index_of[(t, 0)]
+        above = cols[start:start + (2 * shape.part(t) if t <= shape.sigma
+                                    else 1)]
+        while len(above) <= bound:
+            above.append([dot(row, above[-1]) for row in g])
+        below = [above[0]]
+        for _ in range(bound):
+            below.append([dot(row, below[-1]) for row in g_inv])
+        orbits[t] = below[:0:-1] + above[:bound + 1]
+    wrap, offsets = k.wrap, range(-bound, bound + 1)
     out = {}
     for r in blocks:
-        values = vectors.apply(space.gram.apply(model.extend_index(r, 0)))
-        out.update(((t, r, d), v) for (t, d), v in zip(keys, values))
+        gw = [dot(row, orbits[r][bound]) for row in gram]
+        for t in blocks:
+            out.update(((t, r, d), wrap(dot(v, gw)))
+                       for d, v in zip(offsets, orbits[t]))
     model._pairings = out
     return out
 

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from isoflag.cases import fields_for, sweep_cases
+
+# every run draws the same examples, and writes no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
-                            RATIONALS, FieldElement, TowerDepthExceeded,
+                            RATIONALS, FieldElement, FiniteField,
+                            TowerDepthExceeded,
                             _canonical_modulus, _is_irreducible,
                             get_finite_field, sqrt_extend)
 
@@ -250,6 +251,14 @@ class TestFiniteFields:
         nonsquare = next(k for k in range(2, p)
                          if pow(k, (p - 1) // 2, p) == p - 1)
         assert f.sqrt_or_none(f.from_int(nonsquare)) is None
+
+    def test_sqrt_over_reducible_modulus_raises(self):
+        # GF(3)[x]/(x^2 - 1) is GF(3) x GF(3): its least "nonresidue" is a
+        # zero divisor, so the Tonelli-Shanks squarings of b never reach 1
+        f = FiniteField(3, 2)
+        f.modulus = (2, 0, 1)
+        with pytest.raises(ArithmeticError, match=r"GF\(3\^2\).*not irreducible"):
+            f.sqrt_or_none(f.from_int(-1))
 
     def test_char2_sqrt_never_extends(self):
         for f in (get_finite_field(2), get_finite_field(2, 2),

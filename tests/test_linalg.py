@@ -294,6 +294,72 @@ class TestKernelOracle:
             assert all(x.is_zero for x in a.apply(v))
 
 
+def fold_dot(field, xs, ys):
+    """sum x_i y_i on coordinate tuples by the field's add and mul."""
+    acc = field.zero.coords
+    for x, y in zip(xs, ys):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def assert_same_coords(got, want):
+    """Equal coordinates of one type: Fraction or int, never a mix."""
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+class TestFieldDot:
+    """field.dot, which normalises once, against the schoolbook fold."""
+
+    @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
+           st.integers(0, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fold(self, data, name, n):
+        field = KERNEL_FIELDS[name]
+        xs = [data.draw(coords(field)) for _ in range(n)]
+        ys = [data.draw(coords(field)) for _ in range(n)]
+        assert_same_coords(field.dot(xs, ys), fold_dot(field, xs, ys))
+
+    @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
+           st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_cancelling_terms_give_canonical_zero(self, data, name, n):
+        field = KERNEL_FIELDS[name]
+        xs = [data.draw(coords(field)) for _ in range(n)]
+        ys = [data.draw(coords(field)) for _ in range(n)]
+        got = field.dot(xs + [field.neg(x) for x in xs], ys + ys)
+        assert_same_coords(got, field.zero.coords)
+        if not field.is_finite:
+            assert all(c.denominator == 1 for c in got)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_empty_is_zero(self, name):
+        field = KERNEL_FIELDS[name]
+        assert_same_coords(field.dot([], []), field.zero.coords)
+
+    @pytest.mark.parametrize("name", ["Q", "Q2", "Q23"])
+    def test_denominators_not_dividing(self, name):
+        # 1/6 * 3/4 + 5/9 = 49/72 in every coordinate, and in the sqrt
+        # halves against a rational y
+        field = KERNEL_FIELDS[name]
+        zero = (Fraction(0),) * field.dim
+
+        def at(pos, c):
+            return zero[:pos] + (Fraction(c),) + zero[pos + 1:]
+        for pos in range(field.dim):
+            xs = [at(pos, Fraction(1, 6)), at(pos, Fraction(5, 9))]
+            ys = [at(0, Fraction(3, 4)), at(0, 1)]
+            got = field.dot(xs, ys)
+            assert_same_coords(got, fold_dot(field, xs, ys))
+            assert got == at(pos, Fraction(49, 72))
+        # both factors in the top sqrt half: 49/72 times the radicand
+        top = field.dim // 2
+        if top:
+            xs = [at(top, Fraction(1, 6)), at(top, Fraction(5, 9))]
+            ys = [at(top, Fraction(3, 4)), at(top, 1)]
+            assert_same_coords(field.dot(xs, ys), fold_dot(field, xs, ys))
+
+
 class TestShapeErrors:
     def test_shape_mismatches_raise(self):
         a = Matrix.from_scalars(GF5, [[1, 2, 3], [4, 0, 1]])
