@@ -119,8 +119,11 @@ class _CoordKernel:
             if x is not None and y is not None:
                 xs.append(x)
                 ys.append(y)
-        s = self.field.dot(xs, ys)
-        return s if any(s) else None
+        if len(xs) > 1:
+            s = self.field.dot(xs, ys)
+            return s if any(s) else None
+        # sparse rows (permutations, shifts) leave one term or none
+        return self.mul(xs[0], ys[0]) if xs else None
 
     def wrap(self, v):
         return FieldElement(self.field, self.zero if v is None else v)
