@@ -12,7 +12,8 @@ loop for the field's kind and wraps its results once.
 * GF(p): plain ints, one ``% p`` per dot product;
 * any other field: coordinate tuples combined by the field's own ``add``,
   ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero terms; a dot product
-  is one ``field.dot``, which sums the products before it normalises.
+  of two or more terms is one ``field.dot``, which sums the products
+  before it normalises.
 
 Elimination on either is :func:`_pivot_loop`, which also serves
 :func:`echelon_mod`, the modular kernel counting calls.

@@ -456,7 +456,7 @@ def collection_pairings(model: IsometryModel) -> dict:
     in w_cols, by g upwards and g^-1 downwards, on the raw coordinates
     of the matrices' kernel; each pairing is one kernel dot against the
     raw G w^r_0, and only the pairing values are wrapped.  The vectors
-    are the ones extend_index gives, which is left as it was.
+    are those of extend_index, which serves the other callers.
     """
     if model._pairings is not None:
         return model._pairings
@@ -477,7 +477,7 @@ def collection_pairings(model: IsometryModel) -> dict:
         below = [above[0]]
         for _ in range(bound):
             below.append([dot(row, below[-1]) for row in g_inv])
-        orbits[t] = below[:0:-1] + above[:bound + 1]
+        orbits[t] = below[:0:-1] + above
     wrap, offsets = k.wrap, range(-bound, bound + 1)
     out = {}
     for r in blocks:

@@ -257,7 +257,8 @@ class TestFiniteFields:
         # zero divisor, so the Tonelli-Shanks squarings of b never reach 1
         f = FiniteField(3, 2)
         f.modulus = (2, 0, 1)
-        with pytest.raises(ArithmeticError, match=r"GF\(3\^2\).*not irreducible"):
+        with pytest.raises(ArithmeticError,
+                           match=r"GF\(3\^2\).*not irreducible"):
             f.sqrt_or_none(f.from_int(-1))
 
     def test_char2_sqrt_never_extends(self):
