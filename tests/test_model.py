@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -344,6 +346,24 @@ class TestBuildModel:
         assert check_adapted(flipped) == []
 
 
+def model_digest(model_sweep):
+    """SHA-256 over g and both flag bases of every sweep model, by key."""
+    out = []
+    for key in sorted(model_sweep):
+        m = model_sweep[key]
+        flag, flag_prime = flags_from(m)
+        out.append([list(key), m.g.to_json(), flag.basis.to_json(),
+                    flag_prime.basis.to_json()])
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# model_digest() of the sweep at part sum <= 5; a rewrite of the matrix
+# layer must keep it
+PINNED_MODEL_DIGEST = \
+    "e526d00a524b30597c8ce4b1d77a02f3f4d605b47fba25fd39a8bbb244c01e56"
+
+
 class TestSweep:
     def test_all_acceptance_models_build(self, model_sweep):
         # build_model verifies every invariant internally; reaching here
@@ -351,6 +371,12 @@ class TestSweep:
         assert len(model_sweep) > 0
         for (parts, kappa, mode, _name), m in model_sweep.items():
             assert m.shape.parts == parts and m.mode == mode
+
+    def test_pinned_models(self, model_sweep):
+        # any change to an entry of g or of either flag basis of any sweep
+        # model changes the digest
+        assert len(model_sweep) == 248
+        assert model_digest(model_sweep) == PINNED_MODEL_DIGEST
 
 
 class TestPairingProfileOracle:
