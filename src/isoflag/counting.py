@@ -170,9 +170,16 @@ class FiniteFormSpace:
         return sum(u[i] * sum(f * y for f, y in zip(self.form[i], v))
                    for i in range(self.nu)) % self.q
 
+    def lift(self, rows) -> Matrix:
+        """The GF(q) matrix of an int matrix, built on its residues
+        without a FieldElement per entry."""
+        q = self.q
+        return Matrix.from_raw(self.quad.field,
+                               [[x % q for x in r] for r in rows])
+
     def preserves_form(self, g) -> bool:
-        return self.quad is None or not self.quad.isometry_violations(
-            Matrix.from_scalars(self.quad.field, g))
+        return self.quad is None or \
+            not self.quad.isometry_violations(self.lift(g))
 
 
 def group_order_formula(space: FiniteFormSpace) -> int:
@@ -434,10 +441,9 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
             raise VerificationFailed(f"flag {fi}: inv is not the inverse "
                                      f"of the basis")
         if space.quad is not None:
-            field = space.quad.field
             try:
-                IsoFlag(space.quad, Matrix.from_scalars(field, fl["basis"]),
-                        Matrix.from_scalars(field, fl["inv"])).verify()
+                IsoFlag(space.quad, space.lift(fl["basis"]),
+                        space.lift(fl["inv"])).verify()
             except IsotropyViolation as exc:
                 raise IsotropyViolation(f"flag {fi}: {exc}") from None
     borel = q ** _positive_roots(space) * (q - 1) ** len(space.degrees)

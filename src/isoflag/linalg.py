@@ -3,19 +3,24 @@
 Elimination is fraction-free only in the sense of being exact; pivoting always
 picks the first nonzero entry top-down, so every result is deterministic.
 
-Every entry of a matrix is a FieldElement of the matrix's own field; a
-foreign entry or operand raises ``TypeError``.  Products, ``apply`` and
-elimination run on raw coordinates: a matrix unwraps its entries once, on
-first use, and keeps them (matrices are immutable); each operation runs one
-loop for the field's kind and wraps its results once.
+A matrix's state is its raw rows, one kernel scalar per entry:
 
-* GF(p): plain ints, one ``% p`` per dot product;
-* any other field: coordinate tuples combined by the field's own ``add``,
-  ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero terms; a dot product
-  of two or more terms is one ``field.dot``, which sums the products
-  before it normalises.
+* GF(p): plain ints in [0, p), one ``% p`` per dot product;
+* any other field: coordinate tuples, None for zero, combined by the
+  field's own ``add``, ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero
+  terms; a dot product of two or more terms is one ``field.dot``, which
+  sums the products before it normalises.
 
-Elimination on either is :func:`_pivot_loop`, which also serves
+So a raw zero is falsy and every other raw scalar is truthy.  Products,
+sums, transposes, submatrices, ``hstack``, inverses, ranks, ``is_zero`` and
+``==`` read and return raw rows and make no FieldElement.  ``rows``, the
+entries as FieldElement of the matrix's own field, is a view: it is
+wrapped on first read and kept (matrices are immutable).  ``col``,
+``apply``, ``nullspace`` and ``solve_linear`` return FieldElement.  A
+matrix built from FieldElement rows unwraps them on first use; a foreign
+entry or operand raises ``TypeError``.
+
+Elimination on either kernel is :func:`_pivot_loop`, which also serves
 :func:`echelon_mod`, the modular kernel counting calls.
 """
 
@@ -85,17 +90,28 @@ def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
 class _ModKernel:
     """GF(p): a raw scalar is its int in [0, p)."""
 
+    zero, one = 0, 1
+
     def __init__(self, field):
         self.field, self.p = field, field.p
 
-    def unwrap(self, rows):
-        return [[x.coords[0] for x in r] for r in rows]
-
-    def dot(self, a, b):
-        return sum(map(mul, a, b)) % self.p
+    def raw(self, x):
+        return x.coords[0]
 
     def wrap(self, v):
         return FieldElement(self.field, (v,))
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def dot(self, a, b):
+        return sum(map(mul, a, b)) % self.p
 
     def echelon(self, rows, ncols):
         return echelon_mod(rows, self.p, ncols)
@@ -104,15 +120,35 @@ class _ModKernel:
 class _CoordKernel:
     """Any other field: a raw scalar is None for zero, else its coordinate
     tuple, combined by the field's ``add``, ``neg``, ``mul``, ``inv`` and
-    ``dot``; ``mul``, ``inv`` and ``dot`` only ever see nonzero scalars."""
+    ``dot``, which only ever see nonzero scalars here."""
+
+    zero = None
 
     def __init__(self, field):
-        self.field, self.zero = field, field.zero.coords
-        self.add, self.mul = field.add, field.mul
+        self.field, self.one = field, field.one.coords
+        self._zero_coords = field.zero.coords
 
-    def unwrap(self, rows):
-        return [[x.coords if any(x.coords) else None for x in r]
-                for r in rows]
+    def raw(self, x):
+        return x.coords if any(x.coords) else None
+
+    def wrap(self, v):
+        return FieldElement(self.field, self._zero_coords if v is None else v)
+
+    def add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        s = self.field.add(a, b)
+        return s if any(s) else None
+
+    def neg(self, a):
+        return None if a is None else self.field.neg(a)
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        return self.field.mul(a, b)
 
     def dot(self, a, b):
         xs, ys = [], []
@@ -124,28 +160,19 @@ class _CoordKernel:
             s = self.field.dot(xs, ys)
             return s if any(s) else None
         # sparse rows (permutations, shifts) leave one term or none
-        return self.mul(xs[0], ys[0]) if xs else None
-
-    def wrap(self, v):
-        return FieldElement(self.field, self.zero if v is None else v)
+        return self.field.mul(xs[0], ys[0]) if xs else None
 
     def echelon(self, rows, ncols):
-        field, add, mul_ = self.field, self.add, self.mul
+        field, add = self.field, self.add
+        mul_ = field.mul
 
         def scale(row, x):
             s = field.inv(x)
             return [y if y is None else mul_(y, s) for y in row]
 
-        def plus(x, t):
-            """x + t for a nonzero t; None for zero."""
-            if x is None:
-                return t
-            s = add(x, t)
-            return s if any(s) else None
-
         def eliminate(row, prow, c):
             f = field.neg(row[c])
-            return [x if y is None else plus(x, mul_(f, y))
+            return [x if y is None else add(x, mul_(f, y))
                     for x, y in zip(row, prow)]
         return _pivot_loop([list(r) for r in rows], ncols, scale, eliminate)
 
@@ -154,6 +181,11 @@ def _kernel(field):
     if field.is_finite and field.m == 1:
         return _ModKernel(field)
     return _CoordKernel(field)
+
+
+def _identity_rows(k, n):
+    z, o = k.zero, k.one
+    return [tuple(o if i == j else z for j in range(n)) for i in range(n)]
 
 
 def _check_field(field, rows):
@@ -174,37 +206,93 @@ def _check_field(field, rows):
 
 
 class Matrix:
-    """Immutable exact matrix; entries are FieldElement sharing one field."""
+    """Immutable exact matrix over one field, held as raw rows.
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_unwrapped")
+    ``Matrix(field, rows)`` takes FieldElement rows, which become the
+    ``rows`` view as given; every operation returns a raw-backed matrix.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_k", "_unwrapped", "_rows")
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = tuple(tuple(rows_i) for rows_i in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        self._rows = tuple(tuple(rows_i) for rows_i in rows)
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        if any(len(r) != self.ncols for r in self._rows):
             raise ValueError("ragged rows")
 
     @classmethod
+    def _of(cls, k, raw):
+        """The matrix over ``k.field`` whose raw rows are ``raw``, a list of
+        tuples of k's scalars."""
+        m = cls.__new__(cls)
+        m.field, m._k, m._unwrapped = k.field, k, raw
+        m.nrows = len(raw)
+        m.ncols = len(raw[0]) if raw else 0
+        return m
+
+    @classmethod
+    def from_raw(cls, field, rows):
+        """The matrix whose raw rows are ``rows``: over GF(p) ints already
+        reduced into [0, p), otherwise coordinate tuples with None for
+        zero.  Makes no FieldElement."""
+        return cls._of(_kernel(field), [tuple(r) for r in rows])
+
+    @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        k = _kernel(field)
+        return cls._of(k, _identity_rows(k, n))
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        k = _kernel(field)
+        return cls._of(k, [(k.zero,) * ncols for _ in range(nrows)])
 
     @classmethod
     def from_scalars(cls, field, rows):
         return cls(field, [[field.from_int(x) for x in r] for r in rows])
 
+    @property
+    def rows(self):
+        """The entries as FieldElement, wrapped on first read."""
+        try:
+            return self._rows
+        except AttributeError:
+            wrap = self._k.wrap
+            self._rows = tuple(tuple(map(wrap, r)) for r in self._unwrapped)
+            return self._rows
+
+    def _raw(self):
+        """(kernel, raw rows); rows given as FieldElement are checked and
+        unwrapped on first use."""
+        try:
+            return self._k, self._unwrapped
+        except AttributeError:
+            _check_field(self.field, self._rows)
+            k = _kernel(self.field)
+            raw = [tuple(map(k.raw, r)) for r in self._rows]
+            self._k, self._unwrapped = k, raw
+            return k, raw
+
+    def _operand(self, other, op):
+        """The raw rows of ``other``, a matrix over this matrix's field."""
+        if other.field is not self.field and other.field != self.field:
+            raise TypeError(f"{op} of a matrix over {self.field!r} and one "
+                            f"over {other.field!r}")
+        return other._raw()[1]
+
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows)
+        if not isinstance(other, Matrix):
+            return False
+        if other.field is self.field:
+            return self._raw()[1] == other._raw()[1]
+        # equal fields built separately compare entry by entry, and
+        # entries of different fields never compare equal
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.field, tuple(self._raw()[1])))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -216,51 +304,41 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other, "sum")
-        return Matrix(self.field, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        rb = self._operand(other, "sum")
+        k, ra = self._raw()
+        add = k.add
+        return Matrix._of(k, [tuple(map(add, a, b)) for a, b in zip(ra, rb)])
 
     def __sub__(self, other):
-        self._same_shape(other, "difference")
-        return Matrix(self.field, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
-
-    def _raw(self):
-        """(kernel, raw rows), unwrapped on first use."""
-        try:
-            return self._unwrapped
-        except AttributeError:
-            _check_field(self.field, self.rows)
-            k = _kernel(self.field)
-            self._unwrapped = (k, k.unwrap(self.rows))
-            return self._unwrapped
+        k, ra = self._raw()
+        neg = k.neg
+        return Matrix._of(k, [tuple(map(neg, r)) for r in ra])
 
     def __mul__(self, other):
+        k, ra = self._raw()
         if not isinstance(other, Matrix):
-            return Matrix(self.field, [[a * other for a in r] for r in self.rows])
+            s, mul_ = k.raw(self.field.one * other), k.mul
+            return Matrix._of(k, [tuple([mul_(x, s) for x in r]) for r in ra])
         if self.ncols != other.nrows:
             raise ValueError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        f = self.field
-        if other.field is not f and other.field != f:
-            raise TypeError(f"product of a matrix over {f!r} and one over "
-                            f"{other.field!r}")
-        (k, ra), rb = self._raw(), other._raw()[1]
-        dot, wrap = k.dot, k.wrap
-        cols = list(zip(*rb))
-        return Matrix(f, [[wrap(dot(r, c)) for c in cols] for r in ra])
+        cols = list(zip(*self._operand(other, "product")))
+        dot = k.dot
+        return Matrix._of(k, [tuple([dot(r, c) for c in cols]) for r in ra])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
+        k, ra = self._raw()
+        return Matrix._of(k, list(zip(*ra))) if ra else self
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of FieldElement."""
         k, ra = self._raw()
         _check_field(self.field, (vec,))
         dot, wrap = k.dot, k.wrap
-        (v,) = k.unwrap((vec,))
+        v = tuple(map(k.raw, vec))
         return tuple(wrap(dot(r, v)) for r in ra)
 
     def col(self, j):
@@ -268,24 +346,26 @@ class Matrix:
 
     @property
     def is_zero(self):
-        return all(x.is_zero for r in self.rows for x in r)
+        return not any(map(any, self._raw()[1]))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError(f"hstack of {self.nrows} and {other.nrows} rows")
-        return Matrix(self.field, [list(a) + list(b) for a, b in zip(self.rows, other.rows)])
+        rb = self._operand(other, "hstack")
+        k, ra = self._raw()
+        return Matrix._of(k, [a + b for a, b in zip(ra, rb)])
 
     def submatrix(self, row_lo, row_hi, col_lo, col_hi) -> "Matrix":
-        return Matrix(self.field, [r[col_lo:col_hi] for r in self.rows[row_lo:row_hi]])
+        k, ra = self._raw()
+        return Matrix._of(k, [r[col_lo:col_hi] for r in ra[row_lo:row_hi]])
 
     # -- elimination --------------------------------------------------------
 
     def _echelon(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form of the raw rows: (rows, pivot column
+        list)."""
         k, rows = self._raw()
-        rows, pivots = k.echelon(rows, self.ncols)
-        wrap = k.wrap
-        return [[wrap(x) for x in r] for r in rows], pivots
+        return k.echelon(rows, self.ncols)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -293,6 +373,7 @@ class Matrix:
     def nullspace(self) -> List[tuple]:
         """Basis of the right kernel, as coordinate tuples."""
         rows, pivots = self._echelon()
+        k = self._k
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         z, o = self.field.zero, self.field.one
@@ -301,18 +382,20 @@ class Matrix:
             v = [z] * self.ncols
             v[fj] = o
             for pi, pc in enumerate(pivots):
-                v[pc] = -rows[pi][fj]
+                v[pc] = k.wrap(k.neg(rows[pi][fj]))
             basis.append(tuple(v))
         return basis
 
     def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError(f"inverse of a {self.nrows}x{self.ncols} matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.nrows))
-        rows, pivots = aug._echelon()
-        if pivots != list(range(self.nrows)):
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError(f"inverse of a {n}x{self.ncols} matrix")
+        k, ra = self._raw()
+        aug = [r + e for r, e in zip(ra, _identity_rows(k, n))]
+        rows, pivots = k.echelon(aug, n)
+        if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [r[self.nrows:] for r in rows])
+        return Matrix._of(k, [tuple(r[n:]) for r in rows])
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]
@@ -322,8 +405,7 @@ def dot(a, b, field) -> FieldElement:
     """sum a_i b_i for sequences of FieldElement of ``field``."""
     _check_field(field, (a, b))
     k = _kernel(field)
-    ra, rb = k.unwrap((a, b))
-    return k.wrap(k.dot(ra, rb))
+    return k.wrap(k.dot(map(k.raw, a), map(k.raw, b)))
 
 
 # -- linear solving ---------------------------------------------------------
@@ -351,10 +433,10 @@ def solve_linear(a: Matrix, b):
     rows, pivots = aug._echelon()
     if a.ncols in pivots:
         return NoSolution()
-    z = field.zero
+    z, wrap = field.zero, aug._k.wrap
     x0 = [z] * a.ncols
     for pi, pc in enumerate(pivots):
-        x0[pc] = rows[pi][a.ncols]
+        x0[pc] = wrap(rows[pi][a.ncols])
     kernel = a.nullspace()
     if kernel:
         return Affine(tuple(x0), kernel)

@@ -83,10 +83,10 @@ class QuadSpace:
         Q(h v) = Q(v) for every v.  Q is checked in characteristic 2
         only: elsewhere it is (v, v)/2, which the form check covers.
         """
-        gram = self.gram
-        bad = [("form", (m, mp), x)
-               for m, row in enumerate((h.transpose() * gram * h).rows)
-               for mp, x in enumerate(row) if x != gram.rows[m][mp]]
+        k, got = (h.transpose() * self.gram * h)._raw()
+        bad = [("form", (m, mp), k.wrap(x))
+               for m, (row, want) in enumerate(zip(got, self.gram._raw()[1]))
+               for mp, (x, w) in enumerate(zip(row, want)) if x != w]
         if self.field.char != 2:
             return bad
         for m, want in enumerate(self.q_basis or ()):
@@ -121,16 +121,22 @@ class IsometryModel:
     are the collection vectors w^t_i for i in [0, 2p_t - 1] expressed in
     the standard basis.  For a freshly built model this is the identity;
     derived models (sign flips, conjugates) carry other columns.
+    ``g_inv`` and ``w_inv`` are the inverses of g and w_cols where the
+    caller already holds them.  Otherwise g^-1 is found by elimination
+    here, and w_cols^-1 when ``w_inv`` is first read.
     """
 
     def __init__(self, shape: ShapeSeq, mode: str, space: QuadSpace,
-                 g: Matrix, w_cols: Matrix, table: Optional[GramTable] = None):
+                 g: Matrix, w_cols: Matrix, table: Optional[GramTable] = None,
+                 g_inv: Optional[Matrix] = None,
+                 w_inv: Optional[Matrix] = None):
         self.shape = shape
         self.mode = mode
         self.space = space
         self.g = g
-        self.g_inv = g.inverse()
+        self.g_inv = g.inverse() if g_inv is None else g_inv
         self.w_cols = w_cols
+        self._w_inv = w_inv
         self.table = table
         self.basis_index = shape.block_indices()
         self.index_of = {ti: m for m, ti in enumerate(self.basis_index)}
@@ -141,6 +147,12 @@ class IsometryModel:
     @property
     def field(self):
         return self.space.field
+
+    @property
+    def w_inv(self) -> Matrix:
+        if self._w_inv is None:
+            self._w_inv = self.w_cols.inverse()
+        return self._w_inv
 
     def extend_index(self, t: int, i: int) -> tuple:
         """The collection vector w^t_i for any integer i, via powers of g."""
@@ -163,13 +175,15 @@ class IsometryModel:
             s = f.from_int(eps[t])
             cols.append([x * s for x in self.w_cols.col(m)])
         return IsometryModel(self.shape, self.mode, self.space, self.g,
-                             Matrix(f, cols).transpose(), self.table)
+                             Matrix(f, cols).transpose(), self.table,
+                             g_inv=self.g_inv)
 
     def conjugated(self, h: Matrix) -> "IsometryModel":
         """The model (h g h^{-1}, h w^t_i) for an isometry h."""
+        h_inv = h.inverse()
         return IsometryModel(self.shape, self.mode, self.space,
-                             h * self.g * h.inverse(), h * self.w_cols,
-                             self.table)
+                             h * self.g * h_inv, h * self.w_cols, self.table,
+                             g_inv=h * self.g_inv * h_inv)
 
     def to_json(self):
         return {
@@ -251,8 +265,9 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         cols.append(tuple(x + c * y for x, y in zip(sol.x0, rho)))
     g = Matrix(f, cols).transpose()
 
-    model = IsometryModel(shape, mode, space, g,
-                          Matrix.identity(f, nu), table)
+    w_cols = Matrix.identity(f, nu)
+    model = IsometryModel(shape, mode, space, g, w_cols, table,
+                          w_inv=w_cols)
     _verify_model(model)
     return model
 
@@ -290,12 +305,13 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
     sigma, kappa = shape.sigma, shape.kappa
     f = space.field
     bad = space.isometry_violations(g)
-    images = g * w
+    cols = list(zip(*w._raw()[1]))
+    images = list(zip(*(g * w)._raw()[1]))
     for m, (t, i) in enumerate(model.basis_index):
         if t <= sigma and i < 2 * shape.part(t) - 1:
-            got = w.col(m + 1)  # (t, i + 1): block indices are in lex order
-            if got != images.col(m):
-                bad.append(("a", (t, i), got))
+            # (t, i + 1): block indices are in lex order
+            if cols[m + 1] != images[m]:
+                bad.append(("a", (t, i), w.col(m + 1)))
     if bad:
         return bad
 
@@ -378,15 +394,15 @@ class IsoFlag:
             pivots = b._echelon()[1] + [nu]
             i = next(c for c, p in enumerate(pivots) if p != c) + 1
             raise IsotropyViolation(f"dim V_{i} != {i}")
-        m = (b.transpose() * space.gram * b).rows
+        k, m = (b.transpose() * space.gram * b)._raw()
         for a in range(nu - 1):
             for c in range(nu - 1 - a):
-                if not m[a][c].is_zero:
+                if m[a][c]:
                     raise IsotropyViolation(
                         f"V_{c + 1} not inside V_{a + 1} perp: "
-                        f"(b_{a}, b_{c}) = {m[a][c]}")
+                        f"(b_{a}, b_{c}) = {k.wrap(m[a][c])}")
         for a in range(n):
-            if m[a][nu - 1 - a].is_zero:
+            if not m[a][nu - 1 - a]:
                 raise IsotropyViolation(f"V_{a + 1} perp is not V_{nu - a - 1}")
         for a in range(n if space.q_basis is not None else 0):
             q = space.quad(b.col(a))
@@ -560,9 +576,9 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     # preserving the form (and Q) makes T invertible, so T fixes a flag
     # iff B^{-1} T B is upper triangular
     for name, fl in (("V", flag), ("V'", flag_prime)):
-        m = fl.inverse * t_mat * fl.basis
+        m = (fl.inverse * t_mat * fl.basis)._raw()[1]
         for c in range(space.dim):
-            if any(not row[c].is_zero for row in m.rows[c + 1:]):
+            if any(row[c] for row in m[c + 1:]):
                 raise VerificationFailed(
                     f"T does not stabilize {name}_{c + 1}")
     return t_mat
@@ -572,8 +588,8 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
 
 def _block_diagonal(m: Matrix, labels) -> bool:
     """Whether m[a][c] = 0 whenever labels[a] != labels[c]."""
-    return all(x.is_zero for a, row in enumerate(m.rows)
-               for c, x in enumerate(row) if labels[a] != labels[c])
+    return not any(x for a, row in enumerate(m._raw()[1])
+                   for c, x in enumerate(row) if labels[a] != labels[c])
 
 
 def split_check(model: IsometryModel, cut: int) -> dict:
@@ -604,7 +620,7 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     blocks = [t for t, _i in model.basis_index]
     low = [t <= cut for t in blocks]
     k = sum(low)
-    m = w.inverse() * model.g * w
+    m = model.w_inv * model.g * w
     h = w.transpose() * space.gram * w
     report = {"g_stable": _block_diagonal(m, low)}
     report["mutually_perpendicular"] = h.submatrix(0, k, k, nu).is_zero

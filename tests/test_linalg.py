@@ -258,6 +258,79 @@ class TestKernelOracle:
                 assert ref_mul(a, inv) == \
                     [list(r) for r in Matrix.identity(field, n).rows]
 
+    @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
+           st.integers(1, 3),
+           st.lists(st.sampled_from(["mul", "transpose", "submatrix",
+                                     "hstack", "inverse"]),
+                    min_size=1, max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_raw_chain_matches_wrapped(self, data, name, size, ops):
+        # each step runs on raw rows; equality, hash, is_zero and rank are
+        # read before the rows view is first wrapped.  The chain starts
+        # square, so that inverses are reached.
+        field = KERNEL_FIELDS[name]
+        a = data.draw(matrix(field, size, size))
+        ref = [list(r) for r in a.rows]
+        for op in ops:
+            n, m = len(ref), len(ref[0])
+            if op == "mul":
+                b = data.draw(matrix(field, m, data.draw(st.integers(1, 3))))
+                a, ref = a * b, ref_mul(Matrix(field, ref), b)
+            elif op == "transpose":
+                a, ref = a.transpose(), [list(c) for c in zip(*ref)]
+            elif op == "submatrix":
+                r0 = data.draw(st.integers(0, n - 1))
+                r1 = data.draw(st.integers(r0 + 1, n))
+                c0 = data.draw(st.integers(0, m - 1))
+                c1 = data.draw(st.integers(c0 + 1, m))
+                a = a.submatrix(r0, r1, c0, c1)
+                ref = [r[c0:c1] for r in ref[r0:r1]]
+            elif op == "hstack":
+                b = data.draw(matrix(field, n, data.draw(st.integers(1, 2))))
+                a = a.hstack(b)
+                ref = [r + list(rb) for r, rb in zip(ref, b.rows)]
+            elif n == m:
+                eye = [[field.one if i == j else field.zero
+                        for j in range(n)] for i in range(n)]
+                rows, pivots = ref_rref([r + e for r, e in zip(ref, eye)],
+                                        field)
+                if pivots[:n] != list(range(n)):
+                    with pytest.raises(ZeroDivisionError):
+                        a.inverse()
+                    continue
+                a, ref = a.inverse(), [r[n:] for r in rows]
+            wrapped = Matrix(field, ref)
+            assert a == wrapped and wrapped == a
+            assert hash(a) == hash(wrapped)
+            assert a.is_zero == all(x.is_zero for r in ref for x in r)
+            assert a.rank() == len(ref_rref(ref, field)[1])
+            assert [list(r) for r in a.rows] == ref
+            assert all(x.field is field for r in a.rows for x in r)
+
+    def test_equal_ints_over_other_fields_differ(self):
+        a5, a7 = (Matrix.from_scalars(f, [[1, 1], [0, 1]])
+                  for f in (GF5, GF7))
+        assert a5 != a7
+        # raw-backed on both sides, with equal raw ints
+        for x5, x7 in ((Matrix.identity(GF5, 2), Matrix.identity(GF7, 2)),
+                       (a5 * a5, a7 * a7),
+                       (a5.transpose(), a7.transpose())):
+            assert [[x.coords for x in r] for r in x5.rows] == \
+                [[x.coords for x in r] for r in x7.rows]
+            assert x5 != x7 and x7 != x5
+
+    def test_twin_fields_compare_equal(self):
+        twin = RATIONALS.extend((Fraction(2),))
+        assert twin is not Q2
+        s2, t2 = Q2.element((0, 1)), twin.element((0, 1))
+        a = Matrix(Q2, [[s2, Q2.one], [Q2.zero, s2]])
+        b = Matrix(twin, [[t2, twin.one], [twin.zero, t2]])
+        assert a == b and hash(a) == hash(b)
+        assert a * a == b * b and hash(a * a) == hash(b * b)
+        assert a.inverse() == b.inverse()
+        assert Matrix.identity(Q2, 2) == Matrix.identity(twin, 2)
+        assert a * a != b
+
     def test_foreign_field_raises(self):
         s2 = Q2.element((0, 1))
         b = Matrix(Q2, [[s2, Q2.one], [Q2.zero, s2]])

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from isoflag.cases import cuts_for
-from isoflag.fields import RATIONALS, get_finite_field
+from isoflag.fields import RATIONALS, FieldElement, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
                            IsotropyViolation, QuadSpace, VerificationFailed,
@@ -480,6 +480,39 @@ class TestFlags:
         assert not passes(rank_verify, swapped)
 
 
+class TestReportedValues:
+    """Checks run on raw entries but report field elements."""
+
+    @pytest.mark.parametrize("field", [RATIONALS, get_finite_field(2, 2),
+                                       get_finite_field(5)],
+                             ids=["rat", "gf4", "gf5"])
+    def test_isometry_violations_are_field_elements(self, field):
+        m = build_model(ShapeSeq((2,)), SYMPLECTIC, field)
+        rows = [list(r) for r in m.g.rows]
+        rows[0][0] = rows[0][0] + field.one
+        h = Matrix(field, rows)
+        want = (h.transpose() * m.space.gram * h).rows
+        bad = m.space.isometry_violations(h)
+        assert bad
+        for clause, (a, c), value in bad:
+            assert clause == "form"
+            assert isinstance(value, FieldElement)
+            assert value.field is field
+            assert value == want[a][c] != m.space.gram.rows[a][c]
+
+    def test_flag_message_names_a_field_element(self):
+        # b_0 = e_0 and b_1 = e_2 with (e_0, e_2) = 1, so V_2 is not
+        # inside V_1 perp
+        m = build_model(ShapeSeq((2,)), SYMPLECTIC)
+        assert m.space.gram.rows[0][2] == RATIONALS.one
+        basis = Matrix.from_scalars(RATIONALS, [[1, 0, 0, 0], [0, 0, 1, 0],
+                                                [0, 1, 0, 0], [0, 0, 0, 1]])
+        with pytest.raises(IsotropyViolation) as err:
+            IsoFlag(m.space, basis).verify()
+        assert str(err.value) == \
+            "V_2 not inside V_1 perp: (b_0, b_1) = 1"
+
+
 class TestFlagOracle:
     """The adapted-basis flag checks agree with the rank-based references."""
 
@@ -654,6 +687,9 @@ class TestPairingsOracle:
                 continue
             h = dense_shear(m.field, m.space.dim)
             for variant in (sign_flip(m), m.conjugated(h)):
+                # derived models take g^-1 from their source, not by
+                # elimination; the orbit steps below the window by it
+                assert variant.g_inv == variant.g.inverse()
                 got = collection_pairings(variant)
                 want = schoolbook_pairings(variant)
                 assert list(got) == list(want)
