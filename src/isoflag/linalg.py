@@ -310,6 +310,7 @@ class Matrix:
         return Matrix._of(k, [tuple(map(add, a, b)) for a, b in zip(ra, rb)])
 
     def __sub__(self, other):
+        self._same_shape(other, "difference")
         return self + (-other)
 
     def __neg__(self):
