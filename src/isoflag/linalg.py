@@ -95,8 +95,8 @@ class _ModKernel:
     def __init__(self, field):
         self.field, self.p = field, field.p
 
-    def raw(self, x):
-        return x.coords[0]
+    def unwrap(self, xs):
+        return tuple([x.coords[0] for x in xs])
 
     def wrap(self, v):
         return FieldElement(self.field, (v,))
@@ -125,11 +125,14 @@ class _CoordKernel:
     zero = None
 
     def __init__(self, field):
-        self.field, self.one = field, field.one.coords
-        self._zero_coords = field.zero.coords
+        self.field, self._zero_coords = field, field.zero.coords
 
-    def raw(self, x):
-        return x.coords if any(x.coords) else None
+    @property
+    def one(self):
+        return self.field.one.coords
+
+    def unwrap(self, xs):
+        return tuple([x.coords if any(x.coords) else None for x in xs])
 
     def wrap(self, v):
         return FieldElement(self.field, self._zero_coords if v is None else v)
@@ -271,7 +274,7 @@ class Matrix:
         except AttributeError:
             _check_field(self.field, self._rows)
             k = _kernel(self.field)
-            raw = [tuple(map(k.raw, r)) for r in self._rows]
+            raw = [k.unwrap(r) for r in self._rows]
             self._k, self._unwrapped = k, raw
             return k, raw
 
@@ -321,7 +324,7 @@ class Matrix:
     def __mul__(self, other):
         k, ra = self._raw()
         if not isinstance(other, Matrix):
-            s, mul_ = k.raw(self.field.one * other), k.mul
+            (s,), mul_ = k.unwrap((self.field.one * other,)), k.mul
             return Matrix._of(k, [tuple([mul_(x, s) for x in r]) for r in ra])
         if self.ncols != other.nrows:
             raise ValueError(f"product of a {self.nrows}x{self.ncols} and a "
@@ -339,7 +342,7 @@ class Matrix:
         k, ra = self._raw()
         _check_field(self.field, (vec,))
         dot, wrap = k.dot, k.wrap
-        v = tuple(map(k.raw, vec))
+        v = k.unwrap(vec)
         return tuple(wrap(dot(r, v)) for r in ra)
 
     def col(self, j):
@@ -406,7 +409,7 @@ def dot(a, b, field) -> FieldElement:
     """sum a_i b_i for sequences of FieldElement of ``field``."""
     _check_field(field, (a, b))
     k = _kernel(field)
-    return k.wrap(k.dot(map(k.raw, a), map(k.raw, b)))
+    return k.wrap(k.dot(k.unwrap(a), k.unwrap(b)))
 
 
 # -- linear solving ---------------------------------------------------------
