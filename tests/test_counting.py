@@ -1,11 +1,14 @@
 import hashlib
+import json
+import shlex
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoflag import counting
-from isoflag.cases import CountCase
+from isoflag.cases import COUNT_CASES, CountCase
+from isoflag.cli import main
 from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               FiniteFormSpace, adjoint_order, bruhat_pivots,
                               check_isotropic_flags, conjugacy_classes,
@@ -22,6 +25,13 @@ from isoflag.linalg import Matrix, echelon_mod
 from isoflag.shapes import (ORTHOGONAL, InvalidInput, ShapeSeq,
                             VerificationFailed, jordan_from_ranks,
                             jordan_prediction, position_dims_ok)
+from test_readme import count_line
+
+
+# count_digest() of the registry counts; a rewrite of the counting must
+# keep every count, per_g, per_flag, class size and row count
+PINNED_COUNT_DIGEST = \
+    "b5b3cc55fab14661d98e42a10c8fd99317858f6962943c6fe5ae041cfc9dd242"
 
 
 def breadth_first_closure(space):
@@ -619,3 +629,21 @@ def test_rank_one_types_agree(q):
         rep = case.report()
         assert rep["count"] == rep["adjoint_order"] == q * (q ** 2 - 1)
         assert rep["relation_holds"] and rep["double_count_consistent"]
+
+
+def count_digest(capsys):
+    """SHA-256 over the ``--per-element`` JSON of every registry count,
+    without the run times: ``runtime`` and the manifest's ``wall_time_s``."""
+    out = []
+    for case in COUNT_CASES:
+        code = main(shlex.split(count_line(case))[1:] + ["--per-element"])
+        payload = json.loads(capsys.readouterr().out)
+        payload["result"].pop("runtime")
+        payload["manifest"].pop("wall_time_s")
+        out.append([code, payload])
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pinned_count_reports(capsys):
+    assert count_digest(capsys) == PINNED_COUNT_DIGEST
