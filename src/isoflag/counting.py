@@ -11,16 +11,20 @@ filter and the position tests -- run dense modular arithmetic on plain
 integer tuples, without field elements.  A group element has at most
 q^nu - 1 distinct rows, so a product h m is read off a ``RowAction`` of
 m, which computes v m once per distinct row v.  Elimination is
-``linalg.echelon_mod``, the one GF(p) pivot loop, and the Jordan rule
-runs at two members of each class, not at every element.  The flags are
-read off the Bruhat cells, u w F0 with u in U_w, and gated by
-``IsoFlag.verify`` and |flags| x |B| = |G|.  Only prime q is supported.
+``linalg.echelon_mod``, the one GF(p) pivot loop.  The group is listed
+in closure order.  The filter sorts only the elements whose trace and
+trace of square are those of a unipotent, splits them into conjugacy
+classes once, runs the Jordan rule at two members of each class, not at
+every element, and hands the classes of the chosen type on to the
+count.  The flags are read off the Bruhat cells, u w F0 with u in U_w,
+and gated by ``IsoFlag.verify`` and |flags| x |B| = |G|.  Only prime q
+is supported.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import prod
 from operator import getitem, mul
 from typing import Dict, List, Optional, Tuple
@@ -247,9 +251,10 @@ def _reflection(space: FiniteFormSpace, v) -> tuple:
 
 
 class GroupEnum:
-    """The elements of a group, sorted, with the generators it was closed
-    under: ``kept`` are those the closure needed, and they alone generate
-    the group."""
+    """The elements of a group, in the deterministic order the closure
+    listed them (not sorted), with the generators it was closed under:
+    ``kept`` are those the closure needed, and they alone generate the
+    group."""
 
     def __init__(self, space: FiniteFormSpace, elements: List[tuple],
                  generators: List[tuple], kept: List[tuple]):
@@ -292,8 +297,9 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     group, closing under the generators needs no inverses.  Each element
     is one product, read off a ``RowAction``: H x off one of x, and r s
     off one of each kept s, so each distinct row meets each matrix once.
-    A set that outgrows the classical order formula, or ends at another
-    order, raises VerificationFailed.
+    The elements are returned in the order they joined.  A coset that
+    repeats an element, a set that outgrows the classical order formula,
+    or one that ends at another order raises VerificationFailed.
     """
     target = group_order_formula(space)
     if target > MAX_GROUP_ORDER:
@@ -326,6 +332,10 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
                 coset = [x] + [tuple(map(by_x, h)) for h in sub]
                 elements.extend(coset)
                 seen.update(coset)
+                if len(elements) != len(seen):
+                    raise VerificationFailed(
+                        f"closure listed {len(elements)} elements, of "
+                        f"which {len(seen)} are distinct")
                 if len(seen) > target:
                     raise VerificationFailed(
                         f"closure passed {len(seen)} elements, more than "
@@ -333,7 +343,7 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     if len(seen) != target:
         raise VerificationFailed(
             f"closure order {len(seen)} never matched the formula {target}")
-    return GroupEnum(space, sorted(seen), gens, kept)
+    return GroupEnum(space, elements, gens, kept)
 
 
 # -- flags -------------------------------------------------------------------
@@ -465,24 +475,44 @@ def unipotent_count_formula(space: FiniteFormSpace) -> int:
     return space.q ** (2 * _positive_roots(space))
 
 
-def unipotents_of_type(group: GroupEnum, target: Counter) -> List[tuple]:
-    """The elements of Jordan type ``target``, in group order.
+class Unipotents(list):
+    """The unipotents of one Jordan type, sorted, with ``classes``: their
+    conjugacy classes as index lists into this list, the same lists in
+    the same order as ``conjugacy_classes`` gives on it."""
 
-    Every eigenvalue of a unipotent element is 1, so its trace is nu mod
-    q; an element with another trace skips the Jordan rule.  Trace is a
-    class function, so the rest is a union of conjugacy classes, and the
-    Jordan type is read at the first and the last member of each class;
-    two different readings raise VerificationFailed.  The unipotent
-    classes must total Steinberg's q^(2N), else VerificationFailed.
+    def __init__(self, elements: List[tuple], classes: List[List[int]]):
+        super().__init__(elements)
+        self.classes = classes
+
+
+def unipotents_of_type(group: GroupEnum, target: Counter) -> Unipotents:
+    """The elements of Jordan type ``target``, sorted, with their classes.
+
+    Every eigenvalue of a unipotent element is 1, and so is every
+    eigenvalue of its square, which is unipotent too; so both its trace
+    and the trace of its square are nu mod q, and an element failing
+    either skips the Jordan rule.  tr(g^2), the sum of g_ij g_ji, is read
+    off the flattened rows against the flattened columns, without g^2.
+    Both traces are class functions, so the rest is a union of conjugacy
+    classes.  It is sorted and split into classes once, and the Jordan
+    type is read at the first and the last member of each class; two
+    different readings raise VerificationFailed.  The unipotent classes
+    must total Steinberg's q^(2N), else VerificationFailed.  Since the
+    candidates are sorted, each class starts at its least member, so the
+    classes of the chosen type, re-indexed, are those a fresh split of
+    the result gives.
     """
     space = group.space
     q, nu = space.q, space.nu
     trace = nu % q
     diagonal = range(nu)
-    candidates = [g for g in group.elements
-                  if sum(map(getitem, g, diagonal)) % q == trace]
+    flat = chain.from_iterable
+    candidates = sorted(
+        g for g in group.elements
+        if sum(map(getitem, g, diagonal)) % q == trace
+        and sum(map(mul, flat(g), flat(zip(*g)))) % q == trace)
     total = 0
-    picked: List[int] = []
+    picked: List[List[int]] = []
     for cls in conjugacy_classes(candidates, group.kept, q):
         jordan = unipotent_jordan_type(candidates[cls[0]], q)
         last = unipotent_jordan_type(candidates[cls[-1]], q)
@@ -493,13 +523,16 @@ def unipotents_of_type(group: GroupEnum, target: Counter) -> List[tuple]:
         if jordan is not None:
             total += len(cls)
             if jordan == target:
-                picked.extend(cls)
+                picked.append(cls)
     want = unipotent_count_formula(space)
     if total != want:
         raise VerificationFailed(
             f"{total} unipotent elements, not the {want} of Steinberg's "
             f"count q^(2N)")
-    return [candidates[i] for i in sorted(picked)]
+    members = sorted(flat(picked))
+    position = {i: k for k, i in enumerate(members)}
+    return Unipotents([candidates[i] for i in members],
+                      [[position[i] for i in cls] for cls in picked])
 
 
 def conjugacy_classes(elements: List[tuple], generators: List[tuple],
@@ -628,7 +661,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
 
     column = [hit(u, 0) for u in unis]
     count = len(flags) * sum(column)
-    classes = conjugacy_classes(unis, group.kept, q)
+    classes = unis.classes
     per_g = [0] * len(unis)
     rows_agree = True
     row_count = 0

@@ -73,7 +73,7 @@ def pair_loop(space, gamma, shape=None):
     q, nu = space.q, space.nu
     group = enumerate_group_cached(space)
     flags = enumerate_isotropic_flags_cached(space)
-    unis = [g for g in group.elements
+    unis = [g for g in sorted(group.elements)
             if unipotent_jordan_type(g, q) == gamma]
     per_g = [0] * len(unis)
     per_flag = [0] * len(flags)
@@ -92,6 +92,17 @@ def pair_loop(space, gamma, shape=None):
                 per_flag[fi] += 1
     return {"unis": unis, "count": sum(per_g), "per_g": per_g,
             "per_flag": per_flag}
+
+
+def trace_mod(g, q):
+    return sum(g[i][i] for i in range(len(g))) % q
+
+
+def registry_spaces():
+    """The (mode, nu, q) of every group the registry counts enumerate."""
+    return sorted({(TYPE_A, case.n, case.q) if case.shape is None else
+                   (SP if case.group_type == "C" else SO_ODD,
+                    case.shape.nu, case.q) for case in COUNT_CASES})
 
 
 def flag_dict(cols, q):
@@ -206,8 +217,28 @@ class TestSpacesAndGroups:
     def test_coset_closure_matches_breadth_first(self, mode, nu, q):
         space = FiniteFormSpace(mode, nu, q)
         group = enumerate_group(space)
-        assert group.elements == breadth_first_closure(space)
+        assert sorted(group.elements) == breadth_first_closure(space)
+        assert len(set(group.elements)) == len(group.elements)
         assert group.order == group_order_formula(space)
+
+    @pytest.mark.parametrize("mode, nu, q", [
+        (TYPE_A, 3, 3), (SP, 2, 7), (SO_ODD, 3, 7)])
+    def test_closure_order_is_deterministic(self, mode, nu, q):
+        # the elements are no longer sorted, so their order must not
+        # depend on the run
+        first = enumerate_group(FiniteFormSpace(mode, nu, q)).elements
+        assert enumerate_group(FiniteFormSpace(mode, nu, q)).elements == \
+            first
+
+    def test_repeated_coset_element_fails_closure(self, monkeypatch):
+        # a singular "generator" after a full GL2(F2) makes a coset H x in
+        # which h x = h' x for h != h': 6 listed, 3 of them new
+        real = counting._generators
+        monkeypatch.setattr(counting, "_generators",
+                            lambda space: real(space) + [((1, 0), (0, 0))])
+        with pytest.raises(VerificationFailed, match="closure listed 12 "
+                           "elements, of which 9 are distinct"):
+            enumerate_group(FiniteFormSpace(TYPE_A, 2, 2))
 
     def test_proper_subgroup_fails_order_gate(self, monkeypatch):
         # one transvection generates a group of order 3 in Sp2(F3)
@@ -279,9 +310,11 @@ class TestSpacesAndGroups:
         # of each class; a rule that answers otherwise at one last member
         # must be caught
         group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
-        trace_two = [g for g in group.elements if (g[0][0] + g[1][1]) % 3 == 2]
-        cls = max(conjugacy_classes(trace_two, group.kept, 3), key=len)
-        last = trace_two[cls[-1]]
+        candidates = [g for g in sorted(group.elements)
+                      if trace_mod(g, 3) == trace_mod(mat_mul(g, g, 3), 3)
+                      == 2]
+        cls = max(conjugacy_classes(candidates, group.kept, 3), key=len)
+        last = candidates[cls[-1]]
         real = counting.unipotent_jordan_type
         monkeypatch.setattr(counting, "unipotent_jordan_type",
                             lambda g, p: Counter({1: 2}) if g == last
@@ -289,6 +322,45 @@ class TestSpacesAndGroups:
         with pytest.raises(VerificationFailed,
                            match="of one class have Jordan types"):
             unipotents_of_type(group, Counter({2: 1}))
+
+    @pytest.mark.parametrize("mode, nu, q", registry_spaces())
+    def test_trace_prefilter_keeps_every_unipotent(self, monkeypatch, mode,
+                                                   nu, q):
+        # the filter splits only the elements passing both trace tests;
+        # on Sp4(F3) and SO5(F3) those are exactly the q^(2N) unipotents
+        space = FiniteFormSpace(mode, nu, q)
+        group = enumerate_group_cached(space)
+        seen = []
+        real = counting.conjugacy_classes
+        monkeypatch.setattr(counting, "conjugacy_classes",
+                            lambda els, gens, p: seen.append(els)
+                            or real(els, gens, p))
+        unipotents_of_type(group, Counter({1: nu}))
+        [candidates] = seen
+        assert candidates == sorted(candidates)
+        assert all(trace_mod(g, q) == trace_mod(mat_mul(g, g, q), q)
+                   == nu % q for g in candidates)
+        if group.order < 20000:
+            unipotent = {g for g in group.elements
+                         if unipotent_jordan_type(g, q) is not None}
+            assert len(unipotent) == unipotent_count_formula(space)
+            assert unipotent <= set(candidates)
+        if mode != TYPE_A:
+            assert len(candidates) == unipotent_count_formula(space) == 6561
+
+    @pytest.mark.parametrize("case", COUNT_CASES, ids=count_line)
+    def test_handed_classes_match_a_fresh_split(self, monkeypatch, case):
+        # count_pairs reads the classes the filter walked instead of
+        # splitting its result again; they must be the same index lists
+        calls = []
+        real = counting.unipotents_of_type
+        monkeypatch.setattr(counting, "unipotents_of_type",
+                            lambda group, target: calls.append(
+                                (group, real(group, target))) or calls[-1][1])
+        case.report()
+        [(group, unis)] = calls
+        assert unis.classes == conjugacy_classes(list(unis), group.kept,
+                                                 group.space.q)
 
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))

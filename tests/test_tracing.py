@@ -3,13 +3,19 @@
 ``perfbench/tracing.py`` wraps functions of ``src/isoflag`` by name and
 raises LookupError at install time when one is missing.  These tests load
 it without installing it, so a rename in ``src/`` fails here rather than in
-a traced benchmark run.
+a traced benchmark run.  The last test holds the counting filter to what
+the tracer's ``counting.filter`` span and ``counting.unipotent_count``
+read off it.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from isoflag import counting
+from isoflag.shapes import ShapeSeq
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -57,3 +63,28 @@ def test_rebound_dunders_and_properties_exist(tracing):
     assert referenced(tracing, fe.__dict__["is_zero"])
     assert referenced(tracing, isoflag.fields.TowerField.extend)
     assert referenced(tracing, isoflag.linalg.Matrix.__mul__)
+
+
+def test_filter_spans_one_class_walk(monkeypatch):
+    # counting.filter_s times unipotents_of_type and counting.unipotent_count
+    # is the length of its result; one count makes one filter call and one
+    # class split, inside it
+    calls = {"split": 0, "filter": []}
+    split, filter_ = counting.conjugacy_classes, counting.unipotents_of_type
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    def recorded_filter(*args):
+        calls["filter"].append(filter_(*args))
+        return calls["filter"][-1]
+
+    monkeypatch.setattr(counting, "conjugacy_classes", counted_split)
+    monkeypatch.setattr(counting, "unipotents_of_type", recorded_filter)
+    space = counting.FiniteFormSpace(counting.SP, 4, 3)
+    report = counting.count_pairs(space, Counter({4: 1}),
+                                  shape=ShapeSeq((2,)))
+    [unis] = calls["filter"]
+    assert calls["split"] == 1
+    assert len(unis) == report["unipotent_count"] == 5760
