@@ -224,8 +224,8 @@ class TestSpacesAndGroups:
     @pytest.mark.parametrize("mode, nu, q", [
         (TYPE_A, 3, 3), (SP, 2, 7), (SO_ODD, 3, 7)])
     def test_closure_order_is_deterministic(self, mode, nu, q):
-        # the elements are no longer sorted, so their order must not
-        # depend on the run
+        # the elements come in closure order, unsorted, and that order
+        # must not depend on the run
         first = enumerate_group(FiniteFormSpace(mode, nu, q)).elements
         assert enumerate_group(FiniteFormSpace(mode, nu, q)).elements == \
             first
@@ -341,17 +341,16 @@ class TestSpacesAndGroups:
         assert all(trace_mod(g, q) == trace_mod(mat_mul(g, g, q), q)
                    == nu % q for g in candidates)
         if group.order < 20000:
-            unipotent = {g for g in group.elements
-                         if unipotent_jordan_type(g, q) is not None}
-            assert len(unipotent) == unipotent_count_formula(space)
-            assert unipotent <= set(candidates)
+            assert {g for g in group.elements
+                    if unipotent_jordan_type(g, q) is not None} <= \
+                set(candidates)
         if mode != TYPE_A:
             assert len(candidates) == unipotent_count_formula(space) == 6561
 
     @pytest.mark.parametrize("case", COUNT_CASES, ids=count_line)
     def test_handed_classes_match_a_fresh_split(self, monkeypatch, case):
-        # count_pairs reads the classes the filter walked instead of
-        # splitting its result again; they must be the same index lists
+        # count_pairs reads the classes the filter walked; they must be
+        # the index lists a fresh split of the filter's result gives
         calls = []
         real = counting.unipotents_of_type
         monkeypatch.setattr(counting, "unipotents_of_type",

@@ -68,23 +68,17 @@ def test_rebound_dunders_and_properties_exist(tracing):
 def test_filter_spans_one_class_walk(monkeypatch):
     # counting.filter_s times unipotents_of_type and counting.unipotent_count
     # is the length of its result; one count makes one filter call and one
-    # class split, inside it
-    calls = {"split": 0, "filter": []}
+    # class split
+    splits, results = [], []
     split, filter_ = counting.conjugacy_classes, counting.unipotents_of_type
-
-    def counted_split(*args):
-        calls["split"] += 1
-        return split(*args)
-
-    def recorded_filter(*args):
-        calls["filter"].append(filter_(*args))
-        return calls["filter"][-1]
-
-    monkeypatch.setattr(counting, "conjugacy_classes", counted_split)
-    monkeypatch.setattr(counting, "unipotents_of_type", recorded_filter)
+    monkeypatch.setattr(counting, "conjugacy_classes",
+                        lambda *args: splits.append(args) or split(*args))
+    monkeypatch.setattr(counting, "unipotents_of_type",
+                        lambda *args: results.append(filter_(*args))
+                        or results[-1])
     space = counting.FiniteFormSpace(counting.SP, 4, 3)
     report = counting.count_pairs(space, Counter({4: 1}),
                                   shape=ShapeSeq((2,)))
-    [unis] = calls["filter"]
-    assert calls["split"] == 1
+    [unis] = results
+    assert len(splits) == 1
     assert len(unis) == report["unipotent_count"] == 5760
