@@ -450,15 +450,24 @@ def solve_linear(a: Matrix, b):
 # -- Jordan data ------------------------------------------------------------
 
 def nilpotent_jordan_multiset(n: Matrix) -> Counter:
-    """Jordan block sizes of a nilpotent matrix, as a Counter {size: count}."""
+    """Jordan block sizes of a nilpotent matrix, as a Counter {size: count}.
+
+    The ranks r_k = rank(N^k) come from a shrinking image chain rather
+    than full powers: M_1 = N, and the pivot columns B_k of M_k are a
+    basis of im N^k, so M_{k+1} = N B_k, a nu x r_k product, spans
+    im N^{k+1}.  Raises NotNilpotent when r_nu is not 0.
+    """
     if n.nrows != n.ncols:
         raise ValueError(f"Jordan type of a {n.nrows}x{n.ncols} matrix")
     dim = n.nrows
-    ranks = [dim]
-    power = Matrix.identity(n.field, dim)
+    k, rows = n._raw()
+    dot = k.dot
+    ranks, image = [dim], rows
     while ranks[-1]:
         if len(ranks) > dim:
             raise NotNilpotent(f"rank(N^{dim}) = {ranks[-1]}, not 0")
-        power = power * n
-        ranks.append(power.rank())
+        pivots = k.echelon(image, len(image[0]))[1]
+        ranks.append(len(pivots))
+        basis = [[r[c] for r in image] for c in pivots]
+        image = [[dot(row, b) for b in basis] for row in rows]
     return jordan_from_ranks(ranks)

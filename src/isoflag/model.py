@@ -33,6 +33,15 @@ class IsotropyViolation(VerificationFailed):
 INCOMPATIBLE = "incompatible"
 
 
+def _witness(gram: Matrix, s: int) -> str:
+    """The first entry of G where G^T = sG fails, for a message."""
+    rows = gram.rows
+    m, mp = next((m, mp) for m in range(gram.nrows) for mp in range(m + 1)
+                 if rows[m][mp] != rows[mp][m] * s)
+    return (f"G[{m}][{mp}] = {rows[m][mp]} is not "
+            f"{s} * G[{mp}][{m}] = {s} * {rows[mp][m]}")
+
+
 class QuadSpace:
     """Dimension, Gram matrix and (optionally) quadratic form values.
 
@@ -42,6 +51,10 @@ class QuadSpace:
     bilinear form via Q(x + y) = Q(x) + Q(y) + (x, y).  Where 2 is
     invertible a given ``q_basis`` must be diag(G)/2 of a symmetric G, so
     that Q(v) = (v, v)/2; anything else raises VerificationFailed.
+
+    ``sign`` is the s = +-1 with G^T = s G, read off G rather than
+    ``mode`` (1 where both hold, as in characteristic 2); a G that is
+    neither symmetric nor skew-symmetric raises VerificationFailed.
     """
 
     def __init__(self, field, mode: str, gram: Matrix,
@@ -51,8 +64,17 @@ class QuadSpace:
         self.gram = gram
         self.dim = gram.nrows
         self.q_basis = q_basis
+        gram_t = gram.transpose()
+        if gram_t == gram:
+            self.sign = 1
+        elif gram_t == -gram:
+            self.sign = -1
+        else:
+            raise VerificationFailed(
+                f"G^T = sG for neither s = 1 nor s = -1: "
+                f"{_witness(gram, 1)} and {_witness(gram, -1)}")
         if q_basis is not None and field.char != 2:
-            if gram != gram.transpose():
+            if self.sign != 1:
                 raise VerificationFailed(
                     f"a quadratic form over {field} needs a symmetric G")
             half = field.from_int(2).inverse()
@@ -345,8 +367,11 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
 def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
     """Offsets (t, r, d) where the pairing profile differs from the table.
 
-    Assumes check_adapted passed, so that every window pairing
-    (w^t_i, w^r_j) equals the profile entry at d = i - j.
+    Assumes check_adapted passed, so that g is an isometry and every
+    window pairing (w^t_i, w^r_j) equals the profile entry at d = i - j.
+    Every key is compared, the negative offsets too: the profile reads
+    (t, r, -d) as s (w^r_d, w^t_0), and the table's own value at
+    (t, r, -d) is checked against it.
     """
     if model.table is None:
         return []
@@ -468,11 +493,17 @@ def collection_pairings(model: IsometryModel) -> dict:
     table round trip and the intertwiner all read it.  Memoized on the
     model: callers share the dict and must not change it.
 
-    Each block's orbit w^t_d is stepped outwards from its stored window
-    in w_cols, by g upwards and g^-1 downwards, on the raw coordinates
-    of the matrices' kernel; each pairing is one kernel dot against the
-    raw G w^r_0, and only the pairing values are wrapped.  The vectors
-    are those of extend_index, which serves the other callers.
+    Preconditions: g is an isometry and G^T = sG with s = space.sign.
+    Then (w^t_{-d}, w^r_0) = (w^t_0, w^r_d) = s (w^r_d, w^t_0), so only
+    the offsets d >= 0 are computed: each block's orbit w^t_d is stepped
+    upwards by g from its stored window in w_cols, on the raw
+    coordinates of the matrices' kernel, each pairing is one kernel dot
+    against the raw G w^r_0, and the key (t, r, -d) takes s times the
+    value at (r, t, d).  Only the pairing values are wrapped.  The
+    vectors are those of extend_index, which serves the other callers.
+    For a g that is no isometry the negative offsets are not pairings;
+    check_adapted rejects such a g before it reads the profile, and
+    build_T verifies the T it derives from it.
     """
     if model._pairings is not None:
         return model._pairings
@@ -480,27 +511,31 @@ def collection_pairings(model: IsometryModel) -> dict:
     bound = 6 * shape.part(1)
     blocks = range(1, shape.sigma + shape.kappa + 1)
     k, g = model.g._raw()
-    g_inv, gram = model.g_inv._raw()[1], model.space.gram._raw()[1]
+    gram = model.space.gram._raw()[1]
     cols = list(zip(*model.w_cols._raw()[1]))
-    dot = k.dot
+    dot, wrap = k.dot, k.wrap
     orbits = {}
     for t in blocks:
         start = model.index_of[(t, 0)]
-        above = cols[start:start + (2 * shape.part(t) if t <= shape.sigma
+        orbit = cols[start:start + (2 * shape.part(t) if t <= shape.sigma
                                     else 1)]
-        while len(above) <= bound:
-            above.append([dot(row, above[-1]) for row in g])
-        below = [above[0]]
-        for _ in range(bound):
-            below.append([dot(row, below[-1]) for row in g_inv])
-        orbits[t] = below[:0:-1] + above
-    wrap, offsets = k.wrap, range(-bound, bound + 1)
+        while len(orbit) <= bound:
+            orbit.append([dot(row, orbit[-1]) for row in g])
+        orbits[t] = orbit
+    # values[(t, r)][d] = (w^t_d, w^r_0) for d = 0..bound
+    values = {}
+    for r in blocks:
+        gw = [dot(row, orbits[r][0]) for row in gram]
+        for t in blocks:
+            values[(t, r)] = [wrap(dot(v, gw)) for v in orbits[t]]
     out = {}
     for r in blocks:
-        gw = [dot(row, orbits[r][bound]) for row in gram]
         for t in blocks:
-            out.update(((t, r, d), wrap(dot(v, gw)))
-                       for d, v in zip(offsets, orbits[t]))
+            mirror = values[(r, t)]
+            if model.space.sign == -1:
+                mirror = [-v for v in mirror]
+            out.update(((t, r, -d), mirror[d]) for d in range(bound, 0, -1))
+            out.update(((t, r, d), v) for d, v in enumerate(values[(t, r)]))
     model._pairings = out
     return out
 

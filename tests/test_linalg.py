@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoflag import model
+from isoflag.cases import cuts_for, partitions_up_to
 from isoflag.counting import mat_rank
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.linalg import (Affine, Matrix, NoSolution, NotNilpotent, Unique,
                             nilpotent_jordan_multiset, solve_linear)
+from isoflag.shapes import jordan_from_ranks
+from dense import dense_shear
 
 GF5 = get_finite_field(5)
 GF7 = get_finite_field(7)
@@ -209,6 +213,64 @@ class TestJordan:
             return
         assert nilpotent_jordan_multiset(p * n * p.inverse()) == \
             nilpotent_jordan_multiset(n)
+
+
+def power_rank_jordan(n):
+    """The Jordan multiset by the former rule, from the ranks of full
+    powers N^k = N^(k-1) N: the reference for the image chain."""
+    dim = n.nrows
+    ranks = [dim]
+    power = Matrix.identity(n.field, dim)
+    while ranks[-1]:
+        assert len(ranks) <= dim, "not nilpotent"
+        power = power * n
+        ranks.append(power.rank())
+    return jordan_from_ranks(ranks)
+
+
+def jordan_matrix(field, sizes):
+    """The nilpotent matrix with one shift block per size, in order."""
+    nu = sum(sizes)
+    ones = set()
+    start = 0
+    for size in sizes:
+        ones.update((i, i + 1) for i in range(start, start + size - 1))
+        start += size
+    return Matrix(field, [[field.one if (i, j) in ones else field.zero
+                           for j in range(nu)] for i in range(nu)])
+
+
+class TestImageChainOracle:
+    """The image chain against the power-rank rule it replaced."""
+
+    def test_sweep_models(self, model_sweep):
+        for m in model_sweep.values():
+            n = m.g - Matrix.identity(m.field, m.space.dim)
+            assert nilpotent_jordan_multiset(n) == power_rank_jordan(n)
+
+    def test_split_check_blocks(self, model_sweep, monkeypatch):
+        blocks = []
+
+        def recording(n):
+            blocks.append(n)
+            return nilpotent_jordan_multiset(n)
+        monkeypatch.setattr(model, "nilpotent_jordan_multiset", recording)
+        for (_parts, _k, mode, _name), m in model_sweep.items():
+            for cut in cuts_for(m.shape, mode):
+                assert model.split_check(m, cut)["pass"]
+        assert len(blocks) > 200
+        for n in blocks:
+            assert nilpotent_jordan_multiset(n) == power_rank_jordan(n)
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF5, GF7, GF4, Q2],
+                             ids=["Q", "GF5", "GF7", "GF4", "Q2"])
+    def test_dense_conjugates(self, field):
+        for parts in partitions_up_to(6):
+            n = jordan_matrix(field, parts)
+            p = dense_shear(field, n.nrows)
+            conj = p * n * p.inverse()
+            assert nilpotent_jordan_multiset(conj) == \
+                power_rank_jordan(conj) == Counter(parts)
 
 
 class TestKernelOracle:

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from isoflag.cases import cuts_for
+from isoflag.counting import SO_ODD, SP, FiniteFormSpace
 from isoflag.fields import RATIONALS, FieldElement, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
@@ -16,6 +17,7 @@ from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                             psi)
 from components import component_check
+from dense import dense_isometry, dense_shear
 from spans import span_contains, span_dim
 
 
@@ -631,6 +633,19 @@ class TestIntertwiner:
         with pytest.raises(VerificationFailed):
             build_T(sp1, bad)
 
+    def test_non_isometric_partner_rejected(self):
+        # the pairings assume an isometry; T's own checks gate the output
+        # when the partner's g is none
+        for mode, kappa, field in ((SYMPLECTIC, 0, None),
+                                   (ORTHOGONAL, 1, None),
+                                   (SYMPLECTIC, 0, get_finite_field(2))):
+            m = build_model(ShapeSeq((2,), kappa), mode, field)
+            assert m.space.dim >= 4
+            partner = m.conjugated(dense_shear(m.field, m.space.dim))
+            assert m.space.isometry_violations(partner.g) != []
+            with pytest.raises(VerificationFailed):
+                build_T(m, partner)
+
     def test_pairings_memoized_per_model(self, sp1):
         assert collection_pairings(sp1) is collection_pairings(sp1)
         assert collection_pairings(sp1) is not \
@@ -644,18 +659,6 @@ class TestIntertwiner:
         pairs = collection_pairings(sp1)
         for (t, r, d), v in pairs.items():
             assert v == sp1.table.value(t, r, d)
-
-
-def dense_shear(f, nu):
-    """L U with L, U unitriangular and every entry off the diagonal set:
-    invertible, dense, and no isometry in general."""
-    lower = Matrix(f, [[f.from_int(i + j + 1) if i > j else
-                        f.one if i == j else f.zero for j in range(nu)]
-                       for i in range(nu)])
-    upper = Matrix(f, [[f.from_int(i * j + 2) if i < j else
-                        f.one if i == j else f.zero for j in range(nu)]
-                       for i in range(nu)])
-    return lower * upper
 
 
 def schoolbook_pairings(model):
@@ -676,27 +679,71 @@ def schoolbook_pairings(model):
     return out
 
 
+class EditedTable:
+    """A pairing table that reads ``value + 1`` at one key."""
+
+    def __init__(self, table, key):
+        self.table, self.key = table, key
+
+    def value(self, t, r, d):
+        v = self.table.value(t, r, d)
+        return v + 1 if (t, r, d) == self.key else v
+
+
 class TestPairingsOracle:
     """collection_pairings against the schoolbook pairings, on derived
     models whose collection is not the standard basis."""
 
     def test_derived_models_agree(self, model_sweep):
-        seen = set()
+        # the profile reads negative offsets off the positive ones, which
+        # holds for an isometry g only: conjugate by a dense isometry
+        seen, checked = set(), 0
         for (parts, _k, _mode, _name), m in model_sweep.items():
             if sum(parts) > 3:
                 continue
-            h = dense_shear(m.field, m.space.dim)
+            h = dense_isometry(m.space)
+            assert m.space.isometry_violations(h) == []
             for variant in (sign_flip(m), m.conjugated(h)):
                 # derived models take g^-1 from their source, not by
-                # elimination; the orbit steps below the window by it
+                # elimination; extend_index steps below the window by it
                 assert variant.g_inv == variant.g.inverse()
                 got = collection_pairings(variant)
                 want = schoolbook_pairings(variant)
                 assert list(got) == list(want)
                 assert got == want
             seen.add(repr(m.field))
+            checked += 1
+        assert checked == 80
         assert {"TowerField(depth=0)", "TowerField(depth=1)", "GF(3^2)",
                 "GF(2^2)"} <= seen
+
+    def test_shear_conjugate_rejected_as_non_isometry(self, model_sweep):
+        # a dense shear is no isometry in general, and neither is its
+        # conjugate g: check_adapted reports that before it reads the
+        # profile, whose negative offsets assume one
+        rejected = 0
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            variant = m.conjugated(dense_shear(m.field, m.space.dim))
+            bad = m.space.isometry_violations(variant.g)
+            if bad:
+                assert check_adapted(variant)[:len(bad)] == bad
+                rejected += 1
+        assert rejected > 0
+
+    def test_round_trip_reads_negative_offsets(self):
+        # the profile mirrors (t, r, -d) from (r, t, d); the round trip
+        # still compares the table's own value at every key
+        for mode, field in ((SYMPLECTIC, None), (ORTHOGONAL, None),
+                            (SYMPLECTIC, get_finite_field(3))):
+            m = build_model(ShapeSeq((2, 1)), mode, field)
+            for key in ((1, 2, -3), (2, 1, 3), (1, 1, -1)):
+                table = EditedTable(m.table, key)
+                edited = IsometryModel(m.shape, m.mode, m.space, m.g,
+                                       m.w_cols, table, g_inv=m.g_inv,
+                                       w_inv=m.w_inv)
+                assert round_trip_mismatches(edited) == [key]
 
 
 class TestComponentCheck:
@@ -785,6 +832,35 @@ class TestQuadOracle:
         sp = build_model(ShapeSeq((1,)), SYMPLECTIC, get_finite_field(3))
         with pytest.raises(VerificationFailed, match="needs a symmetric G"):
             QuadSpace(f, sp.mode, sp.space.gram, (f.zero, f.zero))
+
+
+class TestFormSign:
+    def test_sign_read_off_the_gram(self, model_sweep):
+        for (_parts, _k, mode, _name), m in model_sweep.items():
+            space = m.space
+            want = 1 if mode == ORTHOGONAL or m.field.char == 2 else -1
+            assert space.sign == want
+            assert space.gram.transpose() == space.gram * space.sign
+
+    def test_neither_symmetric_nor_skew_rejected(self):
+        f = RATIONALS
+        gram = Matrix.from_scalars(f, [[0, 1], [2, 0]])
+        with pytest.raises(VerificationFailed,
+                           match=r"neither .*G\[1\]\[0\] = 2 is not 1 \* "
+                           r"G\[0\]\[1\]"):
+            QuadSpace(f, SYMPLECTIC, gram, None)
+        # symmetric off the diagonal, but a nonzero diagonal entry
+        gram = Matrix.from_scalars(f, [[1, 1], [-1, 0]])
+        with pytest.raises(VerificationFailed,
+                           match=r"G\[0\]\[0\] = 1 is not -1 \* G\[0\]\[0\]"):
+            QuadSpace(f, "any mode", gram, None)
+
+    def test_counting_spaces_build(self):
+        # counting passes its own mode strings; the sign comes from G
+        for mode, nu, want in ((SP, 4, -1), (SO_ODD, 5, 1), (SP, 2, -1)):
+            space = FiniteFormSpace(mode, nu, 3)
+            assert space.quad.mode == mode
+            assert space.quad.sign == want
 
 
 class TestSplitCheck:
