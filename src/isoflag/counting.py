@@ -30,7 +30,7 @@ from operator import getitem, mul
 from typing import Dict, List, Optional, Tuple
 
 from .fields import get_finite_field
-from .linalg import Matrix, echelon_mod
+from .linalg import Matrix, echelon_mod, image_chain_ranks
 from .model import IsoFlag, IsotropyViolation, QuadSpace
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
                      jordan_from_ranks, position_dims_ok)
@@ -101,18 +101,14 @@ def mat_rank(rows, p: int) -> int:
 
 
 def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
-    """Jordan multiset of g - 1 when g is unipotent, else None."""
-    n = len(g)
+    """Jordan multiset of g - 1 when g is unipotent, else None: the ranks
+    of (g - 1)^k from linalg's image chain on :func:`echelon_mod`."""
     nm = tuple(tuple((x - (1 if i == j else 0)) % p for j, x in enumerate(r))
                for i, r in enumerate(g))
-    power = nm
-    ranks = [n, mat_rank(nm, p)]
-    while ranks[-1]:
-        if ranks[-1] == ranks[-2]:
-            return None  # a stalled rank above 0 never reaches 0
-        power = mat_mul(power, nm, p)
-        ranks.append(mat_rank(power, p))
-    return jordan_from_ranks(ranks)
+    ranks = image_chain_ranks(
+        nm, lambda rows, ncols: echelon_mod(rows, p, ncols),
+        lambda a, b: sum(map(mul, a, b)) % p)
+    return None if ranks[-1] else jordan_from_ranks(ranks)
 
 
 # -- spaces and groups -------------------------------------------------------

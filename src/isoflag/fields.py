@@ -3,8 +3,13 @@
 Two kinds of field are supported, behind one element interface:
 
 * ``TowerField`` -- the rationals with a chain of square roots adjoined.
-  Elements are dense coordinate vectors of ``Fraction`` of length ``2**depth``;
-  the vector splits recursively into ``lo + hi*sqrt(r_d)`` halves.
+  Elements are dense rational coordinate vectors of length ``2**depth``;
+  the vector splits recursively into ``lo + hi*sqrt(r_d)`` halves.  The
+  coordinate contract: an integral coordinate is an ``int``, any other a
+  ``Fraction``, never a ``float``.  Every ``TowerField`` operation returns
+  coordinates in that form (given operands in it), so most scalar work
+  runs on ints.  An int and a ``Fraction`` of one value compare equal,
+  hash alike and print alike, so no output depends on the form.
 * ``FiniteField`` -- GF(p**m) with a fixed canonical modulus: the
   lexicographically least monic irreducible polynomial of degree m over GF(p)
   (coefficient tuples compared most-significant first).  Elements are tuples of
@@ -55,12 +60,26 @@ class FiniteScanCapExceeded(Exception):
 # Rational square-root towers
 # ---------------------------------------------------------------------------
 
+def _qn(x):
+    """The rational ``x`` in the coordinate contract: an int when
+    integral, else the Fraction itself."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+def _qcoords(cs) -> tuple:
+    """Rationals (int, Fraction or what ``Fraction`` reads) as tower
+    coordinates in the contract."""
+    return tuple([c if type(c) is int else _qn(Fraction(c)) for c in cs])
+
+
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([_qn(x + y) for x, y in zip(a, b)])
 
 
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple([_qn(x - y) for x, y in zip(a, b)])
 
 
 def _vneg(a):
@@ -68,14 +87,18 @@ def _vneg(a):
 
 
 def _vscale(a, c):
-    return tuple(x * c for x in a)
+    return tuple([_qn(x * c) for x in a])
 
 
-def _qdot(xs, ys) -> Fraction:
-    """sum x[0] y[0] over one-coordinate tuples of Fraction: integer
-    numerators over one common denominator, then one Fraction."""
-    num, den = 0, 1
+def _qdot(xs, ys) -> Scalar:
+    """sum x[0] y[0] over one-coordinate rational tuples: int products
+    summed directly, the rest as integer numerators over one common
+    denominator; an int when the sum is integral, else one Fraction."""
+    whole, num, den = 0, 0, 1
     for (x,), (y,) in zip(xs, ys):
+        if type(x) is int and type(y) is int:
+            whole += x * y
+            continue
         n = x.numerator * y.numerator
         if not n:
             continue
@@ -85,7 +108,9 @@ def _qdot(xs, ys) -> Fraction:
         else:
             g = gcd(den, d)
             num, den = num * (d // g) + n * (den // g), den // g * d
-    return Fraction(num, den)
+    if den == 1:
+        return whole + num
+    return _qn(Fraction(num + whole * den, den))
 
 
 class TowerField:
@@ -117,14 +142,14 @@ class TowerField:
         return (isinstance(other, TowerField)
                 and self.radicands[:other.depth] == other.radicands)
 
-    def element(self, coords: Sequence[Fraction]) -> "FieldElement":
-        coords = tuple(Fraction(c) for c in coords)
+    def element(self, coords: Sequence[Scalar]) -> "FieldElement":
+        coords = _qcoords(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         return FieldElement(self, coords)
 
     def from_int(self, n: Scalar) -> "FieldElement":
-        return self.element((Fraction(n),) + (Fraction(0),) * (self.dim - 1))
+        return self.element((n,) + (0,) * (self.dim - 1))
 
     @property
     def zero(self):
@@ -136,7 +161,7 @@ class TowerField:
 
     def lift(self, elem: "FieldElement") -> "FieldElement":
         assert self.extends(elem.field)
-        pad = (Fraction(0),) * (self.dim - len(elem.coords))
+        pad = (0,) * (self.dim - len(elem.coords))
         return FieldElement(self, tuple(elem.coords) + pad)
 
     def extend(self, radicand_coords: tuple) -> "TowerField":
@@ -144,13 +169,13 @@ class TowerField:
             raise TowerDepthExceeded(
                 f"tower depth bound {DEFAULT_TOWER_DEPTH_BOUND} exceeded: "
                 f"extension to depth {self.depth + 1}")
-        return TowerField(self.radicands + (radicand_coords,))
+        return TowerField(self.radicands + (_qcoords(radicand_coords),))
 
     # -- coordinate arithmetic ----------------------------------------------
 
     def add(self, a, b) -> tuple:
         if not self.depth:
-            return (a[0] + b[0],)
+            return (_qn(a[0] + b[0]),)
         return _vadd(a, b)
 
     def neg(self, a) -> tuple:
@@ -158,7 +183,7 @@ class TowerField:
 
     def mul(self, a, b) -> tuple:
         if not self.depth:
-            return (a[0] * b[0],)
+            return (_qn(a[0] * b[0]),)
         return self._mul(self.depth, a, b)
 
     def inv(self, a) -> tuple:
@@ -170,7 +195,7 @@ class TowerField:
 
     def _mul(self, d: int, a, b):
         if d == 0:
-            return (a[0] * b[0],)
+            return (_qn(a[0] * b[0]),)
         h = 1 << (d - 1)
         a1, a2 = a[:h], a[h:]
         b1, b2 = b[:h], b[h:]
@@ -217,12 +242,12 @@ class TowerField:
         if d == 0:
             if a[0] == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return (1 / a[0],)
+            return (_qn(Fraction(1) / a[0]),)
         h = 1 << (d - 1)
         a1, a2 = a[:h], a[h:]
         r = self.radicands[d - 1]
         if all(x == 0 for x in a2):
-            return self._inv(d - 1, a1) + (Fraction(0),) * h
+            return self._inv(d - 1, a1) + (0,) * h
         norm = _vsub(self._mul(d - 1, a1, a1), self._mul(d - 1, self._mul(d - 1, a2, a2), r))
         ninv = self._inv(d - 1, norm)
         return self._mul(d - 1, a1, ninv) + _vneg(self._mul(d - 1, a2, ninv))
@@ -232,17 +257,17 @@ class TowerField:
         if d == 0:
             q = a[0]
             if q == 0:
-                return (Fraction(0),)
+                return (0,)
             if q < 0:
                 return None
             rn, rd = isqrt(q.numerator), isqrt(q.denominator)
             if rn * rn == q.numerator and rd * rd == q.denominator:
-                return (Fraction(rn, rd),)
+                return (_qn(Fraction(rn, rd)),)
             return None
         h = 1 << (d - 1)
         a1, a2 = a[:h], a[h:]
         r = self.radicands[d - 1]
-        zero = (Fraction(0),) * h
+        zero = (0,) * h
         if all(x == 0 for x in a2):
             c = self._sqrt(d - 1, a1)
             if c is not None:
@@ -724,6 +749,5 @@ def sqrt_extend(x: FieldElement):
         assert root is not None, "quadratic extension must contain the root"
         return root, ext
     ext = f.extend(x.coords)
-    coords = ((Fraction(0),) * f.dim
-              + (Fraction(1),) + (Fraction(0),) * (f.dim - 1))
+    coords = (0,) * f.dim + (1,) + (0,) * (f.dim - 1)
     return FieldElement(ext, coords), ext

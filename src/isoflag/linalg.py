@@ -449,25 +449,39 @@ def solve_linear(a: Matrix, b):
 
 # -- Jordan data ------------------------------------------------------------
 
-def nilpotent_jordan_multiset(n: Matrix) -> Counter:
-    """Jordan block sizes of a nilpotent matrix, as a Counter {size: count}.
+def image_chain_ranks(rows, echelon, dot) -> List[int]:
+    """The ranks r_k = rank(N^k), k = 0, 1, ..., of the square matrix N
+    given by its raw ``rows``, up to the first 0, or up to the first
+    r_(k+1) = r_k > 0, where N is not nilpotent; so N is nilpotent iff the
+    last rank is 0.
 
-    The ranks r_k = rank(N^k) come from a shrinking image chain rather
-    than full powers: M_1 = N, and the pivot columns B_k of M_k are a
-    basis of im N^k, so M_{k+1} = N B_k, a nu x r_k product, spans
-    im N^{k+1}.  Raises NotNilpotent when r_nu is not 0.
+    The ranks come from a shrinking image chain rather than full powers:
+    M_1 = N, and the pivot columns B_k of M_k are a basis of im N^k, so
+    M_(k+1) = N B_k, a nu x r_k product, spans im N^(k+1).
+    ``echelon(rows, ncols)`` returns (rows, pivots) and ``dot(a, b)`` the
+    raw dot product: a kernel's, or :func:`echelon_mod` and a sum mod p.
     """
-    if n.nrows != n.ncols:
-        raise ValueError(f"Jordan type of a {n.nrows}x{n.ncols} matrix")
-    dim = n.nrows
-    k, rows = n._raw()
-    dot = k.dot
-    ranks, image = [dim], rows
+    ranks, image = [len(rows)], rows
     while ranks[-1]:
-        if len(ranks) > dim:
-            raise NotNilpotent(f"rank(N^{dim}) = {ranks[-1]}, not 0")
-        pivots = k.echelon(image, len(image[0]))[1]
+        pivots = echelon(image, len(image[0]))[1]
         ranks.append(len(pivots))
+        if ranks[-1] == ranks[-2]:
+            break
         basis = [[r[c] for r in image] for c in pivots]
         image = [[dot(row, b) for b in basis] for row in rows]
+    return ranks
+
+
+def nilpotent_jordan_multiset(n: Matrix) -> Counter:
+    """Jordan block sizes of a nilpotent matrix, as a Counter {size: count},
+    from :func:`image_chain_ranks`.  Raises NotNilpotent when the ranks
+    stall above 0."""
+    if n.nrows != n.ncols:
+        raise ValueError(f"Jordan type of a {n.nrows}x{n.ncols} matrix")
+    k, rows = n._raw()
+    ranks = image_chain_ranks(rows, k.echelon, k.dot)
+    if ranks[-1]:
+        e = len(ranks) - 1
+        raise NotNilpotent(f"rank(N^{e - 1}) = rank(N^{e}) = {ranks[-1]}, "
+                           f"not 0")
     return jordan_from_ranks(ranks)

@@ -396,6 +396,63 @@ class TestCoordinateArithmetic:
         assert GF81.lift(GF9.element((0, 1))) == least
 
 
+TOWERS = {"Q": RATIONALS, "Q2": Q2, "Q23": Q23}
+SUBFIELDS = {"Q": [], "Q2": [RATIONALS], "Q23": [RATIONALS, Q2]}
+
+
+def assert_contract(coords):
+    """Tower coordinates: int or Fraction, never float, and an int
+    whenever the value is integral."""
+    for c in coords:
+        assert type(c) in (int, Fraction), coords
+        assert type(c) is int or c.denominator != 1, coords
+
+
+class TestCoordinateContract:
+    """Every tower operation keeps the coordinate contract of fields.py."""
+
+    @pytest.mark.parametrize("name", sorted(TOWERS))
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_keeps_contract(self, name, data):
+        f = TOWERS[name]
+        x, y = data.draw(elements(f)), data.draw(elements(f))
+        n = data.draw(st.one_of(st.integers(-9, 9), small))
+        for e in (x, y, f.from_int(n), f.zero, f.one):
+            assert_contract(e.coords)
+        a, b = x.coords, y.coords
+        for coords in (f.add(a, b), f.neg(a), f.mul(a, b), (x - y).coords,
+                       (x * y).coords, f.dot([a, b], [b, a]),
+                       f.dot([a, f.neg(a)], [b, b]), f.dot([], [])):
+            assert_contract(coords)
+        if not x.is_zero:
+            assert_contract(f.inv(a))
+            assert_contract((y / x).coords)
+            root, ext = sqrt_extend(x)
+            assert_contract(root.coords)
+            for radicand in ext.radicands:
+                assert_contract(radicand)
+            assert_contract(ext.lift(x).coords)
+        for z in (x, x * x):
+            root = f.sqrt_or_none(z)
+            if root is not None:
+                assert_contract(root.coords)
+        for sub in SUBFIELDS[name]:
+            assert_contract(f.lift(data.draw(elements(sub))).coords)
+
+    def test_integral_results_are_ints(self):
+        half = RATIONALS.element((Fraction(1, 2),))
+        two = RATIONALS.element((Fraction(4, 2),))
+        assert type(two.coords[0]) is int
+        assert type((half + half).coords[0]) is int
+        assert type(half.inverse().coords[0]) is int
+        assert type(RATIONALS.dot([half.coords] * 2, [two.coords] * 2)[0]) \
+            is int
+        r2 = Q2.element((0, Fraction(1, 2)))
+        assert [type(c) for c in (r2 * r2).coords] == [Fraction, int]
+        assert [type(c) for c in Q2.inv(Q2.from_int(-1).coords)] == [int, int]
+
+
 class TestElementProtocol:
     def test_cross_field_mixing_rejected(self):
         a = get_finite_field(3).one
