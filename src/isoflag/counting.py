@@ -10,15 +10,17 @@ The hot loops -- the group closure, the class split, the Jordan-type
 filter and the position tests -- run dense modular arithmetic on plain
 integer tuples, without field elements.  A group element has at most
 q^nu - 1 distinct rows, so a product h m is read off a ``RowAction`` of
-m, which computes v m once per distinct row v.  Elimination is
-``linalg.echelon_mod``, the one GF(p) pivot loop.  The group is listed
-in closure order.  The filter sorts only the elements whose trace and
-trace of square are those of a unipotent, splits them into conjugacy
-classes once, runs the Jordan rule at two members of each class, not at
-every element, and hands the classes of the chosen type on to the
-count.  The flags are read off the Bruhat cells, u w F0 with u in U_w,
-and gated by ``IsoFlag.verify`` and |flags| x |B| = |G|.  Only prime q
-is supported.
+m, which computes v m once per distinct row v.  The int tuples are the
+raw rows of linalg's GF(q) kernel, which ``FiniteFormSpace.kernel``
+holds, so inverses, the cell algebra, the Jordan rule and the relative
+position (``bruhat_pivots``, re-exported here) all eliminate through
+linalg.  The group is listed in closure order.  The filter sorts only
+the elements whose trace and trace of square are those of a unipotent,
+splits them into conjugacy classes once, runs the Jordan rule at two
+members of each class, not at every element, and hands the classes of
+the chosen type on to the count.  The flags are read off the Bruhat
+cells, u w F0 with u in U_w, and gated by ``IsoFlag.verify`` and
+|flags| x |B| = |G|.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from operator import getitem, mul
 from typing import Dict, List, Optional, Tuple
 
 from .fields import get_finite_field
-from .linalg import Matrix, echelon_mod, image_chain_ranks
+from .linalg import (Matrix, bruhat_pivots, image_chain_ranks,
+                     inverse_rows, nullspace_rows, scalar_kernel)
 from .model import IsoFlag, IsotropyViolation, QuadSpace
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
-                     jordan_from_ranks, position_dims_ok)
+                     jordan_from_ranks, position_ok)
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
@@ -86,28 +89,12 @@ def sandwich(a, b, p: int):
     return lambda x: tuple(zip(*map(left, zip(*map(right, x)))))
 
 
-def mat_inv(a, p: int) -> tuple:
-    n = len(a)
-    rows, pivots = echelon_mod(
-        [list(r) + [1 if i == j else 0 for j in range(n)]
-         for i, r in enumerate(a)], p, n)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(r[n:]) for r in rows)
-
-
-def mat_rank(rows, p: int) -> int:
-    return len(echelon_mod(rows, p, len(rows[0]) if rows else 0)[1])
-
-
 def unipotent_jordan_type(g, p: int) -> Optional[Counter]:
     """Jordan multiset of g - 1 when g is unipotent, else None: the ranks
-    of (g - 1)^k from linalg's image chain on :func:`echelon_mod`."""
+    of (g - 1)^k from linalg's image chain."""
     nm = tuple(tuple((x - (1 if i == j else 0)) % p for j, x in enumerate(r))
                for i, r in enumerate(g))
-    ranks = image_chain_ranks(
-        nm, lambda rows, ncols: echelon_mod(rows, p, ncols),
-        lambda a, b: sum(map(mul, a, b)) % p)
+    ranks = image_chain_ranks(nm, scalar_kernel(get_finite_field(p)))
     return None if ranks[-1] else jordan_from_ranks(ranks)
 
 
@@ -119,7 +106,8 @@ class FiniteFormSpace:
 
     ``form`` is the Gram matrix as int tuples, for the hot loops; ``quad``
     is the same form as a ``model.QuadSpace`` over GF(q), for the flags.
-    Both are None in type A.  ``degrees`` are the degrees of the Weyl
+    Both are None in type A.  ``kernel`` is linalg's GF(q) kernel, whose
+    raw rows are these int tuples.  ``degrees`` are the degrees of the Weyl
     group's invariants, 1..nu for GL and 2, 4, ..., 2n for Sp_2n and
     SO_2n+1, from which every order below follows; ``center_order`` is
     |Z(G)(F_q)|: the q - 1 scalars of GL, +-1 in Sp, 1 in odd SO.
@@ -150,6 +138,7 @@ class FiniteFormSpace:
         self.degrees = tuple(range(1, nu + 1) if mode == TYPE_A
                              else range(2, nu + 1, 2))
         self.center_order = {TYPE_A: q - 1, SP: 2, SO_ODD: 1}[mode]
+        self.kernel = scalar_kernel(field)
         self.form: Optional[tuple] = None
         self.quad: Optional[QuadSpace] = None
         if mode == SP:
@@ -366,22 +355,15 @@ def _weyl_group(space: FiniteFormSpace) -> List[Tuple[tuple, List[int]]]:
     return out
 
 
-def _cell_algebra(space: FiniteFormSpace, slots) -> List[list]:
+def _cell_algebra(space: FiniteFormSpace, slots) -> List[tuple]:
     """A nullspace basis of the N supported on ``slots`` (positions above
     the diagonal) with N^T J + J N = 0, each N as its values on the slots.
     Type A has no form, so every slot is free."""
     nu, q, form = space.nu, space.q, space.form
     rows = [] if form is None else [
-        [(form[a][j] if b == i else 0) + (form[i][a] if b == j else 0)
+        [((form[a][j] if b == i else 0) + (form[i][a] if b == j else 0)) % q
          for a, b in slots] for i in range(nu) for j in range(i, nu)]
-    echelon, pivots = echelon_mod(rows, q, len(slots))
-    basis = []
-    for free in (k for k in range(len(slots)) if k not in pivots):
-        v = [int(k == free) for k in range(len(slots))]
-        for row, c in zip(echelon, pivots):
-            v[c] = -row[free] % q
-        basis.append(v)
-    return basis
+    return nullspace_rows(rows, space.kernel, len(slots))
 
 
 def _cell_element(x, q: int, cayley: bool) -> Tuple[tuple, tuple]:
@@ -542,7 +524,8 @@ def conjugacy_classes(elements: List[tuple], generators: List[tuple],
     outside ``elements`` raises VerificationFailed.
     """
     index = {u: i for i, u in enumerate(elements)}
-    pairs = [(s, sandwich(s, mat_inv(s, p), p)) for s in generators]
+    k = scalar_kernel(get_finite_field(p))
+    pairs = [(s, sandwich(s, inverse_rows(s, k), p)) for s in generators]
     seen = [False] * len(elements)
     classes = []
     for start in range(len(elements)):
@@ -566,31 +549,6 @@ def conjugacy_classes(elements: List[tuple], generators: List[tuple],
 
 
 # -- relative position -------------------------------------------------------
-
-def bruhat_pivots(m, p: int) -> Tuple[int, ...]:
-    """Pivot rows (0-based) of the columns of an invertible matrix under
-    left-to-right column reduction with bottom-most pivots.
-
-    The result is the permutation w (as a tuple, column -> pivot row) with
-    dim(V_i cap V'_j) = #{k < j : w(k) < i} for the flags spanned by
-    column prefixes of the identity and of m.
-    """
-    n = len(m)
-    cols = [list(col) for col in zip(*m)]
-    pivots: List[int] = []
-    kept: List[List[int]] = []
-    for j in range(n):
-        col = cols[j]
-        for k, pk in enumerate(pivots):
-            f = col[pk] % p
-            if f:
-                col = [(x - f * y) % p for x, y in zip(col, kept[k])]
-        piv = max(i for i, x in enumerate(col) if x % p)
-        inv = pow(col[piv], p - 2, p)
-        kept.append([x * inv % p for x in col])
-        pivots.append(piv)
-    return tuple(pivots)
-
 
 def coxeter_cycle(n: int) -> Tuple[int, ...]:
     """The fixed Coxeter element of S_n: the cycle sending k to k + 1."""
@@ -642,8 +600,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
         raise InvalidInput(f"{space.mode} counting needs a shape with "
                            f"nu = {nu}, got {shape}")
     else:
-        admissible = lambda piv: position_dims_ok(  # noqa: E731
-            lambda i, j: sum(1 for k in range(j) if piv[k] < i), shape, nu)
+        admissible = lambda piv: position_ok(piv, shape)  # noqa: E731
     group = enumerate_group_cached(space)
     if flags is None:
         flags = enumerate_isotropic_flags_cached(space)
@@ -651,9 +608,10 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
 
     # g -> B^-1 g B, g in the basis B of each flag
     in_basis = [sandwich(fl["inv"], fl["basis"], q) for fl in flags]
+    kernel = space.kernel
 
     def hit(g, k) -> bool:
-        return admissible(bruhat_pivots(in_basis[k](g), q))
+        return admissible(bruhat_pivots(in_basis[k](g), kernel))
 
     column = [hit(u, 0) for u in unis]
     count = len(flags) * sum(column)

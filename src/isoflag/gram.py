@@ -252,14 +252,16 @@ class GramTable:
             self._compute_aux(level, window)
             # built after any field extension, so K lives in the final field
             K = self._kernel(level, win.a, self.aux[level]["atilde"])
+            # every window row is case 2.3, with no even drop before
+            # x0 = b + 1: r = b is odd, and an even r in [t, b - 1] with
+            # part(r) > part(r + 1) would make r + 1 an odd index above a
+            # with psi = 1 and part > level, against the choice of a as
+            # the largest one
             for t in window:
-                if self._has_even_drop(t, x0):
-                    self._zero_pairs(t, xs, "2.2")
-                else:
-                    self._cross_23(t, x0, level, K, d_level)
-                    for x in xs[1:]:
-                        self._memo[(t, x)] = self._memo[(t, x0)]
-                        self.case_map[(t, x)] = "2.3"
+                self._cross_23(t, x0, level, K, d_level)
+                for x in xs[1:]:
+                    self._memo[(t, x)] = self._memo[(t, x0)]
+                    self.case_map[(t, x)] = "2.3"
             for y in range(1, shape.sigma + 1):
                 if shape.part(y) > level and y not in window:
                     assert self._has_even_drop(y, x0), \

@@ -20,8 +20,9 @@ wrapped on first read and kept (matrices are immutable).  ``col``,
 matrix built from FieldElement rows unwraps them on first use; a foreign
 entry or operand raises ``TypeError``.
 
-Elimination on either kernel is :func:`_pivot_loop`, which also serves
-:func:`echelon_mod`, the modular kernel counting calls.
+Elimination is :func:`_pivot_loop` on a kernel's ``scale`` and
+``eliminate``, or its column-wise twin :func:`bruhat_pivots`.  The raw-row
+helpers serve ``Matrix`` and counting, whose int tuples are GF(p) raw rows.
 """
 
 from __future__ import annotations
@@ -41,17 +42,18 @@ class NotNilpotent(VerificationFailed):
 
 # -- the one pivot loop -----------------------------------------------------
 
-def _pivot_loop(rows, ncols: int, scale, eliminate):
-    """Reduced row echelon form of the first ``ncols`` columns of ``rows``
-    (a list of lists, reduced in place), whose zero entries are falsy.
+def _pivot_loop(rows, k, ncols: int):
+    """Reduced row echelon form of the first ``ncols`` columns of the raw
+    rows ``rows`` of kernel k, reduced on a copy.
 
     Pivots on the first nonzero entry top-down, column by column, and
     stops once every row has a pivot; later columns (an augmented block)
-    are carried along.  ``scale(row, x)`` returns the row divided by its
-    pivot x, ``eliminate(row, prow, c)`` the row less row[c] times the
-    scaled pivot row.  Returns the rows and the pivot columns: row i has
-    a 1 at pivots[i] and zeros in every other pivot column.
+    are carried along by k's ``scale`` and ``eliminate``.  Returns the
+    rows, as lists, and the pivot columns: row i has a 1 at pivots[i] and
+    zeros in every other pivot column.
     """
+    rows = [list(r) for r in rows]
+    scale, eliminate = k.scale, k.eliminate
     pivots: List[int] = []
     for c in range(ncols):
         pr = len(pivots)
@@ -69,20 +71,65 @@ def _pivot_loop(rows, ncols: int, scale, eliminate):
     return rows, pivots
 
 
-def echelon_mod(rows, p: int, ncols: int) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form over GF(p) of the first ``ncols`` columns
-    of int rows, by :func:`_pivot_loop`: the rows, reduced mod p, and the
-    pivot columns."""
+def _kernel_basis(rows, pivots, k, ncols: int) -> List[tuple]:
+    """The right kernel of an echelon form (``rows``, ``pivots``) of
+    :func:`_pivot_loop` in its first ``ncols`` columns: one raw vector per
+    free column."""
+    pivot_set = set(pivots)
+    basis = []
+    for fj in range(ncols):
+        if fj in pivot_set:
+            continue
+        v = [k.zero] * ncols
+        v[fj] = k.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = k.neg(row[fj])
+        basis.append(tuple(v))
+    return basis
 
-    def scale(row, x):
-        inv = pow(x, p - 2, p)
-        return [y * inv % p for y in row]
 
-    def eliminate(row, prow, c):
-        f = row[c]
-        return [(x - f * y) % p for x, y in zip(row, prow)]
-    return _pivot_loop([[x % p for x in r] for r in rows], ncols,
-                       scale, eliminate)
+def nullspace_rows(rows, k, ncols: int) -> List[tuple]:
+    """Basis of the right kernel of the raw rows, as raw tuples."""
+    return _kernel_basis(*_pivot_loop(rows, k, ncols), k, ncols)
+
+
+def inverse_rows(rows, k) -> List[tuple]:
+    """The raw rows of the inverse of the square matrix of raw ``rows``;
+    ZeroDivisionError when it is singular."""
+    n = len(rows)
+    aug = [tuple(r) + e for r, e in zip(rows, _identity_rows(k, n))]
+    echelon, pivots = _pivot_loop(aug, k, n)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [tuple(r[n:]) for r in echelon]
+
+
+def bruhat_pivots(rows, k) -> Tuple[int, ...]:
+    """The permutation w of the invertible matrix M of raw ``rows``, as a
+    tuple column -> row: the pivot rows of M's columns under left-to-right
+    column reduction with bottom-most pivots.
+
+    The reduced columns span the same prefixes and have distinct bottom
+    rows, so for the flags of the column prefixes of the identity and of
+    M, dim(V_i cap V'_j) = #{c < j : w(c) < i}, as ``shapes.position_ok``
+    reads it (R. W. Carter, *Finite Groups of Lie Type*, 1985).
+    ZeroDivisionError when M is singular.
+    """
+    scale, eliminate = k.scale, k.eliminate
+    pivots: List[int] = []
+    kept = []
+    for col in zip(*rows):
+        for pk, prow in zip(pivots, kept):
+            if col[pk]:
+                col = eliminate(col, prow, pk)
+        if not any(col):
+            raise ZeroDivisionError("matrix is singular")
+        piv = len(col) - 1
+        while not col[piv]:
+            piv -= 1
+        kept.append(scale(col, col[piv]))
+        pivots.append(piv)
+    return tuple(pivots)
 
 
 # -- per-field scalar kernels -------------------------------------------------
@@ -113,8 +160,14 @@ class _ModKernel:
     def dot(self, a, b):
         return sum(map(mul, a, b)) % self.p
 
-    def echelon(self, rows, ncols):
-        return echelon_mod(rows, self.p, ncols)
+    def scale(self, row, x):
+        p = self.p
+        inv = pow(x, p - 2, p)
+        return [y * inv % p for y in row]
+
+    def eliminate(self, row, prow, c):
+        f, p = row[c], self.p
+        return [(x - f * y) % p for x, y in zip(row, prow)]
 
 
 class _CoordKernel:
@@ -165,22 +218,19 @@ class _CoordKernel:
         # sparse rows (permutations, shifts) leave one term or none
         return self.field.mul(xs[0], ys[0]) if xs else None
 
-    def echelon(self, rows, ncols):
-        field, add = self.field, self.add
-        mul_ = field.mul
+    def scale(self, row, x):
+        s, mul_ = self.field.inv(x), self.field.mul
+        return [y if y is None else mul_(y, s) for y in row]
 
-        def scale(row, x):
-            s = field.inv(x)
-            return [y if y is None else mul_(y, s) for y in row]
-
-        def eliminate(row, prow, c):
-            f = field.neg(row[c])
-            return [x if y is None else add(x, mul_(f, y))
-                    for x, y in zip(row, prow)]
-        return _pivot_loop([list(r) for r in rows], ncols, scale, eliminate)
+    def eliminate(self, row, prow, c):
+        f, add, mul_ = self.field.neg(row[c]), self.add, self.field.mul
+        return [x if y is None else add(x, mul_(f, y))
+                for x, y in zip(row, prow)]
 
 
-def _kernel(field):
+def scalar_kernel(field):
+    """The raw-scalar kernel of ``field``: ints mod p over GF(p), else
+    coordinate tuples."""
     if field.is_finite and field.m == 1:
         return _ModKernel(field)
     return _CoordKernel(field)
@@ -240,16 +290,16 @@ class Matrix:
         """The matrix whose raw rows are ``rows``: over GF(p) ints already
         reduced into [0, p), otherwise coordinate tuples with None for
         zero.  Makes no FieldElement."""
-        return cls._of(_kernel(field), [tuple(r) for r in rows])
+        return cls._of(scalar_kernel(field), [tuple(r) for r in rows])
 
     @classmethod
     def identity(cls, field, n):
-        k = _kernel(field)
+        k = scalar_kernel(field)
         return cls._of(k, _identity_rows(k, n))
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        k = _kernel(field)
+        k = scalar_kernel(field)
         return cls._of(k, [(k.zero,) * ncols for _ in range(nrows)])
 
     @classmethod
@@ -273,7 +323,7 @@ class Matrix:
             return self._k, self._unwrapped
         except AttributeError:
             _check_field(self.field, self._rows)
-            k = _kernel(self.field)
+            k = scalar_kernel(self.field)
             raw = [k.unwrap(r) for r in self._rows]
             self._k, self._unwrapped = k, raw
             return k, raw
@@ -369,37 +419,22 @@ class Matrix:
         """Reduced row echelon form of the raw rows: (rows, pivot column
         list)."""
         k, rows = self._raw()
-        return k.echelon(rows, self.ncols)
+        return _pivot_loop(rows, k, self.ncols)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
 
     def nullspace(self) -> List[tuple]:
-        """Basis of the right kernel, as coordinate tuples."""
-        rows, pivots = self._echelon()
-        k = self._k
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        z, o = self.field.zero, self.field.one
-        basis = []
-        for fj in free:
-            v = [z] * self.ncols
-            v[fj] = o
-            for pi, pc in enumerate(pivots):
-                v[pc] = k.wrap(k.neg(rows[pi][fj]))
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right kernel, as tuples of FieldElement."""
+        k, rows = self._raw()
+        return [tuple(map(k.wrap, v))
+                for v in nullspace_rows(rows, k, self.ncols)]
 
     def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError(f"inverse of a {n}x{self.ncols} matrix")
-        k, ra = self._raw()
-        aug = [r + e for r, e in zip(ra, _identity_rows(k, n))]
-        rows, pivots = k.echelon(aug, n)
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix._of(k, [tuple(r[n:]) for r in rows])
+        if self.nrows != self.ncols:
+            raise ValueError(f"inverse of a {self.nrows}x{self.ncols} matrix")
+        k, rows = self._raw()
+        return Matrix._of(k, inverse_rows(rows, k))
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]
@@ -408,7 +443,7 @@ class Matrix:
 def dot(a, b, field) -> FieldElement:
     """sum a_i b_i for sequences of FieldElement of ``field``."""
     _check_field(field, (a, b))
-    k = _kernel(field)
+    k = scalar_kernel(field)
     return k.wrap(k.dot(k.unwrap(a), k.unwrap(b)))
 
 
@@ -437,11 +472,13 @@ def solve_linear(a: Matrix, b):
     rows, pivots = aug._echelon()
     if a.ncols in pivots:
         return NoSolution()
-    z, wrap = field.zero, aug._k.wrap
-    x0 = [z] * a.ncols
-    for pi, pc in enumerate(pivots):
-        x0[pc] = wrap(rows[pi][a.ncols])
-    kernel = a.nullspace()
+    k = aug._k
+    x0 = [field.zero] * a.ncols
+    for row, pc in zip(rows, pivots):
+        x0[pc] = k.wrap(row[a.ncols])
+    # with b no pivot, the first ncols columns are the echelon form of A
+    kernel = [tuple(map(k.wrap, v))
+              for v in _kernel_basis(rows, pivots, k, a.ncols)]
     if kernel:
         return Affine(tuple(x0), kernel)
     return Unique(tuple(x0))
@@ -449,7 +486,7 @@ def solve_linear(a: Matrix, b):
 
 # -- Jordan data ------------------------------------------------------------
 
-def image_chain_ranks(rows, echelon, dot) -> List[int]:
+def image_chain_ranks(rows, k) -> List[int]:
     """The ranks r_k = rank(N^k), k = 0, 1, ..., of the square matrix N
     given by its raw ``rows``, up to the first 0, or up to the first
     r_(k+1) = r_k > 0, where N is not nilpotent; so N is nilpotent iff the
@@ -457,13 +494,12 @@ def image_chain_ranks(rows, echelon, dot) -> List[int]:
 
     The ranks come from a shrinking image chain rather than full powers:
     M_1 = N, and the pivot columns B_k of M_k are a basis of im N^k, so
-    M_(k+1) = N B_k, a nu x r_k product, spans im N^(k+1).
-    ``echelon(rows, ncols)`` returns (rows, pivots) and ``dot(a, b)`` the
-    raw dot product: a kernel's, or :func:`echelon_mod` and a sum mod p.
+    M_(k+1) = N B_k, a nu x r_k product, spans im N^(k+1), eliminated
+    and multiplied by the kernel k of the raw rows.
     """
-    ranks, image = [len(rows)], rows
+    ranks, image, dot = [len(rows)], rows, k.dot
     while ranks[-1]:
-        pivots = echelon(image, len(image[0]))[1]
+        pivots = _pivot_loop(image, k, len(image[0]))[1]
         ranks.append(len(pivots))
         if ranks[-1] == ranks[-2]:
             break
@@ -479,7 +515,7 @@ def nilpotent_jordan_multiset(n: Matrix) -> Counter:
     if n.nrows != n.ncols:
         raise ValueError(f"Jordan type of a {n.nrows}x{n.ncols} matrix")
     k, rows = n._raw()
-    ranks = image_chain_ranks(rows, k.echelon, k.dot)
+    ranks = image_chain_ranks(rows, k)
     if ranks[-1]:
         e = len(ranks) - 1
         raise NotNilpotent(f"rank(N^{e - 1}) = rank(N^{e}) = {ranks[-1]}, "

@@ -18,11 +18,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldElement
 from .gram import GramTable
-from .linalg import (Affine, Matrix, NoSolution, Unique, dot,
+from .linalg import (Affine, Matrix, NoSolution, Unique, bruhat_pivots, dot,
                      nilpotent_jordan_multiset, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                      VerificationFailed, block_jordan_sizes, jordan_prediction,
-                     position_dims_ok, psi)
+                     position_ok, psi)
 
 
 class IsotropyViolation(VerificationFailed):
@@ -473,14 +473,10 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
 
 def position_check(flag: IsoFlag, flag_prime: IsoFlag,
                    shape: ShapeSeq) -> bool:
-    """The four relative-position dimension conditions for the shape.
-
-    With M = B^{-1} B', dim(V_i meet V'_j) = j - rank(M[i:, :j]).
-    """
-    nu = flag.space.dim
-    m = flag.inverse * flag_prime.basis
-    return position_dims_ok(
-        lambda i, j: j - m.submatrix(i, nu, 0, j).rank(), shape, nu)
+    """The four relative-position dimension conditions for the shape, read
+    off the Bruhat permutation of M = B^{-1} B' by one elimination."""
+    k, m = (flag.inverse * flag_prime.basis)._raw()
+    return position_ok(bruhat_pivots(m, k), shape)
 
 
 # -- sign normalization and the intertwiner ----------------------------------

@@ -145,12 +145,17 @@ def jordan_from_ranks(ranks) -> Counter:
     return result
 
 
-def position_dims_ok(dim, shape: ShapeSeq, nu: int) -> bool:
-    """The four relative-position dimension conditions of the shape.
-
-    ``dim(i, j)`` returns dim(V_i meet V'_j) for the two flags, with
-    1-based flag indices.
+def position_ok(w, shape: ShapeSeq) -> bool:
+    """The four relative-position dimension conditions of the shape for
+    two flags in relative position w, the permutation
+    ``linalg.bruhat_pivots`` reads off B^-1 B': with 1-based flag indices,
+    dim(V_i meet V'_j) = #{c < j : w(c) < i}.
     """
+    nu = len(w)
+
+    def dim(i, j):
+        return sum(1 for c in range(j) if w[c] < i)
+
     p_lt = 0
     for r in range(1, shape.sigma + 1):
         p_r = shape.part(r)

@@ -13,6 +13,7 @@ from isoflag import cli, counting
 from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
+from isoflag.linalg import inverse_rows
 
 
 def run(capsys, *argv):
@@ -139,7 +140,8 @@ class TestSubcommands:
         # longer meet the column on the first, and the double count fails
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         basis = tuple(zip(*cols))
-        outside = {"basis": basis, "inv": counting.mat_inv(basis, 3)}
+        outside = {"basis": basis, "inv": tuple(inverse_rows(
+            basis, counting.FiniteFormSpace(counting.SO_ODD, 3, 3).kernel))}
         real = counting.enumerate_isotropic_flags_cached
         monkeypatch.setattr(counting, "enumerate_isotropic_flags_cached",
                             lambda space: real(space) + [outside])
@@ -200,6 +202,20 @@ class TestSubcommands:
         assert [r["matches"] for r in rows] == [True, True, True]
 
 
+# count inputs that are handled as usage errors before any enumeration
+COUNT_USAGE_ERRORS = [
+    (("count", "--q", "3"), "needs --type and --q"),
+    (("count", "--type", "A", "--n", "2"), "needs --type and --q"),
+    (("count", "--type", "A", "--q", "3"), "needs --n"),
+    (("count", "--type", "C", "--shape", "2,x", "--q", "3"), "bad shape"),
+    (("count", "--type", "C", "--shape", "1", "--q", "2"), "odd q"),
+    (("count", "--type", "C", "--shape", "1", "--kappa", "1", "--q", "3"),
+     "even dimension"),
+]
+COUNT_USAGE_IDS = ["count-no-type", "count-no-q", "type-a-no-n",
+                   "shape-not-int", "form-q-2", "symplectic-odd-nu"]
+
+
 class TestExitCodes:
     def test_usage_error_missing_shape(self, capsys):
         code, _out, err = run(capsys, "build")
@@ -248,14 +264,28 @@ class TestExitCodes:
         (("identities", "--kmax", "0", "--window", "0"), "--kmax 0"),
         (("conjecture210", "--kmax", "1"), "--kmax 1"),
         (("sweep", "--total", "0"), "--total 0"),
-    ], ids=["nonprime-q", "count-parity", "shape-mode", "orthogonal-char2",
-            "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero",
-            "n-negative", "degree-zero", "degree-negative", "gram-window",
-            "identities-window", "identities-kmax", "conjecture-kmax",
-            "sweep-total"])
+    ] + COUNT_USAGE_ERRORS, ids=[
+        "nonprime-q", "count-parity", "shape-mode", "orthogonal-char2",
+        "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero", "n-negative",
+        "degree-zero", "degree-negative", "gram-window", "identities-window",
+        "identities-kmax", "conjecture-kmax", "sweep-total"]
+        + COUNT_USAGE_IDS)
     def test_bad_input_is_usage_error(self, capsys, argv, fragment):
         code, _out, err = run(capsys, *argv)
         assert code == 2 and "usage error" in err and fragment in err
+
+    @pytest.mark.parametrize("argv, fragment", COUNT_USAGE_ERRORS,
+                             ids=COUNT_USAGE_IDS)
+    def test_count_usage_errors_without_asserts(self, argv, fragment):
+        # the count's input checks raise, not assert, so python -O keeps
+        # them
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "isoflag.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and "usage error" in proc.stderr
+        assert fragment in proc.stderr
 
     def test_failed_group_gate_exits_1(self, capsys, monkeypatch):
         # a generator that is no isometry must stop the count with a

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag import counting
+from isoflag import counting, linalg
 from isoflag.cases import COUNT_CASES, CountCase
 from isoflag.cli import main
 from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
@@ -16,15 +16,15 @@ from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               enumerate_group, enumerate_group_cached,
                               enumerate_isotropic_flags,
                               enumerate_isotropic_flags_cached,
-                              group_order_formula, mat_identity, mat_inv,
-                              mat_mul, mat_rank, sandwich,
-                              unipotent_count_formula, unipotent_jordan_type,
-                              unipotents_of_type)
+                              group_order_formula, mat_identity, mat_mul,
+                              sandwich, unipotent_count_formula,
+                              unipotent_jordan_type, unipotents_of_type)
 from isoflag.fields import get_finite_field
-from isoflag.linalg import Matrix, echelon_mod
+from isoflag.linalg import (Matrix, _pivot_loop, inverse_rows,
+                            scalar_kernel)
 from isoflag.shapes import (ORTHOGONAL, InvalidInput, ShapeSeq,
                             VerificationFailed, jordan_from_ranks,
-                            jordan_prediction, position_dims_ok)
+                            jordan_prediction, position_ok)
 from test_readme import count_line
 
 
@@ -32,6 +32,19 @@ from test_readme import count_line
 # keep every count, per_g, per_flag, class size and row count
 PINNED_COUNT_DIGEST = \
     "b5b3cc55fab14661d98e42a10c8fd99317858f6962943c6fe5ae041cfc9dd242"
+
+
+def gf(q):
+    """linalg's kernel of GF(q), whose raw rows are int tuples mod q."""
+    return scalar_kernel(get_finite_field(q))
+
+
+def mat_inv(a, q):
+    return tuple(inverse_rows(a, gf(q)))
+
+
+def mat_rank(rows, q):
+    return Matrix.from_raw(get_finite_field(q), rows).rank()
 
 
 def breadth_first_closure(space):
@@ -80,13 +93,11 @@ def pair_loop(space, gamma, shape=None):
     for gi, g in enumerate(unis):
         for fi, fl in enumerate(flags):
             m = mat_mul(fl["inv"], mat_mul(g, fl["basis"], q), q)
-            piv = bruhat_pivots(m, q)
+            piv = bruhat_pivots(m, gf(q))
             if shape is None:
                 hit = piv == coxeter_cycle(nu)
             else:
-                hit = position_dims_ok(
-                    lambda i, j: sum(1 for k in range(j) if piv[k] < i),
-                    shape, nu)
+                hit = position_ok(piv, shape)
             if hit:
                 per_g[gi] += 1
                 per_flag[fi] += 1
@@ -138,8 +149,8 @@ class TestModularLinalg:
         # g - 1 = 1 has full rank, so rank(N) = rank(N^0) already stalls
         # after one elimination and the image of N^2 is never formed
         calls = []
-        real = counting.echelon_mod
-        monkeypatch.setattr(counting, "echelon_mod",
+        real = linalg._pivot_loop
+        monkeypatch.setattr(linalg, "_pivot_loop",
                             lambda *args: calls.append(1) or real(*args))
         assert unipotent_jordan_type(((2, 0, 0), (0, 2, 0), (0, 0, 2)),
                                      3) is None
@@ -454,8 +465,8 @@ class TestFlags:
         for fl in flags:
             key = []
             for i in range(1, nu + 1):
-                rows, pivots = echelon_mod(tuple(zip(*fl["basis"]))[:i],
-                                           q, nu)
+                rows, pivots = _pivot_loop(tuple(zip(*fl["basis"]))[:i],
+                                           gf(q), nu)
                 key.append(tuple(map(tuple, rows[:len(pivots)])))
             keys.append(tuple(key))
         assert len(flags) == len(set(keys)) == count
@@ -467,47 +478,67 @@ class TestFlags:
             assert mat_mul(fl["basis"], fl["inv"], 2) == mat_identity(3)
 
 
-def invertible_mod5(n):
-    return st.lists(
-        st.lists(st.integers(0, 4), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    ).map(lambda r: tuple(tuple(row) for row in r)).filter(
-        lambda m: mat_rank(m, 5) == n)
+BRUHAT_FIELDS = [get_finite_field(5), get_finite_field(2, 2)]
 
 
+def invertible(field, n):
+    """Invertible n x n matrices over GF(p^m), each entry drawn by its
+    base-p digits."""
+    p, m = field.p, field.m
+    entry = st.integers(0, p ** m - 1).map(
+        lambda code: field.element([code // p ** i for i in range(m)]))
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: Matrix(field, rows)).filter(lambda a: a.rank() == n)
+
+
+def pivots_of(a):
+    k, rows = a._raw()
+    return bruhat_pivots(rows, k)
+
+
+def test_coxeter_cycle():
+    assert coxeter_cycle(4) == (1, 2, 3, 0)
+
+
+@pytest.mark.parametrize("field", BRUHAT_FIELDS, ids=repr)
 class TestBruhat:
-    def test_identity(self):
-        assert bruhat_pivots(mat_identity(4), 5) == (0, 1, 2, 3)
+    def test_identity(self, field):
+        assert pivots_of(Matrix.identity(field, 4)) == (0, 1, 2, 3)
 
-    def test_antidiagonal(self):
-        m = tuple(tuple(1 if i + j == 2 else 0 for j in range(3))
-                  for i in range(3))
-        assert bruhat_pivots(m, 5) == (2, 1, 0)
+    def test_antidiagonal(self, field):
+        m = Matrix.from_scalars(field, [[1 if i + j == 2 else 0
+                                         for j in range(3)]
+                                        for i in range(3)])
+        assert pivots_of(m) == (2, 1, 0)
 
-    def test_coxeter_cycle(self):
-        assert coxeter_cycle(4) == (1, 2, 3, 0)
+    def test_singular_raises(self, field):
+        with pytest.raises(ZeroDivisionError):
+            pivots_of(Matrix.from_scalars(field, [[1, 1], [1, 1]]))
 
-    @given(invertible_mod5(3))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_pivots_are_permutation(self, m):
-        piv = bruhat_pivots(m, 5)
+    def test_pivots_are_permutation(self, field, data):
+        piv = pivots_of(data.draw(invertible(field, 3)))
         assert sorted(piv) == [0, 1, 2]
 
-    @given(invertible_mod5(3))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_inverse_gives_inverse_permutation(self, m):
-        piv = bruhat_pivots(m, 5)
-        piv_inv = bruhat_pivots(mat_inv(m, 5), 5)
+    def test_inverse_gives_inverse_permutation(self, field, data):
+        m = data.draw(invertible(field, 3))
+        piv = pivots_of(m)
+        piv_inv = pivots_of(m.inverse())
         assert all(piv_inv[piv[j]] == j for j in range(3))
 
-    @given(invertible_mod5(3))
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_invariant_under_upper_triangular(self, m):
+    def test_invariant_under_upper_triangular(self, field, data):
         # upper-triangular multiplication stabilizes both column-prefix
         # flags, so the relative position cannot change
-        u = ((1, 2, 3), (0, 1, 1), (0, 0, 1))
-        assert bruhat_pivots(mat_mul(m, u, 5), 5) == bruhat_pivots(m, 5)
-        assert bruhat_pivots(mat_mul(u, m, 5), 5) == bruhat_pivots(m, 5)
+        m = data.draw(invertible(field, 3))
+        u = Matrix.from_scalars(field, [[1, 2, 3], [0, 1, 1], [0, 0, 1]])
+        assert pivots_of(m * u) == pivots_of(m)
+        assert pivots_of(u * m) == pivots_of(m)
 
 
 class TestAdjointOrder:

@@ -442,7 +442,54 @@ class TestPairingProfileOracle:
         assert check_adapted(bad) == [("Q", 1, f.one)]
 
 
+def scaled_by(model, c):
+    """The model with every collection vector times c: g, g^-1 and the
+    table stay, so the isometry and clause (a) still hold, while every
+    pairing of two collection vectors is scaled by c^2."""
+    return IsometryModel(model.shape, model.mode, model.space, model.g,
+                         model.w_cols * model.field.from_int(c), model.table,
+                         g_inv=model.g_inv)
+
+
+class TestClauseFailures:
+    """Clauses b to f, read off the pairing profile, can fail."""
+
+    def test_symplectic_scaled_collection_fails_b(self):
+        m = build_model(ShapeSeq((2, 1)), SYMPLECTIC)
+        bad = scaled_by(m, 2)
+        assert m.space.isometry_violations(bad.g) == []
+        four = m.field.from_int(4)
+        # (w^t_0, w^t_(p_t)) = 1 becomes c^2; the zero clauses stay zero
+        assert check_adapted(bad) == [("b", (1, 1, -2), four),
+                                      ("b", (2, 2, -1), four)]
+
+    def test_orthogonal_scaled_collection_fails_b_d_f(self):
+        m = build_model(ShapeSeq((1,), kappa=1), ORTHOGONAL,
+                        get_finite_field(5))
+        f = m.field
+        bad = scaled_by(m, 2)
+        assert m.space.isometry_violations(bad.g) == []
+        # (w^2_0, w^2_0) = 2 becomes 8 = 3 and Q(w^2_0) = 1 becomes 4
+        assert check_adapted(bad) == [("b", (1, 1, -1), f.from_int(4)),
+                                      ("d", (2, 2, 0), f.from_int(3)),
+                                      ("f", (2, 0), f.from_int(4))]
+
+
 class TestFlags:
+    @pytest.mark.parametrize("kappa", [0, 1])
+    @pytest.mark.parametrize("field", [RATIONALS, get_finite_field(5),
+                                       get_finite_field(7)], ids=repr)
+    @pytest.mark.parametrize("parts", [(2, 2, 2, 1), (3, 2, 2, 1),
+                                       (3, 3, 2, 1)])
+    def test_recursion_branches_build(self, parts, field, kappa):
+        # the first orthogonal shapes whose tables use the same-part alpha
+        # term, the beta skip and the earlier-row beta term of
+        # GramTable._compute_aux, and the zero rows above a window
+        m = build_model(ShapeSeq(parts, kappa=kappa), ORTHOGONAL, field)
+        pair = flags_from(m)
+        assert position_check(*pair, m.shape)
+        assert rank_position(*pair, m.shape)
+
     def test_flag_pair_and_position(self, sp1):
         flag, flag_prime = flags_from(sp1)
         assert position_check(flag, flag_prime, sp1.shape)
