@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import counting
 from .fields import get_finite_field
-from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, jordan_prediction, psi
+from .shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq, psi
 
 
 def partitions_up_to(total):
@@ -80,19 +80,14 @@ class CountCase(NamedTuple):
     def report(self) -> dict:
         """``counting.count_report`` for this case, with its type, q and
         Jordan type added."""
-        if self.group_type == "A":
-            space = counting.FiniteFormSpace(counting.TYPE_A, self.n, self.q)
-            predicted, shape = Counter({self.n: 1}), None
-        else:
-            shape = self.shape
-            c = self.group_type == "C"
-            space = counting.FiniteFormSpace(
-                counting.SP if c else counting.SO_ODD, shape.nu, self.q)
-            predicted = jordan_prediction(shape,
-                                          SYMPLECTIC if c else ORTHOGONAL)
-        gamma = predicted if self.gamma is None else Counter(self.gamma)
-        report = counting.count_report(space, gamma, shape=shape,
-                                       expect_equal=gamma == predicted)
+        shape = None if self.group_type == "A" else self.shape
+        mode = {"A": counting.TYPE_A, "B": counting.SO_ODD,
+                "C": counting.SP}[self.group_type]
+        space = counting.FiniteFormSpace(
+            mode, self.n if shape is None else shape.nu, self.q)
+        gamma = counting.predicted_jordan_type(space, shape) \
+            if self.gamma is None else Counter(self.gamma)
+        report = counting.count_report(space, gamma, shape=shape)
         report["type"] = self.group_type
         report["q"] = self.q
         report["gamma"] = sorted(gamma.elements(), reverse=True)

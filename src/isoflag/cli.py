@@ -39,6 +39,9 @@ def parse_field(text: str):
         return RATIONALS
     if text.startswith("gf:"):
         parts = text[3:].split(",")
+        if len(parts) > 2:
+            raise UsageError(f"bad field spec {text!r}: more than two comma "
+                             "fields (use 'gf:p[,m]')")
         try:
             p = int(parts[0])
             m = int(parts[1]) if len(parts) > 1 else 1
@@ -187,6 +190,13 @@ def cmd_count(args):
         raise UsageError("count needs --type and --q")
     if args.group_type == "A" and args.n is None:
         raise UsageError("type A needs --n (matrix size)")
+    # type A reads the matrix size, types B and C a shape
+    unread = ((("--shape", args.shape is not None), ("--kappa", args.kappa))
+              if args.group_type == "A" else (("--n", args.n is not None),))
+    for option, given in unread:
+        if given:
+            raise UsageError(f"type {args.group_type} counting does not "
+                             f"read {option}")
     gamma = None if args.gamma is None else \
         tuple(parse_gamma(args.gamma).elements())
     case = CountCase(args.group_type, args.q, n=args.n,

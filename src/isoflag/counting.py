@@ -36,7 +36,7 @@ from .linalg import (Matrix, bruhat_pivots, image_chain_ranks,
                      inverse_rows, nullspace_rows, scalar_kernel)
 from .model import IsoFlag, IsotropyViolation, QuadSpace
 from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
-                     jordan_from_ranks, position_ok)
+                     jordan_from_ranks, jordan_prediction, position_ok)
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
@@ -105,12 +105,13 @@ class FiniteFormSpace:
     odd split symmetric form (antidiagonal ones; Q(v) = (v, v)/2).
 
     ``form`` is the Gram matrix as int tuples, for the hot loops; ``quad``
-    is the same form as a ``model.QuadSpace`` over GF(q), for the flags.
-    Both are None in type A.  ``kernel`` is linalg's GF(q) kernel, whose
-    raw rows are these int tuples.  ``degrees`` are the degrees of the Weyl
-    group's invariants, 1..nu for GL and 2, 4, ..., 2n for Sp_2n and
-    SO_2n+1, from which every order below follows; ``center_order`` is
-    |Z(G)(F_q)|: the q - 1 scalars of GL, +-1 in Sp, 1 in odd SO.
+    is the same form as a ``model.QuadSpace`` over GF(q), for the flags;
+    it reads the model mode and Q off the form.  Both are None in type A.
+    ``kernel`` is linalg's GF(q) kernel, whose raw rows are these int
+    tuples.  ``degrees`` are the degrees of the Weyl group's invariants,
+    1..nu for GL and 2, 4, ..., 2n for Sp_2n and SO_2n+1, from which
+    every order below follows; ``center_order`` is |Z(G)(F_q)|: the
+    q - 1 scalars of GL, +-1 in Sp, 1 in odd SO.
     """
 
     def __init__(self, mode: str, nu: int, q: int):
@@ -150,10 +151,7 @@ class FiniteFormSpace:
             self.form = tuple(tuple(1 if i + j == nu - 1 else 0
                                     for j in range(nu)) for i in range(nu))
         if self.form is not None:
-            gram = Matrix.from_scalars(field, self.form)
-            q_basis = None if mode == SP else tuple(
-                gram.rows[i][i] / 2 for i in range(nu))
-            self.quad = QuadSpace(field, mode, gram, q_basis)
+            self.quad = QuadSpace(field, Matrix.from_scalars(field, self.form))
 
     def bilinear(self, u, v) -> int:
         return sum(u[i] * sum(f * y for f, y in zip(self.form[i], v))
@@ -641,16 +639,26 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     }
 
 
+def predicted_jordan_type(space: FiniteFormSpace,
+                          shape: Optional[ShapeSeq] = None) -> Counter:
+    """The Jordan type whose count the adjoint order predicts: one block
+    of size nu in type A, else ``shapes.jordan_prediction`` of the shape
+    in the mode the form fixes."""
+    if space.mode == TYPE_A:
+        return Counter({space.nu: 1})
+    return jordan_prediction(shape, space.quad.mode)
+
+
 def count_report(space: FiniteFormSpace, gamma: Counter,
-                 shape: Optional[ShapeSeq] = None,
-                 expect_equal: bool = True) -> dict:
+                 shape: Optional[ShapeSeq] = None) -> dict:
     """count_pairs plus the relation the count must satisfy.
 
     The count is checked against the adjoint order in every type: equal
-    for the predicted Jordan type, different for an off-class one
-    (``expect_equal`` False); ``relation_holds`` records the outcome.
+    for the predicted Jordan type (``predicted_jordan_type``), different
+    for an off-class one; ``relation_holds`` records the outcome.
     """
     result = count_pairs(space, gamma, shape=shape)
+    expect_equal = gamma == predicted_jordan_type(space, shape)
     adjoint = adjoint_order(space)
     result["group_order"] = group_order_formula(space)
     result["adjoint_order"] = adjoint

@@ -14,6 +14,7 @@ order, plus (sigma+1, 0) when kappa = 1.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldElement
@@ -43,46 +44,41 @@ def _witness(gram: Matrix, s: int) -> str:
 
 
 class QuadSpace:
-    """Dimension, Gram matrix and (optionally) quadratic form values.
+    """Dimension, Gram matrix G, and quadratic form values read off G.
 
-    ``q_basis`` holds Q on the standard basis vectors, or None when the
-    model carries no quadratic form (symplectic over characteristic != 2).
-    Q of an arbitrary vector is recovered from the basis values and the
-    bilinear form via Q(x + y) = Q(x) + Q(y) + (x, y).  Where 2 is
-    invertible a given ``q_basis`` must be diag(G)/2 of a symmetric G, so
-    that Q(v) = (v, v)/2; anything else raises VerificationFailed.
+    ``sign`` is the s = +-1 with G^T = s G (1 where both hold, as in
+    characteristic 2); a G that is neither symmetric nor skew-symmetric
+    raises VerificationFailed.  ``mode`` is SYMPLECTIC when G is
+    alternating or the characteristic is 2, else ORTHOGONAL.
 
-    ``sign`` is the s = +-1 with G^T = s G, read off G rather than
-    ``mode`` (1 where both hold, as in characteristic 2); a G that is
-    neither symmetric nor skew-symmetric raises VerificationFailed.
+    ``q_basis`` holds Q on the standard basis vectors, or None for no
+    quadratic form.  Only in characteristic 2 is it passed in; elsewhere
+    it is diag(G)/2 on a symmetric G, so that Q(v) = (v, v)/2, and None
+    on an alternating one.  Q of an arbitrary vector is recovered from
+    the basis values and G via Q(x + y) = Q(x) + Q(y) + (x, y).
     """
 
-    def __init__(self, field, mode: str, gram: Matrix,
-                 q_basis: Optional[Tuple[FieldElement, ...]]):
+    def __init__(self, field, gram: Matrix,
+                 q_basis: Optional[Tuple[FieldElement, ...]] = None):
         self.field = field
-        self.mode = mode
         self.gram = gram
         self.dim = gram.nrows
-        self.q_basis = q_basis
         gram_t = gram.transpose()
-        if gram_t == gram:
-            self.sign = 1
-        elif gram_t == -gram:
-            self.sign = -1
-        else:
+        symmetric, skew = gram_t == gram, gram_t == -gram
+        if not (symmetric or skew):
             raise VerificationFailed(
                 f"G^T = sG for neither s = 1 nor s = -1: "
                 f"{_witness(gram, 1)} and {_witness(gram, -1)}")
+        self.sign = 1 if symmetric else -1
+        # outside characteristic 2, G^T = -G makes G alternating
+        self.mode = SYMPLECTIC if skew or field.char == 2 else ORTHOGONAL
         if q_basis is not None and field.char != 2:
-            if self.sign != 1:
-                raise VerificationFailed(
-                    f"a quadratic form over {field} needs a symmetric G")
+            raise InvalidInput(f"Q over {field} is (v, v)/2, read off G; "
+                               f"a q_basis is taken in characteristic 2 only")
+        if self.mode == ORTHOGONAL:
             half = field.from_int(2).inverse()
-            for m, q in enumerate(q_basis):
-                if q != gram.rows[m][m] * half:
-                    raise VerificationFailed(
-                        f"Q(e_{m}) = {q} is not (e_{m}, e_{m})/2 = "
-                        f"{gram.rows[m][m] * half} over {field}")
+            q_basis = tuple(gram.rows[m][m] * half for m in range(self.dim))
+        self.q_basis = q_basis
         # Q(v) = v^T U v with U = diag(q_basis) + strict upper triangle of G
         self._upper = None if q_basis is None else Matrix(field, [
             [q_basis[m] if m == mp else gram.rows[m][mp] if m < mp
@@ -142,23 +138,18 @@ class IsometryModel:
     ``w_cols`` is the nu x nu matrix whose columns, in block-index order,
     are the collection vectors w^t_i for i in [0, 2p_t - 1] expressed in
     the standard basis.  For a freshly built model this is the identity;
-    derived models (sign flips, conjugates) carry other columns.
-    ``g_inv`` and ``w_inv`` are the inverses of g and w_cols where the
-    caller already holds them.  Otherwise g^-1 is found by elimination
-    here, and w_cols^-1 when ``w_inv`` is first read.
+    derived models (sign flips, conjugates) carry other columns.  The
+    mode is the space's, and g^-1 and w_cols^-1 are found by elimination
+    when first read, so no inverse is taken on trust.
     """
 
-    def __init__(self, shape: ShapeSeq, mode: str, space: QuadSpace,
-                 g: Matrix, w_cols: Matrix, table: Optional[GramTable] = None,
-                 g_inv: Optional[Matrix] = None,
-                 w_inv: Optional[Matrix] = None):
+    def __init__(self, shape: ShapeSeq, space: QuadSpace, g: Matrix,
+                 w_cols: Matrix, table: Optional[GramTable] = None):
         self.shape = shape
-        self.mode = mode
         self.space = space
+        self.mode = space.mode
         self.g = g
-        self.g_inv = g.inverse() if g_inv is None else g_inv
         self.w_cols = w_cols
-        self._w_inv = w_inv
         self.table = table
         self.basis_index = shape.block_indices()
         self.index_of = {ti: m for m, ti in enumerate(self.basis_index)}
@@ -170,11 +161,13 @@ class IsometryModel:
     def field(self):
         return self.space.field
 
-    @property
+    @cached_property
+    def g_inv(self) -> Matrix:
+        return self.g.inverse()
+
+    @cached_property
     def w_inv(self) -> Matrix:
-        if self._w_inv is None:
-            self._w_inv = self.w_cols.inverse()
-        return self._w_inv
+        return self.w_cols.inverse()
 
     def extend_index(self, t: int, i: int) -> tuple:
         """The collection vector w^t_i for any integer i, via powers of g."""
@@ -189,23 +182,22 @@ class IsometryModel:
         self._ext[key] = vec
         return vec
 
+    def _signed_cols(self, eps) -> Matrix:
+        """W E: w_cols with the columns of block t times eps_t = +-1."""
+        k, w = self.w_cols._raw()
+        flip = [eps[t] == -1 for t, _i in self.basis_index]
+        return Matrix.from_raw(self.field, [
+            [k.neg(x) if s else x for x, s in zip(row, flip)] for row in w])
+
     def with_signs(self, eps) -> "IsometryModel":
         """The model whose collection is w^t_i -> eps_t * w^t_i."""
-        f = self.field
-        cols = []
-        for m, (t, _i) in enumerate(self.basis_index):
-            s = f.from_int(eps[t])
-            cols.append([x * s for x in self.w_cols.col(m)])
-        return IsometryModel(self.shape, self.mode, self.space, self.g,
-                             Matrix(f, cols).transpose(), self.table,
-                             g_inv=self.g_inv)
+        return IsometryModel(self.shape, self.space, self.g,
+                             self._signed_cols(eps), self.table)
 
     def conjugated(self, h: Matrix) -> "IsometryModel":
         """The model (h g h^{-1}, h w^t_i) for an isometry h."""
-        h_inv = h.inverse()
-        return IsometryModel(self.shape, self.mode, self.space,
-                             h * self.g * h_inv, h * self.w_cols, self.table,
-                             g_inv=h * self.g_inv * h_inv)
+        return IsometryModel(self.shape, self.space, h * self.g * h.inverse(),
+                             h * self.w_cols, self.table)
 
     def to_json(self):
         return {
@@ -233,14 +225,11 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
     idx = shape.block_indices()
     nu = len(idx)
 
-    if mode == ORTHOGONAL:
-        two_inv = f.from_int(2).inverse()
-        q_basis = tuple(gram.rows[m][m] * two_inv for m in range(nu))
-    elif f.char == 2:
-        q_basis = tuple(f.one if t > sigma else f.zero for (t, _i) in idx)
-    else:
-        q_basis = None
-    space = QuadSpace(f, mode, gram, q_basis)
+    # G fixes Q except in characteristic 2, where Q(w^t_0) is 1 on the
+    # kappa row and 0 on every block (clause f)
+    q_basis = tuple(f.one if t > sigma else f.zero for (t, _i) in idx) \
+        if f.char == 2 else None
+    space = QuadSpace(f, gram, q_basis)
 
     kappa_fixed = shape.kappa == 1 and (mode == SYMPLECTIC or sigma % 2 == 0)
     gram_t = gram.transpose()
@@ -271,12 +260,12 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         # radical ambiguity: only the char-2 kappa = 1 case reaches here,
         # resolved by matching Q(w^t_{top}) = Q(w^t_0)
         assert isinstance(sol, Affine)
-        if len(sol.kernel) != 1 or q_basis is None:
+        if len(sol.kernel) != 1 or space.q_basis is None:
             raise VerificationFailed(
                 f"unexpected solution ambiguity of dimension "
                 f"{len(sol.kernel)} at block end ({t}, {hi})")
         rho = sol.kernel[0]
-        target = q_basis[index_of[(t, 0)]]
+        target = space.q_basis[index_of[(t, 0)]]
         q_rho = space.quad(rho)
         if q_rho.is_zero:
             raise VerificationFailed("radical direction has Q = 0; the "
@@ -287,9 +276,7 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         cols.append(tuple(x + c * y for x, y in zip(sol.x0, rho)))
     g = Matrix(f, cols).transpose()
 
-    w_cols = Matrix.identity(f, nu)
-    model = IsometryModel(shape, mode, space, g, w_cols, table,
-                          w_inv=w_cols)
+    model = IsometryModel(shape, space, g, Matrix.identity(f, nu), table)
     _verify_model(model)
     return model
 
@@ -576,26 +563,23 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     """The intertwiner T with T g T^{-1} = g~, fixing both flags.
 
     T sends the first model's collection to the sign-normalized second
-    collection.  The returned matrix is verified to preserve the form
-    (and Q), to intertwine the two isometries, and to stabilize both
-    flags of the first model.
+    collection: T W_a = W_b E, with W_a and W_b the two ``w_cols`` and E
+    the diagonal of the signs eps_t on the columns of block t.  The
+    returned matrix is verified to preserve the form (and Q), to
+    intertwine the two isometries, and to stabilize both flags of the
+    first model.
     """
     shape = model_a.shape
-    assert shape == model_b.shape and model_a.mode == model_b.mode
+    assert shape == model_b.shape
     assert model_a.space is model_b.space or \
         model_a.space.gram == model_b.space.gram
     space = model_a.space
-    f = space.field
     eps = normalize_signs(collection_pairings(model_a),
                           collection_pairings(model_b),
                           shape.sigma + shape.kappa)
     if eps == INCOMPATIBLE:
         raise VerificationFailed("collection pairings are incompatible")
-    cols = []
-    for (t, i) in model_a.basis_index:
-        s = f.from_int(eps[t])
-        cols.append(tuple(x * s for x in model_b.extend_index(t, i)))
-    t_mat = Matrix(f, cols).transpose()
+    t_mat = model_b._signed_cols(eps) * model_a.w_inv
 
     bad = space.isometry_violations(t_mat)
     if bad:

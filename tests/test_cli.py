@@ -39,6 +39,12 @@ class TestParsers:
         with pytest.raises(UsageError):
             parse_field("real")
 
+    @pytest.mark.parametrize("text", ["gf:3,2,5", "gf:3,1,x", "gf:3,,"])
+    def test_parse_field_extra_comma_fields(self, text):
+        # gf:p[,m] has at most two comma fields; a third is not ignored
+        with pytest.raises(UsageError, match="more than two comma fields"):
+            parse_field(text)
+
     def test_parse_gamma(self):
         assert parse_gamma("4,2,2") == {4: 1, 2: 2}
 
@@ -211,9 +217,20 @@ COUNT_USAGE_ERRORS = [
     (("count", "--type", "C", "--shape", "1", "--q", "2"), "odd q"),
     (("count", "--type", "C", "--shape", "1", "--kappa", "1", "--q", "3"),
      "even dimension"),
+    # each type reads either --n or a shape, and rejects the other
+    (("count", "--type", "A", "--n", "2", "--q", "3", "--shape", "2"),
+     "does not read --shape"),
+    (("count", "--type", "A", "--n", "2", "--q", "3", "--shape", "2",
+      "--kappa", "1"), "does not read --shape"),
+    (("count", "--type", "A", "--n", "2", "--q", "3", "--kappa", "1"),
+     "does not read --kappa"),
+    (("count", "--type", "C", "--n", "9", "--shape", "1", "--q", "3"),
+     "does not read --n"),
 ]
 COUNT_USAGE_IDS = ["count-no-type", "count-no-q", "type-a-no-n",
-                   "shape-not-int", "form-q-2", "symplectic-odd-nu"]
+                   "shape-not-int", "form-q-2", "symplectic-odd-nu",
+                   "type-a-shape", "type-a-shape-kappa", "type-a-kappa",
+                   "type-c-n"]
 
 
 class TestExitCodes:

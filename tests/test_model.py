@@ -40,7 +40,7 @@ def wrong_symplectic_g(sp1):
     """
     f = sp1.field
     bad_g = Matrix.from_scalars(f, [[0, -1], [1, 3]])
-    return IsometryModel(sp1.shape, sp1.mode, sp1.space, bad_g,
+    return IsometryModel(sp1.shape, sp1.space, bad_g,
                          Matrix.identity(f, 2), sp1.table)
 
 
@@ -54,7 +54,7 @@ def scaled_collection():
     f = m.field
     cols = [m.w_cols.col(j) for j in range(4)]
     cols[1] = tuple(x * f.from_int(2) for x in cols[1])
-    return IsometryModel(m.shape, m.mode, m.space, m.g,
+    return IsometryModel(m.shape, m.space, m.g,
                          Matrix(f, cols).transpose())
 
 
@@ -366,6 +366,22 @@ PINNED_MODEL_DIGEST = \
     "e526d00a524b30597c8ce4b1d77a02f3f4d605b47fba25fd39a8bbb244c01e56"
 
 
+def space_digest(model_sweep):
+    """SHA-256 over the mode and the space's JSON (G, Q and its mode) of
+    every sweep model, by key."""
+    text = json.dumps([[list(key), model_sweep[key].mode,
+                        model_sweep[key].space.to_json()]
+                       for key in sorted(model_sweep)],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# space_digest() of the sweep at part sum <= 5: deriving Q and the mode
+# from G must keep it
+PINNED_SPACE_DIGEST = \
+    "9329d4e2baf836a536a436e6c7f3a9f6b4383ade2e863a3c85df7f455c9ee5a9"
+
+
 class TestSweep:
     def test_all_acceptance_models_build(self, model_sweep):
         # build_model verifies every invariant internally; reaching here
@@ -379,6 +395,26 @@ class TestSweep:
         # model changes the digest
         assert len(model_sweep) == 248
         assert model_digest(model_sweep) == PINNED_MODEL_DIGEST
+
+    def test_inverses_found_by_elimination(self, model_sweep):
+        # no caller hands a model its g^-1 or W^-1: built and derived
+        # models find them on first read
+        checked = 0
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            one = Matrix.identity(m.field, m.space.dim)
+            for v in (m, sign_flip(m), m.conjugated(dense_isometry(m.space))):
+                assert v.g_inv == v.g.inverse()
+                assert v.g * v.g_inv == one
+                assert v.w_inv * v.w_cols == one
+            checked += 1
+        assert checked == 80
+
+    def test_pinned_spaces(self, model_sweep):
+        # any change to G, Q or the mode of any sweep space changes it
+        assert len(model_sweep) == 248
+        assert space_digest(model_sweep) == PINNED_SPACE_DIGEST
 
 
 class TestPairingProfileOracle:
@@ -426,7 +462,7 @@ class TestPairingProfileOracle:
         # does not preserve the symplectic form
         f = sp1.field
         g = Matrix.from_scalars(f, [[0, -2], [1, 2]])
-        bad = IsometryModel(sp1.shape, sp1.mode, sp1.space, g,
+        bad = IsometryModel(sp1.shape, sp1.space, g,
                             Matrix.identity(f, 2), sp1.table)
         report = check_adapted(bad)
         assert report and {v[0] for v in report} == {"form"}
@@ -437,18 +473,17 @@ class TestPairingProfileOracle:
         # = (e_0, e_1) = 1 while Q(e_1) = 0
         f = sp1_gf2.field
         g = Matrix.from_scalars(f, [[0, 1], [1, 1]])
-        bad = IsometryModel(sp1_gf2.shape, sp1_gf2.mode, sp1_gf2.space, g,
+        bad = IsometryModel(sp1_gf2.shape, sp1_gf2.space, g,
                             Matrix.identity(f, 2), sp1_gf2.table)
         assert check_adapted(bad) == [("Q", 1, f.one)]
 
 
 def scaled_by(model, c):
-    """The model with every collection vector times c: g, g^-1 and the
-    table stay, so the isometry and clause (a) still hold, while every
-    pairing of two collection vectors is scaled by c^2."""
-    return IsometryModel(model.shape, model.mode, model.space, model.g,
-                         model.w_cols * model.field.from_int(c), model.table,
-                         g_inv=model.g_inv)
+    """The model with every collection vector times c: g and the table
+    stay, so the isometry and clause (a) still hold, while every pairing
+    of two collection vectors is scaled by c^2."""
+    return IsometryModel(model.shape, model.space, model.g,
+                         model.w_cols * model.field.from_int(c), model.table)
 
 
 class TestClauseFailures:
@@ -657,6 +692,23 @@ class TestIntertwiner:
         t = build_T(m, flipped)  # all four conclusions verified inside
         assert t * m.g == flipped.g * t
 
+    def test_conjugate_as_first_model(self, model_sweep):
+        # T W_a = W_b E also when W_a is no identity: a conjugate against
+        # itself gives T = I, and against its sign flip a verified T
+        checked = 0
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            c = m.conjugated(dense_isometry(m.space))
+            assert build_T(c, c) == Matrix.identity(m.field, m.space.dim)
+            build_T(c, sign_flip(c))
+            # the conjugating isometry moves the built model's flags
+            for a, b in ((m, c), (c, m)):
+                with pytest.raises(VerificationFailed):
+                    build_T(a, b)
+            checked += 1
+        assert checked == 80
+
     def test_central_conjugate_gives_minus_identity(self, sp1):
         f = sp1.field
         minus = Matrix.from_scalars(f, [[-1, 0], [0, -1]])
@@ -675,7 +727,7 @@ class TestIntertwiner:
     def test_altered_pairings_rejected(self, sp1):
         m2 = build_model(ShapeSeq((1,)), SYMPLECTIC)
         scale = Matrix.from_scalars(sp1.field, [[2, 0], [0, 2]])
-        bad = IsometryModel(m2.shape, m2.mode, m2.space, m2.g,
+        bad = IsometryModel(m2.shape, m2.space, m2.g,
                             scale, m2.table)
         with pytest.raises(VerificationFailed):
             build_T(sp1, bad)
@@ -751,9 +803,6 @@ class TestPairingsOracle:
             h = dense_isometry(m.space)
             assert m.space.isometry_violations(h) == []
             for variant in (sign_flip(m), m.conjugated(h)):
-                # derived models take g^-1 from their source, not by
-                # elimination; extend_index steps below the window by it
-                assert variant.g_inv == variant.g.inverse()
                 got = collection_pairings(variant)
                 want = schoolbook_pairings(variant)
                 assert list(got) == list(want)
@@ -787,9 +836,8 @@ class TestPairingsOracle:
             m = build_model(ShapeSeq((2, 1)), mode, field)
             for key in ((1, 2, -3), (2, 1, 3), (1, 1, -1)):
                 table = EditedTable(m.table, key)
-                edited = IsometryModel(m.shape, m.mode, m.space, m.g,
-                                       m.w_cols, table, g_inv=m.g_inv,
-                                       w_inv=m.w_inv)
+                edited = IsometryModel(m.shape, m.space, m.g, m.w_cols,
+                                       table)
                 assert round_trip_mismatches(edited) == [key]
 
 
@@ -863,22 +911,50 @@ class TestQuadOracle:
             fields.add(name)
         assert fields == {"rat", "gf2", "gf3", "gf4", "gf5", "gf7"}
 
-    def test_odd_q_basis_must_be_half_the_diagonal(self):
+    def test_q_and_mode_read_off_the_gram(self, model_sweep):
         # where 2 is invertible, isometry_violations checks the form alone,
-        # which is sound only when Q(v) = (v, v)/2
-        m = build_model(ShapeSeq((1,), kappa=1), ORTHOGONAL,
+        # which is sound because Q(v) = (v, v)/2 comes from G itself
+        for (_parts, _k, mode, _name), m in model_sweep.items():
+            space = m.space
+            assert space.mode == mode
+            if m.field.char == 2:
+                continue
+            if mode == SYMPLECTIC:
+                assert space.q_basis is None
+                continue
+            half = m.field.from_int(2).inverse()
+            for j, q in enumerate(space.q_basis):
+                assert q == space.gram.rows[j][j] * half
+                e = Matrix.identity(m.field, space.dim).col(j)
+                assert space.quad(e) == space.bilinear(e, e) * half
+
+    @pytest.mark.parametrize("mode, kappa", [(ORTHOGONAL, 1),
+                                             (SYMPLECTIC, 0)])
+    def test_q_basis_outside_char2_rejected(self, mode, kappa):
+        # G fixes Q where 2 is invertible, on a symmetric G and on an
+        # alternating one alike
+        m = build_model(ShapeSeq((1,), kappa=kappa), mode,
                         get_finite_field(3))
-        space = m.space
-        f, gram = space.field, space.gram
-        QuadSpace(f, space.mode, gram, space.q_basis)
-        wrong = (space.q_basis[0] + f.one,) + space.q_basis[1:]
-        with pytest.raises(VerificationFailed,
-                           match=r"Q\(e_0\) = .* is not \(e_0, e_0\)/2"):
-            QuadSpace(f, space.mode, gram, wrong)
-        # a zero Q on the symplectic form is not (v, v)/2 either
-        sp = build_model(ShapeSeq((1,)), SYMPLECTIC, get_finite_field(3))
-        with pytest.raises(VerificationFailed, match="needs a symmetric G"):
-            QuadSpace(f, sp.mode, sp.space.gram, (f.zero, f.zero))
+        f = m.field
+        candidates = [(f.zero,) * m.space.dim]
+        if m.space.q_basis is not None:
+            # even the Q that G fixes
+            candidates.append(m.space.q_basis)
+        for q_basis in candidates:
+            with pytest.raises(InvalidInput, match="characteristic 2 only"):
+                QuadSpace(f, m.space.gram, q_basis)
+
+    def test_char2_q_kept_as_given(self):
+        # in characteristic 2 the form does not fix Q: the given values
+        # stay, and so does None
+        m = build_model(ShapeSeq((1,), kappa=1), SYMPLECTIC,
+                        get_finite_field(2))
+        f, gram = m.field, m.space.gram
+        assert m.space.q_basis == (f.zero, f.zero, f.one)
+        for q_basis in ((f.one, f.zero, f.one), None):
+            space = QuadSpace(f, gram, q_basis)
+            assert space.q_basis == q_basis
+            assert space.mode == SYMPLECTIC and space.sign == 1
 
 
 class TestFormSign:
@@ -895,19 +971,23 @@ class TestFormSign:
         with pytest.raises(VerificationFailed,
                            match=r"neither .*G\[1\]\[0\] = 2 is not 1 \* "
                            r"G\[0\]\[1\]"):
-            QuadSpace(f, SYMPLECTIC, gram, None)
-        # symmetric off the diagonal, but a nonzero diagonal entry
+            QuadSpace(f, gram)
+        # skew off the diagonal, but a nonzero diagonal entry
         gram = Matrix.from_scalars(f, [[1, 1], [-1, 0]])
         with pytest.raises(VerificationFailed,
                            match=r"G\[0\]\[0\] = 1 is not -1 \* G\[0\]\[0\]"):
-            QuadSpace(f, "any mode", gram, None)
+            QuadSpace(f, gram)
 
     def test_counting_spaces_build(self):
-        # counting passes its own mode strings; the sign comes from G
-        for mode, nu, want in ((SP, 4, -1), (SO_ODD, 5, 1), (SP, 2, -1)):
+        # counting keeps its own mode strings; the space reads the model
+        # mode, the sign and Q off G
+        for mode, nu, want, sign in ((SP, 4, SYMPLECTIC, -1),
+                                     (SO_ODD, 5, ORTHOGONAL, 1),
+                                     (SP, 2, SYMPLECTIC, -1)):
             space = FiniteFormSpace(mode, nu, 3)
-            assert space.quad.mode == mode
-            assert space.quad.sign == want
+            assert space.quad.mode == want
+            assert space.quad.sign == sign
+            assert (space.quad.q_basis is None) == (mode == SP)
 
 
 class TestSplitCheck:
@@ -972,7 +1052,7 @@ class TestSplitCheck:
         perm = (0, 2, 1, 3)
         w = Matrix(f, [[f.one if perm[j] == i else f.zero for j in range(4)]
                        for i in range(4)])
-        variant = IsometryModel(m.shape, m.mode, m.space, m.g, w, m.table)
+        variant = IsometryModel(m.shape, m.space, m.g, w, m.table)
         rep = split_check(variant, 1)
         assert not rep["g_stable"] and not rep["pass"]
         assert rep["jordan_low"] is None and rep["jordan_high"] is None
