@@ -191,12 +191,11 @@ def cmd_count(args):
     if args.group_type == "A" and args.n is None:
         raise UsageError("type A needs --n (matrix size)")
     # type A reads the matrix size, types B and C a shape
-    unread = ((("--shape", args.shape is not None), ("--kappa", args.kappa))
-              if args.group_type == "A" else (("--n", args.n is not None),))
-    for option, given in unread:
-        if given:
+    unread = ("shape", "kappa") if args.group_type == "A" else ("n",)
+    for option in unread:
+        if getattr(args, option) is not None:
             raise UsageError(f"type {args.group_type} counting does not "
-                             f"read {option}")
+                             f"read --{option}")
     gamma = None if args.gamma is None else \
         tuple(parse_gamma(args.gamma).elements())
     case = CountCase(args.group_type, args.q, n=args.n,
@@ -269,12 +268,13 @@ def make_parser() -> argparse.ArgumentParser:
     output.add_argument("--out")
     shape = argparse.ArgumentParser(add_help=False, parents=[output])
     shape.add_argument("--shape", help="comma-separated parts, e.g. 3,2,2,1")
-    shape.add_argument("--kappa", type=int, default=0, choices=(0, 1))
-    model = argparse.ArgumentParser(add_help=False, parents=[shape])
+    kappa = argparse.ArgumentParser(add_help=False, parents=[shape])
+    kappa.add_argument("--kappa", type=int, default=0, choices=(0, 1))
+    model = argparse.ArgumentParser(add_help=False, parents=[kappa])
     model.add_argument("--mode", default=SYMPLECTIC,
                        help="symplectic-or-char2 | orthogonal-odd")
     model.add_argument("--field", default="rat", help="rat | gf:p[,m]")
-    group = {"psi": shape, "count": shape, "conjecture210": output,
+    group = {"psi": kappa, "count": shape, "conjecture210": output,
              "identities": output, "sweep": output}
     sps = {name: sub.add_parser(name, parents=[group.get(name, model)])
            for name in COMMANDS}
@@ -290,6 +290,7 @@ def make_parser() -> argparse.ArgumentParser:
     count.add_argument("--n", type=int)
     count.add_argument("--q", type=int)
     count.add_argument("--gamma", help="comma-separated Jordan block sizes")
+    count.add_argument("--kappa", type=int, choices=(0, 1))
     count.add_argument("--per-element", action="store_true",
                        help="include per-g subtotals and the subtotal "
                        "of the one flag tested")
@@ -338,6 +339,10 @@ def _emit(payload: dict, fmt: str, out_path):
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    # types B and C read --kappa, and record its default 0; type A does not
+    if args.command == "count" and args.group_type != "A" and \
+            args.kappa is None:
+        args.kappa = 0
     manifest = _manifest(args)
     start = time.monotonic()
     try:

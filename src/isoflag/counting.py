@@ -19,8 +19,9 @@ the elements whose trace and trace of square are those of a unipotent,
 splits them into conjugacy classes once, runs the Jordan rule at two
 members of each class, not at every element, and hands the classes of
 the chosen type on to the count.  The flags are read off the Bruhat
-cells, u w F0 with u in U_w, and gated by ``IsoFlag.verify`` and
-|flags| x |B| = |G|.  Only prime q is supported.
+cells, u w F0 with u in U_w, each as its basis u w alone, and gated by
+``IsoFlag.verify`` and |flags| x |B| = |G|; the count inverts each basis
+by ``inverse_rows``.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class GroupEnum:
 
 
 _GROUP_CACHE: Dict[Tuple[str, int, int], "GroupEnum"] = {}
-_FLAG_CACHE: Dict[Tuple[str, int, int], List[dict]] = {}
+_FLAG_CACHE: Dict[Tuple[str, int, int], List[tuple]] = {}
 
 
 def enumerate_group_cached(space: FiniteFormSpace) -> GroupEnum:
@@ -259,7 +260,7 @@ def enumerate_group_cached(space: FiniteFormSpace) -> GroupEnum:
     return _GROUP_CACHE[key]
 
 
-def enumerate_isotropic_flags_cached(space: FiniteFormSpace) -> List[dict]:
+def enumerate_isotropic_flags_cached(space: FiniteFormSpace) -> List[tuple]:
     key = (space.mode, space.nu, space.q)
     if key not in _FLAG_CACHE:
         _FLAG_CACHE[key] = enumerate_isotropic_flags(space)
@@ -364,36 +365,27 @@ def _cell_algebra(space: FiniteFormSpace, slots) -> List[tuple]:
     return nullspace_rows(rows, space.kernel, len(slots))
 
 
-def _cell_element(x, q: int, cayley: bool) -> Tuple[tuple, tuple]:
-    """u and u^-1 from a nilpotent X.  With ``cayley``, u is the Cayley
-    transform of N = 2X, (1 - X)^-1 (1 + X) = 1 + 2 (X + X^2 + ...), an
-    isometry when X is in the Lie algebra, and u^-1 is that of -N;
-    otherwise u = 1 + X and u^-1 = 1 - X + X^2 - ..."""
-    powers, power = [], x
-    while any(map(any, power)):
-        powers.append(power)
-        power = mat_mul(power, x, q)
+def _cell_element(x, q: int, cayley: bool) -> tuple:
+    """u from a nilpotent X.  With ``cayley``, u is the Cayley transform
+    of N = 2X, (1 - X)^-1 (1 + X) = 1 + 2 (X + X^2 + ...), an isometry
+    when X is in the Lie algebra; otherwise u = 1 + X."""
+    terms = [x]
+    while cayley and any(map(any, terms[-1])):
+        terms.append(mat_mul(terms[-1], x, q))
     c = 2 if cayley else 1
-
-    def series(signs):
-        return tuple(tuple((int(i == j) + c * sum(
-            s * pk[i][j] for s, pk in zip(signs, powers))) % q
-            for j in range(len(x))) for i in range(len(x)))
-
-    return (series([1] * len(powers) if cayley else [1]),
-            series([(-1) ** k for k in range(1, len(powers) + 1)]))
+    return tuple(tuple((int(i == j) + c * sum(t[i][j] for t in terms)) % q
+                       for j in range(len(x))) for i in range(len(x)))
 
 
-def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
+def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[tuple]:
     """Every flag of G/B: the complete flags in type A, the isotropic ones
     otherwise, with the standard flag F0 first.
 
-    Each flag is returned as {"basis": columns matrix, "inv": its
-    inverse}; the span of the first i columns is V_i.  By the
-    Bruhat decomposition each flag is u w F0 for exactly one w of
-    _weyl_group and one u in U_w = _cell_element(n_w), where n_w holds the
-    N of _cell_algebra with w^-1 N w lower.  The basis is u w and the
-    inverse w^-1 u^-1, so nothing is eliminated.
+    Each flag is its basis, a columns matrix of int tuples: the span of
+    the first i columns is V_i.  By the Bruhat decomposition each flag is
+    u w F0 for exactly one w of _weyl_group and one u in
+    U_w = _cell_element(n_w), where n_w holds the N of _cell_algebra with
+    w^-1 N w lower.  The basis is u w.
     """
     nu, q = space.nu, space.q
     flags = []
@@ -405,31 +397,24 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[dict]:
             x = [[0] * nu for _ in range(nu)]
             for (a, b), *values in zip(slots, *algebra):
                 x[a][b] = sum(map(mul, coeffs, values)) % q
-            u, u_inv = _cell_element(x, q, space.form is not None)
-            basis = tuple(tuple(s * u[r][pj] % q for s, pj in zip(signs, p))
-                          for r in range(nu))
-            inv = tuple(tuple(s * y % q for y in u_inv[pj])
-                        for s, pj in zip(signs, p))
-            flags.append({"basis": basis, "inv": inv})
+            u = _cell_element(x, q, space.form is not None)
+            flags.append(tuple(tuple(s * u[r][pj] % q
+                                     for s, pj in zip(signs, p))
+                               for r in range(nu)))
     check_isotropic_flags(space, flags)
     return flags
 
 
-def check_isotropic_flags(space: FiniteFormSpace, flags: List[dict]):
-    """Raise VerificationFailed unless each flag's "inv" is the inverse of
-    its basis, each flag lifted into ``space.quad`` passes IsoFlag.verify
-    (V_n isotropic, V_{nu-i} = V_i-perp; the message names the flag), and
-    the flags times |B| = q^N (q - 1)^(number of degrees) make the group
-    order."""
-    q, nu = space.q, space.nu
-    for fi, fl in enumerate(flags):
-        if mat_mul(fl["basis"], fl["inv"], q) != mat_identity(nu):
-            raise VerificationFailed(f"flag {fi}: inv is not the inverse "
-                                     f"of the basis")
-        if space.quad is not None:
+def check_isotropic_flags(space: FiniteFormSpace, flags: List[tuple]):
+    """Raise VerificationFailed unless each flag basis lifted into
+    ``space.quad`` passes IsoFlag.verify (dim V_i = i, V_n isotropic,
+    V_{nu-i} = V_i-perp; the message names the flag), and the flags times
+    |B| = q^N (q - 1)^(number of degrees) make the group order."""
+    q = space.q
+    if space.quad is not None:
+        for fi, basis in enumerate(flags):
             try:
-                IsoFlag(space.quad, space.lift(fl["basis"]),
-                        space.lift(fl["inv"])).verify()
+                IsoFlag(space.quad, space.lift(basis)).verify()
             except IsotropyViolation as exc:
                 raise IsotropyViolation(f"flag {fi}: {exc}") from None
     borel = q ** _positive_roots(space) * (q - 1) ** len(space.degrees)
@@ -566,7 +551,7 @@ def adjoint_order(space: FiniteFormSpace) -> int:
 
 def count_pairs(space: FiniteFormSpace, gamma: Counter,
                 shape: Optional[ShapeSeq] = None,
-                flags: Optional[List[dict]] = None) -> dict:
+                flags: Optional[List[tuple]] = None) -> dict:
     """Count pairs (g, flag) in the required relative position.
 
     For type A the position test is equality with the fixed Coxeter
@@ -577,6 +562,8 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     count = flag_count x |S|, and a unipotent u meets
     per_g = flag_count x |S cap Cl(u)| / |Cl(u)| flags, Cl(u) its class
     under conjugation by the kept generators.  ``per_flag`` is [|S|].
+    Each flag is a basis B, and u is tested in it as B^-1 u B, with B^-1
+    from ``inverse_rows``.
 
     ``double_count_consistent`` is an independent check by rows: one
     representative of each class is tested against every flag.  Its
@@ -605,8 +592,8 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     unis = unipotents_of_type(group, gamma)
 
     # g -> B^-1 g B, g in the basis B of each flag
-    in_basis = [sandwich(fl["inv"], fl["basis"], q) for fl in flags]
     kernel = space.kernel
+    in_basis = [sandwich(inverse_rows(b, kernel), b, q) for b in flags]
 
     def hit(g, k) -> bool:
         return admissible(bruhat_pivots(in_basis[k](g), kernel))

@@ -138,7 +138,8 @@ class IsometryModel:
     ``w_cols`` is the nu x nu matrix whose columns, in block-index order,
     are the collection vectors w^t_i for i in [0, 2p_t - 1] expressed in
     the standard basis.  For a freshly built model this is the identity;
-    derived models (sign flips, conjugates) carry other columns.  The
+    derived models (sign flips, conjugates) carry other columns.
+    ``table`` is the pairing table the collection realizes, or None.  The
     mode is the space's, and g^-1 and w_cols^-1 are found by elimination
     when first read, so no inverse is taken on trust.
     """
@@ -190,12 +191,14 @@ class IsometryModel:
             [k.neg(x) if s else x for x, s in zip(row, flip)] for row in w])
 
     def with_signs(self, eps) -> "IsometryModel":
-        """The model whose collection is w^t_i -> eps_t * w^t_i."""
+        """The model whose collection is w^t_i -> eps_t * w^t_i.  Its
+        pairings are eps_t eps_r times the table's, so it carries none."""
         return IsometryModel(self.shape, self.space, self.g,
-                             self._signed_cols(eps), self.table)
+                             self._signed_cols(eps))
 
     def conjugated(self, h: Matrix) -> "IsometryModel":
-        """The model (h g h^{-1}, h w^t_i) for an isometry h."""
+        """The model (h g h^{-1}, h w^t_i) for an isometry h, which keeps
+        every pairing and so the table."""
         return IsometryModel(self.shape, self.space, h * self.g * h.inverse(),
                              h * self.w_cols, self.table)
 
@@ -371,21 +374,21 @@ def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
 
 class IsoFlag:
     """A complete flag as one adapted basis: the first i columns of the
-    nu x nu Matrix ``basis`` span V_i.  ``inverse`` is its inverse, or
-    None when it is singular, which verify rejects.  An ``inverse`` passed
-    in is taken as given; without one it is found by elimination.
+    nu x nu Matrix ``basis`` span V_i.  The basis is the whole flag:
+    ``inverse`` is found from it by elimination on first read, and is None
+    when the basis is singular, which verify rejects.
     """
 
-    def __init__(self, space: QuadSpace, basis: Matrix,
-                 inverse: Optional[Matrix] = None):
+    def __init__(self, space: QuadSpace, basis: Matrix):
         self.space = space
         self.basis = basis
-        if inverse is None:
-            try:
-                inverse = basis.inverse()
-            except ZeroDivisionError:
-                pass
-        self.inverse = inverse
+
+    @cached_property
+    def inverse(self) -> Optional[Matrix]:
+        try:
+            return self.basis.inverse()
+        except ZeroDivisionError:
+            return None
 
     @property
     def subspaces(self) -> List[List[tuple]]:
@@ -421,10 +424,9 @@ class IsoFlag:
             if not q.is_zero:
                 raise IsotropyViolation(f"Q(b_{a}) = {q} on V_{n}")
 
-    def apply(self, h: Matrix, h_inv: Matrix) -> "IsoFlag":
-        """The flag h V_*, with (h B)^-1 = B^-1 h^-1 from h_inv = h^-1."""
-        inverse = None if self.inverse is None else self.inverse * h_inv
-        return IsoFlag(self.space, h * self.basis, inverse)
+    def apply(self, h: Matrix) -> "IsoFlag":
+        """The flag h V_*, whose basis is h B."""
+        return IsoFlag(self.space, h * self.basis)
 
 
 def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
@@ -435,8 +437,7 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
     b_c, c = n..nu-1, is then the first basis vector v of V_k-perp,
     k = nu-1-c, outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle
     column of an odd nu, which gives V_{nu-i} = V_i-perp.  V' has basis
-    g B, whose inverse B^-1 g^-1 reuses the model's g^-1.  Both flags are
-    fully verified.
+    g B.  Both flags are fully verified.
     """
     shape, space = model.shape, model.space
     ext = model.extend_index
@@ -453,7 +454,7 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
         cols.append(v)
     flag = IsoFlag(space, Matrix(space.field, cols).transpose())
     flag.verify()
-    flag_prime = flag.apply(model.g, model.g_inv)
+    flag_prime = flag.apply(model.g)
     flag_prime.verify()
     return flag, flag_prime
 

@@ -13,7 +13,6 @@ from isoflag import cli, counting
 from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
-from isoflag.linalg import inverse_rows
 
 
 def run(capsys, *argv):
@@ -97,9 +96,11 @@ class TestSubcommands:
         res = payload["result"]
         assert res["count"] == res["adjoint_order"] == 24
         assert res["relation_holds"]
-        # count takes no model options, so its manifest records none
+        # count takes no model options, so its manifest records none, and
+        # type A reads no --kappa
         params = payload["manifest"]["parameters"]
         assert "mode" not in params and "field" not in params
+        assert "kappa" not in params
 
     def test_count_off_class(self, capsys):
         # an off-class gamma must find a count different from |PGL_n|;
@@ -144,10 +145,7 @@ class TestSubcommands:
         # a flag on the anisotropic line of e_1 lies outside the SO3(F3)
         # orbit of isotropic flags, so the rows over all five flags no
         # longer meet the column on the first, and the double count fails
-        cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-        basis = tuple(zip(*cols))
-        outside = {"basis": basis, "inv": tuple(inverse_rows(
-            basis, counting.FiniteFormSpace(counting.SO_ODD, 3, 3).kernel))}
+        outside = tuple(zip((0, 1, 0), (1, 0, 0), (0, 0, 1)))
         real = counting.enumerate_isotropic_flags_cached
         monkeypatch.setattr(counting, "enumerate_isotropic_flags_cached",
                             lambda space: real(space) + [outside])
@@ -224,13 +222,15 @@ COUNT_USAGE_ERRORS = [
       "--kappa", "1"), "does not read --shape"),
     (("count", "--type", "A", "--n", "2", "--q", "3", "--kappa", "1"),
      "does not read --kappa"),
+    (("count", "--type", "A", "--n", "2", "--q", "3", "--kappa", "0"),
+     "does not read --kappa"),
     (("count", "--type", "C", "--n", "9", "--shape", "1", "--q", "3"),
      "does not read --n"),
 ]
 COUNT_USAGE_IDS = ["count-no-type", "count-no-q", "type-a-no-n",
                    "shape-not-int", "form-q-2", "symplectic-odd-nu",
                    "type-a-shape", "type-a-shape-kappa", "type-a-kappa",
-                   "type-c-n"]
+                   "type-a-kappa-0", "type-c-n"]
 
 
 class TestExitCodes:

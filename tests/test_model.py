@@ -10,7 +10,7 @@ from isoflag.fields import RATIONALS, FieldElement, get_finite_field
 from isoflag.linalg import Matrix, nilpotent_jordan_multiset
 from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
                            IsotropyViolation, QuadSpace, VerificationFailed,
-                           build_T,
+                           _verify_model, build_T,
                            build_model, check_adapted, collection_pairings,
                            flags_from, normalize_signs, position_check,
                            round_trip_mismatches, split_check)
@@ -411,6 +411,29 @@ class TestSweep:
             checked += 1
         assert checked == 80
 
+    def test_derived_models_carry_their_table(self, model_sweep):
+        # an isometry keeps every pairing, so a conjugate realizes the
+        # table; a sign flip scales the pairings by eps_t eps_r and
+        # carries none
+        checked = 0
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            c = m.conjugated(dense_isometry(m.space))
+            assert c.table is m.table
+            assert round_trip_mismatches(c) == []
+            assert sign_flip(m).table is None
+            checked += 1
+        assert checked == 80
+
+    def test_sign_flip_verifies(self):
+        # with the source's table, 42 keys from (2, 1, -12) on failed the
+        # round trip, since eps_2 eps_1 = -1 flips the cross pairings
+        m = build_model(ShapeSeq((2, 1), kappa=1), ORTHOGONAL)
+        flipped = m.with_signs({1: -1, 2: 1, 3: 1})
+        assert round_trip_mismatches(flipped) == []
+        _verify_model(flipped)
+
     def test_pinned_spaces(self, model_sweep):
         # any change to G, Q or the mode of any sweep space changes it
         assert len(model_sweep) == 248
@@ -612,12 +635,20 @@ class TestFlagOracle:
             assert rank_stabilization(t_mat, pair) is None
         assert len(models) > 50
 
-    def test_second_flag_reuses_inverse(self, model_sweep):
-        # flags_from builds (g B)^-1 as B^-1 g^-1 instead of eliminating
+    def test_flag_inverse_from_basis(self, model_sweep):
+        # a flag is its basis: both flags find their inverse by elimination,
+        # and a singular basis, moved by g, still has none
         for (parts, _k, _mode, _name), m in model_sweep.items():
             if sum(parts) <= 3:
-                _flag, flag_prime = flags_from(m)
-                assert flag_prime.inverse == flag_prime.basis.inverse()
+                one = Matrix.identity(m.field, m.space.dim)
+                flag, flag_prime = flags_from(m)
+                for fl in (flag, flag_prime):
+                    assert fl.inverse == fl.basis.inverse()
+                    assert fl.basis * fl.inverse == one
+                cols = [flag.basis.col(c) for c in range(m.space.dim)]
+                cols[1] = cols[0]
+                mutant = IsoFlag(m.space, Matrix(m.field, cols).transpose())
+                assert mutant.apply(m.g).inverse is None
 
     def test_mutated_bases_agree(self, model_sweep):
         # the rank oracles cost ~0.03 s per mutant, so the mutation family
@@ -633,7 +664,7 @@ class TestFlagOracle:
             t_mat = build_T(m, other, flags_pair=(flag, flag_prime))
             for basis in basis_mutations(flag.basis):
                 mutant = IsoFlag(m.space, basis)
-                pair = (mutant, mutant.apply(m.g, m.g_inv))
+                pair = (mutant, mutant.apply(m.g))
                 ok = passes(IsoFlag.verify, mutant)
                 assert ok == passes(rank_verify, mutant)
                 position = position_check(*pair, m.shape)
