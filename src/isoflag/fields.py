@@ -35,7 +35,7 @@ extends.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
@@ -151,11 +151,11 @@ class TowerField:
     def from_int(self, n: Scalar) -> "FieldElement":
         return self.element((n,) + (0,) * (self.dim - 1))
 
-    @property
+    @cached_property
     def zero(self):
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_int(1)
 
@@ -468,11 +468,11 @@ class FiniteField:
             return self.from_int(n.numerator) / self.from_int(n.denominator)
         return self.element((n % self.p,) + (0,) * (self.m - 1))
 
-    @property
+    @cached_property
     def zero(self):
         return self.element((0,) * self.m)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_int(1)
 

@@ -6,10 +6,14 @@ picks the first nonzero entry top-down, so every result is deterministic.
 A matrix's state is its raw rows, one kernel scalar per entry:
 
 * GF(p): plain ints in [0, p), one ``% p`` per dot product;
-* any other field: coordinate tuples, None for zero, combined by the
-  field's own ``add``, ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero
-  terms; a dot product of two or more terms is one ``field.dot``, which
-  sums the products before it normalises.
+* GF(p^m) with m > 1 and q <= ``TABLE_FIELD_MAX``: the field's ``encode``
+  ints, 0 for zero, combined by log, antilog, addition and negation
+  tables built from the field's own arithmetic on first use;
+* any other field (Q, its square-root towers, larger GF(p^m)):
+  coordinate tuples, None for zero, combined by the field's own ``add``,
+  ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero terms; a dot
+  product of two or more terms is one ``field.dot``, which sums the
+  products before it normalises.
 
 So a raw zero is falsy and every other raw scalar is truthy.  Products,
 sums, transposes, submatrices, ``hstack``, inverses, ranks, ``is_zero`` and
@@ -170,6 +174,84 @@ class _ModKernel:
         return [(x - f * y) % p for x, y in zip(row, prow)]
 
 
+class _TableKernel:
+    """GF(p^m), m > 1, q <= TABLE_FIELD_MAX: a raw scalar is the field's
+    ``encode`` int, 0 for zero (Lidl & Niederreiter, *Finite Fields*, 1983).
+
+    A product is an antilog lookup at the sum of two logs to the least
+    primitive element; the antilog table is doubled, so no ``% (q - 1)``
+    is needed.  Sums and negatives are lookups in a q x q addition table
+    and a negation table.  Every table is built from the field's own
+    ``add``, ``neg`` and ``mul``, once per field.
+    """
+
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        q = field.q
+        elems = [field.decode(n) for n in range(q)]
+        self.field, self._order = field, q - 1
+        self._elements = [FieldElement(field, c) for c in elems]
+        self._code = code = {c: n for n, c in enumerate(elems)}
+        self._add = [[code[field.add(a, b)] for b in elems] for a in elems]
+        self._neg = [code[field.neg(a)] for a in elems]
+        for g in elems[2:]:
+            exp = self._powers(g)
+            if len(set(exp)) == q - 1:  # g is primitive
+                break
+        # log[0] stays None: zero has no log, and a lookup with it raises
+        self._log = [None] * q
+        for k, n in enumerate(exp):
+            self._log[n] = k
+        self._exp = exp + exp
+
+    def _powers(self, g):
+        """The codes of g^0, ..., g^(q-2)."""
+        field, powers, x = self.field, [], self.field.one.coords
+        for _ in range(self._order):
+            powers.append(self._code[x])
+            x = field.mul(x, g)
+        return powers
+
+    def unwrap(self, xs):
+        code = self._code
+        return tuple([code[x.coords] for x in xs])
+
+    def wrap(self, v):
+        return self._elements[v]
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
+
+    def dot(self, a, b):
+        log, exp, add = self._log, self._exp, self._add
+        s = 0
+        for x, y in zip(a, b):
+            if x and y:
+                s = add[s][exp[log[x] + log[y]]]
+        return s
+
+    def scale(self, row, x):
+        log, exp = self._log, self._exp
+        s = self._order - log[x]  # the log of 1/x
+        return [exp[log[y] + s] if y else 0 for y in row]
+
+    def eliminate(self, row, prow, c):
+        log, exp, add = self._log, self._exp, self._add
+        f = log[self._neg[row[c]]]
+        return [add[x][exp[f + log[y]]] if y else x
+                for x, y in zip(row, prow)]
+
+
 class _CoordKernel:
     """Any other field: a raw scalar is None for zero, else its coordinate
     tuple, combined by the field's ``add``, ``neg``, ``mul``, ``inv`` and
@@ -179,10 +261,7 @@ class _CoordKernel:
 
     def __init__(self, field):
         self.field, self._zero_coords = field, field.zero.coords
-
-    @property
-    def one(self):
-        return self.field.one.coords
+        self.one = field.one.coords
 
     def unwrap(self, xs):
         return tuple([x.coords if any(x.coords) else None for x in xs])
@@ -228,12 +307,29 @@ class _CoordKernel:
                 for x, y in zip(row, prow)]
 
 
+#: GF(p^m) with m > 1 runs on log tables up to this order; the addition
+#: table has q^2 entries.
+TABLE_FIELD_MAX = 256
+
+
 def scalar_kernel(field):
-    """The raw-scalar kernel of ``field``: ints mod p over GF(p), else
-    coordinate tuples."""
+    """The raw-scalar kernel of ``field``: ints mod p over GF(p), table
+    ints over GF(p^m) with m > 1 and q <= TABLE_FIELD_MAX, else coordinate
+    tuples.  A field keeps its kernel as ``_kernel`` from the first call
+    on, so every call returns the same one, and a field no matrix touches
+    builds no tables."""
+    try:
+        return field._kernel
+    except AttributeError:
+        pass
     if field.is_finite and field.m == 1:
-        return _ModKernel(field)
-    return _CoordKernel(field)
+        kind = _ModKernel
+    elif field.is_finite and field.q <= TABLE_FIELD_MAX:
+        kind = _TableKernel
+    else:
+        kind = _CoordKernel
+    field._kernel = kind(field)
+    return field._kernel
 
 
 def _identity_rows(k, n):
@@ -287,9 +383,9 @@ class Matrix:
 
     @classmethod
     def from_raw(cls, field, rows):
-        """The matrix whose raw rows are ``rows``: over GF(p) ints already
-        reduced into [0, p), otherwise coordinate tuples with None for
-        zero.  Makes no FieldElement."""
+        """The matrix whose raw rows are ``rows``, scalars of the field's
+        kernel (see :func:`scalar_kernel`): over GF(p) ints already
+        reduced into [0, p).  Makes no FieldElement."""
         return cls._of(scalar_kernel(field), [tuple(r) for r in rows])
 
     @classmethod

@@ -479,3 +479,11 @@ class TestElementProtocol:
         gf9 = get_finite_field(3, 2)
         assert str(FieldElement(gf9, (1, 2))) == "[1, 2]"
         assert str(Q2.element((Fraction(1, 2), Fraction(0)))) == "[1/2, 0]"
+
+    @pytest.mark.parametrize("name", sorted(ALL_FIELDS))
+    def test_zero_and_one_are_kept(self, name):
+        # one element each per field, read back on every access
+        f = ALL_FIELDS[name]
+        assert f.zero is f.zero and f.one is f.one
+        assert f.zero == f.from_int(0) and f.one == f.from_int(1)
+        assert f.zero.is_zero and f.one * f.one == f.one

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from isoflag import model
 from isoflag.cases import cuts_for, partitions_up_to
-from isoflag.fields import RATIONALS, get_finite_field
-from isoflag.linalg import (Affine, Matrix, NoSolution, NotNilpotent, Unique,
-                            nilpotent_jordan_multiset, solve_linear)
+from isoflag.fields import RATIONALS, FiniteField, get_finite_field
+from isoflag.linalg import (TABLE_FIELD_MAX, Affine, Matrix, NoSolution,
+                            NotNilpotent, Unique, _CoordKernel, _ModKernel,
+                            _TableKernel, nilpotent_jordan_multiset,
+                            scalar_kernel, solve_linear)
 from isoflag.shapes import jordan_from_ranks
 from dense import dense_shear
 
@@ -21,10 +23,16 @@ GF5 = get_finite_field(5)
 GF7 = get_finite_field(7)
 GF4 = get_finite_field(2, 2)
 GF9 = get_finite_field(3, 2)
+GF8 = get_finite_field(2, 3)
+GF49 = get_finite_field(7, 2)
+# above TABLE_FIELD_MAX, so on the coordinate kernel like the towers
+GF289 = get_finite_field(17, 2)
 Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
-KERNEL_FIELDS = {"GF5": GF5, "GF4": GF4, "GF9": GF9, "Q": RATIONALS,
-                 "Q2": Q2, "Q23": Q23}
+KERNEL_FIELDS = {"GF5": GF5, "GF4": GF4, "GF8": GF8, "GF9": GF9,
+                 "GF49": GF49, "GF289": GF289, "Q": RATIONALS, "Q2": Q2,
+                 "Q23": Q23}
+TABLE_FIELDS = {"GF4": GF4, "GF8": GF8, "GF9": GF9, "GF49": GF49}
 
 
 def gf5_matrix(n, m):
@@ -432,6 +440,56 @@ class TestKernelOracle:
         assert len(kernel) == a.ncols - rank
         for v in kernel:
             assert all(x.is_zero for x in a.apply(v))
+
+
+class TestTableKernel:
+    """The log-table kernel of GF(p^m) against the field's coordinate
+    arithmetic, on every pair of elements."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+    def test_tables_match_field(self, name):
+        field = TABLE_FIELDS[name]
+        k, q = scalar_kernel(field), field.q
+        assert isinstance(k, _TableKernel)
+        # the antilog table lists every nonzero code once, doubled, and
+        # log inverts it
+        antilog = k._exp[:q - 1]
+        assert sorted(antilog) == list(range(1, q))
+        assert k._exp == antilog + antilog
+        assert [k._log[n] for n in antilog] == list(range(q - 1))
+        xs = [field.decode(n) for n in range(q)]
+        for a, x in enumerate(xs):
+            assert a == field.encode(x)
+            assert k.wrap(a).coords == x and k.unwrap([k.wrap(a)]) == (a,)
+            assert k.neg(a) == field.encode(field.neg(x))
+            if a:
+                assert k.scale([a, 1], a) == [1, field.encode(field.inv(x))]
+            for b, y in enumerate(xs):
+                assert k.add(a, b) == field.encode(field.add(x, y))
+                assert k.mul(a, b) == field.encode(field.mul(x, y))
+
+    def test_kernel_kept_and_tables_lazy(self, monkeypatch):
+        adds = []
+        real = FiniteField.add
+
+        def counted_add(field, a, b):
+            adds.append(1)
+            return real(field, a, b)
+        monkeypatch.setattr(FiniteField, "add", counted_add)
+        # a GF(49) of its own, since the cached one may have its tables
+        # already; making it and reading its zero and one build none
+        field = FiniteField(7, 2)
+        assert field.zero.is_zero and field.one == GF49.one
+        assert not adds
+        k = scalar_kernel(field)
+        assert isinstance(k, _TableKernel) and len(adds) == 49 * 49
+        assert scalar_kernel(field) is k and len(adds) == 49 * 49
+        assert scalar_kernel(GF49) is scalar_kernel(GF49)
+        kinds = {GF5: _ModKernel, GF4: _TableKernel, GF289: _CoordKernel,
+                 RATIONALS: _CoordKernel, Q2: _CoordKernel}
+        for f, kind in kinds.items():
+            assert type(scalar_kernel(f)) is kind
+        assert GF289.q > TABLE_FIELD_MAX >= GF49.q
 
 
 def fold_dot(field, xs, ys):
