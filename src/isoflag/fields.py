@@ -325,26 +325,10 @@ RATIONALS = TowerField(())
 # Finite fields GF(p**m)
 # ---------------------------------------------------------------------------
 
-def _mulmod(a, b, modulus, p) -> tuple:
-    """Product of polynomial coordinates, reduced mod (modulus, p)."""
-    m = len(modulus) - 1
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce: the modulus is monic of degree m
-    for i in range(2 * m - 2, m - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    return tuple(prod[:m])
-
-
 def _polydot(xs, ys, modulus, p) -> tuple:
     """sum x_i y_i over polynomial coordinates: the unreduced products
-    summed, then reduced once mod p and the (monic, degree m) modulus."""
+    summed, then reduced once mod p and the (monic, degree m) modulus.
+    A product a b is the one-term sum ((a,), (b,))."""
     m = len(modulus) - 1
     prod = [0] * (2 * m - 1)
     for a, b in zip(xs, ys):
@@ -365,8 +349,8 @@ def _powmod(a, e: int, modulus, p) -> tuple:
     result = (1,) + (0,) * (len(modulus) - 2)
     while e:
         if e & 1:
-            result = _mulmod(result, a, modulus, p)
-        a = _mulmod(a, a, modulus, p)
+            result = _polydot((result,), (a,), modulus, p)
+        a = _polydot((a,), (a,), modulus, p)
         e >>= 1
     return result
 
@@ -506,7 +490,7 @@ class FiniteField:
         """Product of polynomial coordinates, reduced mod (modulus, p)."""
         if self.m == 1:
             return (a[0] * b[0] % self.p,)
-        return _mulmod(a, b, self.modulus, self.p)
+        return _polydot((a,), (b,), self.modulus, self.p)
 
     def inv(self, a) -> tuple:
         """a^(q-2) (Lagrange) for nonzero ``a``, by square-and-multiply."""

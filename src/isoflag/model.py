@@ -8,7 +8,9 @@ two models over the same space.
 
 Vectors are tuples of FieldElement of length nu; the standard basis is
 indexed by the shape's block indices (t, i), i in [0, 2p_t - 1], in lex
-order, plus (sigma+1, 0) when kappa = 1.
+order, plus (sigma+1, 0) when kappa = 1.  The collection orbit and its
+pairing profile stay raw scalars of the field's kernel (see linalg) and
+are wrapped only where a vector or a reported value leaves the module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from .fields import FieldElement
 from .gram import GramTable
 from .linalg import (Affine, Matrix, NoSolution, Unique, bruhat_pivots, dot,
-                     nilpotent_jordan_multiset, solve_linear)
+                     nilpotent_jordan_multiset, scalar_kernel, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                      VerificationFailed, block_jordan_sizes, jordan_prediction,
                      position_ok, psi)
@@ -28,10 +30,6 @@ from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
 
 class IsotropyViolation(VerificationFailed):
     """A flag that is not an isotropic flag of its space."""
-
-
-#: Returned by normalize_signs when no sign vector exists.
-INCOMPATIBLE = "incompatible"
 
 
 def _witness(gram: Matrix, s: int) -> str:
@@ -153,9 +151,8 @@ class IsometryModel:
         self.w_cols = w_cols
         self.table = table
         self.basis_index = shape.block_indices()
-        self.index_of = {ti: m for m, ti in enumerate(self.basis_index)}
-        self._ext: Dict[Tuple[int, int], tuple] = {
-            ti: w_cols.col(m) for m, ti in enumerate(self.basis_index)}
+        self._orbit: Dict[Tuple[int, int], tuple] = dict(
+            zip(self.basis_index, zip(*w_cols._raw()[1])))
         self._pairings: Optional[dict] = None
 
     @property
@@ -170,18 +167,23 @@ class IsometryModel:
     def w_inv(self) -> Matrix:
         return self.w_cols.inverse()
 
+    def raw_index(self, t: int, i: int) -> tuple:
+        """The raw coordinates of w^t_i for any integer i: the stored
+        columns of w_cols, stepped by g above block t's window and by
+        g^-1 below it.  Memoized on the model: the one collection orbit."""
+        orbit, key = self._orbit, (t, i)
+        if key not in orbit:
+            hi = 2 * self.shape.part(t) - 1 if t <= self.shape.sigma else 0
+            step, j = (self.g, i - 1) if i > hi else (self.g_inv, i + 1)
+            k, rows = step._raw()
+            v = self.raw_index(t, j)
+            orbit[key] = tuple([k.dot(row, v) for row in rows])
+        return orbit[key]
+
     def extend_index(self, t: int, i: int) -> tuple:
         """The collection vector w^t_i for any integer i, via powers of g."""
-        key = (t, i)
-        if key in self._ext:
-            return self._ext[key]
-        hi = 2 * self.shape.part(t) - 1 if t <= self.shape.sigma else 0
-        if i > hi:
-            vec = self.g.apply(self.extend_index(t, i - 1))
-        else:
-            vec = self.g_inv.apply(self.extend_index(t, i + 1))
-        self._ext[key] = vec
-        return vec
+        k = self.w_cols._raw()[0]
+        return tuple(map(k.wrap, self.raw_index(t, i)))
 
     def _signed_cols(self, eps) -> Matrix:
         """W E: w_cols with the columns of block t times eps_t = +-1."""
@@ -306,12 +308,12 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
 
     The precondition is that g is an isometry and that clause (a),
     w^t_{i+1} = g w^t_i, holds on the stored columns; if it fails, only
-    its violations are returned.  Elsewhere extend_index defines w^t_i by
+    its violations are returned.  Elsewhere raw_index defines w^t_i by
     powers of g, so clause (a) holds there by construction.  Then
     (w^t_i, w^r_j) = (w^t_{i-j}, w^r_0), so clauses b to e are read off
-    the pairing profile at offsets d, and Q(w^t_i) = Q(w^t_0), so clause
-    (f) is read at i = 0.  Returns tuples (clause, witness indices, got);
-    empty on pass.
+    the raw pairing profile at offsets d, and Q(w^t_i) = Q(w^t_0), so
+    clause (f) is read at i = 0.  Returns tuples (clause, witness indices,
+    got), got a FieldElement; empty on pass.
     """
     shape, space, g, w = model.shape, model.space, model.g, model.w_cols
     sigma, kappa = shape.sigma, shape.kappa
@@ -328,24 +330,25 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
         return bad
 
     profile = collection_pairings(model)
+    k = scalar_kernel(f)
 
     def expect(clause, t, r, offsets, want):
         for d in offsets:
             v = profile[(t, r, d)]
             if v != want:
-                bad.append((clause, (t, r, d), v))
+                bad.append((clause, (t, r, d), k.wrap(v)))
 
     for t in range(1, sigma + 1):
         p_t = shape.part(t)
-        expect("b", t, t, range(1 - p_t, p_t), f.zero)
-        expect("b", t, t, (-p_t,), f.one)
+        expect("b", t, t, range(1 - p_t, p_t), k.zero)
+        expect("b", t, t, (-p_t,), k.one)
         for r in range(t + 1, sigma + 1):
             p_r = shape.part(r)
-            expect("c", t, r, range(-p_r, 2 * p_t - p_r), f.zero)
+            expect("c", t, r, range(-p_r, 2 * p_t - p_r), k.zero)
     if kappa:
-        expect("d", sigma + 1, sigma + 1, (0,), f.from_int(2))
+        expect("d", sigma + 1, sigma + 1, (0,), k.add(k.one, k.one))
         for t in range(1, sigma + 1):
-            expect("e", t, sigma + 1, range(2 * shape.part(t)), f.zero)
+            expect("e", t, sigma + 1, range(2 * shape.part(t)), k.zero)
     if space.q_basis is not None:
         for t in range(1, sigma + kappa + 1):
             v = space.quad(model.extend_index(t, 0))
@@ -361,13 +364,17 @@ def round_trip_mismatches(model: IsometryModel) -> List[tuple]:
     window pairing (w^t_i, w^r_j) equals the profile entry at d = i - j.
     Every key is compared, the negative offsets too: the profile reads
     (t, r, -d) as s (w^r_d, w^t_0), and the table's own value at
-    (t, r, -d) is checked against it.
+    (t, r, -d) is checked against it.  The table's values are unwrapped
+    once; one of another field is left out, so it is a mismatch.
     """
     if model.table is None:
         return []
-    table = model.table
-    return [key for key, v in collection_pairings(model).items()
-            if v != table.value(*key)]
+    f, table, profile = model.field, model.table, collection_pairings(model)
+    own = {key: x for key in profile for x in (table.value(*key),)
+           if x.field == f}
+    raw = dict(zip(own, scalar_kernel(f).unwrap(own.values())))
+    return [key for key, v in profile.items()
+            if key not in raw or raw[key] != v]
 
 
 # -- flags -------------------------------------------------------------------
@@ -479,12 +486,11 @@ def collection_pairings(model: IsometryModel) -> dict:
 
     Preconditions: g is an isometry and G^T = sG with s = space.sign.
     Then (w^t_{-d}, w^r_0) = (w^t_0, w^r_d) = s (w^r_d, w^t_0), so only
-    the offsets d >= 0 are computed: each block's orbit w^t_d is stepped
-    upwards by g from its stored window in w_cols, on the raw
-    coordinates of the matrices' kernel, each pairing is one kernel dot
-    against the raw G w^r_0, and the key (t, r, -d) takes s times the
-    value at (r, t, d).  Only the pairing values are wrapped.  The
-    vectors are those of extend_index, which serves the other callers.
+    the offsets d >= 0 are computed: each pairing is one kernel dot of
+    the model's raw orbit vector w^t_d against the raw G w^r_0, and the
+    key (t, r, -d) takes s times the value at (r, t, d).  The values are
+    raw scalars of the field's kernel: callers compare them raw and wrap
+    only what they report.
     For a g that is no isometry the negative offsets are not pairings;
     check_adapted rejects such a g before it reads the profile, and
     build_T verifies the T it derives from it.
@@ -494,50 +500,42 @@ def collection_pairings(model: IsometryModel) -> dict:
     shape = model.shape
     bound = 6 * shape.part(1)
     blocks = range(1, shape.sigma + shape.kappa + 1)
-    k, g = model.g._raw()
-    gram = model.space.gram._raw()[1]
-    cols = list(zip(*model.w_cols._raw()[1]))
-    dot, wrap = k.dot, k.wrap
-    orbits = {}
-    for t in blocks:
-        start = model.index_of[(t, 0)]
-        orbit = cols[start:start + (2 * shape.part(t) if t <= shape.sigma
-                                    else 1)]
-        while len(orbit) <= bound:
-            orbit.append([dot(row, orbit[-1]) for row in g])
-        orbits[t] = orbit
+    k, gram = model.space.gram._raw()
+    dot, orbit = k.dot, model.raw_index
     # values[(t, r)][d] = (w^t_d, w^r_0) for d = 0..bound
     values = {}
     for r in blocks:
-        gw = [dot(row, orbits[r][0]) for row in gram]
+        gw = [dot(row, orbit(r, 0)) for row in gram]
         for t in blocks:
-            values[(t, r)] = [wrap(dot(v, gw)) for v in orbits[t]]
+            values[(t, r)] = [dot(orbit(t, d), gw)
+                              for d in range(bound + 1)]
     out = {}
     for r in blocks:
         for t in blocks:
             mirror = values[(r, t)]
             if model.space.sign == -1:
-                mirror = [-v for v in mirror]
+                mirror = [k.neg(v) for v in mirror]
             out.update(((t, r, -d), mirror[d]) for d in range(bound, 0, -1))
             out.update(((t, r, d), v) for d, v in enumerate(values[(t, r)]))
     model._pairings = out
     return out
 
 
-def normalize_signs(a_data: dict, b_data: dict, block_count: int):
+def normalize_signs(a_data: dict, b_data: dict, block_count: int, neg):
     """A sign vector eps with eps_t eps_r * a = b on all stored pairs.
 
-    Both inputs map (t, r, offset) to pairing values over the same key
-    set.  Signs are propagated along the nonzero pairings of a from the
-    lowest block index of each component, which receives +1.  A nonzero
-    a(t, r, d) fixes eps_t eps_r (outside characteristic 2), so a sign
-    vector exists exactly when the propagated one gives b = +-a on every
-    key; returns INCOMPATIBLE otherwise.
+    Both inputs map (t, r, offset) to raw pairing values of one kernel
+    over the same key set, and ``neg`` is that kernel's negation.  Signs
+    are propagated along the nonzero pairings of a from the lowest block
+    index of each component, which receives +1.  A nonzero a(t, r, d)
+    fixes eps_t eps_r (outside characteristic 2), so a sign vector exists
+    exactly when the propagated one gives b = +-a on every key; returns
+    None otherwise.
     """
     assert set(a_data) == set(b_data), "pairing key sets differ"
     links: Dict[int, List[Tuple[int, int]]] = {}
     for (t, r, d), av in a_data.items():
-        if not av.is_zero:
+        if av:
             s = 1 if b_data[(t, r, d)] == av else -1
             links.setdefault(t, []).append((r, s))
             links.setdefault(r, []).append((t, s))
@@ -554,8 +552,8 @@ def normalize_signs(a_data: dict, b_data: dict, block_count: int):
                     eps[r] = eps[t] * s
                     queue.append(r)
     for (t, r, d), av in a_data.items():
-        if b_data[(t, r, d)] != (av if eps[t] == eps[r] else -av):
-            return INCOMPATIBLE
+        if b_data[(t, r, d)] != (av if eps[t] == eps[r] else neg(av)):
+            return None
     return eps
 
 
@@ -577,8 +575,9 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     space = model_a.space
     eps = normalize_signs(collection_pairings(model_a),
                           collection_pairings(model_b),
-                          shape.sigma + shape.kappa)
-    if eps == INCOMPATIBLE:
+                          shape.sigma + shape.kappa,
+                          scalar_kernel(space.field).neg)
+    if eps is None:
         raise VerificationFailed("collection pairings are incompatible")
     t_mat = model_b._signed_cols(eps) * model_a.w_inv
 

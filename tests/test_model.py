@@ -6,9 +6,10 @@ import pytest
 
 from isoflag.cases import cuts_for
 from isoflag.counting import SO_ODD, SP, FiniteFormSpace
-from isoflag.fields import RATIONALS, FieldElement, get_finite_field
-from isoflag.linalg import Matrix, nilpotent_jordan_multiset
-from isoflag.model import (INCOMPATIBLE, IsoFlag, IsometryModel,
+from isoflag.fields import (RATIONALS, FieldElement, FiniteField,
+                            get_finite_field)
+from isoflag.linalg import Matrix, nilpotent_jordan_multiset, scalar_kernel
+from isoflag.model import (IsoFlag, IsometryModel,
                            IsotropyViolation, QuadSpace, VerificationFailed,
                            _verify_model, build_T,
                            build_model, check_adapted, collection_pairings,
@@ -678,38 +679,43 @@ class TestFlagOracle:
 
 
 class TestNormalizeSigns:
-    def one(self):
-        return RATIONALS.one
+    """On raw values of the rational kernel: None is 0, (c,) is c."""
+
+    K = scalar_kernel(RATIONALS)
+    ONE = K.one
+
+    def signs(self, a, b, block_count):
+        return normalize_signs(a, b, block_count, self.K.neg)
 
     def test_identity_signs(self):
-        a = {(1, 2, 0): self.one()}
-        assert normalize_signs(a, dict(a), 2) == {1: 1, 2: 1}
+        a = {(1, 2, 0): self.ONE}
+        assert self.signs(a, dict(a), 2) == {1: 1, 2: 1}
 
     def test_flipped_cross_pairing(self):
-        a = {(1, 2, 0): self.one()}
-        b = {(1, 2, 0): -self.one()}
-        assert normalize_signs(a, b, 2) == {1: 1, 2: -1}
+        a = {(1, 2, 0): self.ONE}
+        b = {(1, 2, 0): self.K.neg(self.ONE)}
+        assert self.signs(a, b, 2) == {1: 1, 2: -1}
 
     def test_non_sign_ratio_incompatible(self):
-        a = {(1, 2, 0): self.one()}
-        b = {(1, 2, 0): RATIONALS.from_int(2)}
-        assert normalize_signs(a, b, 2) == INCOMPATIBLE
+        a = {(1, 2, 0): self.ONE}
+        b = {(1, 2, 0): self.K.add(self.ONE, self.ONE)}
+        assert self.signs(a, b, 2) is None
 
     def test_diagonal_flip_incompatible(self):
-        a = {(1, 1, 1): self.one()}
-        b = {(1, 1, 1): -self.one()}
-        assert normalize_signs(a, b, 1) == INCOMPATIBLE
+        a = {(1, 1, 1): self.ONE}
+        b = {(1, 1, 1): self.K.neg(self.ONE)}
+        assert self.signs(a, b, 1) is None
 
     def test_zero_pattern_mismatch_incompatible(self):
-        a = {(1, 2, 0): self.one()}
-        b = {(1, 2, 0): RATIONALS.zero}
-        assert normalize_signs(a, b, 2) == INCOMPATIBLE
+        a = {(1, 2, 0): self.ONE}
+        b = {(1, 2, 0): self.K.zero}
+        assert self.signs(a, b, 2) is None
 
     def test_inconsistent_component_incompatible(self):
-        one = self.one()
+        one, minus = self.ONE, self.K.neg(self.ONE)
         a = {(1, 2, 0): one, (2, 3, 0): one, (1, 3, 0): one}
-        b = {(1, 2, 0): -one, (2, 3, 0): -one, (1, 3, 0): -one}
-        assert normalize_signs(a, b, 3) == INCOMPATIBLE
+        b = {(1, 2, 0): minus, (2, 3, 0): minus, (1, 3, 0): minus}
+        assert self.signs(a, b, 3) is None
 
 
 class TestIntertwiner:
@@ -786,38 +792,67 @@ class TestIntertwiner:
         assert round_trip_mismatches(wrong_symplectic_g(sp1)) != []
 
     def test_pairings_reproduce_table(self, sp1):
+        wrap = scalar_kernel(sp1.field).wrap
         pairs = collection_pairings(sp1)
         for (t, r, d), v in pairs.items():
-            assert v == sp1.table.value(t, r, d)
+            assert wrap(v) == sp1.table.value(t, r, d)
+
+    def test_derived_model_wraps_no_collection(self, model_sweep):
+        # the orbit, the profile and T all run on raw columns: a sign
+        # flip's w_cols never builds its FieldElement rows view
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3:
+                continue
+            pair = flags_from(m)
+            blocks = m.shape.sigma + m.shape.kappa
+            flipped = m.with_signs({t: -1 for t in range(1, blocks + 1)})
+            build_T(m, flipped, flags_pair=pair)
+            assert not hasattr(flipped.w_cols, "_rows")
+
+
+def schoolbook_orbit(model, t, bound):
+    """w^t_d for d = -bound..bound, stepped by Matrix.apply from
+    w^t_0 = the (t, 0) column of w_cols, by g upwards and by g^-1
+    downwards; keyed by d."""
+    g, g_inv = model.g, model.g.inverse()
+    start = model.w_cols.col(model.basis_index.index((t, 0)))
+    out = {0: start}
+    up = down = start
+    for d in range(1, bound + 1):
+        up, down = g.apply(up), g_inv.apply(down)
+        out[d], out[-d] = up, down
+    return out
 
 
 def schoolbook_pairings(model):
-    """(w^t_d, w^r_0) from extend_index, G w^r_0 by Matrix.apply and a
-    FieldElement fold, keyed (t, r, d) in collection_pairings' order."""
+    """(w^t_d, w^r_0) on an orbit of its own, G w^r_0 by Matrix.apply and
+    a FieldElement fold, keyed (t, r, d) in collection_pairings' order."""
     f, gram = model.field, model.space.gram
     blocks = range(1, model.shape.sigma + model.shape.kappa + 1)
     bound = 6 * model.shape.part(1)
+    orbits = {t: schoolbook_orbit(model, t, bound) for t in blocks}
     out = {}
     for r in blocks:
-        gw = gram.apply(model.extend_index(r, 0))
+        gw = gram.apply(orbits[r][0])
         for t in blocks:
             for d in range(-bound, bound + 1):
                 acc = f.zero
-                for x, y in zip(model.extend_index(t, d), gw):
+                for x, y in zip(orbits[t][d], gw):
                     acc = acc + x * y
                 out[(t, r, d)] = acc
     return out
 
 
 class EditedTable:
-    """A pairing table that reads ``value + 1`` at one key."""
+    """A pairing table that reads ``edit(value)`` at one key, by default
+    value + 1."""
 
-    def __init__(self, table, key):
-        self.table, self.key = table, key
+    def __init__(self, table, key, edit=lambda v: v + 1):
+        self.table, self.key, self.edit = table, key, edit
 
     def value(self, t, r, d):
         v = self.table.value(t, r, d)
-        return v + 1 if (t, r, d) == self.key else v
+        return self.edit(v) if (t, r, d) == self.key else v
 
 
 class TestPairingsOracle:
@@ -833,8 +868,10 @@ class TestPairingsOracle:
                 continue
             h = dense_isometry(m.space)
             assert m.space.isometry_violations(h) == []
+            wrap = scalar_kernel(m.field).wrap
             for variant in (sign_flip(m), m.conjugated(h)):
-                got = collection_pairings(variant)
+                got = {key: wrap(v) for key, v in
+                       collection_pairings(variant).items()}
                 want = schoolbook_pairings(variant)
                 assert list(got) == list(want)
                 assert got == want
@@ -870,6 +907,19 @@ class TestPairingsOracle:
                 edited = IsometryModel(m.shape, m.space, m.g, m.w_cols,
                                        table)
                 assert round_trip_mismatches(edited) == [key]
+
+    def test_round_trip_rejects_foreign_values(self):
+        # the table's values are unwrapped to raw ints: one of GF(5) with
+        # the coordinates of the GF(3) value is still a mismatch, and one
+        # of an equal GF(3) built separately is none
+        m = build_model(ShapeSeq((2, 1)), SYMPLECTIC, get_finite_field(3))
+        key = (1, 1, -2)
+        for field, want in ((get_finite_field(5), [key]),
+                            (FiniteField(3, 1), [])):
+            table = EditedTable(m.table, key,
+                                lambda v, f=field: FieldElement(f, v.coords))
+            edited = IsometryModel(m.shape, m.space, m.g, m.w_cols, table)
+            assert round_trip_mismatches(edited) == want
 
 
 class TestComponentCheck:
