@@ -637,9 +637,6 @@ class FieldElement:
         a, b = pair
         return a + (-b)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is NotImplemented:
@@ -660,9 +657,6 @@ class FieldElement:
             return NotImplemented
         a, b = pair
         return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, e: int):
         if e < 0:

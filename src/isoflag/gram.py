@@ -8,10 +8,10 @@ satisfy value(t, r, delta) == value(r, t, -delta) in orthogonal mode.
 
 Two modes:
 
-* ``symplectic-or-char2``: fully closed-form.  Same-index pairs follow the
-  signed-binomial formula sg(j-i) * C(|j-i|+pi-1, |j-i|-pi); distinct indices
-  pair to zero; the extra kappa row's diagonal is the field image of 2 (which
-  is 0 in characteristic 2).
+* ``symplectic-or-char2``: closed-form, stored at construction.  Same-index
+  pairs follow the signed-binomial formula sg(j-i) * C(|j-i|+pi-1, |j-i|-pi);
+  distinct indices pair to zero; the extra kappa row's diagonal is the field
+  image of 2 (which is 0 in characteristic 2).
 * ``orthogonal-odd``: the inductive definition, processed level by level in
   strictly decreasing order of distinct part values, finishing with the
   virtual half level when kappa = 1.  Square roots taken along the way may
@@ -19,7 +19,7 @@ Two modes:
 
 The stored values cover |delta| <= delta_bound, 6*p_1 + 2 by default (enough
 for model reconstruction and the adapted-collection checks).  Earlier
-levels store more, exactly as far as the later stages read them:
+orthogonal levels store more, exactly as far as the later stages read them:
 
 * the last real level covers delta_bound, plus 2*p_1 when the odd-sigma
   half level follows: that level reads value(r, r', i - d) and
@@ -44,7 +44,8 @@ from typing import Dict, Optional, Tuple
 from .fields import FieldElement, RATIONALS, sqrt_extend
 from .linalg import Matrix, Unique, dot, solve_linear
 from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, InvalidInput,
-                     ShapeSeq, binomial_nk, pi_window, psi)
+                     ShapeSeq, VerificationFailed, binomial_nk, pi_window,
+                     psi)
 
 
 class WindowExceeded(Exception):
@@ -149,6 +150,8 @@ class GramTable:
         self._memo: Dict[Tuple[int, int], object] = {}
         if mode == ORTHOGONAL:
             self._build_orthogonal()
+        else:
+            self._build_symplectic()
 
     # -- public accessors ---------------------------------------------------
 
@@ -156,8 +159,6 @@ class GramTable:
         """The canonical value for block pair (t, r) at offset delta = i - j."""
         sigma_k = self.shape.sigma + self.shape.kappa
         assert 1 <= t <= sigma_k and 1 <= r <= sigma_k
-        if self.mode == SYMPLECTIC:
-            return self._symplectic_value(t, r, delta)
         return self._val(t, r, delta)
 
     def gram_matrix(self) -> Matrix:
@@ -170,17 +171,20 @@ class GramTable:
 
     # -- symplectic / char-2 closed form ------------------------------------
 
-    def _symplectic_value(self, t, r, delta):
-        sigma = self.shape.sigma
-        if t == r and t <= sigma:
-            p = self.shape.part(t)
-            if abs(delta) < p:
-                return self.field.zero
-            mag = comb(abs(delta) + p - 1, abs(delta) - p)
-            return self.field.from_int(sg(-delta) * mag)
-        if t == r:  # the kappa row diagonal: field image of 2
-            return self.field.from_int(2)
-        return self.field.zero
+    def _build_symplectic(self):
+        f, shape, bound = self.field, self.shape, self.delta_bound
+        sigma_k = shape.sigma + shape.kappa
+        for t in range(1, sigma_k + 1):
+            for r in range(t + 1, sigma_k + 1):
+                self._memo[(t, r)] = _ConstPair(f.zero)
+        for t in range(1, shape.sigma + 1):
+            p = shape.part(t)
+            vals = {d: f.zero if abs(d) < p else
+                    f.from_int(sg(-d) * comb(abs(d) + p - 1, abs(d) - p))
+                    for d in range(-bound, bound + 1)}
+            self._memo[(t, t)] = _RangePair(-bound, bound, vals)
+        if shape.kappa:  # the kappa row diagonal: field image of 2
+            self._memo[(sigma_k, sigma_k)] = _ConstPair(f.from_int(2))
 
     # -- orthogonal-odd construction ----------------------------------------
 
@@ -304,11 +308,10 @@ class GramTable:
 
             L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e),
 
-        evaluated by ``_apply``.  With coef = atilde this is the full form
-        behind nu, the cross values and the diagonal of a window level; the
-        alpha and beta steps pass only the coefficients already solved for.
-        K holds coordinate tuples.  Zero entries are dropped, so no value
-        behind one is ever read.
+        evaluated by ``_apply``.  With coef = atilde this is the form whose
+        zeros fix atilde, and which gives nu, the cross values and the
+        diagonal of a window level.  K holds coordinate tuples.  Zero
+        entries are dropped, so no value behind one is ever read.
         """
         f = self.field
         nk = [n.coords for n in self._nk_elems(level)]
@@ -337,44 +340,46 @@ class GramTable:
     # -- auxiliary systems (alpha, beta, merged coefficients, mu) ------------
 
     def _compute_aux(self, level: int, window):
+        """The level's auxiliary coefficients atilde, then nu and mu.
+
+        atilde = {(r, h): r in the window, 0 <= h < 2 (p_r - level)} is the
+        unique solution of L(t, e) = 0 for every window row t and every
+        level - 2 p_t < e <= -level, as many equations as unknowns; L is
+        the form of ``_kernel``.  The coefficient of (r, h) in equation
+        (t, e) is sum_k n_k value(r, t, h + e + k), a function of s = h + e
+        read once per (r, t, s); the row-a term of L is the right-hand side.
+        """
         p = self.shape.part
         f = self.field
         a = window[0]
-        alpha: Dict[Tuple[int, int], FieldElement] = {}
-        beta: Dict[Tuple[int, int], FieldElement] = {}
-        max_h = max(p(r) - level for r in window)
-        for h in range(max_h + 1):
-            # alpha step, descending over the window: reads alpha_i for
-            # i < h and every beta found so far (those of j < h)
-            K = self._kernel(level, a, {**alpha, **beta})
-            for r in reversed(window):
-                if h > p(r) - level - 1:
-                    continue
-                xs, ys = self._terms(K, r, -(p(r) + h))
-                for rp in window:
-                    if rp > r and p(rp) == p(r):
-                        xs.append(alpha[(rp, h)].coords)
-                        ys.append(self._val(rp, r, -p(r)).coords)
-                alpha[(r, h)] = -FieldElement(f, f.dot(xs, ys))
-            if h == 0:
-                continue
-            # beta step, ascending over the window: alpha_i for i < h - 1,
-            # beta_(2p - 2 level - j) for j < h
-            K = self._kernel(level, a, {
-                **{key: c for key, c in alpha.items() if key[1] < h - 1},
-                **beta})
-            for r in window:
-                if h > p(r) - level:
-                    continue
-                xs, ys = self._terms(K, r, -(p(r) - h))
-                for rp in window:
-                    if rp < r:
-                        xs.append(beta[(rp, 2 * p(rp) - 2 * level - h)].coords)
-                        ys.append(self._val(rp, r, 2 * p(rp) - p(r)).coords)
-                beta[(r, 2 * p(r) - 2 * level - h)] = \
-                    -FieldElement(f, f.dot(xs, ys))
+        nk = [n.coords for n in self._nk_elems(level)]
+        coeff: Dict[Tuple[int, int, int], FieldElement] = {}
+
+        def c(r, t, s):
+            if (r, t, s) not in coeff:
+                coeff[(r, t, s)] = FieldElement(f, f.dot(
+                    nk, [self._val(r, t, s + k).coords
+                         for k in range(len(nk))]))
+            return coeff[(r, t, s)]
+
+        unknowns = [(r, h) for r in window for h in range(2 * (p(r) - level))]
+        # e from -level down: on the corner scan's (k, 1) tables this order
+        # takes a third fewer row eliminations than the ascending one
+        equations = [(t, e) for t in window
+                     for e in range(-level, level - 2 * p(t), -1)]
+        top = 2 * p(a) - 2 * level
+        sol = solve_linear(
+            Matrix(f, [[c(r, t, h + e) for (r, h) in unknowns]
+                       for (t, e) in equations]),
+            [-c(a, t, top + e) for (t, e) in equations])
+        if not isinstance(sol, Unique):
+            raise VerificationFailed(
+                f"the auxiliary system of level {level} has no unique "
+                f"solution")
+        atilde = dict(zip(unknowns, sol.x))
         # alpha holds the indices below p - level, beta the rest
-        atilde = {**alpha, **beta}
+        alpha = {(r, h): x for (r, h), x in atilde.items() if h < p(r) - level}
+        beta = {(r, h): x for (r, h), x in atilde.items() if h >= p(r) - level}
         K = self._kernel(level, a, atilde)
         nu = {t: self._apply(K, t, -(2 * p(t) - level)) for t in window}
         self.aux[level] = {"alpha": alpha, "beta": beta, "atilde": atilde, "nu": nu}
@@ -489,16 +494,15 @@ class GramTable:
             c = {key: f.zero for key in idx}
         cv = [c[key] for key in idx]
         nu = -dot(cv, gmat.apply(cv), f)
-
-        def corr(rp, e):
-            """sum over (r, i) of c_(r, i) value(r, rp, i + e)."""
-            return dot(cv, [self._val(r, rp, i + e) for (r, i) in idx], f)
+        # the form sum over (r, i) of c_(r, i) value(r, rp, i + e)
+        form = {key: x.coords for key, x in c.items()}
 
         # Each value is a bracket in the field this level starts in, times
         # 1/cx0 (cross) or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2:
         # only the cross values' final scale needs the root.  For the pair (r', x) the
         # offset is d = i' - h.
-        cross = {rp: {d: self._val(a, rp, 2 * p_a - d) - corr(rp, -d)
+        cross = {rp: {d: self._val(a, rp, 2 * p_a - d)
+                      - self._apply(form, rp, -d)
                       for d in range(-d_range, d_range + 1)}
                  for rp in range(a, sigma + 1)}
         # the quadratic term sum c_(r, i) c_(r', i') value(r, r', i - i' + d)
@@ -510,8 +514,8 @@ class GramTable:
         cc = [FieldElement(f, corr_c[key]) for key in keys]
         # the diagonal is even in d, like value(a, a, .) and the
         # quadratic term, so only d >= 0 is computed
-        diag = [self._val(a, a, d) - corr(a, d - 2 * p_a)
-                - corr(a, -d - 2 * p_a)
+        diag = [self._val(a, a, d) - self._apply(form, a, d - 2 * p_a)
+                - self._apply(form, a, -d - 2 * p_a)
                 + dot(cc, [self._val(r, rp, e + d) for (r, rp, e) in keys], f)
                 for d in range(d_range + 1)]
         self.aux[HALF_LEVEL] = {"c": c, "nu": nu}

@@ -216,12 +216,12 @@ class IsometryModel:
 def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
     """Reconstruct (V, form, g) from the canonical pairing table.
 
-    g shifts e^t_i to e^t_{i+1} within each block; each block's last image
-    is solved from the pairing constraints.  The kappa row is fixed by g
-    exactly when a size-1 Jordan block is predicted; otherwise its image
-    is solved like every other block end.  All model invariants (isometry,
-    nilpotency, Jordan multiset, the six collection clauses, and the
-    table round trip) are verified before returning.
+    g shifts e^t_i to e^t_{i+1} within each block; each block's last image,
+    the kappa row's too, is solved from the pairing constraints.  Where a
+    size-1 Jordan block is predicted, that solve gives g e^(sigma+1)_0 =
+    e^(sigma+1)_0.  All model invariants (isometry, nilpotency, Jordan
+    multiset, the six collection clauses, and the table round trip) are
+    verified before returning.
     """
     table = GramTable(shape, mode, field)
     f = table.field
@@ -236,7 +236,6 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         if f.char == 2 else None
     space = QuadSpace(f, gram, q_basis)
 
-    kappa_fixed = shape.kappa == 1 and (mode == SYMPLECTIC or sigma % 2 == 0)
     gram_t = gram.transpose()
     index_of = {ti: m for m, ti in enumerate(idx)}
     cols: List[tuple] = []
@@ -245,11 +244,6 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         if i < hi:
             e = [f.zero] * nu
             e[index_of[(t, i + 1)]] = f.one
-            cols.append(tuple(e))
-            continue
-        if t > sigma and kappa_fixed:
-            e = [f.zero] * nu
-            e[index_of[(t, 0)]] = f.one
             cols.append(tuple(e))
             continue
         top = hi + 1

@@ -4,10 +4,13 @@ from math import comb
 
 import pytest
 
+from isoflag import gram
 from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.gram import GramTable, WindowExceeded, check_conjecture_210, sg
-from isoflag.shapes import ORTHOGONAL, SYMPLECTIC, ShapeSeq
+from isoflag.linalg import NoSolution
+from isoflag.shapes import HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, ShapeSeq, \
+    VerificationFailed, pi_window
 from closed_forms import closed_form_value
 
 
@@ -59,6 +62,19 @@ class TestSymplecticClosedForm:
             assert t.value(1, 3, d).is_zero
         assert t.value(3, 3, 0) == t.field.from_int(2)  # zero in char 2
         assert t.value(3, 3, 0).is_zero
+
+    def test_reading_past_the_window_raises(self):
+        # the block diagonals are stored over |delta| <= delta_bound, like
+        # the orthogonal ranges; the constant pairs have no window
+        t = GramTable(ShapeSeq((2, 1), kappa=1), SYMPLECTIC,
+                      get_finite_field(2))
+        for x in (1, 2):
+            for d in (-t.delta_bound, t.delta_bound):
+                t.value(x, x, d)
+            for d in (-t.delta_bound - 1, t.delta_bound + 1):
+                with pytest.raises(WindowExceeded):
+                    t.value(x, x, d)
+        assert t.value(1, 2, 1000).is_zero and t.value(3, 3, -1000).is_zero
 
 
 class TestOrthogonalRecursion:
@@ -142,6 +158,47 @@ class TestOrthogonalRecursion:
         t = GramTable(shape, ORTHOGONAL)
         for d in range(-6, 7):
             assert t.value(1, 2, d) == t.value(1, 3, d)
+
+
+class TestLevelSystem:
+    def test_atilde_solves_the_level_system(self):
+        # atilde of a window level [a, b] has the unknowns (r, h),
+        # h < 2 (p_r - level), and zeroes the level's form at every window
+        # row r and level - 2 p_r < e <= -level: summed here term by term,
+        # sum_k n_k (value(a, r, 2 p_a - 2 level + e + k)
+        #            + sum_(r', h) atilde[(r', h)] value(r', r, h + e + k))
+        checked = 0
+        for field in (RATIONALS, get_finite_field(5), get_finite_field(7)):
+            for shape in orthogonal_shapes(6):
+                t = GramTable(shape, ORTHOGONAL, field)
+                f, p = t.field, shape.part
+                for level, aux in t.aux.items():
+                    if level == HALF_LEVEL:
+                        continue
+                    win = pi_window(shape, level)
+                    window = range(win.a, win.b + 1)
+                    assert set(aux["atilde"]) == {
+                        (r, h) for r in window
+                        for h in range(2 * (p(r) - level))}
+                    terms = {**aux["atilde"],
+                             (win.a, 2 * p(win.a) - 2 * level): f.one}
+                    for r in window:
+                        for e in range(level - 2 * p(r) + 1, -level + 1):
+                            acc = f.zero
+                            for k in range(2 * level + 1):
+                                n = f.from_int((-1) ** k * comb(2 * level, k))
+                                for (rp, h), c in terms.items():
+                                    acc = acc + n * c * t.value(rp, r,
+                                                                h + e + k)
+                            assert acc.is_zero, (shape, level, r, e)
+                    checked += 1
+        assert checked == 63  # 21 window levels per field
+
+    def test_a_level_system_without_unique_solution_raises(self, monkeypatch):
+        # (2, 1) has one window level, 1, and no half level
+        monkeypatch.setattr(gram, "solve_linear", lambda a, b: NoSolution())
+        with pytest.raises(VerificationFailed, match="level 1 "):
+            GramTable(ShapeSeq((2, 1)), ORTHOGONAL)
 
 
 class TestDiagnostics:

@@ -380,6 +380,17 @@ class TestKernelOracle:
             assert [list(r) for r in a.rows] == ref
             assert all(x.field is field for r in a.rows for x in r)
 
+    @pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+    def test_product_forms_every_sum(self, name):
+        # the examples above rarely form one given sum of a table field;
+        # row [x, y] times the column [1, 1] is x + y, for every pair
+        field = TABLE_FIELDS[name]
+        xs = [field.element(field.decode(n)) for n in range(field.q)]
+        pairs = Matrix(field, [[x, y] for x in xs for y in xs])
+        ones = Matrix(field, [[field.one], [field.one]])
+        assert [r[0] for r in (pairs * ones).rows] == \
+            [x + y for x in xs for y in xs]
+
     def test_equal_ints_over_other_fields_differ(self):
         a5, a7 = (Matrix.from_scalars(f, [[1, 1], [0, 1]])
                   for f in (GF5, GF7))

@@ -16,7 +16,7 @@ from isoflag.model import (IsoFlag, IsometryModel,
                            flags_from, normalize_signs, position_check,
                            round_trip_mismatches, split_check)
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
-                            psi)
+                            jordan_prediction, psi)
 from components import component_check
 from dense import dense_isometry, dense_shear
 from spans import span_contains, span_dim
@@ -434,6 +434,25 @@ class TestSweep:
         flipped = m.with_signs({1: -1, 2: 1, 3: 1})
         assert round_trip_mismatches(flipped) == []
         _verify_model(flipped)
+
+    def test_kappa_row_fixed_by_a_size_one_block(self, model_sweep):
+        # g e^(sigma+1)_0 = e^(sigma+1)_0 wherever a block of size 1 is
+        # predicted, which with kappa = 1 is in symplectic mode and in
+        # orthogonal mode with sigma even; the block-end solve finds it
+        checked = 0
+        for (_p, kappa, mode, _name), m in model_sweep.items():
+            sigma = m.shape.sigma
+            if not kappa:
+                continue
+            fixed = mode == SYMPLECTIC or sigma % 2 == 0
+            assert bool(jordan_prediction(m.shape, mode)[1]) == fixed
+            if fixed:
+                j = m.basis_index.index((sigma + 1, 0))
+                f = m.field
+                assert m.g.col(j) == tuple(
+                    f.one if i == j else f.zero for i in range(m.space.dim))
+                checked += 1
+        assert checked == 68
 
     def test_pinned_spaces(self, model_sweep):
         # any change to G, Q or the mode of any sweep space changes it
