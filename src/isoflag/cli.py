@@ -46,7 +46,7 @@ def parse_field(text: str):
             p = int(parts[0])
             m = int(parts[1]) if len(parts) > 1 else 1
             return get_finite_field(p, m)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad field spec {text!r}: {exc}") from exc
     raise UsageError(f"bad field spec {text!r} (use 'rat' or 'gf:p[,m]')")
 

@@ -14,15 +14,18 @@ m, which computes v m once per distinct row v.  The int tuples are the
 raw rows of linalg's GF(q) kernel, which ``FiniteFormSpace.kernel``
 holds, so inverses, the cell algebra, the Jordan rule and the relative
 position (``bruhat_pivots``, re-exported here) all eliminate through
-linalg.  The group is listed in closure order.  The filter sorts only
-the elements whose trace and trace of square are those of a unipotent,
-splits them into conjugacy classes once, runs the Jordan rule at two
-members of each class, not at every element, and hands the classes of
-the chosen type on to the count.  The flags are read off the Bruhat
-cells, u w F0 with u in U_w, each as its basis u w alone, and gated by
-``IsoFlag.verify`` and |flags| x |B| = |G|; the count takes each basis's
-inverse from ``flag_inverse``, the gate's own where it ran (type A has no
-form gate and eliminates there).  Only prime q is supported.
+linalg.  The group is closed from the pieces of the Bruhat decomposition
+G = B W B that the flags are built from, the Weyl monomials, one torus
+element and the root-cell elements, and listed in closure order.  The
+filter sorts only the elements whose trace and trace of square are those
+of a unipotent, splits them into conjugacy classes once, runs the Jordan
+rule at two members of each class, not at every element, and hands the
+classes of the chosen type on to the count.  The flags are read off the
+Bruhat cells, u w F0 with u in U_w, each as its basis u w alone, and
+gated by ``IsoFlag.verify`` and |flags| x |B| = |G|; the count takes
+each basis's inverse from ``flag_inverse``, the gate's own where it ran
+(type A has no form gate and eliminates there).  Only prime q is
+supported.
 """
 
 from __future__ import annotations
@@ -155,10 +158,6 @@ class FiniteFormSpace:
         if self.form is not None:
             self.quad = QuadSpace(field, Matrix.from_scalars(field, self.form))
 
-    def bilinear(self, u, v) -> int:
-        return sum(u[i] * sum(f * y for f, y in zip(self.form[i], v))
-                   for i in range(self.nu)) % self.q
-
     def lift(self, rows) -> Matrix:
         """The GF(q) matrix of an int matrix, built on its residues
         without a FieldElement per entry."""
@@ -184,55 +183,28 @@ def _primitive_root(q: int) -> int:
                  if len({pow(a, k, q) for k in range(q - 1)}) == q - 1), 1)
 
 
-def _nonzero_vectors(nu: int, q: int) -> List[tuple]:
-    """Every nonzero vector of GF(q)^nu, in ascending base-q encoding."""
-    return [tuple(code // q ** k % q for k in range(nu))
-            for code in range(1, q ** nu)]
-
-
 def _generators(space: FiniteFormSpace) -> List[tuple]:
-    """Generators of the group, without repeats; a is a primitive root.
-
-    Type A: the elementary transvections and diag(a, 1, ..., 1).  Sp: the
-    transvections x -> x + c (x, v) v with c in {1, a} over every nonzero
-    v.  SO: r_0 r_v over every anisotropic v, with r_v the reflection in v
-    and r_0 the first of them.
-    """
+    """The group's generators, the pieces of G = B W B that the flags are
+    built from: the non-identity monomials w of _weyl_group; the torus
+    element diag(a, 1, ..., 1, a^-1), or diag(a, 1, ..., 1) in type A,
+    for the primitive root a; and the cell element of each basis vector
+    of the full upper cell algebra.  The torus element is left out at
+    rank 0 (SO_1), whose torus is trivial, and where a = 1 (q = 2)."""
     nu, q = space.nu, space.q
+    gens = [_times_weyl(mat_identity(nu), p, signs, q)
+            for p, signs in _weyl_group(space)[1:]]
     a = _primitive_root(q)
-    if space.mode == TYPE_A:
-        gens = []
-        for i in range(nu):
-            for j in range(nu):
-                if i != j:
-                    g = [list(r) for r in mat_identity(nu)]
-                    g[i][j] = 1
-                    gens.append(tuple(tuple(r) for r in g))
-        d = [list(r) for r in mat_identity(nu)]
-        d[0][0] = a
-        gens.append(tuple(tuple(r) for r in d))
-        return gens
-    pool = _nonzero_vectors(nu, q)
-    if space.mode == SP:
-        return list(dict.fromkeys(_transvection(space, v, c)
-                                  for v in pool for c in (1, a)))
-    refs = list(dict.fromkeys(_reflection(space, v) for v in pool
-                              if space.bilinear(v, v)))
-    return [mat_mul(refs[0], r, q) for r in refs[1:]]
-
-
-def _transvection(space: FiniteFormSpace, v, c) -> tuple:
-    """x -> x + c (x, v) v; column i adds c (e_i, v) = c (J v)_i times v."""
-    nu, q = space.nu, space.q
-    jv = [sum(map(mul, row, v)) for row in space.form]
-    return tuple(tuple((int(r == i) + c * jv[i] * v[r]) % q
-                       for i in range(nu)) for r in range(nu))
-
-
-def _reflection(space: FiniteFormSpace, v) -> tuple:
-    """The reflection in an anisotropic v: c = -2 / (v, v)."""
-    q = space.q
-    return _transvection(space, v, -2 * pow(space.bilinear(v, v), q - 2, q))
+    if space.degrees and a != 1:
+        d = [a] + [1] * (nu - 1)
+        if space.form is not None:
+            d[-1] = pow(a, q - 2, q)
+        gens.append(tuple(tuple(x * (i == j) for j in range(nu))
+                          for i, x in enumerate(d)))
+    slots = [(i, j) for i in range(nu) for j in range(i + 1, nu)]
+    gens.extend(_cell_element(_nilpotent(nu, slots, values), q,
+                              space.form is not None)
+                for values in _cell_algebra(space, slots))
+    return gens
 
 
 class GroupEnum:
@@ -381,6 +353,20 @@ def _cell_algebra(space: FiniteFormSpace, slots) -> List[tuple]:
     return nullspace_rows(rows, space.kernel, len(slots))
 
 
+def _nilpotent(nu: int, slots, values) -> List[List[int]]:
+    """The nu x nu X with ``values`` on ``slots`` and zeros elsewhere."""
+    x = [[0] * nu for _ in range(nu)]
+    for (a, b), v in zip(slots, values):
+        x[a][b] = v
+    return x
+
+
+def _times_weyl(u, p, signs, q: int) -> tuple:
+    """u w for the monomial w e_j = s_j e_{p(j)}: column j of u w is s_j
+    times column p(j) of u."""
+    return tuple(tuple(s * r[pj] % q for s, pj in zip(signs, p)) for r in u)
+
+
 def _cell_element(x, q: int, cayley: bool) -> tuple:
     """u from a nilpotent X.  With ``cayley``, u is the Cayley transform
     of N = 2X, (1 - X)^-1 (1 + X) = 1 + 2 (X + X^2 + ...), an isometry
@@ -410,13 +396,10 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[tuple]:
                  if p.index(a) > p.index(b)]
         algebra = _cell_algebra(space, slots)
         for coeffs in product(range(q), repeat=len(algebra)):
-            x = [[0] * nu for _ in range(nu)]
-            for (a, b), *values in zip(slots, *algebra):
-                x[a][b] = sum(map(mul, coeffs, values)) % q
+            x = _nilpotent(nu, slots, [sum(map(mul, coeffs, c)) % q
+                                       for c in zip(*algebra)])
             u = _cell_element(x, q, space.form is not None)
-            flags.append(tuple(tuple(s * u[r][pj] % q
-                                     for s, pj in zip(signs, p))
-                               for r in range(nu)))
+            flags.append(_times_weyl(u, p, signs, q))
     check_isotropic_flags(space, flags)
     return flags
 

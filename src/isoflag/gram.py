@@ -63,7 +63,9 @@ def _recur(field, vals, coeffs, ds, step, rhs):
     coeffs[0] is one, and every vals[d - step j] with j >= 1 is already
     set when d comes up: step 1 runs upwards, step -1 downwards.  rhs(d)
     is two lists of coordinate tuples whose dot is the right-hand side;
-    each value is one ``field.dot``, wrapped once.
+    each value is one ``field.dot``, wrapped once.  The cross (2.3),
+    window-diagonal (2.4) and same-level (2.6) values run through it; the
+    2.5 diagonal has a closed form.
     """
     neg = [field.neg(c.coords) for c in coeffs[1:]]
     for d in ds:
@@ -432,22 +434,16 @@ class GramTable:
         self.case_map[(x, x)] = "2.4"
 
     def _diag_25(self, x, level, d_range):
-        """Same-index values when b is even or the level is the top one."""
-        f = self.field
+        """Same-index values when b is even or the level is the top one:
+        C(|d| + l, 2l) + C(|d| + l - 1, 2l) at level l, the polynomial of
+        degree 2l in |d| that is 0 inside (-l, l), 1 at +-l and 2l + 2 at
+        +-(l + 1), so its (2l + 1)-th difference vanishes."""
+        bound = max(level, d_range)
         vals: Dict[int, FieldElement] = {}
-        for d in range(-level + 1, level):
-            vals[d] = f.zero
-        vals[-level] = f.one
-        vals[level] = f.one
-        if d_range >= level + 1:
-            vals[-level - 1] = f.from_int(2 * level + 2)
-        coeffs = [f.from_int((-1) ** k * comb(2 * level + 1, k))
-                  for k in range(2 * level + 2)]
-        _recur(f, vals, coeffs, range(-level - 2, -d_range - 1, -1), -1,
-               lambda d: ([], []))
-        for d in range(level + 1, d_range + 1):
-            vals[d] = vals[-d]
-        self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
+        for d in range(bound + 1):
+            vals[d] = vals[-d] = self.field.from_int(
+                comb(d + level, 2 * level) + comb(d + level - 1, 2 * level))
+        self._memo[(x, x)] = _RangePair(-bound, bound, vals)
         self.case_map[(x, x)] = "2.5"
 
     def _off_26(self, y, x, level, d_range):

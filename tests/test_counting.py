@@ -2,6 +2,7 @@ import hashlib
 import json
 import shlex
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,24 @@ def pair_loop(space, gamma, shape=None):
 
 def trace_mod(g, q):
     return sum(g[i][i] for i in range(len(g))) % q
+
+
+def generator_kind(g):
+    """"U" for an upper unitriangular matrix, "T" for any other diagonal
+    one, "W" for any other monomial one, else None."""
+    nu = len(g)
+    if all(g[i][i] == 1 and not any(g[i][:i]) for i in range(nu)):
+        return "U"
+    if all(sum(map(bool, row)) == 1 for row in g) and \
+            all(sum(map(bool, col)) == 1 for col in zip(*g)):
+        return "T" if all(g[i][i] for i in range(nu)) else "W"
+    return None
+
+
+def bilinear(space, u, v):
+    """(u, v) mod q under the space's int Gram matrix."""
+    return sum(x * f * y for x, row in zip(u, space.form)
+               for f, y in zip(row, v)) % space.q
 
 
 def registry_spaces():
@@ -254,20 +273,65 @@ class TestSpacesAndGroups:
             enumerate_group(FiniteFormSpace(TYPE_A, 2, 2))
 
     def test_proper_subgroup_fails_order_gate(self, monkeypatch):
-        # one transvection generates a group of order 3 in Sp2(F3)
-        real = counting._generators
-        monkeypatch.setattr(counting, "_generators",
-                            lambda space: real(space)[:1])
+        # one root-cell element, the transvection x -> x + (x, e_0) e_0,
+        # generates a group of order 3 in Sp2(F3)
+        cell = ((1, 2), (0, 1))
+        assert cell in counting._generators(FiniteFormSpace(SP, 2, 3))
+        monkeypatch.setattr(counting, "_generators", lambda space: [cell])
         with pytest.raises(VerificationFailed, match="closure order 3 never "
                            "matched the formula 24"):
             enumerate_group(FiniteFormSpace(SP, 2, 3))
+
+    @pytest.mark.parametrize("mode, nu, q", registry_spaces() + [
+        (TYPE_A, 1, 2), (TYPE_A, 1, 3), (SP, 2, 7), (SO_ODD, 1, 3),
+        (SO_ODD, 3, 5)])
+    def test_generators_are_weyl_then_torus_then_cells(self, mode, nu, q):
+        # |W| - 1 monomials, one torus element unless the rank is 0 or
+        # q = 2, and one cell element per positive root
+        space = FiniteFormSpace(mode, nu, q)
+        n = len(space.degrees)
+        weyl = factorial(nu) if mode == TYPE_A else factorial(n) * 2 ** n
+        torus = int(n > 0 and q > 2)
+        roots = nu * (nu - 1) // 2 if mode == TYPE_A else n * n
+        assert [generator_kind(g) for g in counting._generators(space)] == \
+            ["W"] * (weyl - 1) + ["T"] * torus + ["U"] * roots
+
+    @pytest.mark.parametrize("mode, nu, q", registry_spaces())
+    @pytest.mark.parametrize("drop", ["W", "U"])
+    def test_closure_needs_weyl_and_cells(self, monkeypatch, mode, nu, q,
+                                          drop):
+        real = counting._generators
+        monkeypatch.setattr(counting, "_generators", lambda space: [
+            g for g in real(space) if generator_kind(g) != drop])
+        with pytest.raises(VerificationFailed, match="never matched"):
+            enumerate_group(FiniteFormSpace(mode, nu, q))
+
+    @pytest.mark.parametrize("mode, nu, q", [
+        (TYPE_A, 2, 5), (TYPE_A, 2, 7), (TYPE_A, 1, 3), (SO_ODD, 3, 3)])
+    def test_closure_needs_the_torus(self, monkeypatch, mode, nu, q):
+        # GL2(F3), every Sp and SO3(F5) close without it
+        real = counting._generators
+        monkeypatch.setattr(counting, "_generators", lambda space: [
+            g for g in real(space) if generator_kind(g) != "T"])
+        with pytest.raises(VerificationFailed, match="never matched"):
+            enumerate_group(FiniteFormSpace(mode, nu, q))
+
+    @pytest.mark.parametrize("mode, nu, q, order", [
+        (SO_ODD, 1, 3, 1), (SO_ODD, 1, 5, 1), (SO_ODD, 1, 7, 1),
+        (TYPE_A, 1, 3, 2)])
+    def test_rank_zero_and_one_closures(self, mode, nu, q, order):
+        # SO_1 is trivial: diag(a^-1), the torus element with no rank-0
+        # rule, is no isometry of it
+        space = FiniteFormSpace(mode, nu, q)
+        assert enumerate_group(space).order == order == \
+            group_order_formula(space)
 
     def test_runaway_closure_stops_past_formula(self, monkeypatch):
         # a reflection preserves the form but has determinant -1, so it
         # closes SO3(F3) (24 elements) up to O3(F3)
         space = FiniteFormSpace(SO_ODD, 3, 3)
         real = counting._generators
-        reflection = counting._reflection(space, (0, 1, 0))
+        reflection = ((1, 0, 0), (0, 2, 0), (0, 0, 1))  # the one in e_1
         assert space.preserves_form(reflection)
         monkeypatch.setattr(counting, "_generators",
                             lambda space: real(space) + [reflection])
@@ -395,7 +459,7 @@ class TestFlags:
         assert len(flags) == 4  # the projective line over GF(3)
         for fl in flags:
             v = next(zip(*fl))
-            assert space.bilinear(v, v) == 0
+            assert bilinear(space, v, v) == 0
 
     @pytest.mark.parametrize("mode, nu, q, count", [
         (SP, 2, 7, 8), (SO_ODD, 3, 7, 8), (SP, 4, 3, 160),
@@ -412,9 +476,9 @@ class TestFlags:
             cols = tuple(zip(*fl))
             for a in range(nu):
                 for c in range(nu - 1 - a):
-                    assert space.bilinear(cols[a], cols[c]) == 0
+                    assert bilinear(space, cols[a], cols[c]) == 0
                 if a < nu // 2:
-                    assert space.bilinear(cols[a], cols[nu - 1 - a]) != 0
+                    assert bilinear(space, cols[a], cols[nu - 1 - a]) != 0
 
     def test_flag_gate_can_fail(self):
         space = FiniteFormSpace(SO_ODD, 3, 3)
@@ -665,7 +729,7 @@ class TestCounting:
         assert rep["double_count_consistent"]
         assert rep["count"] == rep["row_count"] == 24
         cols = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-        assert space.bilinear(cols[0], cols[0]) != 0
+        assert bilinear(space, cols[0], cols[0]) != 0
         outside = basis_of(cols)
         rep = count_pairs(space, gamma, shape=shape, flags=flags + [outside])
         # column: 5 flags x 6 hits on flags[0]; rows: the class of 8 has

@@ -201,6 +201,42 @@ class TestLevelSystem:
             GramTable(ShapeSeq((2, 1)), ORTHOGONAL)
 
 
+def diagonal_25_recurrence(level, bound):
+    """The 2.5 diagonal by its recurrence, over the integers: 0 inside
+    (-level, level), 1 at +-level, 2 level + 2 at -level - 1, then
+    sum_k (-1)^k C(2 level + 1, k) vals[d + k] = 0 downwards, mirrored."""
+    vals = {d: 0 for d in range(-level + 1, level)}
+    vals[-level] = vals[level] = 1
+    vals[-level - 1] = 2 * level + 2
+    for d in range(-level - 2, -bound - 1, -1):
+        vals[d] = -sum((-1) ** k * comb(2 * level + 1, k) * vals[d + k]
+                       for k in range(1, 2 * level + 2))
+    for d in range(level + 1, bound + 1):
+        vals[d] = vals[-d]
+    return vals
+
+
+class TestDiagonal25:
+    def test_closed_form_matches_the_recurrence(self):
+        # every stored 2.5 entry of the orthogonal tables of part sum <= 6,
+        # over its symmetric range, against the schoolbook recurrence
+        checked = 0
+        for field in (RATIONALS, get_finite_field(3), get_finite_field(5),
+                      get_finite_field(7)):
+            for shape in orthogonal_shapes(6):
+                t = GramTable(shape, ORTHOGONAL, field)
+                for x in range(1, shape.sigma + 1):
+                    if t.case_map[(x, x)] != "2.5":
+                        continue
+                    pair = t._memo[(x, x)]
+                    assert -pair.lo == pair.hi >= shape.part(x)
+                    want = diagonal_25_recurrence(shape.part(x), pair.hi)
+                    for d, v in want.items():
+                        assert t.value(x, x, d) == t.field.from_int(v)
+                    checked += len(want)
+        assert checked == 12024  # 3006 stored entries per field
+
+
 class TestDiagnostics:
     def test_never_fire_on_sweep(self):
         for shape in orthogonal_shapes(5):
