@@ -275,7 +275,8 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     """
     target = group_order_formula(space)
     if target > MAX_GROUP_ORDER:
-        raise BoundExceeded(f"group order {target} exceeds cap")
+        raise BoundExceeded(f"group order {target} exceeds the cap "
+                            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     q = space.q
     gens = _generators(space)
     for i, h in enumerate(gens):

@@ -125,7 +125,6 @@ class TowerField:
         self.depth = len(radicands)
         self.dim = 1 << self.depth
 
-    kind = "rational-tower"
     char = 0
     is_finite = False
 
@@ -415,7 +414,6 @@ def get_finite_field(p: int, m: int = 1) -> "FiniteField":
 class FiniteField:
     """GF(p**m) with the canonical modulus. Use :func:`get_finite_field`."""
 
-    kind = "finite"
     is_finite = True
 
     def __init__(self, p: int, m: int):
@@ -520,7 +518,9 @@ class FiniteField:
         if key in self._embed_images:
             return self._embed_images[key]
         if self.q > FINITE_SCAN_CAP:
-            raise FiniteScanCapExceeded(f"embedding search in {self!r} exceeds scan cap")
+            raise FiniteScanCapExceeded(
+                f"embedding search in {self!r}: q = {self.q} exceeds the "
+                f"scan cap FINITE_SCAN_CAP = {FINITE_SCAN_CAP}")
         for enc in range(self.q):
             cand = self.decode(enc)
             if not any(self._horner(sub.modulus, cand)):

@@ -17,9 +17,13 @@ Two modes:
   virtual half level when kappa = 1.  Square roots taken along the way may
   extend the field; the finished table is stored over the final field.
 
-The stored values cover |delta| <= delta_bound, 6*p_1 + 2 by default (enough
-for model reconstruction and the adapted-collection checks).  Earlier
-orthogonal levels store more, exactly as far as the later stages read them:
+The table keeps value(t, r, d) for t <= r in one dict keyed (t, r, d),
+one key per stored offset; ``_val`` is its only reader.  It reads
+value(r, t, -d) for t > r, and a key that is not stored raises
+WindowExceeded.  Every pair covers |delta| <= delta_bound, 6*p_1 + 2 by
+default (enough for model reconstruction and the adapted-collection
+checks).  Earlier orthogonal levels store more, exactly as far as the
+later stages read them:
 
 * the last real level covers delta_bound, plus 2*p_1 when the odd-sigma
   half level follows: that level reads value(r, r', i - d) and
@@ -28,11 +32,11 @@ orthogonal levels store more, exactly as far as the later stages read them:
   cross value at offset d reads the window rows at m - d (m - d - 2 level
   below the support) with 0 <= m <= 2 p_r <= 2 p_1, and the auxiliary
   systems read them within 2 p_1 of zero;
-* the diagonal, cross and same-level pairs of one level share its range:
-  the diagonal reads the level's cross values, and a same-level pair the
-  diagonal, only at offsets that pair stores.
-
-A read outside a stored range raises WindowExceeded.
+* the diagonal, cross, same-level and zero (2.2) pairs of one level share
+  its range: the diagonal reads the level's cross values, and a same-level
+  pair the diagonal, only at offsets that pair stores;
+* the half level, the symplectic closed form and its constant pairs cover
+  delta_bound.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ from typing import Dict, Optional, Tuple
 from .fields import FieldElement, RATIONALS, sqrt_extend
 from .linalg import Matrix, Unique, dot, solve_linear
 from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, InvalidInput,
-                     ShapeSeq, VerificationFailed, binomial_nk, pi_window,
-                     psi)
+                     ShapeSeq, VerificationFailed, binomial_nk, pi_window)
 
 
 class WindowExceeded(Exception):
@@ -86,40 +89,12 @@ def _grouped_dots(field, terms):
     return {key: field.dot(xs, ys) for key, (xs, ys) in groups.items()}
 
 
-class _ConstPair:
-    """All offsets share one value (zero rows, the kappa-row constants)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def get(self, delta):
-        return self.value
-
-    def lift(self, field):
-        return _ConstPair(field.lift(self.value))
-
-
-class _RangePair:
-    """Values stored for offsets lo..hi inclusive."""
-
-    __slots__ = ("lo", "hi", "values")
-
-    def __init__(self, lo, hi, values):
-        self.lo = lo
-        self.hi = hi
-        self.values = values
-
-    def get(self, delta):
-        if delta < self.lo or delta > self.hi:
-            raise WindowExceeded(f"offset {delta} outside computed range "
-                                 f"[{self.lo}, {self.hi}]")
-        return self.values[delta]
-
-    def lift(self, field):
-        return _RangePair(self.lo, self.hi,
-                          {d: field.lift(v) for d, v in self.values.items()})
+def _lift(field, obj):
+    """``obj`` with every FieldElement in it, at any dict depth, lifted into
+    ``field``."""
+    if isinstance(obj, dict):
+        return {key: _lift(field, v) for key, v in obj.items()}
+    return field.lift(obj)
 
 
 class GramTable:
@@ -149,7 +124,7 @@ class GramTable:
         self.diagnostics = {"mu_zero_levels": [], "sec28_singular": False}
         self.case_map: Dict[Tuple[int, int], str] = {}
         self.aux: Dict[object, dict] = {}
-        self._memo: Dict[Tuple[int, int], object] = {}
+        self._store: Dict[Tuple[int, int, int], FieldElement] = {}
         if mode == ORTHOGONAL:
             self._build_orthogonal()
         else:
@@ -160,7 +135,9 @@ class GramTable:
     def value(self, t: int, r: int, delta: int) -> FieldElement:
         """The canonical value for block pair (t, r) at offset delta = i - j."""
         sigma_k = self.shape.sigma + self.shape.kappa
-        assert 1 <= t <= sigma_k and 1 <= r <= sigma_k
+        for index in (t, r):
+            if not 1 <= index <= sigma_k:
+                raise InvalidInput(f"block index {index} outside 1..{sigma_k}")
         return self._val(t, r, delta)
 
     def gram_matrix(self) -> Matrix:
@@ -178,15 +155,15 @@ class GramTable:
         sigma_k = shape.sigma + shape.kappa
         for t in range(1, sigma_k + 1):
             for r in range(t + 1, sigma_k + 1):
-                self._memo[(t, r)] = _ConstPair(f.zero)
+                self._store_const(t, r, f.zero, bound)
         for t in range(1, shape.sigma + 1):
             p = shape.part(t)
-            vals = {d: f.zero if abs(d) < p else
-                    f.from_int(sg(-d) * comb(abs(d) + p - 1, abs(d) - p))
-                    for d in range(-bound, bound + 1)}
-            self._memo[(t, t)] = _RangePair(-bound, bound, vals)
+            self._store_pair(t, t, {
+                d: f.zero if abs(d) < p else
+                f.from_int(sg(-d) * comb(abs(d) + p - 1, abs(d) - p))
+                for d in range(-bound, bound + 1)})
         if shape.kappa:  # the kappa row diagonal: field image of 2
-            self._memo[(sigma_k, sigma_k)] = _ConstPair(f.from_int(2))
+            self._store_const(sigma_k, sigma_k, f.from_int(2), bound)
 
     # -- orthogonal-odd construction ----------------------------------------
 
@@ -208,21 +185,33 @@ class GramTable:
             self._half_level_even()
 
     def _val(self, t, r, delta):
-        if t <= r:
-            return self._memo[(t, r)].get(delta)
-        return self._memo[(r, t)].get(-delta)
+        key = (t, r, delta) if t <= r else (r, t, -delta)
+        try:
+            return self._store[key]
+        except KeyError:
+            raise WindowExceeded(
+                f"pair ({t}, {r}) has no value stored at offset {delta} "
+                f"(delta_bound {self.delta_bound})") from None
+
+    def _store_pair(self, t, r, vals, case=None):
+        """Store value(t, r, d) = vals[d], t <= r, at every offset d of
+        ``vals``, and the pair's case when one is given."""
+        for d, v in vals.items():
+            self._store[(t, r, d)] = v
+        if case:
+            self.case_map[(t, r)] = case
+
+    def _store_const(self, t, r, value, bound, case=None):
+        """value(t, r, d) = ``value`` for every |d| <= bound."""
+        self._store_pair(t, r, dict.fromkeys(range(-bound, bound + 1), value),
+                         case)
 
     def _set_field(self, field):
         if field == self.field:
             return
         self.field = field
-        self._memo = {k: v.lift(field) for k, v in self._memo.items()}
-        for data in self.aux.values():
-            for key, val in data.items():
-                if isinstance(val, FieldElement):
-                    data[key] = field.lift(val)
-                elif isinstance(val, dict):
-                    data[key] = {k: field.lift(v) for k, v in val.items()}
+        self._store = _lift(field, self._store)
+        self.aux = _lift(field, self.aux)
 
     def _has_even_drop(self, y: int, x: int) -> bool:
         """Is there an even r in [y, x-1] with part(r) > part(r+1)?
@@ -264,15 +253,14 @@ class GramTable:
             # with psi = 1 and part > level, against the choice of a as
             # the largest one
             for t in window:
-                self._cross_23(t, x0, level, K, d_level)
-                for x in xs[1:]:
-                    self._memo[(t, x)] = self._memo[(t, x0)]
-                    self.case_map[(t, x)] = "2.3"
+                self._cross_23(t, xs, level, K, d_level)
             for y in range(1, shape.sigma + 1):
                 if shape.part(y) > level and y not in window:
                     assert self._has_even_drop(y, x0), \
                         "index above the window must satisfy the even-drop rule"
-                    self._zero_pairs(y, xs, "2.2")
+                    for x in xs:
+                        self._store_const(y, x, self.field.zero, d_level,
+                                          "2.2")
             for x in xs:
                 self._diag_24(x, level, K, d_level)
         else:
@@ -281,18 +269,14 @@ class GramTable:
                 if shape.part(y) > level:
                     assert self._has_even_drop(y, x0), \
                         "b even forces the even-drop rule for every higher row"
-                    self._zero_pairs(y, xs, "2.2")
+                    for x in xs:
+                        self._store_const(y, x, self.field.zero, d_level,
+                                          "2.2")
             for x in xs:
                 self._diag_25(x, level, d_level)
         for yi, y in enumerate(xs):
             for x in xs[yi + 1:]:
                 self._off_26(y, x, level, d_level)
-
-    def _zero_pairs(self, y: int, xs, case: str):
-        """Row y pairs to zero against every x in ``xs``."""
-        for x in xs:
-            self._memo[(y, x)] = _ConstPair(self.field.zero)
-            self.case_map[(y, x)] = case
 
     # -- the one linear form of the recursion --------------------------------
 
@@ -397,8 +381,9 @@ class GramTable:
 
     # -- the recursion cases -------------------------------------------------
 
-    def _cross_23(self, t, x, level, K, d_range):
-        """Values for a window row t against a level representative x."""
+    def _cross_23(self, t, xs, level, K, d_range):
+        """Values for a window row t against the level's representatives
+        ``xs``, which all share them."""
         f = self.field
         p_t = self.shape.part(t)
         nk = self._nk_elems(level)
@@ -412,8 +397,8 @@ class GramTable:
                lambda d: self._terms(K, t, -d))
         _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
                lambda d: self._terms(K, t, -d - 2 * level))
-        self._memo[(t, x)] = _RangePair(min(vals), max(vals), vals)
-        self.case_map[(t, x)] = "2.3"
+        for x in xs:
+            self._store_pair(t, x, vals, "2.3")
 
     def _diag_24(self, x, level, K, d_range):
         """Same-index values at a level whose window ends at an odd b."""
@@ -430,8 +415,7 @@ class GramTable:
                lambda d: self._terms(K, x, d))
         for d in range(level + 1, d_range + 1):
             vals[d] = vals[-d]
-        self._memo[(x, x)] = _RangePair(min(vals), max(vals), vals)
-        self.case_map[(x, x)] = "2.4"
+        self._store_pair(x, x, vals, "2.4")
 
     def _diag_25(self, x, level, d_range):
         """Same-index values when b is even or the level is the top one:
@@ -443,8 +427,7 @@ class GramTable:
         for d in range(bound + 1):
             vals[d] = vals[-d] = self.field.from_int(
                 comb(d + level, 2 * level) + comb(d + level - 1, 2 * level))
-        self._memo[(x, x)] = _RangePair(-bound, bound, vals)
-        self.case_map[(x, x)] = "2.5"
+        self._store_pair(x, x, vals, "2.5")
 
     def _off_26(self, y, x, level, d_range):
         """Distinct indices at the same level."""
@@ -458,23 +441,20 @@ class GramTable:
                lambda d: self._terms(K, x, d))
         _recur(f, vals, nk, range(level, d_range + 1), 1,
                lambda d: self._terms(K, x, d - 2 * level))
-        self._memo[(y, x)] = _RangePair(min(vals), max(vals), vals)
-        self.case_map[(y, x)] = "2.6"
+        self._store_pair(y, x, vals, "2.6")
 
     # -- the virtual half level ----------------------------------------------
 
     def _half_level_even(self):
-        sigma = self.shape.sigma
+        sigma, f, bound = self.shape.sigma, self.field, self.delta_bound
         for y in range(1, sigma + 1):
-            self._zero_pairs(y, [sigma + 1], "2.7")
-        self._memo[(sigma + 1, sigma + 1)] = _ConstPair(self.field.from_int(2))
-        self.case_map[(sigma + 1, sigma + 1)] = "2.7"
+            self._store_const(y, sigma + 1, f.zero, bound, "2.7")
+        self._store_const(sigma + 1, sigma + 1, f.from_int(2), bound, "2.7")
 
     def _half_level_odd(self, d_range):
         shape = self.shape
         sigma = shape.sigma
-        ps = psi(shape)
-        a = max(t for t in range(1, sigma + 1) if t % 2 == 1 and ps[t - 1] == 1)
+        a = pi_window(shape, HALF_LEVEL).a
         p = shape.part
         p_a = p(a)
         f = self.field
@@ -528,16 +508,14 @@ class GramTable:
         x = sigma + 1
         for y in range(1, a):
             assert self._has_even_drop(y, x)
-            self._zero_pairs(y, [x], "2.2")
+            self._store_const(y, x, self.field.zero, d_range, "2.2")
         for rp, brackets in cross.items():
-            vals = {d: inv * lift(v) for d, v in brackets.items()}
-            self._memo[(rp, x)] = _RangePair(-d_range, d_range, vals)
-            self.case_map[(rp, x)] = "2.8"
+            self._store_pair(rp, x, {d: inv * lift(v)
+                                     for d, v in brackets.items()}, "2.8")
         vals = {}
         for d, v in enumerate(diag):
             vals[d] = vals[-d] = lift(inv2 * v)
-        self._memo[(x, x)] = _RangePair(-d_range, d_range, vals)
-        self.case_map[(x, x)] = "2.8"
+        self._store_pair(x, x, vals, "2.8")
 
     def to_json(self):
         return {

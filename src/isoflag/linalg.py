@@ -394,11 +394,6 @@ class Matrix:
         return cls._of(k, _identity_rows(k, n))
 
     @classmethod
-    def zero(cls, field, nrows, ncols):
-        k = scalar_kernel(field)
-        return cls._of(k, [(k.zero,) * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_scalars(cls, field, rows):
         return cls(field, [[field.from_int(x) for x in r] for r in rows])
 

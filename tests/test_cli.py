@@ -335,6 +335,21 @@ class TestExitCodes:
         assert code == 3 and "resource bound" in err
         assert "nu = 8" in err and "bound 7" in err
 
+    def test_group_order_bound_names_bound_and_value(self, capsys):
+        code, _out, err = run(capsys, "count", "--type", "A",
+                              "--n", "4", "--q", "5")
+        assert code == 3 and "resource bound" in err
+        assert "116064000000" in err and "MAX_GROUP_ORDER = 1000000" in err
+
+    def test_scan_cap_names_bound_and_value(self, capsys):
+        # GF(11^3) extends to GF(11^6), whose 1771561 elements are more
+        # than the embedding search may scan
+        code, _out, err = run(capsys, "gram", "--shape", "2,1", "--kappa",
+                              "1", "--mode", "orthogonal-odd", "--field",
+                              "gf:11,3")
+        assert code == 3 and "resource bound" in err
+        assert "q = 1771561" in err and "FINITE_SCAN_CAP = 1000000" in err
+
     def test_every_package_exception_has_an_exit_code(self, capsys,
                                                       monkeypatch):
         # an exception class of the package that main does not map would

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -64,17 +68,16 @@ class TestSymplecticClosedForm:
         assert t.value(3, 3, 0).is_zero
 
     def test_reading_past_the_window_raises(self):
-        # the block diagonals are stored over |delta| <= delta_bound, like
-        # the orthogonal ranges; the constant pairs have no window
+        # every pair, the block diagonals, the distinct-block zeros and the
+        # kappa constant alike, is stored over |delta| <= delta_bound
         t = GramTable(ShapeSeq((2, 1), kappa=1), SYMPLECTIC,
                       get_finite_field(2))
-        for x in (1, 2):
+        for (a, b) in ((1, 1), (2, 2), (1, 2), (2, 3), (3, 3)):
             for d in (-t.delta_bound, t.delta_bound):
-                t.value(x, x, d)
+                t.value(a, b, d)
             for d in (-t.delta_bound - 1, t.delta_bound + 1):
                 with pytest.raises(WindowExceeded):
-                    t.value(x, x, d)
-        assert t.value(1, 2, 1000).is_zero and t.value(3, 3, -1000).is_zero
+                    t.value(a, b, d)
 
 
 class TestOrthogonalRecursion:
@@ -228,9 +231,12 @@ class TestDiagonal25:
                 for x in range(1, shape.sigma + 1):
                     if t.case_map[(x, x)] != "2.5":
                         continue
-                    pair = t._memo[(x, x)]
-                    assert -pair.lo == pair.hi >= shape.part(x)
-                    want = diagonal_25_recurrence(shape.part(x), pair.hi)
+                    offsets = sorted(d for (a, b, d) in t._store
+                                     if a == b == x)
+                    hi = offsets[-1]
+                    assert offsets == list(range(-hi, hi + 1))
+                    assert hi >= shape.part(x)
+                    want = diagonal_25_recurrence(shape.part(x), hi)
                     for d, v in want.items():
                         assert t.value(x, x, d) == t.field.from_int(v)
                     checked += len(want)
@@ -339,12 +345,69 @@ def test_reading_past_the_computed_range_raises():
     for shape in orthogonal_shapes(4):
         for window in (None, 0):
             t = GramTable(shape, ORTHOGONAL, delta_bound=window)
-            ranged = [pair for pair, case in t.case_map.items()
-                      if case not in ("2.2", "2.7")]
-            assert ranged
-            for (a, b) in ranged:
+            for (a, b) in t.case_map:
                 for d in (-t.delta_bound, t.delta_bound):
                     t.value(a, b, d)
                 for d in (-1000, 1000):
                     with pytest.raises(WindowExceeded):
                         t.value(a, b, d)
+
+
+def store_tables():
+    """The orthogonal tables of part sum <= 5 over Q and GF(5) at the
+    default window and windows 0 and 1, and the symplectic ones of part sum
+    <= 5, over GF(2) where kappa = 1."""
+    for field in (RATIONALS, get_finite_field(5)):
+        for window in (None, 0, 1):
+            for shape in orthogonal_shapes(5):
+                yield GramTable(shape, ORTHOGONAL, field, window)
+    for parts in partitions_up_to(5):
+        for kappa in (0, 1):
+            yield GramTable(ShapeSeq(parts, kappa), SYMPLECTIC,
+                            get_finite_field(2) if kappa else None)
+
+
+def test_each_pair_stores_one_range_over_the_window():
+    # every pair t <= r is stored at one contiguous run of offsets that
+    # covers the window, and a read one offset past either end raises, in
+    # both orders of the pair
+    tables = 0
+    for t in store_tables():
+        offsets = {}
+        for (a, b, d) in t._store:
+            offsets.setdefault((a, b), []).append(d)
+        sig = t.shape.sigma + t.shape.kappa
+        assert set(offsets) == {(a, b) for a in range(1, sig + 1)
+                                for b in range(a, sig + 1)}
+        for (a, b), ds in offsets.items():
+            lo, hi = min(ds), max(ds)
+            assert sorted(ds) == list(range(lo, hi + 1))
+            assert lo <= -t.delta_bound and hi >= t.delta_bound
+            for d in (lo - 1, hi + 1):
+                with pytest.raises(WindowExceeded, match=f"offset {d} "):
+                    t.value(a, b, d)
+                with pytest.raises(WindowExceeded, match=f"offset {-d} "):
+                    t.value(b, a, -d)
+        tables += 1
+    assert tables == 2 * 3 * 26 + 2 * 18
+
+
+def test_bad_block_index_is_a_usage_error_without_asserts():
+    # python -O strips assert statements; the index check must not depend
+    # on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from isoflag.gram import GramTable\n"
+            "from isoflag.shapes import InvalidInput, ShapeSeq\n"
+            "t = GramTable(ShapeSeq((2, 1)), 'orthogonal-odd')\n"
+            "for args in ((0, 1, 0), (1, 3, 0), (3, 3, 0)):\n"
+            "    try:\n"
+            "        t.value(*args)\n"
+            "    except InvalidInput as exc:\n"
+            "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "block index 0 outside 1..2", "block index 3 outside 1..2",
+        "block index 3 outside 1..2"]

@@ -200,7 +200,7 @@ class TestJordan:
         assert nilpotent_jordan_multiset(n) == Counter({3: 1})
 
     def test_zero_matrix(self):
-        n = Matrix.zero(RATIONALS, 3, 3)
+        n = Matrix.from_scalars(RATIONALS, [[0] * 3] * 3)
         assert nilpotent_jordan_multiset(n) == Counter({1: 3})
 
     @given(gf5_matrix(4, 4))
