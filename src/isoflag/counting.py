@@ -22,10 +22,8 @@ of a unipotent, splits them into conjugacy classes once, runs the Jordan
 rule at two members of each class, not at every element, and hands the
 classes of the chosen type on to the count.  The flags are read off the
 Bruhat cells, u w F0 with u in U_w, each as its basis u w alone, and
-gated by ``IsoFlag.verify`` and |flags| x |B| = |G|; the count takes
-each basis's inverse from ``flag_inverse``, the gate's own where it ran
-(type A has no form gate and eliminates there).  Only prime q is
-supported.
+gated by ``IsoFlag.verify`` and |flags| x |B| = |G|; the count inverts
+each basis with ``inverse_rows``.  Only prime q is supported.
 """
 
 from __future__ import annotations
@@ -240,21 +238,6 @@ def enumerate_isotropic_flags_cached(space: FiniteFormSpace) -> List[tuple]:
     return _FLAG_CACHE[key]
 
 
-#: B^-1 of each flag basis B, as int rows, keyed by (q, B).  The flag
-#: gate inverts each basis it verifies and leaves the inverse here.
-_FLAG_INVERSES: Dict[Tuple[int, tuple], List[tuple]] = {}
-
-
-def flag_inverse(space: FiniteFormSpace, basis: tuple) -> List[tuple]:
-    """The int rows of B^-1 for the flag basis B = ``basis``: the flag
-    gate's inverse when it verified B, else one ``inverse_rows``, kept;
-    ZeroDivisionError when B is singular."""
-    key = (space.q, basis)
-    if key not in _FLAG_INVERSES:
-        _FLAG_INVERSES[key] = inverse_rows(basis, space.kernel)
-    return _FLAG_INVERSES[key]
-
-
 def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     """All group elements by coset closure (Dimino's algorithm).
 
@@ -409,8 +392,7 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[tuple]):
     """Raise VerificationFailed unless each flag basis lifted into
     ``space.quad`` passes IsoFlag.verify (dim V_i = i, V_n isotropic,
     V_{nu-i} = V_i-perp; the message names the flag), and the flags times
-    |B| = q^N (q - 1)^(number of degrees) make the group order.  The
-    inverse verify finds for each basis is kept for ``flag_inverse``."""
+    |B| = q^N (q - 1)^(number of degrees) make the group order."""
     q = space.q
     if space.quad is not None:
         for fi, basis in enumerate(flags):
@@ -419,7 +401,6 @@ def check_isotropic_flags(space: FiniteFormSpace, flags: List[tuple]):
                 flag.verify()
             except IsotropyViolation as exc:
                 raise IsotropyViolation(f"flag {fi}: {exc}") from None
-            _FLAG_INVERSES[(q, basis)] = flag.inverse._raw()[1]
     borel = q ** _positive_roots(space) * (q - 1) ** len(space.degrees)
     order = group_order_formula(space)
     if len(flags) * borel != order:
@@ -566,7 +547,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
     per_g = flag_count x |S cap Cl(u)| / |Cl(u)| flags, Cl(u) its class
     under conjugation by the kept generators.  ``per_flag`` is [|S|].
     Each flag is a basis B, and u is tested in it as B^-1 u B, with B^-1
-    from ``flag_inverse``.
+    from ``inverse_rows``.
 
     ``double_count_consistent`` is an independent check by rows: one
     representative of each class is tested against every flag.  Its
@@ -596,7 +577,7 @@ def count_pairs(space: FiniteFormSpace, gamma: Counter,
 
     # g -> B^-1 g B, g in the basis B of each flag
     kernel = space.kernel
-    in_basis = [sandwich(flag_inverse(space, b), b, q) for b in flags]
+    in_basis = [sandwich(inverse_rows(b, kernel), b, q) for b in flags]
 
     def hit(g, k) -> bool:
         return admissible(bruhat_pivots(in_basis[k](g), kernel))

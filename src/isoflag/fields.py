@@ -21,7 +21,7 @@ Each field class owns the arithmetic on its coordinate tuples: ``add``,
 ``neg``, ``mul``, ``inv`` and ``dot``, with a fast path for a one-coordinate
 field (Q, GF(p)).  ``dot(xs, ys)`` is sum x_i y_i, with the products summed
 before one normalisation: integer numerators over one common denominator
-over Q, the ``_mul`` split into sqrt halves at each tower level, one ``% p``
+over Q, the split into sqrt halves at each tower level, one ``% p``
 over GF(p), and over GF(p^m) the unreduced polynomial products, reduced once
 mod p and the modulus.  ``FieldElement``'s operators, ``linalg``'s kernels
 and ``gram``'s recursion call them.
@@ -159,7 +159,7 @@ class TowerField:
         return self.from_int(1)
 
     def lift(self, elem: "FieldElement") -> "FieldElement":
-        assert self.extends(elem.field)
+        _check_lift(self, elem.field)
         pad = (0,) * (self.dim - len(elem.coords))
         return FieldElement(self, tuple(elem.coords) + pad)
 
@@ -183,7 +183,7 @@ class TowerField:
     def mul(self, a, b) -> tuple:
         if not self.depth:
             return (_qn(a[0] * b[0]),)
-        return self._mul(self.depth, a, b)
+        return self._dot(self.depth, (a,), (b,))
 
     def inv(self, a) -> tuple:
         return self._inv(self.depth, a)
@@ -192,28 +192,12 @@ class TowerField:
         """sum x_i y_i over coordinate tuples, normalised once."""
         return self._dot(self.depth, xs, ys)
 
-    def _mul(self, d: int, a, b):
-        if d == 0:
-            return (_qn(a[0] * b[0]),)
-        h = 1 << (d - 1)
-        a1, a2 = a[:h], a[h:]
-        b1, b2 = b[:h], b[h:]
-        # a zero sqrt half drops the a2*b2*r term and one cross term
-        if not any(a2):
-            hi = a2 if not any(b2) else self._mul(d - 1, a1, b2)
-            return self._mul(d - 1, a1, b1) + hi
-        if not any(b2):
-            return self._mul(d - 1, a1, b1) + self._mul(d - 1, a2, b1)
-        r = self.radicands[d - 1]
-        lo = _vadd(self._mul(d - 1, a1, b1), self._mul(d - 1, self._mul(d - 1, a2, b2), r))
-        hi = _vadd(self._mul(d - 1, a1, b2), self._mul(d - 1, a2, b1))
-        return lo + hi
-
     def _dot(self, d: int, xs, ys):
-        """The depth-d dot, split like ``_mul``: with x = x1 + x2 sqrt(r)
+        """The depth-d dot, split into sqrt halves: with x = x1 + x2 sqrt(r)
         and y = y1 + y2 sqrt(r), the low half is the dot of the x1 y1
         terms and one more, (sum x2 y2) times r; the high half is the dot
-        of the x1 y2 and x2 y1 terms.  Zero sqrt halves drop their terms."""
+        of the x1 y2 and x2 y1 terms.  Zero sqrt halves drop their terms.
+        A product a b is the one-term dot ((a,), (b,))."""
         if d == 0:
             return (_qdot(xs, ys),)
         h = 1 << (d - 1)
@@ -237,6 +221,12 @@ class TowerField:
             lo_y.append(self.radicands[d - 1])
         return self._dot(d - 1, lo_x, lo_y) + self._dot(d - 1, hi_x, hi_y)
 
+    def _norm(self, d: int, a1, a2):
+        """a1^2 - a2^2 r at depth d - 1: the norm of a1 + a2 sqrt(r), r the
+        depth-d radicand."""
+        a2a2 = self._dot(d - 1, (a2,), (a2,))
+        return self._dot(d - 1, (a1, a2a2), (a1, _vneg(self.radicands[d - 1])))
+
     def _inv(self, d: int, a):
         if d == 0:
             if a[0] == 0:
@@ -244,12 +234,11 @@ class TowerField:
             return (_qn(Fraction(1) / a[0]),)
         h = 1 << (d - 1)
         a1, a2 = a[:h], a[h:]
-        r = self.radicands[d - 1]
         if all(x == 0 for x in a2):
             return self._inv(d - 1, a1) + (0,) * h
-        norm = _vsub(self._mul(d - 1, a1, a1), self._mul(d - 1, self._mul(d - 1, a2, a2), r))
-        ninv = self._inv(d - 1, norm)
-        return self._mul(d - 1, a1, ninv) + _vneg(self._mul(d - 1, a2, ninv))
+        ninv = self._inv(d - 1, self._norm(d, a1, a2))
+        return (self._dot(d - 1, (a1,), (ninv,))
+                + _vneg(self._dot(d - 1, (a2,), (ninv,))))
 
     def _sqrt(self, d: int, a) -> Optional[tuple]:
         """A square root of the depth-d vector ``a``, or None."""
@@ -273,16 +262,14 @@ class TowerField:
                 return c + zero
             if all(x == 0 for x in a1):
                 return zero + zero
-            t = self._mul(d - 1, a1, self._inv(d - 1, r))
+            t = self._dot(d - 1, (a1,), (self._inv(d - 1, r),))
             dd = self._sqrt(d - 1, t)
             if dd is not None:
                 return zero + dd
             return None
         # (c + d*sqrt(r))^2 = a1 + a2*sqrt(r): c^2 is a root of
         # u^2 - a1*u + a2^2*r/4, so a1^2 - a2^2*r must be a square below.
-        disc = _vsub(self._mul(d - 1, a1, a1),
-                     self._mul(d - 1, self._mul(d - 1, a2, a2), r))
-        s = self._sqrt(d - 1, disc)
+        s = self._sqrt(d - 1, self._norm(d, a1, a2))
         if s is None:
             return None
         half = Fraction(1, 2)
@@ -290,9 +277,9 @@ class TowerField:
             c = self._sqrt(d - 1, u)
             if c is None or all(x == 0 for x in c):
                 continue
-            dd = self._mul(d - 1, _vscale(a2, half), self._inv(d - 1, c))
+            dd = self._dot(d - 1, (_vscale(a2, half),), (self._inv(d - 1, c),))
             root = c + dd
-            if self._mul(d, root, root) == tuple(a):
+            if self._dot(d, (root,), (root,)) == tuple(a):
                 return root
         return None
 
@@ -318,6 +305,13 @@ def _canonical_tower_root(coords):
 
 
 RATIONALS = TowerField(())
+
+
+def _check_lift(field, sub):
+    """Raise TypeError unless ``field`` extends ``sub``."""
+    if not field.extends(sub):
+        raise TypeError(f"cannot lift an element of {sub!r} into {field!r}: "
+                        f"it does not extend it")
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +524,7 @@ class FiniteField:
 
     def lift(self, elem: "FieldElement") -> "FieldElement":
         sub = elem.field
-        assert self.extends(sub)
+        _check_lift(self, sub)
         if sub.m == self.m:
             return FieldElement(self, elem.coords)
         if sub.m == 1:

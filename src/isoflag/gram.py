@@ -17,6 +17,16 @@ Two modes:
   virtual half level when kappa = 1.  Square roots taken along the way may
   extend the field; the finished table is stored over the final field.
 
+Each orthogonal pair's case is decided once.  ``_do_level`` decides every
+pair (y, x), y <= x, of a real level: the level has a window only when
+``pi_window`` returns one ending at an odd b; its rows are 2.3, every other
+higher row is 2.2, the diagonal is 2.4 with a window and 2.5 without one,
+and distinct rows of the level are 2.6.  The kappa row is 2.7 when sigma is
+even (``_build_orthogonal``) and 2.8 when it is odd (``_half_level_odd``,
+whose rows above the window start are 2.2).  A level whose auxiliary system
+has no unique solution, the half level's included, or whose half-level
+scale nu is 0, raises VerificationFailed.
+
 The table keeps value(t, r, d) for t <= r in one dict keyed (t, r, d),
 one key per stored offset; ``_val`` is its only reader.  It reads
 value(r, t, -d) for t > r, and a key that is not stored raises
@@ -63,14 +73,15 @@ def sg(i: int) -> int:
 def _recur(field, vals, coeffs, ds, step, rhs):
     """Solve sum_j coeffs[j] vals[d - step j] = rhs(d) for each d in ds.
 
-    coeffs[0] is one, and every vals[d - step j] with j >= 1 is already
-    set when d comes up: step 1 runs upwards, step -1 downwards.  rhs(d)
-    is two lists of coordinate tuples whose dot is the right-hand side;
-    each value is one ``field.dot``, wrapped once.  The cross (2.3),
-    window-diagonal (2.4) and same-level (2.6) values run through it; the
-    2.5 diagonal has a closed form.
+    coeffs are coordinate tuples, coeffs[0] is one, and every
+    vals[d - step j] with j >= 1 is already set when d comes up: step 1
+    runs upwards, step -1 downwards.  rhs(d) is two lists of coordinate
+    tuples whose dot is the right-hand side; each value is one
+    ``field.dot``, wrapped once.  The cross (2.3), window-diagonal (2.4)
+    and same-level (2.6) values run through it; the 2.5 diagonal has a
+    closed form.
     """
-    neg = [field.neg(c.coords) for c in coeffs[1:]]
+    neg = [field.neg(c) for c in coeffs[1:]]
     for d in ds:
         xs, ys = rhs(d)
         vals[d] = FieldElement(field, field.dot(
@@ -169,20 +180,26 @@ class GramTable:
 
     def _build_orthogonal(self):
         shape = self.shape
+        sigma, bound = shape.sigma, self.delta_bound
         p1 = shape.part(1)
         levels = sorted(set(shape.parts), reverse=True)
-        odd_half = shape.kappa == 1 and shape.sigma % 2 == 1
+        odd_half = shape.kappa == 1 and sigma % 2 == 1
         # the range each level stores is what the later stages read (see
         # the module docstring): delta_bound, plus 2 p_1 when the odd half
         # level reads the real levels last, plus 2 p_1 for every later real
         # level, whose cross values read 2 p_1 past their own range
-        last = self.delta_bound + (2 * p1 if odd_half else 0)
+        last = bound + (2 * p1 if odd_half else 0)
         for pos, level in enumerate(levels):
             self._do_level(level, last + (len(levels) - 1 - pos) * 2 * p1)
         if odd_half:
-            self._half_level_odd(self.delta_bound)
+            self._half_level_odd(bound)
         elif shape.kappa:
-            self._half_level_even()
+            # 2.7: the kappa row of an even sigma pairs to zero with every
+            # block and to 2 with itself
+            for y in range(1, sigma + 1):
+                self._store_const(y, sigma + 1, self.field.zero, bound, "2.7")
+            self._store_const(sigma + 1, sigma + 1, self.field.from_int(2),
+                              bound, "2.7")
 
     def _val(self, t, r, delta):
         key = (t, r, delta) if t <= r else (r, t, -delta)
@@ -230,64 +247,57 @@ class GramTable:
         return False
 
     def _do_level(self, level: int, d_level: int):
+        """Every pair (y, x), y <= x, with x at this level.
+
+        The level has a window only when ``pi_window`` returns one ending
+        at an odd b.  Its rows are 2.3 and the diagonal 2.4, both read off
+        the level form mu L; without one (the top level, or b even) the
+        diagonal is the 2.5 closed form.  Every other higher row is 2.2,
+        and distinct rows of the level are 2.6.
+        """
         shape = self.shape
         xs = [x for x in range(1, shape.sigma + 1) if shape.part(x) == level]
         win = pi_window(shape, level)
-        if win is None:
-            # top level: self-contained diagonal plus same-level off-diagonal
-            for x in xs:
-                self._diag_25(x, level, d_level)
-            for yi, y in enumerate(xs):
-                for x in xs[yi + 1:]:
-                    self._off_26(y, x, level, d_level)
-            return
-        window = list(range(win.a, win.b + 1))
-        x0 = xs[0]
-        if win.b % 2 == 1:
-            self._compute_aux(level, window)
-            # built after any field extension, so K lives in the final field
-            K = self._kernel(level, win.a, self.aux[level]["atilde"])
-            # every window row is case 2.3, with no even drop before
-            # x0 = b + 1: r = b is odd, and an even r in [t, b - 1] with
-            # part(r) > part(r + 1) would make r + 1 an odd index above a
-            # with psi = 1 and part > level, against the choice of a as
-            # the largest one
-            for t in window:
-                self._cross_23(t, xs, level, K, d_level)
-            for y in range(1, shape.sigma + 1):
-                if shape.part(y) > level and y not in window:
-                    assert self._has_even_drop(y, x0), \
-                        "index above the window must satisfy the even-drop rule"
-                    for x in xs:
-                        self._store_const(y, x, self.field.zero, d_level,
-                                          "2.2")
-            for x in xs:
-                self._diag_24(x, level, K, d_level)
+        window = range(win.a, win.b + 1) if win and win.b % 2 else range(0)
+        if window:
+            nk, form = self._window_form(level, window)  # may extend the field
         else:
-            # b even: every higher row pairs to zero against this level
-            for y in range(1, shape.sigma + 1):
-                if shape.part(y) > level:
-                    assert self._has_even_drop(y, x0), \
-                        "b even forces the even-drop rule for every higher row"
-                    for x in xs:
-                        self._store_const(y, x, self.field.zero, d_level,
-                                          "2.2")
-            for x in xs:
+            nk = self._nk(level)
+        for t in window:
+            self._cross_23(t, xs, level, nk, form, d_level)
+        # a window row t has no even drop before the level: r = b is odd,
+        # and an even drop r in [t, b - 1] would make r + 1 an odd index
+        # above a with psi = 1 and part > level, against the choice of a
+        self._store_22(range(1, window[0] if window else xs[0]), xs, d_level)
+        for x in xs:
+            if window:
+                self._diag_24(x, level, nk, form, d_level)
+            else:
                 self._diag_25(x, level, d_level)
         for yi, y in enumerate(xs):
             for x in xs[yi + 1:]:
-                self._off_26(y, x, level, d_level)
+                self._off_26(y, x, level, nk, d_level)
+
+    def _store_22(self, ys, xs, d_range):
+        """2.2: each higher row y in ``ys`` pairs to zero with the rows
+        ``xs`` of one level, an even drop lying between them."""
+        for y in ys:
+            assert self._has_even_drop(y, xs[0]), \
+                f"row {y} above row {xs[0]} without an even drop"
+            for x in xs:
+                self._store_const(y, x, self.field.zero, d_range, "2.2")
 
     # -- the one linear form of the recursion --------------------------------
 
-    def _nk_elems(self, level):
-        return [self.field.from_int(binomial_nk(level, k))
+    def _nk(self, level):
+        """n_k = (-1)^k C(2 level, k), k = 0..2 level, as coordinates."""
+        return [self.field.from_int(binomial_nk(level, k)).coords
                 for k in range(2 * level + 1)]
 
-    def _kernel(self, level, a, coef):
+    def _kernel(self, level, nk, a, coef):
         """The merged coefficients K of the level's linear form.
 
-        K convolves n_k = (-1)^k C(2 level, k) with the row-a term
+        K convolves the level's n_k, ``nk``, with the row-a term
         (coefficient one at (a, 2 p_a - 2 level)) plus the coefficient dict
         ``coef`` = {(r, h): c}:  K[(r, m)] = sum_k n_k c[(r, m - k)].  It
         defines
@@ -300,18 +310,12 @@ class GramTable:
         entries are dropped, so no value behind one is ever read.
         """
         f = self.field
-        nk = [n.coords for n in self._nk_elems(level)]
         # coef indices of row a stay below 2 p_a - 2 level
         terms = {**coef, (a, 2 * self.shape.part(a) - 2 * level): f.one}
         K = _grouped_dots(f, (((r, h + k), n, c.coords)
                               for (r, h), c in terms.items() if not c.is_zero
                               for k, n in enumerate(nk)))
         return {key: c for key, c in K.items() if any(c)}
-
-    def _scaled(self, K, c):
-        """The form c L: every coefficient of K times the scalar c."""
-        mul = self.field.mul
-        return {key: mul(c.coords, k) for key, k in K.items()}
 
     def _terms(self, K, t, e):
         """L(t, e) as two coordinate lists: K's coefficients and the
@@ -325,8 +329,10 @@ class GramTable:
 
     # -- auxiliary systems (alpha, beta, merged coefficients, mu) ------------
 
-    def _compute_aux(self, level: int, window):
-        """The level's auxiliary coefficients atilde, then nu and mu.
+    def _window_form(self, level: int, window):
+        """The level's auxiliary coefficients atilde, then nu and mu; returns
+        n_k and the level form mu L, both over the field after any
+        extension.
 
         atilde = {(r, h): r in the window, 0 <= h < 2 (p_r - level)} is the
         unique solution of L(t, e) = 0 for every window row t and every
@@ -338,7 +344,7 @@ class GramTable:
         p = self.shape.part
         f = self.field
         a = window[0]
-        nk = [n.coords for n in self._nk_elems(level)]
+        nk = self._nk(level)
         coeff: Dict[Tuple[int, int, int], FieldElement] = {}
 
         def c(r, t, s):
@@ -366,59 +372,53 @@ class GramTable:
         # alpha holds the indices below p - level, beta the rest
         alpha = {(r, h): x for (r, h), x in atilde.items() if h < p(r) - level}
         beta = {(r, h): x for (r, h), x in atilde.items() if h >= p(r) - level}
-        K = self._kernel(level, a, atilde)
+        K = self._kernel(level, nk, a, atilde)
         nu = {t: self._apply(K, t, -(2 * p(t) - level)) for t in window}
-        self.aux[level] = {"alpha": alpha, "beta": beta, "atilde": atilde, "nu": nu}
-        nu_a = nu[a]
-        if nu_a.is_zero:
+        self.aux[level] = {"alpha": alpha, "beta": beta, "atilde": atilde,
+                           "nu": nu}
+        if nu[a].is_zero:
             self.diagnostics["mu_zero_levels"].append(level)
-            mu = self.field.zero
+            mu = f.zero
         else:
-            root, newfield = sqrt_extend(self.field.from_int(2) * nu_a)
+            root, newfield = sqrt_extend(f.from_int(2) * nu[a])
             self._set_field(newfield)
-            mu = self.field.from_int(2) / root
+            mu = newfield.from_int(2) / root
         self.aux[level]["mu"] = mu
+        nk = self._nk(level)
+        K = self._kernel(level, nk, a, self.aux[level]["atilde"])
+        mul = self.field.mul
+        return nk, {key: mul(mu.coords, k) for key, k in K.items()}
 
     # -- the recursion cases -------------------------------------------------
 
-    def _cross_23(self, t, xs, level, K, d_range):
+    def _cross_23(self, t, xs, level, nk, form, d_range):
         """Values for a window row t against the level's representatives
-        ``xs``, which all share them."""
+        ``xs``, which all share them; ``form`` is mu L."""
         f = self.field
         p_t = self.shape.part(t)
-        nk = self._nk_elems(level)
-        mu = self.aux[level]["mu"]
-        vals: Dict[int, FieldElement] = {}
-        for d in range(-level, 2 * p_t - level):
-            vals[d] = f.zero
-        vals[2 * p_t - level] = mu * self.aux[level]["nu"][t]
-        K = self._scaled(K, mu)
+        aux = self.aux[level]
+        vals = dict.fromkeys(range(-level, 2 * p_t - level), f.zero)
+        vals[2 * p_t - level] = aux["mu"] * aux["nu"][t]
         _recur(f, vals, nk, range(2 * p_t - level + 1, d_range + 1), 1,
-               lambda d: self._terms(K, t, -d))
+               lambda d: self._terms(form, t, -d))
         _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
-               lambda d: self._terms(K, t, -d - 2 * level))
+               lambda d: self._terms(form, t, -d - 2 * level))
         for x in xs:
             self._store_pair(t, x, vals, "2.3")
 
-    def _diag_24(self, x, level, K, d_range):
-        """Same-index values at a level whose window ends at an odd b."""
+    def _diag_24(self, x, level, nk, form, d_range):
+        """Same-index values at a level with a window; ``form`` is mu L."""
         f = self.field
-        mu = self.aux[level]["mu"]
-        vals: Dict[int, FieldElement] = {}
-        for d in range(-level + 1, level):
-            vals[d] = f.zero
-        vals[-level] = f.one
-        vals[level] = f.one
-        K = self._scaled(K, mu)
-        _recur(f, vals, self._nk_elems(level),
-               range(-level - 1, -d_range - 1, -1), -1,
-               lambda d: self._terms(K, x, d))
+        vals = dict.fromkeys(range(-level + 1, level), f.zero)
+        vals[-level] = vals[level] = f.one
+        _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
+               lambda d: self._terms(form, x, d))
         for d in range(level + 1, d_range + 1):
             vals[d] = vals[-d]
         self._store_pair(x, x, vals, "2.4")
 
     def _diag_25(self, x, level, d_range):
-        """Same-index values when b is even or the level is the top one:
+        """Same-index values at a level without a window:
         C(|d| + l, 2l) + C(|d| + l - 1, 2l) at level l, the polynomial of
         degree 2l in |d| that is 0 inside (-l, l), 1 at +-l and 2l + 2 at
         +-(l + 1), so its (2l + 1)-th difference vanishes."""
@@ -429,14 +429,11 @@ class GramTable:
                 comb(d + level, 2 * level) + comb(d + level - 1, 2 * level))
         self._store_pair(x, x, vals, "2.5")
 
-    def _off_26(self, y, x, level, d_range):
+    def _off_26(self, y, x, level, nk, d_range):
         """Distinct indices at the same level."""
         f = self.field
-        nk = self._nk_elems(level)
-        K = self._kernel(level, x, {})
-        vals: Dict[int, FieldElement] = {}
-        for d in range(-level, level):
-            vals[d] = f.zero
+        K = self._kernel(level, nk, x, {})
+        vals = dict.fromkeys(range(-level, level), f.zero)
         _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
                lambda d: self._terms(K, x, d))
         _recur(f, vals, nk, range(level, d_range + 1), 1,
@@ -445,13 +442,10 @@ class GramTable:
 
     # -- the virtual half level ----------------------------------------------
 
-    def _half_level_even(self):
-        sigma, f, bound = self.shape.sigma, self.field, self.delta_bound
-        for y in range(1, sigma + 1):
-            self._store_const(y, sigma + 1, f.zero, bound, "2.7")
-        self._store_const(sigma + 1, sigma + 1, f.from_int(2), bound, "2.7")
-
     def _half_level_odd(self, d_range):
+        """2.8: the kappa row of an odd sigma against the window [a, sigma]
+        and itself, from the unique solution c of the half level's system;
+        the rows above a are 2.2."""
         shape = self.shape
         sigma = shape.sigma
         a = pi_window(shape, HALF_LEVEL).a
@@ -463,20 +457,21 @@ class GramTable:
                           for (r, i) in idx])
         rhs = [self._val(a, rp, 2 * p_a - ip) for (rp, ip) in idx]
         sol = solve_linear(gmat, rhs)
-        if isinstance(sol, Unique):
-            c = {key: v for key, v in zip(idx, sol.x)}
-        else:
-            self.diagnostics["sec28_singular"] = True
-            c = {key: f.zero for key in idx}
-        cv = [c[key] for key in idx]
-        nu = -dot(cv, gmat.apply(cv), f)
+        if not isinstance(sol, Unique):
+            raise VerificationFailed(
+                "the auxiliary system of the half level has no unique "
+                "solution")
+        c = dict(zip(idx, sol.x))
+        nu = -dot(sol.x, gmat.apply(sol.x), f)
+        if nu.is_zero:
+            raise VerificationFailed("the half level's scale nu is 0")
         # the form sum over (r, i) of c_(r, i) value(r, rp, i + e)
         form = {key: x.coords for key, x in c.items()}
 
         # Each value is a bracket in the field this level starts in, times
         # 1/cx0 (cross) or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2:
-        # only the cross values' final scale needs the root.  For the pair (r', x) the
-        # offset is d = i' - h.
+        # only the cross values' final scale needs the root.  For the pair
+        # (r', x) the offset is d = i' - h.
         cross = {rp: {d: self._val(a, rp, 2 * p_a - d)
                       - self._apply(form, rp, -d)
                       for d in range(-d_range, d_range + 1)}
@@ -498,17 +493,11 @@ class GramTable:
         cx0, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
         self.aux[HALF_LEVEL]["cx0"] = cx0
-        if cx0.is_zero:
-            raise ArithmeticError("half-level scale factor vanished; "
-                                  "the pairing table cannot be completed")
         lift = newfield.lift
         inv2 = f.from_int(2) / nu  # 1/cx0^2, in the base field
         inv = cx0 * lift(inv2)
-        # rows below the window start pair to zero (even-drop rule)
         x = sigma + 1
-        for y in range(1, a):
-            assert self._has_even_drop(y, x)
-            self._store_const(y, x, self.field.zero, d_range, "2.2")
+        self._store_22(range(1, a), [x], d_range)
         for rp, brackets in cross.items():
             self._store_pair(rp, x, {d: inv * lift(v)
                                      for d, v in brackets.items()}, "2.8")

@@ -562,11 +562,16 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     intertwine the two isometries, and to stabilize both flags of the
     first model.
     """
-    shape = model_a.shape
-    assert shape == model_b.shape
-    assert model_a.space is model_b.space or \
-        model_a.space.gram == model_b.space.gram
-    space = model_a.space
+    shape, space = model_a.shape, model_a.space
+    if shape != model_b.shape:
+        raise InvalidInput(f"the models have shapes {shape.parts} kappa="
+                           f"{shape.kappa} and {model_b.shape.parts} kappa="
+                           f"{model_b.shape.kappa}")
+    if space.field != model_b.space.field:
+        raise InvalidInput(f"the models are over {space.field!r} and "
+                           f"{model_b.space.field!r}")
+    if space is not model_b.space and space.gram != model_b.space.gram:
+        raise InvalidInput("the models' spaces carry different forms")
     eps = normalize_signs(collection_pairings(model_a),
                           collection_pairings(model_b),
                           shape.sigma + shape.kappa,

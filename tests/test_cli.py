@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import isoflag
-from isoflag import cli, counting
+from isoflag import cli, counting, gram
 from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
+from isoflag.linalg import NoSolution
 
 
 def run(capsys, *argv):
@@ -328,6 +329,13 @@ class TestExitCodes:
                               "--kappa", "1", "--q", "3")
         assert code == 1 and "verification failed" in err
         assert "more than the formula 24" in err
+
+    def test_singular_half_level_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(gram, "solve_linear", lambda a, b: NoSolution())
+        code, _out, err = run(capsys, "gram", "--shape", "1", "--kappa", "1",
+                              "--mode", "orthogonal")
+        assert code == 1 and "verification failed" in err
+        assert "half level" in err
 
     def test_tractability_bound_names_bound_and_value(self, capsys):
         code, _out, err = run(capsys, "count", "--type", "C",

@@ -13,7 +13,7 @@ Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
 
 # coordinates of Q(sqrt2, sqrt3) on 1, sqrt2, sqrt3, sqrt6; zero entries and
-# zero sqrt halves are common, for the zero-half branches of TowerField._mul
+# zero sqrt halves are common, for the zero-half branches of TowerField._dot
 small = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=5))
 pair = st.one_of(st.just((Fraction(0), Fraction(0))), st.tuples(small, small))

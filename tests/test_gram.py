@@ -12,7 +12,7 @@ from isoflag import gram
 from isoflag.cases import partitions_up_to
 from isoflag.fields import RATIONALS, get_finite_field
 from isoflag.gram import GramTable, WindowExceeded, check_conjecture_210, sg
-from isoflag.linalg import NoSolution
+from isoflag.linalg import NoSolution, Unique
 from isoflag.shapes import HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, ShapeSeq, \
     VerificationFailed, pi_window
 from closed_forms import closed_form_value
@@ -202,6 +202,56 @@ class TestLevelSystem:
         monkeypatch.setattr(gram, "solve_linear", lambda a, b: NoSolution())
         with pytest.raises(VerificationFailed, match="level 1 "):
             GramTable(ShapeSeq((2, 1)), ORTHOGONAL)
+
+    def test_a_half_level_system_without_unique_solution_raises(
+            self, monkeypatch):
+        # (1) kappa 1 has no window level; its one system is the half
+        # level's
+        monkeypatch.setattr(gram, "solve_linear", lambda a, b: NoSolution())
+        with pytest.raises(VerificationFailed, match="of the half level"):
+            GramTable(ShapeSeq((1,), 1), ORTHOGONAL)
+
+    def test_a_vanishing_half_level_scale_raises(self, monkeypatch):
+        # the solution c = 0 gives nu = -c^T G c = 0
+        monkeypatch.setattr(gram, "solve_linear", lambda a, b: Unique(
+            tuple(a.field.zero for _ in b)))
+        with pytest.raises(VerificationFailed,
+                           match="half level's scale nu is 0"):
+            GramTable(ShapeSeq((1,), 1), ORTHOGONAL)
+
+
+def expected_case(shape, t, r):
+    """The case of the pair (t, r), t <= r, read off ``pi_window`` and the
+    parts alone: the level of r has a window only when one ends at an odd
+    b, as the half level's, ending at an odd sigma, always does."""
+    sigma = shape.sigma
+    if r == sigma + 1:
+        if sigma % 2 == 0:
+            return "2.7"
+        return "2.8" if t >= pi_window(shape, HALF_LEVEL).a else "2.2"
+    level = shape.part(r)
+    win = pi_window(shape, level)
+    windowed = win is not None and win.b % 2 == 1
+    if t == r:
+        return "2.4" if windowed else "2.5"
+    if shape.part(t) == level:
+        return "2.6"
+    return "2.3" if windowed and win.a <= t <= win.b else "2.2"
+
+
+def test_case_map_follows_the_window_rule():
+    # every pair of every orthogonal table of part sum <= 6, both kappa,
+    # over Q and GF(5), and at least one table with each case
+    seen = set()
+    for field in (RATIONALS, get_finite_field(5)):
+        for shape in orthogonal_shapes(6):
+            t = GramTable(shape, ORTHOGONAL, field)
+            sig = shape.sigma + shape.kappa
+            want = {(a, b): expected_case(shape, a, b)
+                    for a in range(1, sig + 1) for b in range(a, sig + 1)}
+            assert t.case_map == want, shape
+            seen.update(want.values())
+    assert seen == {"2.2", "2.3", "2.4", "2.5", "2.6", "2.7", "2.8"}
 
 
 def diagonal_25_recurrence(level, bound):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -562,7 +566,7 @@ class TestFlags:
     def test_recursion_branches_build(self, parts, field, kappa):
         # the first orthogonal shapes whose tables use the same-part alpha
         # term, the beta skip and the earlier-row beta term of
-        # GramTable._compute_aux, and the zero rows above a window
+        # GramTable._window_form, and the zero rows above a window
         m = build_model(ShapeSeq(parts, kappa=kappa), ORTHOGONAL, field)
         pair = flags_from(m)
         assert position_check(*pair, m.shape)
@@ -1164,3 +1168,42 @@ class TestSplitCheck:
         m = build_model(ShapeSeq((2, 2)), ORTHOGONAL)
         with pytest.raises(InvalidInput):
             split_check(m, 1)  # psi(1) = 1, not a valid cut
+
+
+def test_mismatched_fields_and_models_raise_without_asserts():
+    # python -O strips assert statements; lift and build_T must refuse an
+    # element or a model pair that does not fit without them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from isoflag.fields import RATIONALS, get_finite_field, sqrt_extend\n"
+        "from isoflag.model import build_T, build_model\n"
+        "from isoflag.shapes import InvalidInput, ORTHOGONAL, SYMPLECTIC, "
+        "ShapeSeq\n"
+        "root3 = sqrt_extend(RATIONALS.from_int(3))[0]\n"
+        "q2 = sqrt_extend(RATIONALS.from_int(2))[1]\n"
+        "gf5 = get_finite_field(5)\n"
+        "calls = [\n"
+        "    lambda: get_finite_field(3, 2).lift(gf5.from_int(4)),\n"
+        "    lambda: q2.lift(root3),\n"
+        "    lambda: build_T(build_model(ShapeSeq((2,)), SYMPLECTIC),\n"
+        "                    build_model(ShapeSeq((1, 1)), SYMPLECTIC)),\n"
+        "    lambda: build_T(build_model(ShapeSeq((1,), 1), ORTHOGONAL),\n"
+        "                    build_model(ShapeSeq((1,), 1), ORTHOGONAL,\n"
+        "                                gf5))]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (TypeError, InvalidInput) as exc:\n"
+        "        print(type(exc).__name__, exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "TypeError cannot lift an element of GF(5) into GF(3^2): it does "
+        "not extend it",
+        "TypeError cannot lift an element of TowerField(depth=1) into "
+        "TowerField(depth=1): it does not extend it",
+        "InvalidInput the models have shapes (2,) kappa=0 and (1, 1) "
+        "kappa=0",
+        "InvalidInput the models are over TowerField(depth=1) and GF(5)"]
