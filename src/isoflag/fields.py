@@ -135,7 +135,9 @@ class TowerField:
         return hash(("tower", self.radicands))
 
     def __repr__(self):
-        return f"TowerField(depth={self.depth})"
+        # each radicand as its coordinates over the tower below it
+        return "TowerField(radicands=[%s])" % ", ".join(
+            "(%s)" % ", ".join(map(str, r)) for r in self.radicands)
 
     def extends(self, other: "TowerField") -> bool:
         return (isinstance(other, TowerField)

@@ -23,9 +23,10 @@ pair (y, x), y <= x, of a real level: the level has a window only when
 higher row is 2.2, the diagonal is 2.4 with a window and 2.5 without one,
 and distinct rows of the level are 2.6.  The kappa row is 2.7 when sigma is
 even (``_build_orthogonal``) and 2.8 when it is odd (``_half_level_odd``,
-whose rows above the window start are 2.2).  A level whose auxiliary system
-has no unique solution, the half level's included, or whose half-level
-scale nu is 0, raises VerificationFailed.
+whose rows above the window start are 2.2).  Every level with an
+auxiliary system, the half level included, fails one way: a system without
+a unique solution, or a scale nu that is 0, raises VerificationFailed
+naming the level.
 
 The table keeps value(t, r, d) for t <= r in one dict keyed (t, r, d),
 one key per stored offset; ``_val`` is its only reader.  It reads
@@ -100,14 +101,6 @@ def _grouped_dots(field, terms):
     return {key: field.dot(xs, ys) for key, (xs, ys) in groups.items()}
 
 
-def _lift(field, obj):
-    """``obj`` with every FieldElement in it, at any dict depth, lifted into
-    ``field``."""
-    if isinstance(obj, dict):
-        return {key: _lift(field, v) for key, v in obj.items()}
-    return field.lift(obj)
-
-
 class GramTable:
     """Memoized canonical pairing values for one (shape, mode, field)."""
 
@@ -132,9 +125,13 @@ class GramTable:
         self.field = field
         p1 = shape.part(1)
         self.delta_bound = delta_bound if delta_bound is not None else 6 * p1 + 2
+        # every failure raises VerificationFailed, so these never fire; the
+        # dict stays for its readers: perfbench/workloads.py::_check_table,
+        # the output and manifest of ``isoflag gram`` and ``isoflag
+        # verify``, and PINNED_COUNT_DIGEST, which hashes the manifests'
+        # ``diagnostics`` key
         self.diagnostics = {"mu_zero_levels": [], "sec28_singular": False}
         self.case_map: Dict[Tuple[int, int], str] = {}
-        self.aux: Dict[object, dict] = {}
         self._store: Dict[Tuple[int, int, int], FieldElement] = {}
         if mode == ORTHOGONAL:
             self._build_orthogonal()
@@ -227,8 +224,7 @@ class GramTable:
         if field == self.field:
             return
         self.field = field
-        self._store = _lift(field, self._store)
-        self.aux = _lift(field, self.aux)
+        self._store = {key: field.lift(v) for key, v in self._store.items()}
 
     def _has_even_drop(self, y: int, x: int) -> bool:
         """Is there an even r in [y, x-1] with part(r) > part(r+1)?
@@ -260,11 +256,12 @@ class GramTable:
         win = pi_window(shape, level)
         window = range(win.a, win.b + 1) if win and win.b % 2 else range(0)
         if window:
-            nk, form = self._window_form(level, window)  # may extend the field
+            # may extend the field
+            nk, form, seeds = self._window_form(level, window)
         else:
             nk = self._nk(level)
         for t in window:
-            self._cross_23(t, xs, level, nk, form, d_level)
+            self._cross_23(t, xs, level, nk, form, seeds[t], d_level)
         # a window row t has no even drop before the level: r = b is odd,
         # and an even drop r in [t, b - 1] would make r + 1 an odd index
         # above a with psi = 1 and part > level, against the choice of a
@@ -327,12 +324,11 @@ class GramTable:
         """L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e)."""
         return FieldElement(self.field, self.field.dot(*self._terms(K, t, e)))
 
-    # -- auxiliary systems (alpha, beta, merged coefficients, mu) ------------
+    # -- the auxiliary system of a window level -----------------------------
 
     def _window_form(self, level: int, window):
-        """The level's auxiliary coefficients atilde, then nu and mu; returns
-        n_k and the level form mu L, both over the field after any
-        extension.
+        """n_k, the level form mu L and the 2.3 seeds {t: mu nu_t} of a
+        window level, all over the field after its extension.
 
         atilde = {(r, h): r in the window, 0 <= h < 2 (p_r - level)} is the
         unique solution of L(t, e) = 0 for every window row t and every
@@ -340,6 +336,9 @@ class GramTable:
         the form of ``_kernel``.  The coefficient of (r, h) in equation
         (t, e) is sum_k n_k value(r, t, h + e + k), a function of s = h + e
         read once per (r, t, s); the row-a term of L is the right-hand side.
+        Then nu_t = L(t, level - 2 p_t) for each window row t, and
+        mu = 2 / sqrt(2 nu_a) adjoins that root; a zero nu_a raises
+        VerificationFailed.  L is built once and lifted.
         """
         p = self.shape.part
         f = self.field
@@ -368,37 +367,29 @@ class GramTable:
             raise VerificationFailed(
                 f"the auxiliary system of level {level} has no unique "
                 f"solution")
-        atilde = dict(zip(unknowns, sol.x))
-        # alpha holds the indices below p - level, beta the rest
-        alpha = {(r, h): x for (r, h), x in atilde.items() if h < p(r) - level}
-        beta = {(r, h): x for (r, h), x in atilde.items() if h >= p(r) - level}
-        K = self._kernel(level, nk, a, atilde)
+        K = self._kernel(level, nk, a, dict(zip(unknowns, sol.x)))
         nu = {t: self._apply(K, t, -(2 * p(t) - level)) for t in window}
-        self.aux[level] = {"alpha": alpha, "beta": beta, "atilde": atilde,
-                           "nu": nu}
         if nu[a].is_zero:
-            self.diagnostics["mu_zero_levels"].append(level)
-            mu = f.zero
-        else:
-            root, newfield = sqrt_extend(f.from_int(2) * nu[a])
-            self._set_field(newfield)
-            mu = newfield.from_int(2) / root
-        self.aux[level]["mu"] = mu
-        nk = self._nk(level)
-        K = self._kernel(level, nk, a, self.aux[level]["atilde"])
-        mul = self.field.mul
-        return nk, {key: mul(mu.coords, k) for key, k in K.items()}
+            raise VerificationFailed(f"level {level}'s scale nu is 0")
+        root, newfield = sqrt_extend(f.from_int(2) * nu[a])
+        self._set_field(newfield)
+        mu = newfield.from_int(2) / root
+        lift = newfield.lift
+        return (self._nk(level),
+                {key: (mu * lift(FieldElement(f, k))).coords
+                 for key, k in K.items()},
+                {t: mu * lift(v) for t, v in nu.items()})
 
     # -- the recursion cases -------------------------------------------------
 
-    def _cross_23(self, t, xs, level, nk, form, d_range):
+    def _cross_23(self, t, xs, level, nk, form, seed, d_range):
         """Values for a window row t against the level's representatives
-        ``xs``, which all share them; ``form`` is mu L."""
+        ``xs``, which all share them; ``form`` is mu L and ``seed`` is
+        mu nu_t, the value at 2 p_t - level."""
         f = self.field
         p_t = self.shape.part(t)
-        aux = self.aux[level]
         vals = dict.fromkeys(range(-level, 2 * p_t - level), f.zero)
-        vals[2 * p_t - level] = aux["mu"] * aux["nu"][t]
+        vals[2 * p_t - level] = seed
         _recur(f, vals, nk, range(2 * p_t - level + 1, d_range + 1), 1,
                lambda d: self._terms(form, t, -d))
         _recur(f, vals, nk, range(-level - 1, -d_range - 1, -1), -1,
@@ -489,10 +480,8 @@ class GramTable:
                 - self._apply(form, a, -d - 2 * p_a)
                 + dot(cc, [self._val(r, rp, e + d) for (r, rp, e) in keys], f)
                 for d in range(d_range + 1)]
-        self.aux[HALF_LEVEL] = {"c": c, "nu": nu}
         cx0, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
-        self.aux[HALF_LEVEL]["cx0"] = cx0
         lift = newfield.lift
         inv2 = f.from_int(2) / nu  # 1/cx0^2, in the base field
         inv = cx0 * lift(inv2)

@@ -14,6 +14,7 @@ from isoflag.fields import get_finite_field
 from isoflag.gram import GramTable, check_conjecture_210, sg
 from isoflag.model import build_T, flags_from, position_check
 from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, ShapeSeq,
+                            VerificationFailed, pi_window,
                             verify_series_identity)
 from closed_forms import closed_form_value
 from spans import span_contains, span_dim
@@ -176,18 +177,26 @@ def test_criterion_09_off_class_divergence():
                 f"!= 51840")
 
 
-def test_criterion_10_diagnostics_never_fire():
+def test_criterion_10_vanishing_level_scale_raises(monkeypatch):
+    # every window level fails as the half level does: with L zeroed, the
+    # first level with a window (one ending at an odd b) has nu = 0 and
+    # raises, naming it, on every orthogonal shape of part sum <= 5 that
+    # has one
+    monkeypatch.setattr(GramTable, "_apply",
+                        lambda self, K, t, e: self.field.zero)
     tables = 0
     for parts in partitions_up_to(5):
         for kappa in (0, 1):
             shape = ShapeSeq(parts, kappa)
-            for mode in (SYMPLECTIC, ORTHOGONAL):
-                if not shape.valid_for_mode(mode):
-                    continue
-                field = get_finite_field(2) \
-                    if mode == SYMPLECTIC and kappa else None
-                t = GramTable(shape, mode, field)
-                assert t.diagnostics["mu_zero_levels"] == []
-                assert t.diagnostics["sec28_singular"] is False
-                tables += 1
-    announce(10, f"no fallback diagnostics fired on {tables} tables")
+            if not shape.valid_for_mode(ORTHOGONAL):
+                continue
+            levels = [level for level in sorted(set(parts), reverse=True)
+                      if (win := pi_window(shape, level)) and win.b % 2]
+            if not levels:
+                continue
+            with pytest.raises(VerificationFailed,
+                               match=f"level {levels[0]}'s scale nu is 0"):
+                GramTable(shape, ORTHOGONAL)
+            tables += 1
+    assert tables == 12
+    announce(10, f"a zero window-level scale nu raised on {tables} tables")

@@ -337,6 +337,15 @@ class TestExitCodes:
         assert code == 1 and "verification failed" in err
         assert "half level" in err
 
+    def test_vanishing_level_scale_exits_1(self, capsys, monkeypatch):
+        # (2, 1)'s one window level, 1, gets nu = 0 from a zero L
+        monkeypatch.setattr(gram.GramTable, "_apply",
+                            lambda self, K, t, e: self.field.zero)
+        code, _out, err = run(capsys, "gram", "--shape", "2,1",
+                              "--mode", "orthogonal")
+        assert code == 1 and "verification failed" in err
+        assert "level 1's scale nu is 0" in err
+
     def test_tractability_bound_names_bound_and_value(self, capsys):
         code, _out, err = run(capsys, "count", "--type", "C",
                               "--shape", "4", "--q", "3")

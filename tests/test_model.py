@@ -901,8 +901,8 @@ class TestPairingsOracle:
             seen.add(repr(m.field))
             checked += 1
         assert checked == 80
-        assert {"TowerField(depth=0)", "TowerField(depth=1)", "GF(3^2)",
-                "GF(2^2)"} <= seen
+        assert {"TowerField(radicands=[])", "TowerField(radicands=[(-4)])",
+                "GF(3^2)", "GF(2^2)"} <= seen
 
     def test_shear_conjugate_rejected_as_non_isometry(self, model_sweep):
         # a dense shear is no isometry in general, and neither is its
@@ -1171,12 +1171,14 @@ class TestSplitCheck:
 
 
 def test_mismatched_fields_and_models_raise_without_asserts():
-    # python -O strips assert statements; lift and build_T must refuse an
-    # element or a model pair that does not fit without them
+    # python -O strips assert statements; lift, build_T and quad must
+    # refuse an element, a model pair or a space that does not fit without
+    # them
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from isoflag.fields import RATIONALS, get_finite_field, sqrt_extend\n"
-        "from isoflag.model import build_T, build_model\n"
+        "from isoflag.linalg import Matrix\n"
+        "from isoflag.model import QuadSpace, build_T, build_model\n"
         "from isoflag.shapes import InvalidInput, ORTHOGONAL, SYMPLECTIC, "
         "ShapeSeq\n"
         "root3 = sqrt_extend(RATIONALS.from_int(3))[0]\n"
@@ -1189,7 +1191,10 @@ def test_mismatched_fields_and_models_raise_without_asserts():
         "                    build_model(ShapeSeq((1, 1)), SYMPLECTIC)),\n"
         "    lambda: build_T(build_model(ShapeSeq((1,), 1), ORTHOGONAL),\n"
         "                    build_model(ShapeSeq((1,), 1), ORTHOGONAL,\n"
-        "                                gf5))]\n"
+        "                                gf5)),\n"
+        "    lambda: QuadSpace(RATIONALS, Matrix.from_scalars(\n"
+        "        RATIONALS, [[0, 1], [-1, 0]])).quad(\n"
+        "            (RATIONALS.one, RATIONALS.zero))]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -1202,8 +1207,10 @@ def test_mismatched_fields_and_models_raise_without_asserts():
     assert proc.stdout.splitlines() == [
         "TypeError cannot lift an element of GF(5) into GF(3^2): it does "
         "not extend it",
-        "TypeError cannot lift an element of TowerField(depth=1) into "
-        "TowerField(depth=1): it does not extend it",
+        "TypeError cannot lift an element of TowerField(radicands=[(3)]) "
+        "into TowerField(radicands=[(2)]): it does not extend it",
         "InvalidInput the models have shapes (2,) kappa=0 and (1, 1) "
         "kappa=0",
-        "InvalidInput the models are over TowerField(depth=1) and GF(5)"]
+        "InvalidInput the models are over TowerField(radicands=[(-4)]) "
+        "and GF(5)",
+        "InvalidInput no quadratic form on this space"]
