@@ -6,24 +6,26 @@ given Jordan type, and counts the pairs (g, flag) whose relative position
 matches either the classical dimension conditions of the shape or, in
 type A, a fixed Coxeter cycle.
 
-The hot loops -- the group closure, the class split, the Jordan-type
-filter and the position tests -- run dense modular arithmetic on plain
-integer tuples, without field elements.  A group element has at most
-q^nu - 1 distinct rows, so a product h m is read off a ``RowAction`` of
-m, which computes v m once per distinct row v.  The int tuples are the
-raw rows of linalg's GF(q) kernel, which ``FiniteFormSpace.kernel``
-holds, so inverses, the cell algebra, the Jordan rule and the relative
-position (``bruhat_pivots``, re-exported here) all eliminate through
-linalg.  The group is closed from the pieces of the Bruhat decomposition
-G = B W B that the flags are built from, the Weyl monomials, one torus
-element and the root-cell elements, and listed in closure order.  The
-filter sorts only the elements whose trace and trace of square are those
-of a unipotent, splits them into conjugacy classes once, runs the Jordan
-rule at two members of each class, not at every element, and hands the
-classes of the chosen type on to the count.  The flags are read off the
-Bruhat cells, u w F0 with u in U_w, each as its basis u w alone, and
-gated by ``IsoFlag.verify`` and |flags| x |B| = |G|; the count inverts
-each basis with ``inverse_rows``.  Only prime q is supported.
+The hot loops -- the group closure, the class walk and the position
+tests -- run dense modular arithmetic on plain integer tuples, without
+field elements.  A group element has at most q^nu - 1 distinct rows, so
+a product h m is read off a ``RowAction`` of m, which computes v m once
+per distinct row v.  The int tuples are the raw rows of linalg's GF(q)
+kernel, which ``FiniteFormSpace.kernel`` holds, so inverses, the cell
+algebra, the Jordan rule and the relative position (``bruhat_pivots``,
+re-exported here) all eliminate through linalg.  The group is closed
+from the pieces of the Bruhat decomposition G = B W B that the flags are
+built from, the Weyl monomials, one torus element and the root-cell
+elements, and listed in closure order.  The filter walks the conjugacy
+classes that meet U, the q^N upper unitriangular elements, once: U is a
+Sylow p-subgroup, so these classes hold every unipotent and nothing
+else, and the group list is never scanned.  It runs the Jordan rule at
+two members of each class, not at every element, and hands the classes
+of the chosen type on to the count.  U and the flags are read off the
+same root cells: each flag is u w F0 with u in the Bruhat cell U_w, as
+its basis u w alone, gated by ``IsoFlag.verify`` and |flags| x |B| =
+|G|; the count inverts each basis with ``inverse_rows``.  Only prime q
+is supported.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, permutations, product
 from math import prod
-from operator import getitem, mul
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .fields import get_finite_field
+from .fields import get_finite_field, is_prime
 from .linalg import (Matrix, bruhat_pivots, image_chain_ranks,
                      inverse_rows, nullspace_rows, scalar_kernel)
 from .model import IsoFlag, IsotropyViolation, QuadSpace
@@ -122,14 +124,18 @@ class FiniteFormSpace:
             raise InvalidInput(f"unknown space mode {mode!r}")
         if nu < 1:
             raise InvalidInput(f"nu = {nu} must be positive")
-        for name, value in (("nu", nu), ("q", q)):
-            if value > MAX_NU_AND_Q:
-                raise BoundExceeded(f"{name} = {value} exceeds the "
-                                    f"tractability bound {MAX_NU_AND_Q}")
-        try:
-            field = get_finite_field(q)
-        except ValueError:
-            raise InvalidInput(f"q = {q} must be prime") from None
+        if nu > MAX_NU_AND_Q:
+            raise BoundExceeded(f"nu = {nu} exceeds the tractability bound "
+                                f"{MAX_NU_AND_Q}")
+        # a q that is not prime is bad input at any size; trial division
+        # settles it in at most 10^6 steps up to 10^12, and a larger q is
+        # refused at the bound untested
+        if q <= 10 ** 12 and not is_prime(q):
+            raise InvalidInput(f"q = {q} must be prime")
+        if q > MAX_NU_AND_Q:
+            raise BoundExceeded(f"q = {q} exceeds the tractability bound "
+                                f"{MAX_NU_AND_Q}")
+        field = get_finite_field(q)
         if mode != TYPE_A and q == 2:
             raise InvalidInput("form-based counting needs odd q")
         if mode == SP and nu % 2:
@@ -198,7 +204,7 @@ def _generators(space: FiniteFormSpace) -> List[tuple]:
             d[-1] = pow(a, q - 2, q)
         gens.append(tuple(tuple(x * (i == j) for j in range(nu))
                           for i, x in enumerate(d)))
-    slots = [(i, j) for i in range(nu) for j in range(i + 1, nu)]
+    slots = _upper_slots(nu)
     gens.extend(_cell_element(_nilpotent(nu, slots, values), q,
                               space.form is not None)
                 for values in _cell_algebra(space, slots))
@@ -209,14 +215,17 @@ class GroupEnum:
     """The elements of a group, in the deterministic order the closure
     listed them (not sorted), with the generators it was closed under:
     ``kept`` are those the closure needed, and they alone generate the
-    group."""
+    group.  ``members`` is the closure's set of the same elements, for
+    membership tests."""
 
     def __init__(self, space: FiniteFormSpace, elements: List[tuple],
-                 generators: List[tuple], kept: List[tuple]):
+                 generators: List[tuple], kept: List[tuple],
+                 members: set):
         self.space = space
         self.elements = elements
         self.generators = generators
         self.kept = kept
+        self.members = members
         self.order = len(elements)
 
 
@@ -299,7 +308,7 @@ def enumerate_group(space: FiniteFormSpace) -> GroupEnum:
     if len(seen) != target:
         raise VerificationFailed(
             f"closure order {len(seen)} never matched the formula {target}")
-    return GroupEnum(space, elements, gens, kept)
+    return GroupEnum(space, elements, gens, kept, seen)
 
 
 # -- flags -------------------------------------------------------------------
@@ -335,6 +344,28 @@ def _cell_algebra(space: FiniteFormSpace, slots) -> List[tuple]:
         [((form[a][j] if b == i else 0) + (form[i][a] if b == j else 0)) % q
          for a, b in slots] for i in range(nu) for j in range(i, nu)]
     return nullspace_rows(rows, space.kernel, len(slots))
+
+
+def _upper_slots(nu: int) -> List[Tuple[int, int]]:
+    """Every position above the diagonal, row by row."""
+    return [(i, j) for i in range(nu) for j in range(i + 1, nu)]
+
+
+def _cell_elements(space: FiniteFormSpace, slots) -> List[tuple]:
+    """Every _cell_element of an N of _cell_algebra on ``slots``, one per
+    coefficient vector over the nullspace basis, in product order."""
+    nu, q = space.nu, space.q
+    algebra = _cell_algebra(space, slots)
+    return [_cell_element(_nilpotent(nu, slots, [sum(map(mul, coeffs, c)) % q
+                                                 for c in zip(*algebra)]),
+                          q, space.form is not None)
+            for coeffs in product(range(q), repeat=len(algebra))]
+
+
+def unipotent_radical(space: FiniteFormSpace) -> List[tuple]:
+    """U(F_q), the upper unitriangular elements of the group: the
+    _cell_elements on every slot above the diagonal, q^N of them."""
+    return _cell_elements(space, _upper_slots(space.nu))
 
 
 def _nilpotent(nu: int, slots, values) -> List[List[int]]:
@@ -376,14 +407,10 @@ def enumerate_isotropic_flags(space: FiniteFormSpace) -> List[tuple]:
     nu, q = space.nu, space.q
     flags = []
     for p, signs in _weyl_group(space):
-        slots = [(a, b) for a in range(nu) for b in range(a + 1, nu)
+        slots = [(a, b) for a, b in _upper_slots(nu)
                  if p.index(a) > p.index(b)]
-        algebra = _cell_algebra(space, slots)
-        for coeffs in product(range(q), repeat=len(algebra)):
-            x = _nilpotent(nu, slots, [sum(map(mul, coeffs, c)) % q
-                                       for c in zip(*algebra)])
-            u = _cell_element(x, q, space.form is not None)
-            flags.append(_times_weyl(u, p, signs, q))
+        flags.extend(_times_weyl(u, p, signs, q)
+                     for u in _cell_elements(space, slots))
     check_isotropic_flags(space, flags)
     return flags
 
@@ -422,8 +449,8 @@ def unipotent_count_formula(space: FiniteFormSpace) -> int:
 
 class Unipotents(list):
     """The unipotents of one Jordan type, sorted, with ``classes``: their
-    conjugacy classes as index lists into this list, the same lists in
-    the same order as ``conjugacy_classes`` gives on it."""
+    conjugacy classes as ascending index lists into this list, the
+    classes ``conjugacy_classes`` gives on it, in the same order."""
 
     def __init__(self, elements: List[tuple], classes: List[List[int]]):
         super().__init__(elements)
@@ -433,69 +460,63 @@ class Unipotents(list):
 def unipotents_of_type(group: GroupEnum, target: Counter) -> Unipotents:
     """The elements of Jordan type ``target``, sorted, with their classes.
 
-    Every eigenvalue of a unipotent element is 1, and so is every
-    eigenvalue of its square, which is unipotent too; so both its trace
-    and the trace of its square are nu mod q, and an element failing
-    either skips the Jordan rule.  tr(g^2), the sum of g_ij g_ji, is read
-    off the flattened rows against the flattened columns, without g^2.
-    Both traces are class functions, so the rest is a union of conjugacy
-    classes.  It is sorted and split into classes once, and the Jordan
-    type is read at the first and the last member of each class; two
-    different readings raise VerificationFailed.  The unipotent classes
-    must total Steinberg's q^(2N), else VerificationFailed.  Since the
-    candidates are sorted, each class starts at its least member, so the
-    classes of the chosen type, re-indexed, are those a fresh split of
-    the result gives.
+    U(F_q) has q^N elements, the whole p-part of |G(F_q)|, so it is a
+    Sylow p-subgroup; a unipotent element is a p-element, so it lies in a
+    conjugate of U, and its class meets U.  So one class walk seeded with
+    ``unipotent_radical`` reaches every unipotent and nothing else, and
+    the group's element list is never read: each conjugate is checked
+    against ``group.members`` instead.  The walked classes must total
+    Steinberg's q^(2N), else VerificationFailed.  The Jordan type is read
+    at the least and the greatest member of each class; a reading that is
+    not unipotent, or two different readings, raise VerificationFailed.
+    The classes of the chosen type are sorted by their least members and
+    re-indexed into their sorted union, so they are the ascending forms
+    of the classes a fresh split of the result gives.
     """
     space = group.space
-    q, nu = space.q, space.nu
-    trace = nu % q
-    diagonal = range(nu)
-    flat = chain.from_iterable
-    candidates = sorted(
-        g for g in group.elements
-        if sum(map(getitem, g, diagonal)) % q == trace
-        and sum(map(mul, flat(g), flat(zip(*g)))) % q == trace)
-    total = 0
-    picked: List[List[int]] = []
-    for cls in conjugacy_classes(candidates, group.kept, q):
-        jordan = unipotent_jordan_type(candidates[cls[0]], q)
-        last = unipotent_jordan_type(candidates[cls[-1]], q)
-        if last != jordan:
-            raise VerificationFailed(
-                f"elements {cls[0]} and {cls[-1]} of one class have Jordan "
-                f"types {jordan} and {last}")
-        if jordan is not None:
-            total += len(cls)
-            if jordan == target:
-                picked.append(cls)
+    q = space.q
+    walked = unipotent_radical(space)
+    classes = conjugacy_classes(walked, group.kept, q, group.members)
     want = unipotent_count_formula(space)
-    if total != want:
+    if len(walked) != want:
         raise VerificationFailed(
-            f"{total} unipotent elements, not the {want} of Steinberg's "
-            f"count q^(2N)")
-    members = sorted(flat(picked))
-    position = {i: k for k, i in enumerate(members)}
-    return Unipotents([candidates[i] for i in members],
-                      [[position[i] for i in cls] for cls in picked])
+            f"{len(walked)} unipotent elements, not the {want} of "
+            f"Steinberg's count q^(2N)")
+    picked: List[List[tuple]] = []
+    for cls in classes:
+        cls = sorted(walked[i] for i in cls)
+        jordan = unipotent_jordan_type(cls[0], q)
+        last = unipotent_jordan_type(cls[-1], q)
+        if jordan is None or last != jordan:
+            raise VerificationFailed(
+                f"members {cls[0]} and {cls[-1]} of one class have Jordan "
+                f"types {jordan} and {last}, not one unipotent type")
+        if jordan == target:
+            picked.append(cls)
+    picked.sort()
+    elements = sorted(chain.from_iterable(picked))
+    position = {g: k for k, g in enumerate(elements)}
+    return Unipotents(elements, [[position[g] for g in cls] for cls in picked])
 
 
 def conjugacy_classes(elements: List[tuple], generators: List[tuple],
-                      p: int) -> List[List[int]]:
+                      p: int, group: set) -> List[List[int]]:
     """Orbits of ``elements`` under conjugation u -> s u s^-1 by the
     generators, as lists of indices, each led by its smallest index.
 
     The orbits are the classes of the group the generators generate.  Each
     generator conjugates through its own ``sandwich`` of row actions, so
     the walk computes each distinct row product once.  A conjugate
-    outside ``elements`` raises VerificationFailed.
+    outside ``elements`` is appended to it, so the orbits close up to
+    whole classes; a conjugate outside ``group``, a set holding the group,
+    raises VerificationFailed.
     """
     index = {u: i for i, u in enumerate(elements)}
     k = scalar_kernel(get_finite_field(p))
     pairs = [(s, sandwich(s, inverse_rows(s, k), p)) for s in generators]
     seen = [False] * len(elements)
     classes = []
-    for start in range(len(elements)):
+    for start in range(len(elements)):  # the seeds, not what the walk adds
         if seen[start]:
             continue
         seen[start] = True
@@ -505,9 +526,13 @@ def conjugacy_classes(elements: List[tuple], generators: List[tuple],
                 c = conjugate(elements[i])
                 j = index.get(c)
                 if j is None:
-                    raise VerificationFailed(
-                        f"the conjugate {c} of element {i} by {s} is not "
-                        f"in the list")
+                    if c not in group:
+                        raise VerificationFailed(
+                            f"the conjugate {c} of element {i} by {s} is "
+                            f"not in the group")
+                    j = index[c] = len(elements)
+                    elements.append(c)
+                    seen.append(False)
                 if not seen[j]:
                     seen[j] = True
                     orbit.append(j)

@@ -398,9 +398,14 @@ def _canonical_modulus(p: int, m: int) -> tuple:
     raise AssertionError("no irreducible polynomial found")
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division up to isqrt(n)."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 @lru_cache(maxsize=None)
 def get_finite_field(p: int, m: int = 1) -> "FiniteField":
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree {m} must be at least 1")

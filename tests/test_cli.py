@@ -157,17 +157,12 @@ class TestSubcommands:
         assert res["count"] == 5 * 6 and res["row_count"] == 8 * 4
 
     def test_lost_unipotent_exits_1(self, capsys, monkeypatch):
-        # a group list short of one unipotent fails Steinberg's count
-        real = counting.enumerate_group_cached
-
-        def short(space):
-            group = real(space)
-            one = counting.mat_identity(space.nu)
-            return counting.GroupEnum(
-                space, [g for g in group.elements if g != one],
-                group.generators, group.kept)
-
-        monkeypatch.setattr(counting, "enumerate_group_cached", short)
+        # a U without the identity, its own class, walks one unipotent
+        # short of Steinberg's count
+        real = counting.unipotent_radical
+        monkeypatch.setattr(counting, "unipotent_radical",
+                            lambda space: [u for u in real(space) if u !=
+                                           counting.mat_identity(space.nu)])
         code, _out, err = run(capsys, "count", "--type", "C",
                               "--shape", "1", "--q", "3")
         assert code == 1 and "verification failed" in err
@@ -262,6 +257,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, fragment", [
         (("count", "--type", "A", "--n", "2", "--q", "4"), "prime"),
+        # primality is tested before the tractability bound on q
+        (("count", "--type", "A", "--n", "2", "--q", "9"),
+         "q = 9 must be prime"),
         # type B needs an odd dimension; shape (2), kappa 0 gives nu = 4
         (("count", "--type", "B", "--shape", "2", "--q", "3"), "nu = 4"),
         (("gram", "--mode", "orthogonal", "--shape", "2"), "invalid"),
@@ -283,8 +281,8 @@ class TestExitCodes:
         (("conjecture210", "--kmax", "1"), "--kmax 1"),
         (("sweep", "--total", "0"), "--total 0"),
     ] + COUNT_USAGE_ERRORS, ids=[
-        "nonprime-q", "count-parity", "shape-mode", "orthogonal-char2",
-        "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero", "n-negative",
+        "nonprime-q", "nonprime-q-above-bound", "count-parity", "shape-mode",
+        "orthogonal-char2", "gamma-not-int", "gamma-sum", "gamma-zero", "n-zero", "n-negative",
         "degree-zero", "degree-negative", "gram-window", "identities-window",
         "identities-kmax", "conjecture-kmax", "sweep-total"]
         + COUNT_USAGE_IDS)

@@ -108,10 +108,6 @@ def pair_loop(space, gamma, shape=None):
             "per_flag": per_flag}
 
 
-def trace_mod(g, q):
-    return sum(g[i][i] for i in range(len(g))) % q
-
-
 def generator_kind(g):
     """"U" for an upper unitriangular matrix, "T" for any other diagonal
     one, "W" for any other monomial one, else None."""
@@ -122,6 +118,16 @@ def generator_kind(g):
             all(sum(map(bool, col)) == 1 for col in zip(*g)):
         return "T" if all(g[i][i] for i in range(nu)) else "W"
     return None
+
+
+class Sealed(list):
+    """A list that refuses to be read: iterating, indexing or a membership
+    test fails, only its length answers."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the group's element list was read")
+
+    __iter__ = __getitem__ = __contains__ = _refuse
 
 
 def bilinear(space, u, v):
@@ -355,22 +361,59 @@ class TestSpacesAndGroups:
             assert sum(unipotent_jordan_type(g, q) is not None
                        for g in group.elements) == total
 
-    def test_lost_unipotent_fails_steinberg_gate(self):
+    def test_lost_unipotent_fails_steinberg_gate(self, monkeypatch):
+        # the identity is its own class, so a U without it walks 8 of the
+        # 9 unipotents of SL2(F3)
         group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
-        short = counting.GroupEnum(
-            group.space, [g for g in group.elements if g != mat_identity(2)],
-            group.generators, group.kept)
+        real = counting.unipotent_radical
+        monkeypatch.setattr(counting, "unipotent_radical",
+                            lambda space: [u for u in real(space)
+                                           if u != mat_identity(space.nu)])
         with pytest.raises(VerificationFailed,
                            match="8 unipotent elements, not the 9"):
+            unipotents_of_type(group, Counter({2: 1}))
+
+    def test_conjugate_outside_group_fails_class_walk(self):
+        # the lower unitriangular (1 0; 1 1) lies off U, so the walk meets
+        # it only as a conjugate, which a group set without it must refuse
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        lower = ((1, 0), (1, 1))
+        assert lower in group.members
+        short = counting.GroupEnum(group.space, group.elements,
+                                   group.generators, group.kept,
+                                   group.members - {lower})
+        with pytest.raises(VerificationFailed, match="is not in the group"):
             unipotents_of_type(short, Counter({2: 1}))
 
-    def test_conjugate_outside_list_fails_class_split(self):
+    @pytest.mark.parametrize("mode, nu, q", registry_spaces())
+    def test_unipotent_radical_is_upper_unitriangular(self, mode, nu, q):
+        space = FiniteFormSpace(mode, nu, q)
+        group = enumerate_group_cached(space)
+        u = counting.unipotent_radical(space)
+        assert len(set(u)) == len(u) == q ** counting._positive_roots(space)
+        assert all(generator_kind(g) == "U" for g in u)
+        assert set(u) <= group.members == set(group.elements)
+
+    @pytest.mark.parametrize("mode, nu, q", registry_spaces())
+    def test_filter_never_reads_the_element_list(self, mode, nu, q):
+        # the walk starts from U and tests membership in the group's set,
+        # so a full scan of the element list cannot come back unnoticed
+        group = enumerate_group_cached(FiniteFormSpace(mode, nu, q))
+        sealed = counting.GroupEnum(group.space, Sealed(group.elements),
+                                    group.generators, group.kept,
+                                    group.members)
+        unis = unipotents_of_type(group, Counter({nu: 1}))
+        walked = unipotents_of_type(sealed, Counter({nu: 1}))
+        assert walked == unis and walked.classes == unis.classes
+
+    def test_conjugate_outside_group_fails_class_split(self):
         group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
         unis = unipotents_of_type(group, Counter({2: 1}))
-        assert sorted(map(len, conjugacy_classes(unis, group.kept, 3))) == \
-            [4, 4]
-        with pytest.raises(VerificationFailed, match="is not in the list"):
-            conjugacy_classes(unis[1:], group.kept, 3)
+        assert sorted(map(len, conjugacy_classes(list(unis), group.kept, 3,
+                                                 group.members))) == [4, 4]
+        short = unis[1:]
+        with pytest.raises(VerificationFailed, match="is not in the group"):
+            conjugacy_classes(short, group.kept, 3, set(short))
 
     @pytest.mark.parametrize("mode, nu, q", [
         (TYPE_A, 3, 3), (SP, 2, 7), (SO_ODD, 3, 7)])
@@ -382,52 +425,68 @@ class TestSpacesAndGroups:
             for u in group.elements:
                 assert conjugate(u) == mat_mul(mat_mul(s, u, q), s_inv, q)
 
-    def test_jordan_readings_differing_in_a_class_fail(self, monkeypatch):
-        # the filter reads the Jordan type at the first and the last member
-        # of each class; a rule that answers otherwise at one last member
-        # must be caught
+    @pytest.mark.parametrize("end", [0, -1], ids=["least", "greatest"])
+    @pytest.mark.parametrize("reading", [Counter({1: 2}), None],
+                             ids=["other-type", "not-unipotent"])
+    def test_jordan_readings_differing_in_a_class_fail(self, monkeypatch,
+                                                       end, reading):
+        # the filter reads the Jordan type at the least and the greatest
+        # member of each class; a rule that answers otherwise, or not
+        # unipotent, at either end must be caught
         group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
-        candidates = [g for g in sorted(group.elements)
-                      if trace_mod(g, 3) == trace_mod(mat_mul(g, g, 3), 3)
-                      == 2]
-        cls = max(conjugacy_classes(candidates, group.kept, 3), key=len)
-        last = candidates[cls[-1]]
+        unis = unipotents_of_type(group, Counter({2: 1}))
+        cls = max(unis.classes, key=len)
+        assert cls == sorted(cls)
+        member = unis[cls[end]]
         real = counting.unipotent_jordan_type
         monkeypatch.setattr(counting, "unipotent_jordan_type",
-                            lambda g, p: Counter({1: 2}) if g == last
+                            lambda g, p: reading if g == member
                             else real(g, p))
         with pytest.raises(VerificationFailed,
                            match="of one class have Jordan types"):
             unipotents_of_type(group, Counter({2: 1}))
 
+    def test_class_read_as_not_unipotent_fails(self, monkeypatch):
+        # every class walked from U is unipotent; one whose least and
+        # greatest members both read as not unipotent must be caught
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        unis = unipotents_of_type(group, Counter({2: 1}))
+        cls = {unis[i] for i in unis.classes[0]}
+        real = counting.unipotent_jordan_type
+        monkeypatch.setattr(counting, "unipotent_jordan_type",
+                            lambda g, p: None if g in cls else real(g, p))
+        with pytest.raises(VerificationFailed,
+                           match="types None and None, not one unipotent"):
+            unipotents_of_type(group, Counter({2: 1}))
+
     @pytest.mark.parametrize("mode, nu, q", registry_spaces())
-    def test_trace_prefilter_keeps_every_unipotent(self, monkeypatch, mode,
-                                                   nu, q):
-        # the filter splits only the elements passing both trace tests;
-        # on Sp4(F3) and SO5(F3) those are exactly the q^(2N) unipotents
+    def test_walk_from_u_holds_every_unipotent(self, monkeypatch, mode, nu,
+                                               q):
+        # U is a Sylow p-subgroup, so the classes walked from it are
+        # exactly the unipotents: checked against the Jordan rule on every
+        # element where that is cheap, and on Sp4(F3) and SO5(F3) against
+        # Steinberg's 3^8
         space = FiniteFormSpace(mode, nu, q)
         group = enumerate_group_cached(space)
-        seen = []
+        walks = []
         real = counting.conjugacy_classes
         monkeypatch.setattr(counting, "conjugacy_classes",
-                            lambda els, gens, p: seen.append(els)
-                            or real(els, gens, p))
+                            lambda els, *args: walks.append(els)
+                            or real(els, *args))
         unipotents_of_type(group, Counter({1: nu}))
-        [candidates] = seen
-        assert candidates == sorted(candidates)
-        assert all(trace_mod(g, q) == trace_mod(mat_mul(g, g, q), q)
-                   == nu % q for g in candidates)
+        [walked] = walks
+        assert len(set(walked)) == len(walked)
         if group.order < 20000:
-            assert {g for g in group.elements
-                    if unipotent_jordan_type(g, q) is not None} <= \
-                set(candidates)
+            assert set(walked) == {g for g in group.elements
+                                   if unipotent_jordan_type(g, q) is not None}
         if mode != TYPE_A:
-            assert len(candidates) == unipotent_count_formula(space) == 6561
+            assert len(walked) == unipotent_count_formula(space) == 6561
 
     @pytest.mark.parametrize("case", COUNT_CASES, ids=count_line)
     def test_handed_classes_match_a_fresh_split(self, monkeypatch, case):
         # count_pairs reads the classes the filter walked; they must be
-        # the index lists a fresh split of the filter's result gives
+        # the index lists a fresh split of the filter's result gives, in
+        # its order, each in ascending order
         calls = []
         real = counting.unipotents_of_type
         monkeypatch.setattr(counting, "unipotents_of_type",
@@ -435,8 +494,12 @@ class TestSpacesAndGroups:
                                 (group, real(group, target))) or calls[-1][1])
         case.report()
         [(group, unis)] = calls
-        assert unis.classes == conjugacy_classes(list(unis), group.kept,
-                                                 group.space.q)
+        assert unis == sorted(unis)
+        fresh = list(unis)
+        classes = conjugacy_classes(fresh, group.kept, group.space.q,
+                                    group.members)
+        assert fresh == unis
+        assert unis.classes == [sorted(cls) for cls in classes]
 
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))
