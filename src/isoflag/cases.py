@@ -2,7 +2,8 @@
 
 The model sweep (``sweep_cases`` x ``fields_for``) is what ``isoflag
 sweep`` verifies and what acceptance criteria 3, 5 and 6 build; the
-counting cases are the ``isoflag count`` runs of criteria 7, 8 and 9.
+counting cases are the ``isoflag count`` runs of criteria 7, 8 and 9,
+each reported by ``CountCase.report``.
 """
 
 from __future__ import annotations
@@ -78,16 +79,23 @@ class CountCase(NamedTuple):
     gamma: Optional[Tuple[int, ...]] = None
 
     def report(self) -> dict:
-        """``counting.count_report`` for this case, with its type, q and
-        Jordan type added."""
+        """``counting.count_pairs`` for this case, with its type, q, Jordan
+        type and orders; ``relation_holds`` checks that the count equals
+        the adjoint order for the predicted Jordan type, and only then."""
         shape = None if self.group_type == "A" else self.shape
         mode = {"A": counting.TYPE_A, "B": counting.SO_ODD,
                 "C": counting.SP}[self.group_type]
         space = counting.FiniteFormSpace(
             mode, self.n if shape is None else shape.nu, self.q)
-        gamma = counting.predicted_jordan_type(space, shape) \
-            if self.gamma is None else Counter(self.gamma)
-        report = counting.count_report(space, gamma, shape=shape)
+        predicted = counting.predicted_jordan_type(space, shape)
+        gamma = predicted if self.gamma is None else Counter(self.gamma)
+        report = counting.count_pairs(space, gamma, shape=shape)
+        adjoint = counting.adjoint_order(space)
+        report["group_order"] = counting.group_order_formula(space)
+        report["adjoint_order"] = adjoint
+        expect_equal = gamma == predicted
+        report["expected_relation"] = "equal" if expect_equal else "differs"
+        report["relation_holds"] = (report["count"] == adjoint) == expect_equal
         report["type"] = self.group_type
         report["q"] = self.q
         report["gamma"] = sorted(gamma.elements(), reverse=True)

@@ -18,18 +18,17 @@ from collections import Counter
 
 from . import __version__
 from .cases import CountCase, cuts_for, fields_for, sweep_cases
-from .fields import (FiniteScanCapExceeded, RATIONALS, TowerDepthExceeded,
-                     get_finite_field)
-from .gram import GramTable, WindowExceeded, check_conjecture_210
+from .fields import RATIONALS, get_finite_field
+from .gram import GramTable, check_conjecture_210
 from .linalg import Matrix, nilpotent_jordan_multiset
 from .model import (build_T, build_model, flags_from, position_check,
                     split_check)
-from .shapes import (MODES, ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
-                     VerificationFailed, psi, verify_series_identity)
-from . import counting
+from .shapes import (MODES, ORTHOGONAL, SYMPLECTIC, BoundExceeded,
+                     InvalidInput, ShapeSeq, VerificationFailed, psi,
+                     verify_series_identity)
 
 
-class UsageError(Exception):
+class UsageError(InvalidInput):
     pass
 
 
@@ -347,14 +346,13 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         result, code = COMMANDS[args.command](args)
-    except (UsageError, InvalidInput) as exc:
+    except InvalidInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (TowerDepthExceeded, FiniteScanCapExceeded, WindowExceeded,
-            counting.BoundExceeded) as exc:
+    except BoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
     manifest["wall_time_s"] = round(time.monotonic() - start, 3)

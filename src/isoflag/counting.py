@@ -19,8 +19,9 @@ built from, the Weyl monomials, one torus element and the root-cell
 elements, and listed in closure order.  The filter walks the conjugacy
 classes that meet U, the q^N upper unitriangular elements, once: U is a
 Sylow p-subgroup, so these classes hold every unipotent and nothing
-else, and the group list is never scanned.  It runs the Jordan rule at
-two members of each class, not at every element, and hands the classes
+else, and the group list is never scanned.  The walk returns each class
+as a sorted list of elements; the filter runs the Jordan rule at the
+least and greatest member, not at every element, and hands the classes
 of the chosen type on to the count.  U and the flags are read off the
 same root cells: each flag is u w F0 with u in the Bruhat cell U_w, as
 its basis u w alone, gated by ``IsoFlag.verify`` and |flags| x |B| =
@@ -40,8 +41,9 @@ from .fields import get_finite_field, is_prime
 from .linalg import (Matrix, bruhat_pivots, image_chain_ranks,
                      inverse_rows, nullspace_rows, scalar_kernel)
 from .model import IsoFlag, IsotropyViolation, QuadSpace
-from .shapes import (InvalidInput, ShapeSeq, VerificationFailed,
-                     jordan_from_ranks, jordan_prediction, position_ok)
+from .shapes import (BoundExceeded, InvalidInput, ShapeSeq,
+                     VerificationFailed, jordan_from_ranks,
+                     jordan_prediction, position_ok)
 
 #: Hard cap on enumerated group order.
 MAX_GROUP_ORDER = 10 ** 6
@@ -52,10 +54,6 @@ MAX_NU_AND_Q = 7
 TYPE_A = "typeA"
 SP = "symplectic"
 SO_ODD = "orthogonal-odd-dim"
-
-
-class BoundExceeded(Exception):
-    pass
 
 
 # -- dense modular linear algebra on int tuples ------------------------------
@@ -127,10 +125,7 @@ class FiniteFormSpace:
         if nu > MAX_NU_AND_Q:
             raise BoundExceeded(f"nu = {nu} exceeds the tractability bound "
                                 f"{MAX_NU_AND_Q}")
-        # a q that is not prime is bad input at any size; trial division
-        # settles it in at most 10^6 steps up to 10^12, and a larger q is
-        # refused at the bound untested
-        if q <= 10 ** 12 and not is_prime(q):
+        if not is_prime(q):
             raise InvalidInput(f"q = {q} must be prime")
         if q > MAX_NU_AND_Q:
             raise BoundExceeded(f"q = {q} exceeds the tractability bound "
@@ -448,13 +443,14 @@ def unipotent_count_formula(space: FiniteFormSpace) -> int:
 
 
 class Unipotents(list):
-    """The unipotents of one Jordan type, sorted, with ``classes``: their
-    conjugacy classes as ascending index lists into this list, the
-    classes ``conjugacy_classes`` gives on it, in the same order."""
+    """The members of ``classes``, sorted, with ``classes``: the same
+    classes as ascending index lists into this list, ordered by their
+    least members."""
 
-    def __init__(self, elements: List[tuple], classes: List[List[int]]):
-        super().__init__(elements)
-        self.classes = classes
+    def __init__(self, classes: List[List[tuple]]):
+        super().__init__(sorted(chain.from_iterable(classes)))
+        position = {g: k for k, g in enumerate(self)}
+        self.classes = sorted([position[g] for g in cls] for cls in classes)
 
 
 def unipotents_of_type(group: GroupEnum, target: Counter) -> Unipotents:
@@ -469,22 +465,19 @@ def unipotents_of_type(group: GroupEnum, target: Counter) -> Unipotents:
     Steinberg's q^(2N), else VerificationFailed.  The Jordan type is read
     at the least and the greatest member of each class; a reading that is
     not unipotent, or two different readings, raise VerificationFailed.
-    The classes of the chosen type are sorted by their least members and
-    re-indexed into their sorted union, so they are the ascending forms
-    of the classes a fresh split of the result gives.
     """
     space = group.space
     q = space.q
-    walked = unipotent_radical(space)
-    classes = conjugacy_classes(walked, group.kept, q, group.members)
+    classes = conjugacy_classes(unipotent_radical(space), group.kept, q,
+                                group.members)
+    walked = sum(map(len, classes))
     want = unipotent_count_formula(space)
-    if len(walked) != want:
+    if walked != want:
         raise VerificationFailed(
-            f"{len(walked)} unipotent elements, not the {want} of "
+            f"{walked} unipotent elements, not the {want} of "
             f"Steinberg's count q^(2N)")
-    picked: List[List[tuple]] = []
+    picked = []
     for cls in classes:
-        cls = sorted(walked[i] for i in cls)
         jordan = unipotent_jordan_type(cls[0], q)
         last = unipotent_jordan_type(cls[-1], q)
         if jordan is None or last != jordan:
@@ -493,50 +486,40 @@ def unipotents_of_type(group: GroupEnum, target: Counter) -> Unipotents:
                 f"types {jordan} and {last}, not one unipotent type")
         if jordan == target:
             picked.append(cls)
-    picked.sort()
-    elements = sorted(chain.from_iterable(picked))
-    position = {g: k for k, g in enumerate(elements)}
-    return Unipotents(elements, [[position[g] for g in cls] for cls in picked])
+    return Unipotents(picked)
 
 
-def conjugacy_classes(elements: List[tuple], generators: List[tuple],
-                      p: int, group: set) -> List[List[int]]:
-    """Orbits of ``elements`` under conjugation u -> s u s^-1 by the
-    generators, as lists of indices, each led by its smallest index.
+def conjugacy_classes(seeds: List[tuple], generators: List[tuple],
+                      p: int, group: set) -> List[List[tuple]]:
+    """The classes that meet ``seeds`` under conjugation u -> s u s^-1 by
+    the generators, each as a sorted list of elements.
 
     The orbits are the classes of the group the generators generate.  Each
     generator conjugates through its own ``sandwich`` of row actions, so
-    the walk computes each distinct row product once.  A conjugate
-    outside ``elements`` is appended to it, so the orbits close up to
-    whole classes; a conjugate outside ``group``, a set holding the group,
-    raises VerificationFailed.
+    the walk computes each distinct row product once.  A conjugate outside
+    ``group``, a set holding the group, raises VerificationFailed.
     """
-    index = {u: i for i, u in enumerate(elements)}
     k = scalar_kernel(get_finite_field(p))
     pairs = [(s, sandwich(s, inverse_rows(s, k), p)) for s in generators]
-    seen = [False] * len(elements)
+    seen = set()
     classes = []
-    for start in range(len(elements)):  # the seeds, not what the walk adds
-        if seen[start]:
+    for u in seeds:
+        if u in seen:
             continue
-        seen[start] = True
-        orbit = [start]
-        for i in orbit:  # grows as the walk proceeds
+        seen.add(u)
+        orbit = [u]
+        for x in orbit:  # grows as the walk proceeds
             for s, conjugate in pairs:
-                c = conjugate(elements[i])
-                j = index.get(c)
-                if j is None:
-                    if c not in group:
-                        raise VerificationFailed(
-                            f"the conjugate {c} of element {i} by {s} is "
-                            f"not in the group")
-                    j = index[c] = len(elements)
-                    elements.append(c)
-                    seen.append(False)
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(j)
-        classes.append(orbit)
+                c = conjugate(x)
+                if c in seen:
+                    continue
+                if c not in group:
+                    raise VerificationFailed(
+                        f"the conjugate {c} of {x} by {s} is not in the "
+                        f"group")
+                seen.add(c)
+                orbit.append(c)
+        classes.append(sorted(orbit))
     return classes
 
 
@@ -643,21 +626,3 @@ def predicted_jordan_type(space: FiniteFormSpace,
     if space.mode == TYPE_A:
         return Counter({space.nu: 1})
     return jordan_prediction(shape, space.quad.mode)
-
-
-def count_report(space: FiniteFormSpace, gamma: Counter,
-                 shape: Optional[ShapeSeq] = None) -> dict:
-    """count_pairs plus the relation the count must satisfy.
-
-    The count is checked against the adjoint order in every type: equal
-    for the predicted Jordan type (``predicted_jordan_type``), different
-    for an off-class one; ``relation_holds`` records the outcome.
-    """
-    result = count_pairs(space, gamma, shape=shape)
-    expect_equal = gamma == predicted_jordan_type(space, shape)
-    adjoint = adjoint_order(space)
-    result["group_order"] = group_order_formula(space)
-    result["adjoint_order"] = adjoint
-    result["expected_relation"] = "equal" if expect_equal else "differs"
-    result["relation_holds"] = (result["count"] == adjoint) == expect_equal
-    return result

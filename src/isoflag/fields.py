@@ -39,6 +39,8 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
+from .shapes import BoundExceeded, InvalidInput
+
 Scalar = Union[int, Fraction]
 
 #: Hard bound on tower depth; exceeding it raises TowerDepthExceeded.
@@ -48,11 +50,11 @@ DEFAULT_TOWER_DEPTH_BOUND = 8
 FINITE_SCAN_CAP = 10**6
 
 
-class TowerDepthExceeded(Exception):
+class TowerDepthExceeded(BoundExceeded):
     pass
 
 
-class FiniteScanCapExceeded(Exception):
+class FiniteScanCapExceeded(BoundExceeded):
     pass
 
 
@@ -398,17 +400,35 @@ def _canonical_modulus(p: int, m: int) -> tuple:
     raise AssertionError("no irreducible polynomial found")
 
 
+#: psi_13: Miller-Rabin to the bases 2..41 decides primality below it
+#: (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division up to isqrt(n)."""
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Whether n is prime, by Miller-Rabin to the bases 2..41, exact for
+    n < PRIMALITY_BOUND; a larger n raises BoundExceeded."""
+    if n >= PRIMALITY_BOUND:
+        raise BoundExceeded(f"primality of {n} is decided only below "
+                            f"psi_13 = {PRIMALITY_BOUND}")
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in range(2, 42):
+        x = pow(a, d, n)
+        if a % n and x != 1 and all(pow(x, 1 << r, n) != n - 1
+                                    for r in range(s)):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def get_finite_field(p: int, m: int = 1) -> "FiniteField":
     if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise InvalidInput(f"characteristic {p} is not prime")
     if m < 1:
-        raise ValueError(f"extension degree {m} must be at least 1")
+        raise InvalidInput(f"extension degree {m} must be at least 1")
     return FiniteField(p, m)
 
 
@@ -575,10 +595,12 @@ class FiniteField:
         return root
 
     def _least_nonresidue(self) -> "FieldElement":
-        """The non-square of least encoding (q odd)."""
+        """The non-square of least encoding (q odd); for even m every
+        constant of GF(p) is a square, so the scan starts at encoding p."""
         half = (self.q - 1) // 2
+        start = self.p if self.m % 2 == 0 else 2
         return next(z for z in (FieldElement(self, self.decode(enc))
-                                for enc in range(2, self.q))
+                                for enc in range(start, self.q))
                     if z ** half != self.one)
 
     def to_json(self):

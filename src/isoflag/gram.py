@@ -58,11 +58,12 @@ from typing import Dict, Optional, Tuple
 
 from .fields import FieldElement, RATIONALS, sqrt_extend
 from .linalg import Matrix, Unique, dot, solve_linear
-from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES, InvalidInput,
-                     ShapeSeq, VerificationFailed, binomial_nk, pi_window)
+from .shapes import (HALF_LEVEL, ORTHOGONAL, SYMPLECTIC, MODES,
+                     BoundExceeded, InvalidInput, ShapeSeq,
+                     VerificationFailed, binomial_nk, pi_window)
 
 
-class WindowExceeded(Exception):
+class WindowExceeded(BoundExceeded):
     pass
 
 

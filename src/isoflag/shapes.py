@@ -30,6 +30,10 @@ class VerificationFailed(Exception):
     """A computed object failed one of its invariants."""
 
 
+class BoundExceeded(Exception):
+    """A computation would pass one of the package's resource bounds."""
+
+
 @dataclass(frozen=True)
 class ShapeSeq:
     parts: Tuple[int, ...]

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
 from isoflag.fields import RATIONALS
 from isoflag.linalg import NoSolution
+from isoflag.shapes import BoundExceeded, InvalidInput, VerificationFailed
 
 
 def run(capsys, *argv):
@@ -255,6 +257,12 @@ class TestExitCodes:
                               "--n", "5", "--q", "5")
         assert code == 3 and "resource bound" in err
 
+    def test_primality_bound(self, capsys):
+        # Miller-Rabin to the bases 2..41 is proven only below psi_13
+        code, _out, err = run(capsys, "gram", "--shape", "1", "--field",
+                              "gf:3317044064679887385961981")
+        assert code == 3 and "resource bound" in err and "psi_13" in err
+
     @pytest.mark.parametrize("argv, fragment", [
         (("count", "--type", "A", "--n", "2", "--q", "4"), "prime"),
         # primality is tested before the tractability bound on q
@@ -367,8 +375,11 @@ class TestExitCodes:
 
     def test_every_package_exception_has_an_exit_code(self, capsys,
                                                       monkeypatch):
-        # an exception class of the package that main does not map would
-        # end a run with a traceback instead of exit 1, 2 or 3
+        # each exit code is one exception base of shapes; a package class
+        # under none of them would end a run with a traceback, and one
+        # under two would leave its exit code to the order of main's
+        # except clauses
+        bases = {VerificationFailed: 1, InvalidInput: 2, BoundExceeded: 3}
         classes = [obj for info in pkgutil.iter_modules(isoflag.__path__)
                    for obj in vars(importlib.import_module(
                        f"isoflag.{info.name}")).values()
@@ -381,10 +392,25 @@ class TestExitCodes:
             raise cls("probe")
 
         for cls in classes:
+            [base] = [b for b in bases if issubclass(cls, b)]
             monkeypatch.setitem(cli.COMMANDS, "psi",
                                 lambda args, cls=cls: raise_(cls))
             code, _out, err = run(capsys, "psi", "--shape", "1")
-            assert code in (1, 2, 3) and "probe" in err, cls
+            assert code == bases[base] and "probe" in err, cls
+
+    @pytest.mark.parametrize("argv", [
+        # Tonelli-Shanks over GF(1000003^2) needs a non-residue, and every
+        # constant of GF(1000003) is a square there
+        ("gram", "--shape", "2,1", "--kappa", "1", "--mode", "orthogonal",
+         "--field", "gf:1000003"),
+        # 2^61 - 1 is too large for trial division
+        ("gram", "--shape", "1", "--field", "gf:2305843009213693951")],
+        ids=["nonresidue-gf-p2", "mersenne-61"])
+    def test_large_prime_fields_run(self, capsys, argv):
+        start = time.monotonic()
+        code, _out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert time.monotonic() - start < 10
 
     def test_increasing_shape_rejected_without_asserts(self):
         # python -O strips assert statements; shape validation must not

@@ -13,7 +13,7 @@ from isoflag.cli import main
 from isoflag.counting import (SO_ODD, SP, TYPE_A, BoundExceeded,
                               FiniteFormSpace, adjoint_order, bruhat_pivots,
                               check_isotropic_flags, conjugacy_classes,
-                              count_pairs, count_report, coxeter_cycle,
+                              count_pairs, coxeter_cycle,
                               enumerate_group, enumerate_group_cached,
                               enumerate_isotropic_flags,
                               enumerate_isotropic_flags_cached,
@@ -221,9 +221,12 @@ class TestSpacesAndGroups:
             FiniteFormSpace(TYPE_A, 2, 4)
 
     def test_bound_before_primality(self):
-        # a large q is refused by the bound before any trial division
-        with pytest.raises(BoundExceeded, match="bound 7"):
+        # a composite q is bad input at any size; a prime q past the bound
+        # is refused by the bound
+        with pytest.raises(InvalidInput, match="must be prime"):
             FiniteFormSpace(TYPE_A, 2, (10 ** 6 + 3) ** 2)
+        with pytest.raises(BoundExceeded, match="bound 7"):
+            FiniteFormSpace(TYPE_A, 2, 2 ** 61 - 1)
 
     @pytest.mark.parametrize("mode, nu", [(SP, 4), (SO_ODD, 3)])
     @pytest.mark.parametrize("tamper", ["extra", "conjugate"])
@@ -406,6 +409,17 @@ class TestSpacesAndGroups:
         walked = unipotents_of_type(sealed, Counter({nu: 1}))
         assert walked == unis and walked.classes == unis.classes
 
+    def test_class_walk_leaves_its_seeds_alone(self):
+        # the walk returns its classes, sorted, and does not grow the
+        # list it was handed
+        group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
+        seeds = counting.unipotent_radical(group.space)
+        before = list(seeds)
+        classes = conjugacy_classes(seeds, group.kept, 3, group.members)
+        assert seeds == before
+        assert all(cls == sorted(cls) for cls in classes)
+        assert sorted(map(len, classes)) == [1, 4, 4]
+
     def test_conjugate_outside_group_fails_class_split(self):
         group = enumerate_group_cached(FiniteFormSpace(SP, 2, 3))
         unis = unipotents_of_type(group, Counter({2: 1}))
@@ -471,10 +485,11 @@ class TestSpacesAndGroups:
         walks = []
         real = counting.conjugacy_classes
         monkeypatch.setattr(counting, "conjugacy_classes",
-                            lambda els, *args: walks.append(els)
-                            or real(els, *args))
+                            lambda *args: walks.append(real(*args))
+                            or walks[-1])
         unipotents_of_type(group, Counter({1: nu}))
-        [walked] = walks
+        [classes] = walks
+        walked = [g for cls in classes for g in cls]
         assert len(set(walked)) == len(walked)
         if group.order < 20000:
             assert set(walked) == {g for g in group.elements
@@ -495,11 +510,11 @@ class TestSpacesAndGroups:
         case.report()
         [(group, unis)] = calls
         assert unis == sorted(unis)
-        fresh = list(unis)
-        classes = conjugacy_classes(fresh, group.kept, group.space.q,
+        position = {g: k for k, g in enumerate(unis)}
+        classes = conjugacy_classes(list(unis), group.kept, group.space.q,
                                     group.members)
-        assert fresh == unis
-        assert unis.classes == [sorted(cls) for cls in classes]
+        assert unis.classes == [[position[g] for g in cls]
+                                for cls in classes]
 
     def test_unipotents_gl2_f3(self):
         g = enumerate_group(FiniteFormSpace(TYPE_A, 2, 3))
@@ -724,15 +739,13 @@ class TestAdjointOrder:
 
 class TestCounting:
     def test_gl2_f3_coxeter_count(self):
-        space = FiniteFormSpace(TYPE_A, 2, 3)
-        rep = count_report(space, Counter({2: 1}))
+        rep = CountCase("A", 3, n=2).report()
         assert rep["count"] == 24
         assert rep["count"] == 3 * (3 ** 2 - 1) == rep["adjoint_order"]
         assert rep["double_count_consistent"]
 
     def test_gl3_f2_coxeter_count(self):
-        space = FiniteFormSpace(TYPE_A, 3, 2)
-        rep = count_report(space, Counter({3: 1}))
+        rep = CountCase("A", 2, n=3).report()
         assert rep["count"] == 168 == rep["adjoint_order"]
         assert rep["relation_holds"]
 

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
-                            RATIONALS, FieldElement, FiniteField,
-                            TowerDepthExceeded,
+                            PRIMALITY_BOUND, RATIONALS, FieldElement,
+                            FiniteField, TowerDepthExceeded,
                             _canonical_modulus, _is_irreducible,
-                            get_finite_field, sqrt_extend)
+                            get_finite_field, is_prime, sqrt_extend)
+from isoflag.shapes import BoundExceeded, InvalidInput
 
 Q2 = RATIONALS.extend((Fraction(2),))
 Q23 = Q2.extend((Fraction(3), Fraction(0)))
@@ -220,6 +222,37 @@ class TestDepthTwoTower:
         assert s2 * s2 == Q23.from_int(2)
 
 
+class TestPrimality:
+    def test_agrees_with_a_sieve(self):
+        limit = 2 * 10 ** 5
+        composite = set()
+        for d in range(2, isqrt(limit) + 1):
+            composite.update(range(d * d, limit, d))
+        assert [n for n in range(limit) if is_prime(n)] == \
+            [n for n in range(2, limit) if n not in composite]
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # a strong pseudoprime to the bases 2 to 7
+        3825123056546413051,  # a strong pseudoprime to the bases 2 to 31
+        (10 ** 6 + 3) ** 2])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_mersenne_numbers(self):
+        assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+        assert 2 ** 67 - 1 == 193707721 * 761838257287
+        assert not is_prime(2 ** 67 - 1)
+
+    def test_undecided_past_psi13(self):
+        with pytest.raises(BoundExceeded, match=f"psi_13 = {PRIMALITY_BOUND}"):
+            is_prime(PRIMALITY_BOUND)
+        assert PRIMALITY_BOUND == 3317044064679887385961981
+
+    def test_composite_characteristic_is_bad_input(self):
+        with pytest.raises(InvalidInput, match="not prime"):
+            get_finite_field((10 ** 6 + 3) ** 2)
+
+
 class TestFiniteFields:
     def test_sqrt_gf7(self):
         f = get_finite_field(7)
@@ -251,6 +284,16 @@ class TestFiniteFields:
         nonsquare = next(k for k in range(2, p)
                          if pow(k, (p - 1) // 2, p) == p - 1)
         assert f.sqrt_or_none(f.from_int(nonsquare)) is None
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (11, 2),
+                                     (3, 4), (5, 4), (7, 1), (3, 3)])
+    def test_least_nonresidue_matches_brute_force(self, p, m):
+        # for even m every constant of GF(p) is a square, so the scan may
+        # start at encoding p; the brute force starts at 0
+        f = get_finite_field(p, m)
+        brute = next(n for n in range(f.q)
+                     if brute_sqrt(f, f.element(f.decode(n))) is None)
+        assert f.encode(f._least_nonresidue().coords) == brute
 
     def test_sqrt_over_reducible_modulus_raises(self):
         # GF(3)[x]/(x^2 - 1) is GF(3) x GF(3): its least "nonresidue" is a
