@@ -24,6 +24,9 @@ PINNED_DIGEST = \
 # edge_digest() of the same recursion, at the default window and windows 0, 1
 PINNED_EDGE_DIGEST = \
     "7649e1cb1097a6af8321067badc7920e57abf8c413ddcf74150d2b38b4ddcc85"
+# wide_digest() of the same recursion: more fields and shapes, and the keys
+PINNED_WIDE_DIGEST = \
+    "6bec36b0f79f4809c34ffb4bbbf5f2bc6dd8c0e58982afc9319fc1caae2f327b"
 
 
 def orthogonal_shapes(total, exact=False):
@@ -387,6 +390,19 @@ def edge_digest():
                     for shape in orthogonal_shapes(6, exact=True)])
 
 
+def wide_digest():
+    """SHA-256 over every orthogonal table with part sum <= 7, over Q,
+    GF(3), GF(5), GF(7) and GF(3^3), at the default window and windows 0
+    and 1: each table's ``_table_record`` and the keys it stores."""
+    fields = (RATIONALS, get_finite_field(3), get_finite_field(5),
+              get_finite_field(7), get_finite_field(3, 3))
+    return _digest([_table_record(t) + [sorted(t._store)]
+                    for field in fields
+                    for window in (None, 0, 1)
+                    for shape in orthogonal_shapes(7)
+                    for t in [GramTable(shape, ORTHOGONAL, field, window)]])
+
+
 def test_pinned_tables():
     # any change to a value, a case label or a diagnostic of these tables
     # changes the digest
@@ -396,6 +412,13 @@ def test_pinned_tables():
 def test_pinned_window_edges():
     # the narrowest windows leave each level the least room to read from
     assert edge_digest() == PINNED_EDGE_DIGEST
+
+
+def test_pinned_wide_tables():
+    # GF(3) extends to GF(9) and GF(3^3) to GF(3^6) on most of these
+    # tables, so lifting into an extension is covered too; the stored keys
+    # pin every range a level keeps for the later levels
+    assert wide_digest() == PINNED_WIDE_DIGEST
 
 
 def test_reading_past_the_computed_range_raises():
