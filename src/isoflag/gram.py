@@ -28,6 +28,12 @@ auxiliary system, the half level included, fails one way: a system without
 a unique solution, or a scale nu that is 0, raises VerificationFailed
 naming the level.
 
+Each distinct set of values is computed once.  The rows of a real level
+share one diagonal and every pair of them one set of 2.6 values, so
+``_do_level`` computes each once and stores it under every row and pair;
+each half-level value is one ``field.dot``; and a change of field lifts
+each distinct stored value once.
+
 The table keeps value(t, r, d) for t <= r in one dict keyed (t, r, d),
 one key per stored offset; ``_val`` is its only reader.  It reads
 value(r, t, -d) for t > r, and a key that is not stored raises
@@ -225,7 +231,14 @@ class GramTable:
         if field == self.field:
             return
         self.field = field
-        self._store = {key: field.lift(v) for key, v in self._store.items()}
+        # constant ranges and a level's shared dicts hold one value under
+        # many keys; each distinct value is lifted once
+        lifted: Dict[tuple, FieldElement] = {}
+        for key, v in self._store.items():
+            w = lifted.get(v.coords)
+            if w is None:
+                w = lifted[v.coords] = field.lift(v)
+            self._store[key] = w
 
     def _has_even_drop(self, y: int, x: int) -> bool:
         """Is there an even r in [y, x-1] with part(r) > part(r+1)?
@@ -251,6 +264,13 @@ class GramTable:
         the level form mu L; without one (the top level, or b even) the
         diagonal is the 2.5 closed form.  Every other higher row is 2.2,
         and distinct rows of the level are 2.6.
+
+        The rows of a level share their values: the 2.3 values of a window
+        row are one dict for every x, the 2.4 diagonal reads only those,
+        the 2.5 diagonal depends on the level alone, and the 2.6 values
+        read only value(x, x, .).  So the diagonal and the 2.6 values are
+        computed once, for the first row, and stored for every row and
+        every pair y < x.
         """
         shape = self.shape
         xs = [x for x in range(1, shape.sigma + 1) if shape.part(x) == level]
@@ -267,14 +287,17 @@ class GramTable:
         # and an even drop r in [t, b - 1] would make r + 1 an odd index
         # above a with psi = 1 and part > level, against the choice of a
         self._store_22(range(1, window[0] if window else xs[0]), xs, d_level)
+        if window:
+            diag, case = self._diag_24(xs[0], level, nk, form, d_level), "2.4"
+        else:
+            diag, case = self._diag_25(level, d_level), "2.5"
         for x in xs:
-            if window:
-                self._diag_24(x, level, nk, form, d_level)
-            else:
-                self._diag_25(x, level, d_level)
-        for yi, y in enumerate(xs):
-            for x in xs[yi + 1:]:
-                self._off_26(y, x, level, nk, d_level)
+            self._store_pair(x, x, diag, case)
+        if len(xs) > 1:
+            off = self._off_26(xs[0], level, nk, d_level)
+            for yi, y in enumerate(xs):
+                for x in xs[yi + 1:]:
+                    self._store_pair(y, x, off, "2.6")
 
     def _store_22(self, ys, xs, d_range):
         """2.2: each higher row y in ``ys`` pairs to zero with the rows
@@ -399,7 +422,8 @@ class GramTable:
             self._store_pair(t, x, vals, "2.3")
 
     def _diag_24(self, x, level, nk, form, d_range):
-        """Same-index values at a level with a window; ``form`` is mu L."""
+        """Same-index values of row x at a level with a window; ``form``
+        is mu L."""
         f = self.field
         vals = dict.fromkeys(range(-level + 1, level), f.zero)
         vals[-level] = vals[level] = f.one
@@ -407,9 +431,9 @@ class GramTable:
                lambda d: self._terms(form, x, d))
         for d in range(level + 1, d_range + 1):
             vals[d] = vals[-d]
-        self._store_pair(x, x, vals, "2.4")
+        return vals
 
-    def _diag_25(self, x, level, d_range):
+    def _diag_25(self, level, d_range):
         """Same-index values at a level without a window:
         C(|d| + l, 2l) + C(|d| + l - 1, 2l) at level l, the polynomial of
         degree 2l in |d| that is 0 inside (-l, l), 1 at +-l and 2l + 2 at
@@ -419,10 +443,11 @@ class GramTable:
         for d in range(bound + 1):
             vals[d] = vals[-d] = self.field.from_int(
                 comb(d + level, 2 * level) + comb(d + level - 1, 2 * level))
-        self._store_pair(x, x, vals, "2.5")
+        return vals
 
-    def _off_26(self, y, x, level, nk, d_range):
-        """Distinct indices at the same level."""
+    def _off_26(self, x, level, nk, d_range):
+        """Distinct indices at the same level, from value(x, x, .) of a
+        row x of that level."""
         f = self.field
         K = self._kernel(level, nk, x, {})
         vals = dict.fromkeys(range(-level, level), f.zero)
@@ -430,14 +455,21 @@ class GramTable:
                lambda d: self._terms(K, x, d))
         _recur(f, vals, nk, range(level, d_range + 1), 1,
                lambda d: self._terms(K, x, d - 2 * level))
-        self._store_pair(y, x, vals, "2.6")
+        return vals
 
     # -- the virtual half level ----------------------------------------------
 
     def _half_level_odd(self, d_range):
         """2.8: the kappa row of an odd sigma against the window [a, sigma]
         and itself, from the unique solution c of the half level's system;
-        the rows above a are 2.2."""
+        the rows above a are 2.2.
+
+        Each value is one ``field.dot`` over coordinate tuples, wrapped
+        only where it is stored.  A diagonal value reads the two cross
+        brackets it needs from the row-a cross values wherever their
+        offset lies in [-d_range, d_range], and forms a bracket itself
+        only outside that range (on narrow windows and at large d).
+        """
         shape = self.shape
         sigma = shape.sigma
         a = pi_window(shape, HALF_LEVEL).a
@@ -457,29 +489,41 @@ class GramTable:
         nu = -dot(sol.x, gmat.apply(sol.x), f)
         if nu.is_zero:
             raise VerificationFailed("the half level's scale nu is 0")
-        # the form sum over (r, i) of c_(r, i) value(r, rp, i + e)
-        form = {key: x.coords for key, x in c.items()}
-
         # Each value is a bracket in the field this level starts in, times
         # 1/cx0 (cross) or 1/cx0^2 = 2/nu (diagonal), with cx0^2 = nu/2:
         # only the cross values' final scale needs the root.  For the pair
-        # (r', x) the offset is d = i' - h.
-        cross = {rp: {d: self._val(a, rp, 2 * p_a - d)
-                      - self._apply(form, rp, -d)
-                      for d in range(-d_range, d_range + 1)}
+        # (r', x) the offset is d = i' - h, and the bracket is
+        # value(a, r', 2 p_a - d) - sum c_(r, i) value(r, r', i - d): one
+        # dot, through the form with coefficient one at (a, 2 p_a), a key
+        # c lacks (i < 2 p_r), and the negated c elsewhere.
+        one = f.one.coords
+        bracket_form = {(a, 2 * p_a): one,
+                        **{key: f.neg(v.coords) for key, v in c.items()}}
+
+        def bracket(rp, d):
+            return f.dot(*self._terms(bracket_form, rp, -d))
+
+        cross = {rp: {d: bracket(rp, d) for d in range(-d_range, d_range + 1)}
                  for rp in range(a, sigma + 1)}
+
+        def cross_a(d):
+            return cross[a][d] if -d_range <= d <= d_range else bracket(a, d)
+
         # the quadratic term sum c_(r, i) c_(r', i') value(r, r', i - i' + d)
         # through the correlation C[(r, r', e)] = sum over i - i' = e
         corr_c = _grouped_dots(f, (((r, rp, i - ip), x.coords, y.coords)
                                    for (r, i), x in c.items()
                                    for (rp, ip), y in c.items()))
-        keys = list(corr_c)
-        cc = [FieldElement(f, corr_c[key]) for key in keys]
-        # the diagonal is even in d, like value(a, a, .) and the
-        # quadratic term, so only d >= 0 is computed
-        diag = [self._val(a, a, d) - self._apply(form, a, d - 2 * p_a)
-                - self._apply(form, a, -d - 2 * p_a)
-                + dot(cc, [self._val(r, rp, e + d) for (r, rp, e) in keys], f)
+        # the diagonal is bracket(a, 2 p_a - d) + bracket(a, 2 p_a + d)
+        # - value(a, a, -d) plus the quadratic term, one dot; it is even in
+        # d, like value(a, a, .) and the quadratic term, so only d >= 0 is
+        # computed
+        diag_coeffs = [one, one, f.neg(one)] + list(corr_c.values())
+        diag = [f.dot(diag_coeffs,
+                      [cross_a(2 * p_a - d), cross_a(2 * p_a + d),
+                       self._val(a, a, -d).coords]
+                      + [self._val(r, rp, e + d).coords
+                         for (r, rp, e) in corr_c])
                 for d in range(d_range + 1)]
         cx0, newfield = sqrt_extend(nu / 2)
         self._set_field(newfield)
@@ -489,11 +533,11 @@ class GramTable:
         x = sigma + 1
         self._store_22(range(1, a), [x], d_range)
         for rp, brackets in cross.items():
-            self._store_pair(rp, x, {d: inv * lift(v)
+            self._store_pair(rp, x, {d: inv * lift(FieldElement(f, v))
                                      for d, v in brackets.items()}, "2.8")
         vals = {}
         for d, v in enumerate(diag):
-            vals[d] = vals[-d] = lift(inv2 * v)
+            vals[d] = vals[-d] = lift(inv2 * FieldElement(f, v))
         self._store_pair(x, x, vals, "2.8")
 
     def to_json(self):
@@ -513,7 +557,8 @@ def check_conjecture_210(k: int, field=None):
     square of value(1, 2, 2k - 1), the predicted (-1)^(k-1) * 2^(2k) as a
     field element, and whether they agree.
     """
-    assert k >= 2
+    if k < 2:
+        raise InvalidInput(f"k = {k} must be at least 2")
     shape = ShapeSeq((k, 1), kappa=0)
     table = GramTable(shape, ORTHOGONAL, field, delta_bound=2 * k + 2)
     v = table.value(1, 2, 2 * k - 1)

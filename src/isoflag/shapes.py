@@ -115,9 +115,11 @@ def block_jordan_sizes(shape: ShapeSeq, mode: str) -> List[int]:
     kappa row adds a size-1 block, except in orthogonal mode with odd
     sigma, where the psi sizes already count it.
     """
-    assert mode in MODES, f"unknown mode {mode}"
-    assert shape.valid_for_mode(mode), \
-        f"shape {shape.parts} kappa={shape.kappa} invalid for mode {mode}"
+    if mode not in MODES:
+        raise InvalidInput(f"unknown mode {mode!r}")
+    if not shape.valid_for_mode(mode):
+        raise InvalidInput(f"shape {shape.parts} kappa={shape.kappa} "
+                           f"is invalid for mode {mode}")
     if mode == SYMPLECTIC:
         sizes = [2 * p for p in shape.parts]
     else:
@@ -244,10 +246,18 @@ def verify_series_identity(which: str, m: int, degree: int) -> bool:
 
     Both sides are expanded as truncated exact-rational power series up to the
     given degree; the right-hand sides are expanded from scratch via the
-    binomial theorem and series multiplication.
+    binomial theorem and series multiplication.  An unknown identity, an m
+    below its range or a negative degree raises InvalidInput.
     """
+    lowest = {"negative-binomial": 1, "two-pole": 2}
+    if which not in lowest:
+        raise InvalidInput(f"unknown identity {which!r}")
+    if m < lowest[which]:
+        raise InvalidInput(f"the {which} identity needs m >= "
+                           f"{lowest[which]}, got {m}")
+    if degree < 0:
+        raise InvalidInput(f"degree {degree} must be nonnegative")
     if which == "negative-binomial":
-        assert m >= 1
         lhs = _series_geometric_inverse_power(m, degree)
         # independent expansion: multiply out (1-T)^m and invert the series
         poly = [Fraction((-1) ** k * comb(m, k)) for k in range(m + 1)]
@@ -259,19 +269,17 @@ def verify_series_identity(which: str, m: int, degree: int) -> bool:
                 acc += poly[j] * inv[k - j]
             inv[k] = -acc
         return lhs[:degree + 1] == inv
-    if which == "two-pole":
-        assert m >= 2
-        lhs = [Fraction(1)]
-        for u in range(1, degree + 1):
-            num = Fraction(1)
-            for j in range(u - 1):
-                num *= (m + j)
-            num *= (m + 2 * u - 1)
-            den = Fraction(1)
-            for j in range(1, u + 1):
-                den *= j
-            lhs.append(num / den)
-        one_plus_t = [Fraction(1), Fraction(1)] + [Fraction(0)] * max(0, degree - 1)
-        rhs = _series_mul(one_plus_t, _series_geometric_inverse_power(m, degree), degree)
-        return lhs[:degree + 1] == rhs
-    raise ValueError(f"unknown identity {which!r}")
+    # two-pole
+    lhs = [Fraction(1)]
+    for u in range(1, degree + 1):
+        num = Fraction(1)
+        for j in range(u - 1):
+            num *= (m + j)
+        num *= (m + 2 * u - 1)
+        den = Fraction(1)
+        for j in range(1, u + 1):
+            den *= j
+        lhs.append(num / den)
+    one_plus_t = [Fraction(1), Fraction(1)] + [Fraction(0)] * max(0, degree - 1)
+    rhs = _series_mul(one_plus_t, _series_geometric_inverse_power(m, degree), degree)
+    return lhs[:degree + 1] == rhs

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -164,6 +165,29 @@ class TestOrthogonalRecursion:
         t = GramTable(shape, ORTHOGONAL)
         for d in range(-6, 7):
             assert t.value(1, 2, d) == t.value(1, 3, d)
+
+    def test_each_level_builds_its_shared_values_once(self, monkeypatch):
+        # every row of a level has the same diagonal and every pair of its
+        # rows the same 2.6 values, so each is computed once per level:
+        # (1, 1, 1, 1, 1) has 10 pairs and one _off_26 call
+        calls = []
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("_diag_24", "_diag_25", "_off_26"):
+            monkeypatch.setattr(GramTable, name,
+                                counted(name, getattr(GramTable, name)))
+        for shape in orthogonal_shapes(6):
+            calls.clear()
+            GramTable(shape, ORTHOGONAL)
+            rows = Counter(shape.parts)
+            assert calls.count("_diag_24") + calls.count("_diag_25") \
+                == len(rows), shape
+            assert calls.count("_off_26") == sum(n > 1 for n in rows.values())
 
 
 class TestLevelSystem:
@@ -396,11 +420,13 @@ def wide_digest():
     and 1: each table's ``_table_record`` and the keys it stores."""
     fields = (RATIONALS, get_finite_field(3), get_finite_field(5),
               get_finite_field(7), get_finite_field(3, 3))
-    return _digest([_table_record(t) + [sorted(t._store)]
-                    for field in fields
-                    for window in (None, 0, 1)
-                    for shape in orthogonal_shapes(7)
-                    for t in [GramTable(shape, ORTHOGONAL, field, window)]])
+    out = []
+    for field in fields:
+        for window in (None, 0, 1):
+            for shape in orthogonal_shapes(7):
+                t = GramTable(shape, ORTHOGONAL, field, window)
+                out.append(_table_record(t) + [sorted(t._store)])
+    return _digest(out)
 
 
 def test_pinned_tables():

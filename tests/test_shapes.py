@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +141,40 @@ class TestSeries:
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_series_identity("nope", 2, 5)
+
+
+def test_entry_points_refuse_bad_input_without_asserts():
+    # python -O strips assert statements; a corner scan below k = 2, an
+    # identity below its range of m or to a negative degree, and a Jordan
+    # prediction for an unknown mode or a shape the mode rejects must
+    # still raise
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from isoflag.gram import check_conjecture_210\n"
+        "from isoflag.shapes import InvalidInput, ORTHOGONAL, ShapeSeq, "
+        "block_jordan_sizes, jordan_prediction, verify_series_identity\n"
+        "calls = [\n"
+        "    lambda: check_conjecture_210(1),\n"
+        "    lambda: verify_series_identity('negative-binomial', 0, 5),\n"
+        "    lambda: verify_series_identity('two-pole', 1, 5),\n"
+        "    lambda: verify_series_identity('nope', 2, 5),\n"
+        "    lambda: verify_series_identity('two-pole', 2, -1),\n"
+        "    lambda: jordan_prediction(ShapeSeq((1,)), ORTHOGONAL),\n"
+        "    lambda: block_jordan_sizes(ShapeSeq((2, 1)), 'nope')]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except InvalidInput as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "k = 1 must be at least 2",
+        "the negative-binomial identity needs m >= 1, got 0",
+        "the two-pole identity needs m >= 2, got 1",
+        "unknown identity 'nope'",
+        "degree -1 must be nonnegative",
+        "shape (1,) kappa=0 is invalid for mode orthogonal-odd",
+        "unknown mode 'nope'"]
