@@ -387,6 +387,29 @@ PINNED_SPACE_DIGEST = \
     "9329d4e2baf836a536a436e6c7f3a9f6b4383ade2e863a3c85df7f455c9ee5a9"
 
 
+def intertwiner_digest(model_sweep):
+    """SHA-256 over build_T(m, sign_flip(m)) and, outside characteristic 2,
+    build_T(m, m.conjugated(-I)) of every sweep model, by key."""
+    out = []
+    for key in sorted(model_sweep):
+        m = model_sweep[key]
+        pair = flags_from(m)
+        partners = [sign_flip(m)]
+        if m.field.char != 2:
+            partners.append(m.conjugated(
+                Matrix.identity(m.field, m.space.dim) * m.field.from_int(-1)))
+        out.append([list(key)] + [build_T(m, b, flags_pair=pair).to_json()
+                                  for b in partners])
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# intertwiner_digest() of the sweep at part sum <= 5: a change to how T
+# finds its signs must keep it
+PINNED_T_DIGEST = \
+    "8a842bce78ebc8e9017040dc7fede57ba298f203a0fbb090a5c89c4d06ce1061"
+
+
 class TestSweep:
     def test_all_acceptance_models_build(self, model_sweep):
         # build_model verifies every invariant internally; reaching here
@@ -462,6 +485,11 @@ class TestSweep:
         # any change to G, Q or the mode of any sweep space changes it
         assert len(model_sweep) == 248
         assert space_digest(model_sweep) == PINNED_SPACE_DIGEST
+
+    def test_pinned_intertwiners(self, model_sweep):
+        # any change to an entry of either T of any sweep model changes it
+        assert len(model_sweep) == 248
+        assert intertwiner_digest(model_sweep) == PINNED_T_DIGEST
 
 
 class TestPairingProfileOracle:
