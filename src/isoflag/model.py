@@ -154,6 +154,7 @@ class IsometryModel:
         self.basis_index = shape.block_indices()
         self._orbit: Dict[Tuple[int, int], tuple] = dict(
             zip(self.basis_index, zip(*w_cols._raw()[1])))
+        self._gram_images: Dict[int, list] = {}
         self._pairings: Optional[dict] = None
 
     @property
@@ -181,6 +182,28 @@ class IsometryModel:
             orbit[key] = tuple([k.dot(row, v) for row in rows])
         return orbit[key]
 
+    def gram_image(self, r: int) -> list:
+        """The raw coordinates of G w^r_0, against which every pairing
+        (w^t_d, w^r_0) is one kernel dot.  Memoized on the model."""
+        images = self._gram_images
+        if r not in images:
+            k, gram = self.space.gram._raw()
+            w = self.raw_index(r, 0)
+            images[r] = [k.dot(row, w) for row in gram]
+        return images[r]
+
+    def raw_pairing(self, key: Tuple[int, int, int]):
+        """The value of collection_pairings(self) at one key (t, r, d),
+        without building the profile: w^t_d on the raw orbit dotted with
+        gram_image(r), and for d < 0 s times the value at (r, t, -d), as
+        the profile mirrors it."""
+        t, r, d = key
+        k = self.space.gram._raw()[0]
+        if d >= 0:
+            return k.dot(self.raw_index(t, d), self.gram_image(r))
+        v = k.dot(self.raw_index(r, -d), self.gram_image(t))
+        return k.neg(v) if self.space.sign == -1 else v
+
     def extend_index(self, t: int, i: int) -> tuple:
         """The collection vector w^t_i for any integer i, via powers of g."""
         k = self.w_cols._raw()[0]
@@ -195,7 +218,18 @@ class IsometryModel:
 
     def with_signs(self, eps) -> "IsometryModel":
         """The model whose collection is w^t_i -> eps_t * w^t_i.  Its
-        pairings are eps_t eps_r times the table's, so it carries none."""
+        pairings are eps_t eps_r times the table's, so it carries none.
+        ``eps`` maps every block t in 1..sigma+kappa to 1 or -1 and
+        names no other block; anything else raises InvalidInput."""
+        blocks = range(1, self.shape.sigma + self.shape.kappa + 1)
+        for t in blocks:
+            if t not in eps or eps[t] not in (1, -1):
+                raise InvalidInput(
+                    f"the sign of block {t} is {eps.get(t)!r}, not 1 or -1")
+        extra = [t for t in eps if t not in blocks]
+        if extra:
+            raise InvalidInput(f"signs for blocks {extra} outside "
+                               f"1..{len(blocks)}")
         return IsometryModel(self.shape, self.space, self.g,
                              self._signed_cols(eps))
 
@@ -475,9 +509,11 @@ def collection_pairings(model: IsometryModel) -> dict:
     """Pairings (w^t_d, w^r_0) for offsets |d| <= 6p_1, keyed (t, r, d).
 
     6p_1 is the largest offset i - j for i, j in the window [-2p_1, 4p_1].
-    The one pairing computation of this module: the clause checks, the
-    table round trip and the intertwiner all read it.  Memoized on the
-    model: callers share the dict and must not change it.
+    The clause checks and the table round trip read it, and build_T reads
+    it for its first model only; IsometryModel.raw_pairing reads one key
+    of it on the same orbit and the same G w^r_0 column without building
+    it.  Memoized on the model: callers share the dict and must not change
+    it.
 
     Preconditions: g is an isometry and G^T = sG with s = space.sign.
     Then (w^t_{-d}, w^r_0) = (w^t_0, w^r_d) = s (w^r_d, w^t_0), so only
@@ -495,12 +531,12 @@ def collection_pairings(model: IsometryModel) -> dict:
     shape = model.shape
     bound = 6 * shape.part(1)
     blocks = range(1, shape.sigma + shape.kappa + 1)
-    k, gram = model.space.gram._raw()
+    k = model.space.gram._raw()[0]
     dot, orbit = k.dot, model.raw_index
     # values[(t, r)][d] = (w^t_d, w^r_0) for d = 0..bound
     values = {}
     for r in blocks:
-        gw = [dot(row, orbit(r, 0)) for row in gram]
+        gw = model.gram_image(r)
         for t in blocks:
             values[(t, r)] = [dot(orbit(t, d), gw)
                               for d in range(bound + 1)]
@@ -516,24 +552,39 @@ def collection_pairings(model: IsometryModel) -> dict:
     return out
 
 
-def normalize_signs(a_data: dict, b_data: dict, block_count: int, neg):
-    """A sign vector eps with eps_t eps_r * a = b on all stored pairs.
+def normalize_signs(a_data: dict, b_at, block_count: int, neg):
+    """A sign vector eps with eps_t eps_r * a = b on every link of a.
 
-    Both inputs map (t, r, offset) to raw pairing values of one kernel
-    over the same key set, and ``neg`` is that kernel's negation.  Signs
-    are propagated along the nonzero pairings of a from the lowest block
-    index of each component, which receives +1.  A nonzero a(t, r, d)
-    fixes eps_t eps_r (outside characteristic 2), so a sign vector exists
-    exactly when the propagated one gives b = +-a on every key; returns
-    None otherwise.
+    ``a_data`` maps (t, r, offset) to raw pairing values of one kernel,
+    ``b_at`` reads the second profile at one such key, and ``neg`` is the
+    kernel's negation.  Blocks t != r are linked when some a(t, r, d) is
+    nonzero, and b is read once per linked pair, at its nonzero key of
+    least |d| (the first in a_data's order on a tie).  Outside
+    characteristic 2 that read fixes eps_t eps_r.  Signs are propagated
+    along the links from the lowest block index of each component, which
+    receives +1.  Returns None when a read is neither a nor -a, or when a
+    cycle of links disagrees.  No other key of b is compared: build_T's
+    gates imply the rest (see there).
     """
-    assert set(a_data) == set(b_data), "pairing key sets differ"
-    links: Dict[int, List[Tuple[int, int]]] = {}
+    nearest: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
     for (t, r, d), av in a_data.items():
-        if av:
-            s = 1 if b_data[(t, r, d)] == av else -1
-            links.setdefault(t, []).append((r, s))
-            links.setdefault(r, []).append((t, s))
+        pair = (t, r) if t < r else (r, t)
+        if av and t != r and (pair not in nearest
+                              or abs(d) < abs(nearest[pair][2])):
+            nearest[pair] = (t, r, d)
+    signs: Dict[Tuple[int, int], int] = {}
+    links: Dict[int, List[Tuple[int, int]]] = {}
+    for (t, r), key in nearest.items():
+        av, bv = a_data[key], b_at(key)
+        if bv == av:
+            s = 1
+        elif bv == neg(av):
+            s = -1
+        else:
+            return None
+        signs[(t, r)] = s
+        links.setdefault(t, []).append((r, s))
+        links.setdefault(r, []).append((t, s))
     eps = {}
     for start in range(1, block_count + 1):
         if start in eps:
@@ -546,9 +597,8 @@ def normalize_signs(a_data: dict, b_data: dict, block_count: int, neg):
                 if r not in eps:
                     eps[r] = eps[t] * s
                     queue.append(r)
-    for (t, r, d), av in a_data.items():
-        if b_data[(t, r, d)] != (av if eps[t] == eps[r] else neg(av)):
-            return None
+    if any(eps[t] * eps[r] != s for (t, r), s in signs.items()):
+        return None
     return eps
 
 
@@ -562,6 +612,20 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
     returned matrix is verified to preserve the form (and Q), to
     intertwine the two isometries, and to stabilize both flags of the
     first model.
+
+    The signs come from the first model's full pairing profile and one
+    read of the second model's per linked block pair (normalize_signs);
+    the second model's profile is never built.  Comparing it in full
+    would add nothing.  Let T pass the isometry gate (T^T G T = G, and Q
+    kept in characteristic 2) and the intertwining gate (T g_a = g_b T).
+    T maps each stored column w^{a,t}_i to eps_t w^{b,t}_i by
+    construction, and so every orbit vector w^{a,t}_d to eps_t w^{b,t}_d,
+    since raw_index steps both orbits by g from the stored columns and T
+    carries g_a to g_b.  As T keeps the form, b(t, r, d) =
+    eps_t eps_r a(t, r, d) at every d >= 0, and at every d < 0 too, as
+    both profiles mirror those by the one sign s of the shared space.
+    So a partner whose profile no sign vector relates to the first's
+    fails a gate, and one that passes them all matches it at every key.
     """
     shape, space = model_a.shape, model_a.space
     if shape != model_b.shape:
@@ -573,8 +637,7 @@ def build_T(model_a: IsometryModel, model_b: IsometryModel,
                            f"{model_b.space.field!r}")
     if space is not model_b.space and space.gram != model_b.space.gram:
         raise InvalidInput("the models' spaces carry different forms")
-    eps = normalize_signs(collection_pairings(model_a),
-                          collection_pairings(model_b),
+    eps = normalize_signs(collection_pairings(model_a), model_b.raw_pairing,
                           shape.sigma + shape.kappa,
                           scalar_kernel(space.field).neg)
     if eps is None:

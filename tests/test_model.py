@@ -730,13 +730,14 @@ class TestFlagOracle:
 
 
 class TestNormalizeSigns:
-    """On raw values of the rational kernel: None is 0, (c,) is c."""
+    """On raw values of the rational kernel: None is 0, (c,) is c.  The
+    second profile is read one key at a time."""
 
     K = scalar_kernel(RATIONALS)
     ONE = K.one
 
     def signs(self, a, b, block_count):
-        return normalize_signs(a, b, block_count, self.K.neg)
+        return normalize_signs(a, b.__getitem__, block_count, self.K.neg)
 
     def test_identity_signs(self):
         a = {(1, 2, 0): self.ONE}
@@ -752,11 +753,6 @@ class TestNormalizeSigns:
         b = {(1, 2, 0): self.K.add(self.ONE, self.ONE)}
         assert self.signs(a, b, 2) is None
 
-    def test_diagonal_flip_incompatible(self):
-        a = {(1, 1, 1): self.ONE}
-        b = {(1, 1, 1): self.K.neg(self.ONE)}
-        assert self.signs(a, b, 1) is None
-
     def test_zero_pattern_mismatch_incompatible(self):
         a = {(1, 2, 0): self.ONE}
         b = {(1, 2, 0): self.K.zero}
@@ -767,6 +763,124 @@ class TestNormalizeSigns:
         a = {(1, 2, 0): one, (2, 3, 0): one, (1, 3, 0): one}
         b = {(1, 2, 0): minus, (2, 3, 0): minus, (1, 3, 0): minus}
         assert self.signs(a, b, 3) is None
+
+    def test_one_read_per_link_at_least_offset(self):
+        # the pair {1, 2} is read once, at its nonzero key of least |d|;
+        # a self pair fixes no sign and is not read
+        one, minus = self.ONE, self.K.neg(self.ONE)
+        a = {(1, 1, 0): one, (1, 2, 3): one, (2, 1, -1): one,
+             (1, 2, 2): self.K.zero}
+        b = {(2, 1, -1): minus}
+        assert self.signs(a, b, 2) == {1: 1, 2: -1}
+
+
+def full_profile_signs(a, b):
+    """The sign rule that compares the two models' full profiles key by
+    key: signs propagated along every nonzero pairing of a from the lowest
+    block of each component, then b = +-a checked on every key."""
+    a_data, b_data = collection_pairings(a), collection_pairings(b)
+    neg = scalar_kernel(a.field).neg
+    links = {}
+    for (t, r, d), av in a_data.items():
+        if av:
+            s = 1 if b_data[(t, r, d)] == av else -1
+            links.setdefault(t, []).append((r, s))
+            links.setdefault(r, []).append((t, s))
+    eps = {}
+    for start in range(1, a.shape.sigma + a.shape.kappa + 1):
+        if start in eps:
+            continue
+        eps[start] = 1
+        queue = [start]
+        while queue:
+            t = queue.pop()
+            for r, s in links.get(t, ()):
+                if r not in eps:
+                    eps[r] = eps[t] * s
+                    queue.append(r)
+    for (t, r, d), av in a_data.items():
+        if b_data[(t, r, d)] != (av if eps[t] == eps[r] else neg(av)):
+            return None
+    return eps
+
+
+def negated_column(model, j):
+    """The model with the one stored column j of w_cols negated."""
+    cols = [model.w_cols.col(c) for c in range(model.space.dim)]
+    cols[j] = tuple(-x for x in cols[j])
+    return IsometryModel(model.shape, model.space, model.g,
+                         Matrix(model.field, cols).transpose())
+
+
+class TestSignDecisions:
+    """build_T reads one partner pairing per linked block pair and decides
+    as the full-profile rule did."""
+
+    def test_same_decisions_as_full_profiles(self, model_sweep, sp1):
+        cases = [(sp1, wrong_symplectic_g(sp1), None)]
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 4:
+                continue
+            f, nu = m.field, m.space.dim
+            blocks = m.shape.sigma + m.shape.kappa
+            pair = flags_from(m)
+            cases += [(m, b, pair) for b in (
+                sign_flip(m),
+                m.with_signs({t: -1 if t == blocks else 1
+                              for t in range(1, blocks + 1)}),
+                m.conjugated(dense_isometry(m.space)),
+                scaled_by(m, 2),
+                m.conjugated(dense_shear(f, nu)))]
+        verdicts = Counter()
+        for a, b, pair in cases:
+            want = full_profile_signs(a, b)
+            if want is not None:
+                got = normalize_signs(collection_pairings(a), b.raw_pairing,
+                                      a.shape.sigma + a.shape.kappa,
+                                      scalar_kernel(a.field).neg)
+                assert got == want
+            else:
+                with pytest.raises(VerificationFailed):
+                    build_T(a, b, flags_pair=pair)
+            verdicts[want is not None] += 1
+        assert verdicts == {True: 499, False: 262}
+
+    def test_one_negated_column_rejected(self, model_sweep):
+        # negating one column of a block, not the whole block, changes that
+        # block's own pairings, which fix no sign and are not read; T's
+        # gates reject it (in characteristic 2, -1 = 1 changes nothing)
+        rejected = 0
+        for (parts, _k, _mode, _name), m in model_sweep.items():
+            if sum(parts) > 3 or m.field.char == 2:
+                continue
+            pair = flags_from(m)
+            for t in range(1, m.shape.sigma + 1):
+                b = negated_column(m, m.basis_index.index((t, 1)))
+                with pytest.raises(VerificationFailed):
+                    build_T(m, b, flags_pair=pair)
+                rejected += 1
+        assert rejected > 50
+
+    @pytest.mark.parametrize("field", [None, get_finite_field(3),
+                                       get_finite_field(2)],
+                             ids=["rat", "gf3", "gf2"])
+    def test_partner_nonzero_off_every_link_rejected(self, field):
+        # symplectic blocks are mutually perpendicular, so a has no link
+        # and b is never read; b's block 1 runs w^1_i + w^2_i, which pairs
+        # with w^2_0 where a's block 1 does not, and a gate rejects T
+        m = build_model(ShapeSeq((2, 1)), SYMPLECTIC, field)
+        cols = [m.w_cols.col(j) for j in range(m.space.dim)]
+        for i in range(4):
+            j = m.basis_index.index((1, i))
+            cols[j] = tuple(x + y for x, y in
+                            zip(cols[j], m.extend_index(2, i)))
+        b = IsometryModel(m.shape, m.space, m.g,
+                          Matrix(m.field, cols).transpose())
+        a_data, b_data = collection_pairings(m), collection_pairings(b)
+        assert not any(v for (t, r, _d), v in a_data.items() if t != r)
+        assert a_data[(1, 2, -1)] != b_data[(1, 2, -1)]
+        with pytest.raises(VerificationFailed):
+            build_T(m, b)
 
 
 class TestIntertwiner:
@@ -859,6 +973,8 @@ class TestIntertwiner:
             flipped = m.with_signs({t: -1 for t in range(1, blocks + 1)})
             build_T(m, flipped, flags_pair=pair)
             assert not hasattr(flipped.w_cols, "_rows")
+            # the signs read the partner one key at a time
+            assert flipped._pairings is None
 
 
 def schoolbook_orbit(model, t, bound):
@@ -912,7 +1028,8 @@ class TestPairingsOracle:
 
     def test_derived_models_agree(self, model_sweep):
         # the profile reads negative offsets off the positive ones, which
-        # holds for an isometry g only: conjugate by a dense isometry
+        # holds for an isometry g only: conjugate by a dense isometry.  The
+        # one-key reader agrees at every key, the negative offsets too
         seen, checked = set(), 0
         for (parts, _k, _mode, _name), m in model_sweep.items():
             if sum(parts) > 3:
@@ -926,6 +1043,8 @@ class TestPairingsOracle:
                 want = schoolbook_pairings(variant)
                 assert list(got) == list(want)
                 assert got == want
+                assert {key: wrap(variant.raw_pairing(key))
+                        for key in want} == want
             seen.add(repr(m.field))
             checked += 1
         assert checked == 80
@@ -1199,9 +1318,9 @@ class TestSplitCheck:
 
 
 def test_mismatched_fields_and_models_raise_without_asserts():
-    # python -O strips assert statements; lift, build_T and quad must
-    # refuse an element, a model pair or a space that does not fit without
-    # them
+    # python -O strips assert statements; lift, build_T, quad and
+    # with_signs must refuse an element, a model pair, a space or a sign
+    # vector that does not fit without them
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from isoflag.fields import RATIONALS, get_finite_field, sqrt_extend\n"
@@ -1212,6 +1331,7 @@ def test_mismatched_fields_and_models_raise_without_asserts():
         "root3 = sqrt_extend(RATIONALS.from_int(3))[0]\n"
         "q2 = sqrt_extend(RATIONALS.from_int(2))[1]\n"
         "gf5 = get_finite_field(5)\n"
+        "two = build_model(ShapeSeq((2, 1)), SYMPLECTIC)\n"
         "calls = [\n"
         "    lambda: get_finite_field(3, 2).lift(gf5.from_int(4)),\n"
         "    lambda: q2.lift(root3),\n"
@@ -1222,7 +1342,10 @@ def test_mismatched_fields_and_models_raise_without_asserts():
         "                                gf5)),\n"
         "    lambda: QuadSpace(RATIONALS, Matrix.from_scalars(\n"
         "        RATIONALS, [[0, 1], [-1, 0]])).quad(\n"
-        "            (RATIONALS.one, RATIONALS.zero))]\n"
+        "            (RATIONALS.one, RATIONALS.zero)),\n"
+        "    lambda: two.with_signs({1: 2, 2: 1}),\n"
+        "    lambda: two.with_signs({1: -1}),\n"
+        "    lambda: two.with_signs({1: 1, 2: -1, 3: -1})]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -1241,4 +1364,7 @@ def test_mismatched_fields_and_models_raise_without_asserts():
         "kappa=0",
         "InvalidInput the models are over TowerField(radicands=[(-4)]) "
         "and GF(5)",
-        "InvalidInput no quadratic form on this space"]
+        "InvalidInput no quadratic form on this space",
+        "InvalidInput the sign of block 1 is 2, not 1 or -1",
+        "InvalidInput the sign of block 2 is None, not 1 or -1",
+        "InvalidInput signs for blocks [3] outside 1..2"]
