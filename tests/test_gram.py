@@ -28,6 +28,9 @@ PINNED_EDGE_DIGEST = \
 # wide_digest() of the same recursion: more fields and shapes, and the keys
 PINNED_WIDE_DIGEST = \
     "6bec36b0f79f4809c34ffb4bbbf5f2bc6dd8c0e58982afc9319fc1caae2f327b"
+# rat_digest() of the same recursion: deeper tables over Q and the scan
+PINNED_RAT_DIGEST = \
+    "5c5ba7d8305f058807bb5ef03cf5ff0c39b4fe9a0a01cc64fd4c1158273bdc44"
 
 
 def orthogonal_shapes(total, exact=False):
@@ -429,6 +432,21 @@ def wide_digest():
     return _digest(out)
 
 
+def rat_digest():
+    """SHA-256 over every orthogonal table over Q with part sum 8 to 10
+    (its ``_table_record`` and stored keys) and the corner scan for
+    k = 2..30 (square, expected value and verdict)."""
+    out = []
+    for shape in orthogonal_shapes(10):
+        if sum(shape.parts) >= 8:
+            t = GramTable(shape, ORTHOGONAL)
+            out.append(_table_record(t) + [sorted(t._store)])
+    for k in range(2, 31):
+        _, square, expected, matches = check_conjecture_210(k)
+        out.append([k, square.to_json(), expected.to_json(), matches])
+    return _digest(out)
+
+
 def test_pinned_tables():
     # any change to a value, a case label or a diagnostic of these tables
     # changes the digest
@@ -445,6 +463,12 @@ def test_pinned_wide_tables():
     # tables, so lifting into an extension is covered too; the stored keys
     # pin every range a level keeps for the later levels
     assert wide_digest() == PINNED_WIDE_DIGEST
+
+
+def test_pinned_rational_tables():
+    # 142 tables over Q past part sum 7 and the scan to k = 30: their
+    # values live in Q(sqrt(-4^j)) with j up to 30
+    assert rat_digest() == PINNED_RAT_DIGEST
 
 
 def test_reading_past_the_computed_range_raises():
