@@ -1,15 +1,17 @@
-"""Exact scalar arithmetic: rational square-root towers and finite fields.
+"""Exact scalar arithmetic: Q or one quadratic extension Q(sqrt r), and
+finite fields.
 
 Two kinds of field are supported, behind one element interface:
 
-* ``TowerField`` -- the rationals with a chain of square roots adjoined.
-  Elements are dense rational coordinate vectors of length ``2**depth``;
-  the vector splits recursively into ``lo + hi*sqrt(r_d)`` halves.  The
-  coordinate contract: an integral coordinate is an ``int``, any other a
-  ``Fraction``, never a ``float``.  Every ``TowerField`` operation returns
-  coordinates in that form (given operands in it), so most scalar work
-  runs on ints.  An int and a ``Fraction`` of one value compare equal,
-  hash alike and print alike, so no output depends on the form.
+* ``TowerField`` -- Q, or Q(sqrt r) for one rational non-square r, extended
+  automatically when a square root is needed.  Elements are rational
+  coordinate tuples: (a,) over Q and (a1, a2), standing for a1 + a2 sqrt(r),
+  over Q(sqrt r).  The coordinate contract: an integral coordinate is an
+  ``int``, any other a ``Fraction``, never a ``float``.  Every ``TowerField``
+  operation returns coordinates in that form (given operands in it), so
+  most scalar work runs on ints.  An int and a ``Fraction`` of one value
+  compare equal, hash alike and print alike, so no output depends on the
+  form.
 * ``FiniteField`` -- GF(p**m) with a fixed canonical modulus: the
   lexicographically least monic irreducible polynomial of degree m over GF(p)
   (coefficient tuples compared most-significant first).  Elements are tuples of
@@ -21,13 +23,13 @@ Each field class owns the arithmetic on its coordinate tuples: ``add``,
 ``neg``, ``mul``, ``inv`` and ``dot``, with a fast path for a one-coordinate
 field (Q, GF(p)).  ``dot(xs, ys)`` is sum x_i y_i, with the products summed
 before one normalisation: integer numerators over one common denominator
-over Q, the split into sqrt halves at each tower level, one ``% p``
+over Q, one such sum for each of the two parts over Q(sqrt r), one ``% p``
 over GF(p), and over GF(p^m) the unreduced polynomial products, reduced once
 mod p and the modulus.  ``FieldElement``'s operators, ``linalg``'s kernels
 and ``gram``'s recursion call them.
 
 ``sqrt_extend`` returns a deterministic square root, extending the field by one
-radicand (tower case) or doubling the extension degree (finite case) when the
+radicand (over Q) or doubling the extension degree (finite case) when the
 argument is not a square.  Characteristic 2 uses the Frobenius inverse and never
 extends.
 """
@@ -43,9 +45,6 @@ from .shapes import BoundExceeded, InvalidInput
 
 Scalar = Union[int, Fraction]
 
-#: Hard bound on tower depth; exceeding it raises TowerDepthExceeded.
-DEFAULT_TOWER_DEPTH_BOUND = 8
-
 #: Finite fields larger than this are refused by the brute-force search steps.
 FINITE_SCAN_CAP = 10**6
 
@@ -59,7 +58,7 @@ class FiniteScanCapExceeded(BoundExceeded):
 
 
 # ---------------------------------------------------------------------------
-# Rational square-root towers
+# Q and Q(sqrt r)
 # ---------------------------------------------------------------------------
 
 def _qn(x):
@@ -74,22 +73,6 @@ def _qcoords(cs) -> tuple:
     """Rationals (int, Fraction or what ``Fraction`` reads) as tower
     coordinates in the contract."""
     return tuple([c if type(c) is int else _qn(Fraction(c)) for c in cs])
-
-
-def _vadd(a, b):
-    return tuple([_qn(x + y) for x, y in zip(a, b)])
-
-
-def _vsub(a, b):
-    return tuple([_qn(x - y) for x, y in zip(a, b)])
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
-
-
-def _vscale(a, c):
-    return tuple([_qn(x * c) for x in a])
 
 
 def _qdot(xs, ys) -> Scalar:
@@ -116,13 +99,31 @@ def _qdot(xs, ys) -> Scalar:
 
 
 class TowerField:
-    """Q with the given radicands adjoined in order.
+    """Q, or one quadratic extension Q(sqrt r) of it.
 
-    ``radicands[d]`` is the coordinate vector (length ``2**d``) of the element
-    whose square root generates level ``d+1``.
+    ``radicands`` is () for Q and ``((r,),)`` for Q(sqrt r), with r a
+    rational that is not a square (r = 0 or a square raises InvalidInput);
+    an element of Q(sqrt r) is the pair (a1, a2) of rationals standing for
+    a1 + a2 sqrt(r).
+
+    One level suffices for every table this package builds: among the
+    orthogonal tables over Q of part sum <= 13 and the corner-square scan
+    to k = 30, every extended field is Q(sqrt(-4^j)) = Q(i), in which each
+    later radicand -s^2 is already a square.  That is an observation on
+    those cases, not a theorem of the paper, so a second extension raises
+    TowerDepthExceeded rather than being assumed away.
     """
 
     def __init__(self, radicands: tuple = ()):
+        if len(radicands) > 1:
+            raise TowerDepthExceeded(
+                f"tower depth bound 1 exceeded: extension to depth "
+                f"{len(radicands)}")
+        for (r,) in radicands:
+            # Q[x]/(x^2 - r) has zero divisors when r = 0 or r = s^2
+            if _qsqrt(r) is not None:
+                raise InvalidInput(f"radicand {r} is a rational square: "
+                                   f"adjoining its root gives no field")
         self.radicands = radicands
         self.depth = len(radicands)
         self.dim = 1 << self.depth
@@ -168,130 +169,88 @@ class TowerField:
         return FieldElement(self, tuple(elem.coords) + pad)
 
     def extend(self, radicand_coords: tuple) -> "TowerField":
-        if self.depth + 1 > DEFAULT_TOWER_DEPTH_BOUND:
-            raise TowerDepthExceeded(
-                f"tower depth bound {DEFAULT_TOWER_DEPTH_BOUND} exceeded: "
-                f"extension to depth {self.depth + 1}")
-        return TowerField(self.radicands + (_qcoords(radicand_coords),))
+        """This field with the square root of the element with coordinates
+        ``radicand_coords`` adjoined."""
+        return TowerField(
+            self.radicands + (self.element(radicand_coords).coords,))
 
     # -- coordinate arithmetic ----------------------------------------------
 
     def add(self, a, b) -> tuple:
         if not self.depth:
             return (_qn(a[0] + b[0]),)
-        return _vadd(a, b)
+        return (_qn(a[0] + b[0]), _qn(a[1] + b[1]))
 
     def neg(self, a) -> tuple:
-        return _vneg(a)
+        return tuple(-x for x in a)
 
     def mul(self, a, b) -> tuple:
         if not self.depth:
             return (_qn(a[0] * b[0]),)
-        return self._dot(self.depth, (a,), (b,))
+        return self.dot((a,), (b,))
 
     def inv(self, a) -> tuple:
-        return self._inv(self.depth, a)
+        """1/a; over Q(sqrt r), (a1 - a2 sqrt r) / (a1^2 - a2^2 r)."""
+        if not self.depth or not a[1]:
+            return (_qinv(a[0]),) + a[1:]
+        a1, a2 = a
+        n = _qinv(a1 * a1 - self.radicands[0][0] * a2 * a2)
+        return (_qn(a1 * n), _qn(-a2 * n))
 
     def dot(self, xs, ys) -> tuple:
-        """sum x_i y_i over coordinate tuples, normalised once."""
-        return self._dot(self.depth, xs, ys)
+        """sum x_i y_i over coordinate tuples, each part normalised once.
 
-    def _dot(self, d: int, xs, ys):
-        """The depth-d dot, split into sqrt halves: with x = x1 + x2 sqrt(r)
-        and y = y1 + y2 sqrt(r), the low half is the dot of the x1 y1
-        terms and one more, (sum x2 y2) times r; the high half is the dot
-        of the x1 y2 and x2 y1 terms.  Zero sqrt halves drop their terms.
-        A product a b is the one-term dot ((a,), (b,))."""
-        if d == 0:
+        Over Q(sqrt r), with x = x1 + x2 sqrt(r) and y = y1 + y2 sqrt(r),
+        the rational part is the dot of the x1 y1 terms and one more, (sum
+        x2 y2) times r; the sqrt part is the dot of the x1 y2 and x2 y1
+        terms.  Zero sqrt halves drop their terms.  A product a b is the
+        one-term dot ((a,), (b,))."""
+        if not self.depth:
             return (_qdot(xs, ys),)
-        h = 1 << (d - 1)
         lo_x, lo_y, sq_x, sq_y, hi_x, hi_y = [], [], [], [], [], []
-        for a, b in zip(xs, ys):
-            a1, a2, b1, b2 = a[:h], a[h:], b[:h], b[h:]
-            x2, y2 = any(a2), any(b2)
-            lo_x.append(a1)
-            lo_y.append(b1)
-            if y2:
-                hi_x.append(a1)
-                hi_y.append(b2)
-            if x2:
-                hi_x.append(a2)
-                hi_y.append(b1)
-            if x2 and y2:
-                sq_x.append(a2)
-                sq_y.append(b2)
+        for (a1, a2), (b1, b2) in zip(xs, ys):
+            lo_x.append((a1,))
+            lo_y.append((b1,))
+            if b2:
+                hi_x.append((a1,))
+                hi_y.append((b2,))
+            if a2:
+                hi_x.append((a2,))
+                hi_y.append((b1,))
+                if b2:
+                    sq_x.append((a2,))
+                    sq_y.append((b2,))
         if sq_x:
-            lo_x.append(self._dot(d - 1, sq_x, sq_y))
-            lo_y.append(self.radicands[d - 1])
-        return self._dot(d - 1, lo_x, lo_y) + self._dot(d - 1, hi_x, hi_y)
-
-    def _norm(self, d: int, a1, a2):
-        """a1^2 - a2^2 r at depth d - 1: the norm of a1 + a2 sqrt(r), r the
-        depth-d radicand."""
-        a2a2 = self._dot(d - 1, (a2,), (a2,))
-        return self._dot(d - 1, (a1, a2a2), (a1, _vneg(self.radicands[d - 1])))
-
-    def _inv(self, d: int, a):
-        if d == 0:
-            if a[0] == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return (_qn(Fraction(1) / a[0]),)
-        h = 1 << (d - 1)
-        a1, a2 = a[:h], a[h:]
-        if all(x == 0 for x in a2):
-            return self._inv(d - 1, a1) + (0,) * h
-        ninv = self._inv(d - 1, self._norm(d, a1, a2))
-        return (self._dot(d - 1, (a1,), (ninv,))
-                + _vneg(self._dot(d - 1, (a2,), (ninv,))))
-
-    def _sqrt(self, d: int, a) -> Optional[tuple]:
-        """A square root of the depth-d vector ``a``, or None."""
-        if d == 0:
-            q = a[0]
-            if q == 0:
-                return (0,)
-            if q < 0:
-                return None
-            rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-            if rn * rn == q.numerator and rd * rd == q.denominator:
-                return (_qn(Fraction(rn, rd)),)
-            return None
-        h = 1 << (d - 1)
-        a1, a2 = a[:h], a[h:]
-        r = self.radicands[d - 1]
-        zero = (0,) * h
-        if all(x == 0 for x in a2):
-            c = self._sqrt(d - 1, a1)
-            if c is not None:
-                return c + zero
-            if all(x == 0 for x in a1):
-                return zero + zero
-            t = self._dot(d - 1, (a1,), (self._inv(d - 1, r),))
-            dd = self._sqrt(d - 1, t)
-            if dd is not None:
-                return zero + dd
-            return None
-        # (c + d*sqrt(r))^2 = a1 + a2*sqrt(r): c^2 is a root of
-        # u^2 - a1*u + a2^2*r/4, so a1^2 - a2^2*r must be a square below.
-        s = self._sqrt(d - 1, self._norm(d, a1, a2))
-        if s is None:
-            return None
-        half = Fraction(1, 2)
-        for u in (_vscale(_vadd(a1, s), half), _vscale(_vsub(a1, s), half)):
-            c = self._sqrt(d - 1, u)
-            if c is None or all(x == 0 for x in c):
-                continue
-            dd = self._dot(d - 1, (_vscale(a2, half),), (self._inv(d - 1, c),))
-            root = c + dd
-            if self._dot(d, (root,), (root,)) == tuple(a):
-                return root
-        return None
+            lo_x.append((_qdot(sq_x, sq_y),))
+            lo_y.append(self.radicands[0])
+        return (_qdot(lo_x, lo_y), _qdot(hi_x, hi_y))
 
     def sqrt_or_none(self, elem: "FieldElement") -> Optional["FieldElement"]:
-        root = self._sqrt(self.depth, elem.coords)
-        if root is None:
+        """A square root of ``elem``, or None.  Every rational root taken
+        is >= 0, so the root's first nonzero coordinate is > 0."""
+        if not self.depth:
+            c = _qsqrt(elem.coords[0])
+            return None if c is None else FieldElement(self, (c,))
+        a1, a2 = elem.coords
+        r = self.radicands[0][0]
+        if not a2:
+            # a1 = c^2, or a1 = d^2 r with root d sqrt(r)
+            c = _qsqrt(a1)
+            if c is not None:
+                return FieldElement(self, (c, 0))
+            d = _qsqrt(a1 / Fraction(r))
+            return None if d is None else FieldElement(self, (0, d))
+        # (c + d sqrt(r))^2 = a1 + a2 sqrt(r) with d = a2 / 2c: c^2 is a
+        # root u of u^2 - a1 u + a2^2 r / 4, so a1^2 - a2^2 r must be a
+        # rational square s^2 and u = (a1 +- s) / 2, never 0 as r != 0
+        s = _qsqrt(a1 * a1 - a2 * a2 * r)
+        if s is None:
             return None
-        return self.element(_canonical_tower_root(root))
+        for u in (Fraction(a1 + s, 2), Fraction(a1 - s, 2)):
+            c = _qsqrt(u)
+            if c is not None:
+                return FieldElement(self, (c, _qn(a2 / Fraction(2 * c))))
+        return None
 
     def to_json(self):
         return {
@@ -300,12 +259,22 @@ class TowerField:
         }
 
 
-def _canonical_tower_root(coords):
-    """Pick the representative whose first nonzero rational coordinate is > 0."""
-    for c in coords:
-        if c != 0:
-            return coords if c > 0 else _vneg(coords)
-    return coords
+def _qinv(x) -> Scalar:
+    """1/x for a nonzero rational x, in the coordinate contract."""
+    if x == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return _qn(1 / Fraction(x))
+
+
+def _qsqrt(x) -> Optional[Scalar]:
+    """The root >= 0 of the rational x when x is a rational square, else
+    None."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return _qn(Fraction(rn, rd))
+    return None
 
 
 RATIONALS = TowerField(())

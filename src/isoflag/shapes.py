@@ -195,11 +195,12 @@ def pi_window(shape: ShapeSeq, level) -> Optional[PiWindow]:
     parts = shape.parts
     sigma = shape.sigma
     if level == HALF_LEVEL:
-        assert shape.kappa == 1, "half level requires kappa = 1"
+        if shape.kappa != 1:
+            raise InvalidInput(f"the half level of {parts} needs kappa = 1")
         b = sigma
     else:
-        assert isinstance(level, int)
-        assert level in parts, f"{level} is not a level of {parts}"
+        if not isinstance(level, int) or level not in parts:
+            raise InvalidInput(f"{level!r} is not a level of {parts}")
         if parts[0] == level:
             return None
         b = max(t for t in range(1, sigma + 1) if parts[t - 1] > level)
@@ -214,8 +215,10 @@ def pi_window(shape: ShapeSeq, level) -> Optional[PiWindow]:
 
 def binomial_nk(level: int, k: int) -> int:
     """n_k = (-1)^k C(2*level, k) for k in [0, 2*level]."""
-    assert isinstance(level, int) and level >= 1
-    assert 0 <= k <= 2 * level, f"k={k} out of range for level {level}"
+    if not isinstance(level, int) or level < 1:
+        raise InvalidInput(f"level {level!r} must be a positive integer")
+    if not isinstance(k, int) or not 0 <= k <= 2 * level:
+        raise InvalidInput(f"k = {k!r} is out of range for level {level}")
     return (-1) ** k * comb(2 * level, k)
 
 

@@ -13,7 +13,7 @@ import isoflag
 from isoflag import cli, counting, gram
 from isoflag.cases import fields_for, sweep_cases
 from isoflag.cli import main, parse_field, parse_gamma, UsageError
-from isoflag.fields import RATIONALS
+from isoflag.fields import RATIONALS, TowerField
 from isoflag.linalg import NoSolution
 from isoflag.shapes import BoundExceeded, InvalidInput, VerificationFailed
 
@@ -351,6 +351,16 @@ class TestExitCodes:
                               "--mode", "orthogonal")
         assert code == 1 and "verification failed" in err
         assert "level 1's scale nu is 0" in err
+
+    def test_second_square_root_exits_3(self, capsys, monkeypatch):
+        # with no root found in any field over Q, (2, 1, 1) kappa 1 needs
+        # a second extension, past the one quadratic level a field takes
+        monkeypatch.setattr(TowerField, "sqrt_or_none",
+                            lambda self, elem: None)
+        code, _out, err = run(capsys, "gram", "--shape", "2,1,1",
+                              "--kappa", "1", "--mode", "orthogonal")
+        assert code == 3 and "resource bound" in err
+        assert "tower depth bound 1 exceeded: extension to depth 2" in err
 
     def test_tractability_bound_names_bound_and_value(self, capsys):
         code, _out, err = run(capsys, "count", "--type", "C",

@@ -1,39 +1,40 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoflag.fields import (DEFAULT_TOWER_DEPTH_BOUND, FINITE_SCAN_CAP,
-                            PRIMALITY_BOUND, RATIONALS, FieldElement,
-                            FiniteField, TowerDepthExceeded,
+from isoflag.fields import (FINITE_SCAN_CAP, PRIMALITY_BOUND, RATIONALS,
+                            FieldElement, FiniteField, TowerDepthExceeded,
+                            TowerField,
                             _canonical_modulus, _is_irreducible,
                             get_finite_field, is_prime, sqrt_extend)
 from isoflag.shapes import BoundExceeded, InvalidInput
 
 Q2 = RATIONALS.extend((Fraction(2),))
-Q23 = Q2.extend((Fraction(3), Fraction(0)))
+# Q(sqrt(-4)) = Q(i), the field every extended table over Q lives in
+QM4 = RATIONALS.extend((Fraction(-4),))
 
-# coordinates of Q(sqrt2, sqrt3) on 1, sqrt2, sqrt3, sqrt6; zero entries and
-# zero sqrt halves are common, for the zero-half branches of TowerField._dot
+# rational coordinates; zero entries and zero sqrt halves are common, for
+# the zero-half branches of TowerField.dot
 small = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=5))
-pair = st.one_of(st.just((Fraction(0), Fraction(0))), st.tuples(small, small))
-depth2 = st.one_of(st.just((Fraction(0),) * 2), pair).flatmap(
-    lambda lo: st.one_of(st.just((Fraction(0),) * 2), pair).map(
-        lambda hi: Q23.element(lo + hi)))
 
 
-def q23_product(a, b):
-    """Schoolbook product on the basis e_i, i = bit 0 (sqrt2) + 2 bit 1
-    (sqrt3): e_i e_j = e_(i xor j) times 2 and 3 for each shared root."""
-    out = [Fraction(0)] * 4
-    for i, x in enumerate(a.coords):
-        for j, y in enumerate(b.coords):
-            both = i & j
-            out[i ^ j] += x * y * (2 if both & 1 else 1) * \
-                (3 if both & 2 else 1)
-    return Q23.element(out)
+def quadratic(f):
+    """Elements a1 + a2 sqrt(r) of the depth-1 field f."""
+    return st.tuples(small, small).map(f.element)
+
+
+def quadratic_product(a, b):
+    """Schoolbook product (a1 b1 + r a2 b2, a1 b2 + a2 b1) in Q(sqrt r)."""
+    (r,), = a.field.radicands
+    (a1, a2), (b1, b2) = a.coords, b.coords
+    return a.field.element((a1 * b1 + r * a2 * b2, a1 * b2 + a2 * b1))
 
 
 def gf_product(f, a, b):
@@ -174,15 +175,42 @@ class TestRationalTower:
         assert nz > 0
 
     def test_depth_bound(self):
-        # sqrt 2, sqrt 3, ..., sqrt 19 fit; sqrt 23 would be a ninth level
-        assert DEFAULT_TOWER_DEPTH_BOUND == 8
-        field = RATIONALS
-        for p in (2, 3, 5, 7, 11, 13, 17, 19):
-            field = field.extend(field.from_int(p).coords)
-        assert field.depth == 8
+        # one quadratic extension is the most a field may take: the root of
+        # a non-square of Q(sqrt 2) would need a second level
+        three = Q2.from_int(3)
+        assert Q2.sqrt_or_none(three) is None
         with pytest.raises(TowerDepthExceeded,
-                           match="bound 8 exceeded: extension to depth 9"):
-            field.extend(field.from_int(23).coords)
+                           match="bound 1 exceeded: extension to depth 2"):
+            sqrt_extend(three)
+        with pytest.raises(TowerDepthExceeded, match="depth 2"):
+            TowerField(((2,), (3, 0)))
+
+    @pytest.mark.parametrize("radicand", [4, 0, Fraction(9, 4), 1])
+    def test_square_radicand_is_bad_input(self, radicand):
+        # Q[x]/(x^2 - 4) has zero divisors, (2 - x)(2 + x) = 0
+        with pytest.raises(InvalidInput, match=f"radicand {radicand} is"):
+            RATIONALS.extend((radicand,))
+        with pytest.raises(InvalidInput, match=f"radicand {radicand} is"):
+            TowerField(((radicand,),))
+
+    def test_square_radicand_is_bad_input_without_asserts(self):
+        # python -O strips assert statements; the radicand check is none
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from isoflag.fields import RATIONALS\n"
+            "from isoflag.shapes import InvalidInput\n"
+            "for r in (4, 0):\n"
+            "    try:\n"
+            "        print('returned', RATIONALS.extend((r,)))\n"
+            "    except InvalidInput as exc:\n"
+            "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"radicand {r} is a rational square: adjoining its root gives "
+            f"no field" for r in (4, 0)]
 
     def test_negative_square(self):
         root, field = sqrt_extend(RATIONALS.from_int(-16))
@@ -204,22 +232,26 @@ class TestRationalTower:
             assert (x / y) * y == x
 
 
-class TestDepthTwoTower:
-    @given(depth2, depth2, depth2)
+class TestQuadraticExtension:
+    """Q(sqrt 2) and Q(sqrt(-4)) against the schoolbook product."""
+
+    @pytest.mark.parametrize("f", [Q2, QM4], ids=["Q2", "QM4"])
+    @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_field_axioms(self, x, y, z):
-        assert x * y == y * x
-        assert x * (y + z) == x * y + x * z
-        assert x * y == q23_product(x, y)
+    def test_product_inverse_and_root(self, f, data):
+        x, y = data.draw(quadratic(f)), data.draw(quadratic(f))
+        assert x * y == quadratic_product(x, y)
         if not x.is_zero:
-            assert x * x.inverse() == Q23.one
+            assert x * x.inverse() == f.one
+            root = f.sqrt_or_none(x * x)
+            assert root in (x, -x)
+            assert next(c for c in root.coords if c != 0) > 0
 
     def test_zero_halves(self):
-        s2 = Q23.element((0, 1, 0, 0))
-        s3 = Q23.element((0, 0, 1, 0))
-        assert s2 * s3 == Q23.element((0, 0, 0, 1))
-        assert s3 * s3 == Q23.from_int(3)
-        assert s2 * s2 == Q23.from_int(2)
+        s2 = Q2.element((0, 1))
+        assert s2 * s2 == Q2.from_int(2)
+        assert s2 * Q2.from_int(3) == Q2.element((0, 3))
+        assert QM4.element((0, 1)) ** 2 == QM4.from_int(-4)
 
 
 class TestPrimality:
@@ -377,8 +409,8 @@ class TestFiniteFields:
 
 GF4, GF9, GF81, GF125 = (get_finite_field(2, 2), get_finite_field(3, 2),
                          get_finite_field(3, 4), get_finite_field(5, 3))
-ALL_FIELDS = {"Q": RATIONALS, "Q2": Q2, "Q23": Q23, "GF5": get_finite_field(5),
-              "GF4": GF4, "GF9": GF9, "GF125": GF125}
+ALL_FIELDS = {"Q": RATIONALS, "Q2": Q2, "QM4": QM4,
+              "GF5": get_finite_field(5), "GF4": GF4, "GF9": GF9, "GF125": GF125}
 
 
 def elements(f):
@@ -439,8 +471,8 @@ class TestCoordinateArithmetic:
         assert GF81.lift(GF9.element((0, 1))) == least
 
 
-TOWERS = {"Q": RATIONALS, "Q2": Q2, "Q23": Q23}
-SUBFIELDS = {"Q": [], "Q2": [RATIONALS], "Q23": [RATIONALS, Q2]}
+TOWERS = {"Q": RATIONALS, "Q2": Q2, "QM4": QM4}
+SUBFIELDS = {"Q": [], "Q2": [RATIONALS], "QM4": [RATIONALS]}
 
 
 def assert_contract(coords):
@@ -471,11 +503,15 @@ class TestCoordinateContract:
         if not x.is_zero:
             assert_contract(f.inv(a))
             assert_contract((y / x).coords)
-            root, ext = sqrt_extend(x)
-            assert_contract(root.coords)
-            for radicand in ext.radicands:
-                assert_contract(radicand)
-            assert_contract(ext.lift(x).coords)
+            if f.depth and f.sqrt_or_none(x) is None:
+                with pytest.raises(TowerDepthExceeded, match="depth 2"):
+                    sqrt_extend(x)
+            else:
+                root, ext = sqrt_extend(x)
+                assert_contract(root.coords)
+                for radicand in ext.radicands:
+                    assert_contract(radicand)
+                assert_contract(ext.lift(x).coords)
         for z in (x, x * x):
             root = f.sqrt_or_none(z)
             if root is not None:

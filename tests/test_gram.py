@@ -361,6 +361,36 @@ class TestConjecture:
                 assert matches_p == matches
 
 
+class TestOneSquareRoot:
+    """An observation on these cases, not a theorem of the paper: over Q an
+    orthogonal table adjoins at most one root, of some -s^2, so every
+    extended table lives in Q(i); over GF(q) a table extends exactly when
+    q = 3 mod 4, i.e. when -1 is not a square, on the shapes that extend
+    over Q."""
+
+    def test_rational_tables_adjoin_one_root_of_minus_a_square(self):
+        extended = 0
+        for shape in orthogonal_shapes(10):
+            field = GramTable(shape, ORTHOGONAL).field
+            assert field.depth <= 1, shape
+            for (r,) in field.radicands:
+                minus_r = RATIONALS.from_int(-r)
+                assert RATIONALS.sqrt_or_none(minus_r) is not None, shape
+                extended += 1
+        assert extended == 115  # of 207 tables
+
+    def test_finite_tables_extend_iff_q_is_3_mod_4(self):
+        shapes = list(orthogonal_shapes(7))
+        over_q = {s for s in shapes if GramTable(s, ORTHOGONAL).field.depth}
+        assert (len(over_q), len(shapes)) == (41, 65)
+        for p, m in ((3, 1), (7, 1), (11, 1), (3, 3), (7, 3), (3, 5),
+                     (5, 1), (13, 1), (3, 2), (5, 2), (7, 2), (5, 3)):
+            base = get_finite_field(p, m)
+            grew = {s for s in shapes
+                    if GramTable(s, ORTHOGONAL, base).field != base}
+            assert grew == (over_q if base.q % 4 == 3 else set()), base
+
+
 def _canonical(obj):
     """A JSON-ready form of table data with dict keys in a fixed order."""
     if hasattr(obj, "to_json"):

@@ -127,7 +127,7 @@ class TestSeries:
         assert [binomial_nk(2, k) for k in range(5)] == [1, -4, 6, -4, 1]
 
     def test_nk_range_checked(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInput, match="k = 3 is out of range"):
             binomial_nk(1, 3)
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -145,14 +145,16 @@ class TestSeries:
 
 def test_entry_points_refuse_bad_input_without_asserts():
     # python -O strips assert statements; a corner scan below k = 2, an
-    # identity below its range of m or to a negative degree, and a Jordan
-    # prediction for an unknown mode or a shape the mode rejects must
-    # still raise
+    # identity below its range of m or to a negative degree, a Jordan
+    # prediction for an unknown mode or a shape the mode rejects, a window
+    # above a level that is no part or a half level without kappa, and a
+    # binomial n_k off its range must still raise
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from isoflag.gram import check_conjecture_210\n"
-        "from isoflag.shapes import InvalidInput, ORTHOGONAL, ShapeSeq, "
-        "block_jordan_sizes, jordan_prediction, verify_series_identity\n"
+        "from isoflag.shapes import HALF_LEVEL, InvalidInput, ORTHOGONAL, "
+        "ShapeSeq, binomial_nk, block_jordan_sizes, jordan_prediction, "
+        "pi_window, verify_series_identity\n"
         "calls = [\n"
         "    lambda: check_conjecture_210(1),\n"
         "    lambda: verify_series_identity('negative-binomial', 0, 5),\n"
@@ -160,7 +162,12 @@ def test_entry_points_refuse_bad_input_without_asserts():
         "    lambda: verify_series_identity('nope', 2, 5),\n"
         "    lambda: verify_series_identity('two-pole', 2, -1),\n"
         "    lambda: jordan_prediction(ShapeSeq((1,)), ORTHOGONAL),\n"
-        "    lambda: block_jordan_sizes(ShapeSeq((2, 1)), 'nope')]\n"
+        "    lambda: block_jordan_sizes(ShapeSeq((2, 1)), 'nope'),\n"
+        "    lambda: pi_window(ShapeSeq((3, 1)), 2),\n"
+        "    lambda: pi_window(ShapeSeq((3, 1), 0), HALF_LEVEL),\n"
+        "    lambda: binomial_nk(1, 5),\n"
+        "    lambda: binomial_nk(0, 0),\n"
+        "    lambda: binomial_nk(2, -1)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -177,4 +184,9 @@ def test_entry_points_refuse_bad_input_without_asserts():
         "unknown identity 'nope'",
         "degree -1 must be nonnegative",
         "shape (1,) kappa=0 is invalid for mode orthogonal-odd",
-        "unknown mode 'nope'"]
+        "unknown mode 'nope'",
+        "2 is not a level of (3, 1)",
+        "the half level of (3, 1) needs kappa = 1",
+        "k = 5 is out of range for level 1",
+        "level 0 must be a positive integer",
+        "k = -1 is out of range for level 2"]
