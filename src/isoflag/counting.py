@@ -158,11 +158,11 @@ class FiniteFormSpace:
             self.quad = QuadSpace(field, Matrix.from_scalars(field, self.form))
 
     def lift(self, rows) -> Matrix:
-        """The GF(q) matrix of an int matrix, built on its residues
+        """The GF(q) matrix of an int nu x nu matrix, built on its residues
         without a FieldElement per entry."""
         q = self.q
         return Matrix.from_raw(self.quad.field,
-                               [[x % q for x in r] for r in rows])
+                               [[x % q for x in r] for r in rows], self.nu)
 
     def preserves_form(self, g) -> bool:
         return self.quad is None or \

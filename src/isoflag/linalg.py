@@ -9,20 +9,35 @@ A matrix's state is its raw rows, one kernel scalar per entry:
 * GF(p^m) with m > 1 and q <= ``TABLE_FIELD_MAX``: the field's ``encode``
   ints, 0 for zero, combined by log, antilog, addition and negation
   tables built from the field's own arithmetic on first use;
-* any other field (Q, its square-root towers, larger GF(p^m)):
+* any other field (Q, Q(sqrt r), larger GF(p^m)):
   coordinate tuples, None for zero, combined by the field's own ``add``,
   ``neg``, ``mul``, ``inv`` and ``dot``, skipping zero terms; a dot
   product of two or more terms is one ``field.dot``, which sums the
   products before it normalises.
 
-So a raw zero is falsy and every other raw scalar is truthy.  Products,
-sums, transposes, submatrices, ``hstack``, inverses, ranks, ``is_zero`` and
-``==`` read and return raw rows and make no FieldElement.  ``rows``, the
-entries as FieldElement of the matrix's own field, is a view: it is
-wrapped on first read and kept (matrices are immutable).  ``col``,
-``apply``, ``nullspace`` and ``solve_linear`` return FieldElement.  A
-matrix built from FieldElement rows unwraps them on first use; a foreign
-entry or operand raises ``TypeError``.
+So a raw zero is falsy and every other raw scalar is truthy.  A product
+of two matrices is its kernel's ``matmul``:
+
+* GF(p): dense, one C-level ``sum(map(mul, r, c)) % p`` per entry;
+* the table and coordinate kernels: row by row over the nonzero entries
+  only (F. G. Gustavson, *ACM TOMS* 4, 1978).  The nonzero (column, value)
+  entries of each row of the right operand are listed once, the table
+  kernel keeping the value's log, and each nonzero entry of a left row is
+  combined with its list.  The coordinate kernel collects the terms of
+  each output entry and forms it with one ``field.dot``, or one
+  ``field.mul`` for a single term, so every sum is normalised once.
+
+A matrix built by :meth:`Matrix.identity` is marked as such: a product
+with it returns the other operand as it is when both are over one field
+object, and its inverse and transpose return it, with no kernel call.
+
+Products, sums, transposes, submatrices, ``hstack``, inverses, ranks,
+``is_zero`` and ``==`` read and return raw rows and make no FieldElement.
+``rows``, the entries as FieldElement of the matrix's own field, is a
+view: it is wrapped on first read and kept (matrices are immutable).
+``col``, ``apply``, ``nullspace`` and ``solve_linear`` return
+FieldElement.  A matrix built from FieldElement rows unwraps them on first
+use; a foreign entry or operand raises ``TypeError``.
 
 Elimination is :func:`_pivot_loop` on a kernel's ``scale`` and
 ``eliminate``, or its column-wise twin :func:`bruhat_pivots`.  The raw-row
@@ -164,6 +179,13 @@ class _ModKernel:
     def dot(self, a, b):
         return sum(map(mul, a, b)) % self.p
 
+    def matmul(self, a, b, ncols):
+        # dense: one C-level sum(map(mul)) per entry beats a Python walk
+        # over the nonzero entries at these sizes
+        p = self.p
+        cols = list(zip(*b)) if b else [()] * ncols
+        return [tuple([sum(map(mul, r, c)) % p for c in cols]) for r in a]
+
     def scale(self, row, x):
         p = self.p
         inv = pow(x, p - 2, p)
@@ -240,6 +262,21 @@ class _TableKernel:
                 s = add[s][exp[log[x] + log[y]]]
         return s
 
+    def matmul(self, a, b, ncols):
+        log, exp, add = self._log, self._exp, self._add
+        # the nonzero (column, log) entries of each row of b, listed once
+        logs = [[(j, log[y]) for j, y in enumerate(r) if y] for r in b]
+        out = []
+        for r in a:
+            acc = [0] * ncols
+            for x, entries in zip(r, logs):
+                if x:
+                    lx = log[x]
+                    for j, ly in entries:
+                        acc[j] = add[acc[j]][exp[lx + ly]]
+            out.append(tuple(acc))
+        return out
+
     def scale(self, row, x):
         log, exp = self._log, self._exp
         s = self._order - log[x]  # the log of 1/x
@@ -296,6 +333,36 @@ class _CoordKernel:
             return s if any(s) else None
         # sparse rows (permutations, shifts) leave one term or none
         return self.field.mul(xs[0], ys[0]) if xs else None
+
+    def matmul(self, a, b, ncols):
+        field = self.field
+        # the nonzero (column, value) entries of each row of b, listed once
+        nonzero = [[(j, y) for j, y in enumerate(r) if y is not None]
+                   for r in b]
+        out = []
+        for r in a:
+            # the terms of each output entry, in inner-index order
+            terms = [None] * ncols
+            for x, entries in zip(r, nonzero):
+                if x is not None:
+                    for j, y in entries:
+                        t = terms[j]
+                        if t is None:
+                            terms[j] = ([x], [y])
+                        else:
+                            t[0].append(x)
+                            t[1].append(y)
+            row = []
+            for t in terms:
+                if t is None:
+                    row.append(None)
+                elif len(t[0]) == 1:
+                    row.append(field.mul(t[0][0], t[1][0]))
+                else:
+                    s = field.dot(*t)
+                    row.append(s if any(s) else None)
+            out.append(tuple(row))
+        return out
 
     def scale(self, row, x):
         s, mul_ = self.field.inv(x), self.field.mul
@@ -358,13 +425,16 @@ class Matrix:
     """Immutable exact matrix over one field, held as raw rows.
 
     ``Matrix(field, rows)`` takes FieldElement rows, which become the
-    ``rows`` view as given; every operation returns a raw-backed matrix.
+    ``rows`` view as given; every operation returns a raw-backed matrix,
+    or an operand as it is.  Only :meth:`identity` sets the mark ``_eye``,
+    which products, inverses and transposes read to do so.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_k", "_unwrapped", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_k", "_unwrapped", "_rows",
+                 "_eye")
 
     def __init__(self, field, rows):
-        self.field = field
+        self.field, self._eye = field, False
         self._rows = tuple(tuple(rows_i) for rows_i in rows)
         self.nrows = len(self._rows)
         self.ncols = len(self._rows[0]) if self._rows else 0
@@ -372,26 +442,28 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def _of(cls, k, raw):
+    def _of(cls, k, raw, ncols):
         """The matrix over ``k.field`` whose raw rows are ``raw``, a list of
-        tuples of k's scalars."""
+        tuples of k's scalars, each ``ncols`` long; so a matrix with no
+        rows keeps its column count."""
         m = cls.__new__(cls)
-        m.field, m._k, m._unwrapped = k.field, k, raw
-        m.nrows = len(raw)
-        m.ncols = len(raw[0]) if raw else 0
+        m.field, m._k, m._unwrapped, m._eye = k.field, k, raw, False
+        m.nrows, m.ncols = len(raw), ncols
         return m
 
     @classmethod
-    def from_raw(cls, field, rows):
-        """The matrix whose raw rows are ``rows``, scalars of the field's
-        kernel (see :func:`scalar_kernel`): over GF(p) ints already
-        reduced into [0, p).  Makes no FieldElement."""
-        return cls._of(scalar_kernel(field), [tuple(r) for r in rows])
+    def from_raw(cls, field, rows, ncols):
+        """The matrix with ``ncols`` columns whose raw rows are ``rows``,
+        scalars of the field's kernel (see :func:`scalar_kernel`): over
+        GF(p) ints already reduced into [0, p).  Makes no FieldElement."""
+        return cls._of(scalar_kernel(field), [tuple(r) for r in rows], ncols)
 
     @classmethod
     def identity(cls, field, n):
         k = scalar_kernel(field)
-        return cls._of(k, _identity_rows(k, n))
+        m = cls._of(k, _identity_rows(k, n), n)
+        m._eye = True
+        return m
 
     @classmethod
     def from_scalars(cls, field, rows):
@@ -451,7 +523,8 @@ class Matrix:
         rb = self._operand(other, "sum")
         k, ra = self._raw()
         add = k.add
-        return Matrix._of(k, [tuple(map(add, a, b)) for a, b in zip(ra, rb)])
+        return Matrix._of(k, [tuple(map(add, a, b)) for a, b in zip(ra, rb)],
+                          self.ncols)
 
     def __sub__(self, other):
         self._same_shape(other, "difference")
@@ -460,23 +533,31 @@ class Matrix:
     def __neg__(self):
         k, ra = self._raw()
         neg = k.neg
-        return Matrix._of(k, [tuple(map(neg, r)) for r in ra])
+        return Matrix._of(k, [tuple(map(neg, r)) for r in ra], self.ncols)
 
     def __mul__(self, other):
         k, ra = self._raw()
         if not isinstance(other, Matrix):
             (s,), mul_ = k.unwrap((self.field.one * other,)), k.mul
-            return Matrix._of(k, [tuple([mul_(x, s) for x in r]) for r in ra])
+            return Matrix._of(k, [tuple([mul_(x, s) for x in r]) for r in ra],
+                              self.ncols)
         if self.ncols != other.nrows:
             raise ValueError(f"product of a {self.nrows}x{self.ncols} and a "
                              f"{other.nrows}x{other.ncols} matrix")
-        cols = list(zip(*self._operand(other, "product")))
-        dot = k.dot
-        return Matrix._of(k, [tuple([dot(r, c) for c in cols]) for r in ra])
+        rb = self._operand(other, "product")
+        if other.field is self.field:
+            if other._eye:
+                return self
+            if self._eye:
+                return other
+        return Matrix._of(k, k.matmul(ra, rb, other.ncols), other.ncols)
 
     def transpose(self) -> "Matrix":
+        if self._eye:
+            return self
         k, ra = self._raw()
-        return Matrix._of(k, list(zip(*ra))) if ra else self
+        cols = list(zip(*ra)) if ra else [()] * self.ncols
+        return Matrix._of(k, cols, self.nrows)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of FieldElement."""
@@ -498,11 +579,13 @@ class Matrix:
             raise ValueError(f"hstack of {self.nrows} and {other.nrows} rows")
         rb = self._operand(other, "hstack")
         k, ra = self._raw()
-        return Matrix._of(k, [a + b for a, b in zip(ra, rb)])
+        return Matrix._of(k, [a + b for a, b in zip(ra, rb)],
+                          self.ncols + other.ncols)
 
     def submatrix(self, row_lo, row_hi, col_lo, col_hi) -> "Matrix":
         k, ra = self._raw()
-        return Matrix._of(k, [r[col_lo:col_hi] for r in ra[row_lo:row_hi]])
+        return Matrix._of(k, [r[col_lo:col_hi] for r in ra[row_lo:row_hi]],
+                          len(range(self.ncols)[col_lo:col_hi]))
 
     # -- elimination --------------------------------------------------------
 
@@ -524,8 +607,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError(f"inverse of a {self.nrows}x{self.ncols} matrix")
+        if self._eye:
+            return self
         k, rows = self._raw()
-        return Matrix._of(k, inverse_rows(rows, k))
+        return Matrix._of(k, inverse_rows(rows, k), self.ncols)
 
     def to_json(self):
         return [[x.to_json() for x in r] for r in self.rows]

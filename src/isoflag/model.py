@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from .fields import FieldElement
 from .gram import GramTable
 from .linalg import (Affine, Matrix, NoSolution, Unique, bruhat_pivots, dot,
-                     nilpotent_jordan_multiset, scalar_kernel, solve_linear)
+                     nilpotent_jordan_multiset, nullspace_rows, scalar_kernel,
+                     solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                      VerificationFailed, block_jordan_sizes, jordan_prediction,
                      position_ok, psi)
@@ -61,7 +62,7 @@ class QuadSpace:
         self.field = field
         self.gram = gram
         self.dim = gram.nrows
-        gram_t = gram.transpose()
+        self._gram_t = gram_t = gram.transpose()
         symmetric, skew = gram_t == gram, gram_t == -gram
         if not (symmetric or skew):
             raise VerificationFailed(
@@ -113,12 +114,13 @@ class QuadSpace:
         return bad
 
     def perp(self, vectors) -> List[tuple]:
-        """Basis of the right perpendicular of span(vectors)."""
-        if not vectors:
-            return [tuple(col) for col in
-                    Matrix.identity(self.field, self.dim).transpose().rows]
-        rows = [self.gram.transpose().apply(v) for v in vectors]
-        return Matrix(self.field, rows).nullspace()
+        """Basis of the right perpendicular of span(vectors): the kernel
+        of the rows G^T v, formed and eliminated on kernel scalars."""
+        k, gram_t = self._gram_t._raw()
+        rows = [[k.dot(r, v) for r in gram_t]
+                for v in Matrix(self.field, vectors)._raw()[1]]
+        return [tuple(map(k.wrap, v))
+                for v in nullspace_rows(rows, k, self.dim)]
 
     def to_json(self):
         return {
@@ -140,7 +142,9 @@ class IsometryModel:
     derived models (sign flips, conjugates) carry other columns.
     ``table`` is the pairing table the collection realizes, or None.  The
     mode is the space's, and g^-1 and w_cols^-1 are found by elimination
-    when first read, so no inverse is taken on trust.
+    when first read, so no inverse is taken on trust.  The matrices of g
+    and of the form in the basis of ``w_cols``, which every split_check
+    of the model reads, are likewise found once, when first read.
     """
 
     def __init__(self, shape: ShapeSeq, space: QuadSpace, g: Matrix,
@@ -168,6 +172,16 @@ class IsometryModel:
     @cached_property
     def w_inv(self) -> Matrix:
         return self.w_cols.inverse()
+
+    @cached_property
+    def g_in_w(self) -> Matrix:
+        """M = W^-1 g W for W = w_cols."""
+        return self.w_inv * self.g * self.w_cols
+
+    @cached_property
+    def gram_in_w(self) -> Matrix:
+        """H = W^T G W for W = w_cols."""
+        return self.w_cols.transpose() * self.space.gram * self.w_cols
 
     def raw_index(self, t: int, i: int) -> tuple:
         """The raw coordinates of w^t_i for any integer i: the stored
@@ -214,7 +228,8 @@ class IsometryModel:
         k, w = self.w_cols._raw()
         flip = [eps[t] == -1 for t, _i in self.basis_index]
         return Matrix.from_raw(self.field, [
-            [k.neg(x) if s else x for x, s in zip(row, flip)] for row in w])
+            [k.neg(x) if s else x for x, s in zip(row, flip)] for row in w],
+            self.w_cols.ncols)
 
     def with_signs(self, eps) -> "IsometryModel":
         """The model whose collection is w^t_i -> eps_t * w^t_i.  Its
@@ -682,8 +697,9 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     every other block.
 
     Each block's columns are contiguous in w_cols, so with M = W^{-1} g W
-    and H = W^T G W for W = w_cols, the blocks up to the cut are the first
-    k coordinates: g-stability is M block-diagonal, W' perp to W is
+    and H = W^T G W for W = w_cols (the model's ``g_in_w`` and
+    ``gram_in_w``, found once per model), the blocks up to the cut are the
+    first k coordinates: g-stability is M block-diagonal, W' perp to W is
     H[:k, k:] = 0, and then W' = W-perp iff rank H[:k, :k] = k.
     """
     shape, mode, space = model.shape, model.mode, model.space
@@ -694,12 +710,11 @@ def split_check(model: IsometryModel, cut: int) -> dict:
                                    and psi(shape)[cut - 1] == -1):
         raise InvalidInput(
             f"orthogonal cuts sit at indices with psi = -1, not {cut}")
-    f, nu, w = space.field, space.dim, model.w_cols
+    f, nu = space.field, space.dim
     blocks = [t for t, _i in model.basis_index]
     low = [t <= cut for t in blocks]
     k = sum(low)
-    m = model.w_inv * model.g * w
-    h = w.transpose() * space.gram * w
+    m, h = model.g_in_w, model.gram_in_w
     report = {"g_stable": _block_diagonal(m, low)}
     report["mutually_perpendicular"] = h.submatrix(0, k, k, nu).is_zero
     report["perp_complement"] = report["mutually_perpendicular"] and \

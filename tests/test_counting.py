@@ -46,7 +46,7 @@ def mat_inv(a, q):
 
 
 def mat_rank(rows, q):
-    return Matrix.from_raw(get_finite_field(q), rows).rank()
+    return Matrix.from_raw(get_finite_field(q), rows, len(rows[0])).rank()
 
 
 def breadth_first_closure(space):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from isoflag import model
+from isoflag import linalg, model
 from isoflag.cases import cuts_for, partitions_up_to
 from isoflag.fields import RATIONALS, FiniteField, get_finite_field
 from isoflag.linalg import (TABLE_FIELD_MAX, Affine, Matrix, NoSolution,
@@ -62,6 +62,26 @@ def matrix(field, n, m):
     return st.lists(st.lists(entry, min_size=m, max_size=m),
                     min_size=n, max_size=n).map(
         lambda rows: Matrix(field, rows))
+
+
+def sparse_matrix(field, n, m):
+    """Like ``matrix``, with about three entries in four drawn zero and
+    the rest nonzero, as sparse as the model's operands."""
+    nonzero = coords(field).filter(any).map(field.element)
+    entry = st.integers(0, 3).flatmap(
+        lambda z: nonzero if z == 0 else st.just(field.zero))
+    return st.lists(st.lists(entry, min_size=m, max_size=m),
+                    min_size=n, max_size=n).map(
+        lambda rows: Matrix(field, rows))
+
+
+def empty_rows(field, m):
+    """The 0 x m matrix."""
+    return Matrix.identity(field, m).submatrix(0, 0, 0, m)
+
+
+def shape(a):
+    return a.nrows, a.ncols
 
 
 # -- schoolbook reference on FieldElement operators ---------------------------
@@ -291,6 +311,74 @@ class TestKernelOracle:
         assert all(x.field is field for r in product.rows for x in r)
         v = b.col(0)
         assert list(a.apply(v)) == [ref_dot(r, v, field) for r in a.rows]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 5))
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    def test_sparse_product(self, name, data, n, k, m):
+        # the nonzero walks of matmul against the schoolbook product, on
+        # operands mostly zero, so rows with one term or none are common
+        field = KERNEL_FIELDS[name]
+        a = data.draw(sparse_matrix(field, n, k))
+        b = data.draw(st.sampled_from([sparse_matrix, matrix]).flatmap(
+            lambda draw: draw(field, k, m)))
+        product = a * b
+        assert [list(r) for r in product.rows] == ref_mul(a, b)
+        assert shape(product) == (n, m)
+        assert all(x.field is field for r in product.rows for x in r)
+        assert [list(r) for r in (b.transpose() * a.transpose()).rows] == \
+            [list(c) for c in zip(*ref_mul(a, b))]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+    def test_identity_operand(self, name, data, n, m):
+        # a marked identity returns the other operand as it is; an
+        # identity built entry by entry goes through matmul and agrees
+        field = KERNEL_FIELDS[name]
+        a = data.draw(st.sampled_from([sparse_matrix, matrix]).flatmap(
+            lambda draw: draw(field, n, m)))
+        left, right = Matrix.identity(field, n), Matrix.identity(field, m)
+        assert left * a is a and a * right is a
+        want = [list(r) for r in a.rows]
+        assert [list(r) for r in (Matrix(field, left.rows) * a).rows] == want
+        assert [list(r) for r in (a * Matrix(field, right.rows)).rows] == want
+        assert left.inverse() is left and left.transpose() is left
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_empty_inner_dimension(self, name):
+        # a k x 0 times a 0 x m matrix is the k x m zero matrix
+        field = KERNEL_FIELDS[name]
+        for k, m in ((1, 1), (3, 2), (2, 4), (3, 3)):
+            a, b = Matrix(field, [[] for _ in range(k)]), empty_rows(field, m)
+            assert shape(a) == (k, 0) and shape(b) == (0, m)
+            product = a * b
+            assert shape(product) == (k, m) and product.is_zero
+            assert [list(r) for r in product.rows] == [[field.zero] * m] * k
+            # the transposes, m x 0 and 0 x k, give the m x k zero matrix
+            other = b.transpose() * a.transpose()
+            assert shape(other) == (m, k) and other.is_zero
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_identity_makes_no_kernel_call(self, name, monkeypatch):
+        field = KERNEL_FIELDS[name]
+        calls = []
+        kind, inverse_rows = type(scalar_kernel(field)), linalg.inverse_rows
+        matmul = kind.matmul
+        monkeypatch.setattr(kind, "matmul", lambda k, *args: calls.append(
+            "matmul") or matmul(k, *args))
+        monkeypatch.setattr(linalg, "inverse_rows", lambda *args: calls.append(
+            "inverse") or inverse_rows(*args))
+        eye = Matrix.identity(field, 3)
+        a = Matrix.from_scalars(field, [[1, 2, 0], [0, 1, 1], [0, 0, 1]])
+        assert eye * a is a and a * eye is a and eye * eye is eye
+        assert eye.inverse() is eye
+        assert calls == []
+        # an identity built entry by entry carries no mark
+        plain = Matrix(field, eye.rows)
+        assert plain * a == a and plain.inverse() == eye
+        assert calls == ["matmul", "inverse"]
 
     @given(st.data(), st.sampled_from(sorted(KERNEL_FIELDS)),
            st.integers(1, 4), st.integers(1, 5))
@@ -562,6 +650,31 @@ class TestFieldDot:
             xs = [at(top, Fraction(1, 6)), at(top, Fraction(5, 9))]
             ys = [at(top, Fraction(3, 4)), at(top, 1)]
             assert_same_coords(field.dot(xs, ys), fold_dot(field, xs, ys))
+
+
+class TestEmptyShapes:
+    """A matrix with no rows or no columns keeps its other dimension."""
+
+    def test_empty_submatrices_and_transposes(self):
+        eye = Matrix.identity(GF5, 3)
+        no_rows, no_cols = eye.submatrix(3, 3, 0, 3), eye.submatrix(0, 3, 3, 3)
+        assert shape(no_rows) == (0, 3) and shape(no_cols) == (3, 0)
+        assert shape(no_rows.transpose()) == (3, 0)
+        assert shape(no_cols.transpose()) == (0, 3)
+        assert shape(eye.submatrix(1, 1, 1, 1)) == (0, 0)
+        # column bounds are cut as a slice cuts them
+        assert shape(eye.submatrix(0, 2, 2, 5)) == (2, 1)
+        assert shape(-no_rows) == shape(no_rows + no_rows) == (0, 3)
+        assert shape(no_rows * GF5.from_int(2)) == (0, 3)
+        assert shape(no_cols.hstack(no_cols)) == (3, 0)
+        assert shape(Matrix.from_raw(GF5, [], 4)) == (0, 4)
+        assert no_rows.rank() == 0 and len(no_rows.nullspace()) == 3
+        # 3 x 0 times 0 x 3 is the 3 x 3 zero matrix, not 3 x 0
+        assert no_cols * no_rows == Matrix.from_scalars(GF5, [[0] * 3] * 3)
+        assert shape(no_rows * Matrix.from_scalars(GF5, [[1, 2]] * 3)) == \
+            (0, 2)
+        with pytest.raises(ValueError):
+            no_rows * no_rows
 
 
 class TestShapeErrors:
