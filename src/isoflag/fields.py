@@ -588,12 +588,11 @@ class FiniteField:
 class FieldElement:
     """Immutable scalar in a TowerField or FiniteField."""
 
-    __slots__ = ("field", "coords", "_hash")
+    __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
         self.field = field
         self.coords = tuple(coords)
-        self._hash = None
 
     # -- coercion -----------------------------------------------------------
 
@@ -679,9 +678,7 @@ class FieldElement:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.coords))
-        return self._hash
+        return hash((self.field, self.coords))
 
     def __repr__(self):
         return f"FieldElement({self.field!r}, {list(self.coords)})"

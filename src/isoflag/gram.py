@@ -301,10 +301,12 @@ class GramTable:
 
     def _store_22(self, ys, xs, d_range):
         """2.2: each higher row y in ``ys`` pairs to zero with the rows
-        ``xs`` of one level, an even drop lying between them."""
+        ``xs`` of one level, an even drop lying between them; a row
+        without one raises VerificationFailed."""
         for y in ys:
-            assert self._has_even_drop(y, xs[0]), \
-                f"row {y} above row {xs[0]} without an even drop"
+            if not self._has_even_drop(y, xs[0]):
+                raise VerificationFailed(
+                    f"2.2: row {y} above row {xs[0]} without an even drop")
             for x in xs:
                 self._store_const(y, x, self.field.zero, d_range, "2.2")
 

@@ -33,6 +33,9 @@ object, and its inverse and transpose return it, with no kernel call.
 
 Products, sums, transposes, submatrices, ``hstack``, inverses, ranks,
 ``is_zero`` and ``==`` read and return raw rows and make no FieldElement.
+Equal fields, one built twice included, share one raw encoding, so ``==``
+compares the column count and the raw rows; over unequal fields it is
+False.
 ``rows``, the entries as FieldElement of the matrix's own field, is a
 view: it is wrapped on first read and kept (matrices are immutable).
 ``col``, ``apply``, ``nullspace`` and ``solve_linear`` return
@@ -499,16 +502,14 @@ class Matrix:
         return other._raw()[1]
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return False
-        if other.field is self.field:
-            return self._raw()[1] == other._raw()[1]
-        # equal fields built separately compare entry by entry, and
-        # entries of different fields never compare equal
-        return self.rows == other.rows
+        # equal fields share one raw encoding; unequal ones never compare
+        # equal
+        return (isinstance(other, Matrix) and other.field == self.field
+                and self.ncols == other.ncols
+                and self._raw()[1] == other._raw()[1])
 
     def __hash__(self):
-        return hash((self.field, tuple(self._raw()[1])))
+        return hash((self.field, self.ncols, tuple(self._raw()[1])))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -142,9 +142,7 @@ class IsometryModel:
     derived models (sign flips, conjugates) carry other columns.
     ``table`` is the pairing table the collection realizes, or None.  The
     mode is the space's, and g^-1 and w_cols^-1 are found by elimination
-    when first read, so no inverse is taken on trust.  The matrices of g
-    and of the form in the basis of ``w_cols``, which every split_check
-    of the model reads, are likewise found once, when first read.
+    when first read, so no inverse is taken on trust.
     """
 
     def __init__(self, shape: ShapeSeq, space: QuadSpace, g: Matrix,
@@ -172,16 +170,6 @@ class IsometryModel:
     @cached_property
     def w_inv(self) -> Matrix:
         return self.w_cols.inverse()
-
-    @cached_property
-    def g_in_w(self) -> Matrix:
-        """M = W^-1 g W for W = w_cols."""
-        return self.w_inv * self.g * self.w_cols
-
-    @cached_property
-    def gram_in_w(self) -> Matrix:
-        """H = W^T G W for W = w_cols."""
-        return self.w_cols.transpose() * self.space.gram * self.w_cols
 
     def raw_index(self, t: int, i: int) -> tuple:
         """The raw coordinates of w^t_i for any integer i: the stored
@@ -286,7 +274,7 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         if f.char == 2 else None
     space = QuadSpace(f, gram, q_basis)
 
-    gram_t = gram.transpose()
+    gram_t = space._gram_t  # G^T, from the space's symmetry test
     index_of = {ti: m for m, ti in enumerate(idx)}
     cols: List[tuple] = []
     for (t, i) in idx:
@@ -697,10 +685,11 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     every other block.
 
     Each block's columns are contiguous in w_cols, so with M = W^{-1} g W
-    and H = W^T G W for W = w_cols (the model's ``g_in_w`` and
-    ``gram_in_w``, found once per model), the blocks up to the cut are the
+    and H = W^T G W for W = w_cols, the blocks up to the cut are the
     first k coordinates: g-stability is M block-diagonal, W' perp to W is
-    H[:k, k:] = 0, and then W' = W-perp iff rank H[:k, :k] = k.
+    H[:k, k:] = 0, and then W' = W-perp iff rank H[:k, :k] = k.  On a
+    built model W is ``Matrix.identity``, so M and H are g and G with no
+    kernel call; a derived model pays its products on each cut.
     """
     shape, mode, space = model.shape, model.mode, model.space
     sigma, kappa = shape.sigma, shape.kappa
@@ -714,7 +703,8 @@ def split_check(model: IsometryModel, cut: int) -> dict:
     blocks = [t for t, _i in model.basis_index]
     low = [t <= cut for t in blocks]
     k = sum(low)
-    m, h = model.g_in_w, model.gram_in_w
+    w = model.w_cols
+    m, h = model.w_inv * model.g * w, w.transpose() * space.gram * w
     report = {"g_stable": _block_diagonal(m, low)}
     report["mutually_perpendicular"] = h.submatrix(0, k, k, nu).is_zero
     report["perp_complement"] = report["mutually_perpendicular"] and \

@@ -551,6 +551,17 @@ class TestElementProtocol:
         f = get_finite_field(7)
         assert hash(f.from_int(9)) == hash(f.from_int(2))
         assert len({f.from_int(i) for i in range(14)}) == 7
+        # equal elements of two separately built equal fields hash alike,
+        # an int coordinate and its Fraction included
+        twin_q2, twin_gf9 = RATIONALS.extend((Fraction(2),)), FiniteField(3, 2)
+        gf9 = get_finite_field(3, 2)
+        assert twin_q2 is not Q2 and twin_gf9 is not gf9
+        for a, b in ((Q2.element((Fraction(1, 2), 3)),
+                      twin_q2.element((Fraction(1, 2), Fraction(3)))),
+                     (FieldElement(gf9, (1, 2)),
+                      FieldElement(twin_gf9, (1, 2))),
+                     (RATIONALS.from_int(2), TowerField().from_int(2))):
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_str_shows_coordinates(self):
         assert str(get_finite_field(3).from_int(4)) == "1"

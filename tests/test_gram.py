@@ -571,3 +571,25 @@ def test_bad_block_index_is_a_usage_error_without_asserts():
     assert proc.stdout.splitlines() == [
         "block index 0 outside 1..2", "block index 3 outside 1..2",
         "block index 3 outside 1..2"]
+
+
+def test_missing_even_drop_fails_verification_without_asserts():
+    # with pi_window giving no window, level 1 of (2, 1) stores row 1
+    # against row 2 as 2.2 zeros, although no even drop lies between
+    # them; python -O strips assert statements, and the check must not
+    # depend on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from isoflag import gram\n"
+            "from isoflag.shapes import (ORTHOGONAL, ShapeSeq,\n"
+            "                            VerificationFailed)\n"
+            "gram.pi_window = lambda shape, level: None\n"
+            "try:\n"
+            "    gram.GramTable(ShapeSeq((2, 1)), ORTHOGONAL)\n"
+            "except VerificationFailed as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "2.2: row 1 above row 2 without an even drop"]

@@ -482,6 +482,9 @@ class TestKernelOracle:
             assert [[x.coords for x in r] for r in x5.rows] == \
                 [[x.coords for x in r] for r in x7.rows]
             assert x5 != x7 and x7 != x5
+        gf3 = get_finite_field(3)
+        x3, x5 = (Matrix.from_raw(f, [(1, 2), (0, 1)], 2) for f in (gf3, GF5))
+        assert x3._raw()[1] == x5._raw()[1] and x3 != x5 and x5 != x3
 
     def test_twin_fields_compare_equal(self):
         twin = RATIONALS.extend((Fraction(2),))
@@ -494,6 +497,13 @@ class TestKernelOracle:
         assert a.inverse() == b.inverse()
         assert Matrix.identity(Q2, 2) == Matrix.identity(twin, 2)
         assert a * a != b
+        # equal fields share one raw encoding: == wraps no entry
+        raw = [[(0, 1), (1, 0)], [None, (Fraction(1, 2), 1)]]
+        c, d = Matrix.from_raw(Q2, raw, 2), Matrix.from_raw(twin, raw, 2)
+        assert c == d and hash(c) == hash(d)
+        for m in (c, d):
+            with pytest.raises(AttributeError):
+                m._rows
 
     def test_foreign_field_raises(self):
         s2 = Q2.element((0, 1))
@@ -675,6 +685,11 @@ class TestEmptyShapes:
             (0, 2)
         with pytest.raises(ValueError):
             no_rows * no_rows
+        # matrices with no rows still differ by their column count
+        narrow = eye.submatrix(0, 0, 0, 2)
+        assert no_rows != narrow and narrow != no_rows
+        assert hash(no_rows) != hash(narrow)
+        assert no_rows == Matrix.from_raw(GF5, [], 3)
 
 
 class TestShapeErrors:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from isoflag import linalg
 from isoflag.cases import cuts_for
 from isoflag.counting import SO_ODD, SP, FiniteFormSpace
 from isoflag.fields import (RATIONALS, FieldElement, FiniteField,
@@ -1293,6 +1294,27 @@ class TestSplitCheck:
                     assert rep == span_split_check(variant, cut)
                     verdicts[rep["pass"]] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_built_model_makes_no_product(self, model_sweep, monkeypatch):
+        # W is the marked identity on a built model, so M = W^-1 g W and
+        # H = W^T G W are g and G with no product and no inverse; the
+        # derived models of test_agrees_with_span_oracle pay theirs
+        calls = []
+
+        def recording(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+        for kind in {type(scalar_kernel(m.field))
+                     for m in model_sweep.values()}:
+            monkeypatch.setattr(kind, "matmul", recording("matmul",
+                                                          kind.matmul))
+        monkeypatch.setattr(linalg, "inverse_rows",
+                            recording("inverse", linalg.inverse_rows))
+        cuts = 0
+        for (_parts, _k, mode, _name), m in model_sweep.items():
+            for cut in cuts_for(m.shape, mode):
+                assert split_check(m, cut)["pass"]
+                cuts += 1
+        assert cuts > 200 and calls == []
 
     def test_unstable_split_reported(self):
         # W = P swaps e_1 and e_2, so the span of its first two columns,
