@@ -34,9 +34,10 @@ share one diagonal and every pair of them one set of 2.6 values, so
 each half-level value is one ``field.dot``; and a change of field lifts
 each distinct stored value once.
 
-The table keeps value(t, r, d) for t <= r in one dict keyed (t, r, d),
-one key per stored offset; ``_val`` is its only reader.  It reads
-value(r, t, -d) for t > r, and a key that is not stored raises
+The table keeps value(t, r, d) for valid blocks t <= r in one dict keyed
+(t, r, d), one key per stored offset; ``value`` is its only reader.  It
+reads value(r, t, -d) for t > r, and checks the blocks of a missing key
+only: one outside 1..sigma+kappa raises InvalidInput, any other key
 WindowExceeded.  Every pair covers |delta| <= delta_bound, 6*p_1 + 2 by
 default (enough for model reconstruction and the adapted-collection
 checks).  Earlier orthogonal levels store more, exactly as far as the
@@ -149,11 +150,16 @@ class GramTable:
 
     def value(self, t: int, r: int, delta: int) -> FieldElement:
         """The canonical value for block pair (t, r) at offset delta = i - j."""
+        v = self._store.get((t, r, delta) if t <= r else (r, t, -delta))
+        if v is not None:
+            return v
         sigma_k = self.shape.sigma + self.shape.kappa
         for index in (t, r):
             if not 1 <= index <= sigma_k:
                 raise InvalidInput(f"block index {index} outside 1..{sigma_k}")
-        return self._val(t, r, delta)
+        raise WindowExceeded(
+            f"pair ({t}, {r}) has no value stored at offset {delta} "
+            f"(delta_bound {self.delta_bound})")
 
     def gram_matrix(self) -> Matrix:
         """The form on the block vectors: (t, i) against (r, j) is
@@ -204,15 +210,6 @@ class GramTable:
                 self._store_const(y, sigma + 1, self.field.zero, bound, "2.7")
             self._store_const(sigma + 1, sigma + 1, self.field.from_int(2),
                               bound, "2.7")
-
-    def _val(self, t, r, delta):
-        key = (t, r, delta) if t <= r else (r, t, -delta)
-        try:
-            return self._store[key]
-        except KeyError:
-            raise WindowExceeded(
-                f"pair ({t}, {r}) has no value stored at offset {delta} "
-                f"(delta_bound {self.delta_bound})") from None
 
     def _store_pair(self, t, r, vals, case=None):
         """Store value(t, r, d) = vals[d], t <= r, at every offset d of
@@ -344,7 +341,7 @@ class GramTable:
         """L(t, e) as two coordinate lists: K's coefficients and the
         values value(r, t, m + e) they multiply."""
         return (list(K.values()),
-                [self._val(r, t, m + e).coords for (r, m) in K])
+                [self.value(r, t, m + e).coords for (r, m) in K])
 
     def _apply(self, K, t, e):
         """L(t, e) = sum_(r, m) K[(r, m)] value(r, t, m + e)."""
@@ -375,7 +372,7 @@ class GramTable:
         def c(r, t, s):
             if (r, t, s) not in coeff:
                 coeff[(r, t, s)] = FieldElement(f, f.dot(
-                    nk, [self._val(r, t, s + k).coords
+                    nk, [self.value(r, t, s + k).coords
                          for k in range(len(nk))]))
             return coeff[(r, t, s)]
 
@@ -479,9 +476,9 @@ class GramTable:
         p_a = p(a)
         f = self.field
         idx = [(r, i) for r in range(a, sigma + 1) for i in range(2 * p(r))]
-        gmat = Matrix(f, [[self._val(r, rp, i - ip) for (rp, ip) in idx]
+        gmat = Matrix(f, [[self.value(r, rp, i - ip) for (rp, ip) in idx]
                           for (r, i) in idx])
-        rhs = [self._val(a, rp, 2 * p_a - ip) for (rp, ip) in idx]
+        rhs = [self.value(a, rp, 2 * p_a - ip) for (rp, ip) in idx]
         sol = solve_linear(gmat, rhs)
         if not isinstance(sol, Unique):
             raise VerificationFailed(
@@ -523,8 +520,8 @@ class GramTable:
         diag_coeffs = [one, one, f.neg(one)] + list(corr_c.values())
         diag = [f.dot(diag_coeffs,
                       [cross_a(2 * p_a - d), cross_a(2 * p_a + d),
-                       self._val(a, a, -d).coords]
-                      + [self._val(r, rp, e + d).coords
+                       self.value(a, a, -d).coords]
+                      + [self.value(r, rp, e + d).coords
                          for (r, rp, e) in corr_c])
                 for d in range(d_range + 1)]
         cx0, newfield = sqrt_extend(nu / 2)

@@ -8,9 +8,9 @@ two models over the same space.
 
 Vectors are tuples of FieldElement of length nu; the standard basis is
 indexed by the shape's block indices (t, i), i in [0, 2p_t - 1], in lex
-order, plus (sigma+1, 0) when kappa = 1.  The collection orbit and its
-pairing profile stay raw scalars of the field's kernel (see linalg) and
-are wrapped only where a vector or a reported value leaves the module.
+order, plus (sigma+1, 0) when kappa = 1.  The collection orbit, its
+pairing profile and the flag completion stay raw kernel scalars (see
+linalg), wrapped only where a vector or a reported value leaves them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldElement
 from .gram import GramTable
-from .linalg import (Affine, Matrix, NoSolution, Unique, bruhat_pivots, dot,
-                     nilpotent_jordan_multiset, nullspace_rows, scalar_kernel,
-                     solve_linear)
+from .linalg import (Affine, Matrix, NoSolution, Unique, _identity_rows,
+                     bruhat_pivots, dot, nilpotent_jordan_multiset,
+                     scalar_kernel, solve_linear)
 from .shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                      VerificationFailed, block_jordan_sizes, jordan_prediction,
                      position_ok, psi)
@@ -112,15 +112,6 @@ class QuadSpace:
             if got != want:
                 bad.append(("Q", m, got))
         return bad
-
-    def perp(self, vectors) -> List[tuple]:
-        """Basis of the right perpendicular of span(vectors): the kernel
-        of the rows G^T v, formed and eliminated on kernel scalars."""
-        k, gram_t = self._gram_t._raw()
-        rows = [[k.dot(r, v) for r in gram_t]
-                for v in Matrix(self.field, vectors)._raw()[1]]
-        return [tuple(map(k.wrap, v))
-                for v in nullspace_rows(rows, k, self.dim)]
 
     def to_json(self):
         return {
@@ -274,7 +265,6 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
         if f.char == 2 else None
     space = QuadSpace(f, gram, q_basis)
 
-    gram_t = space._gram_t  # G^T, from the space's symmetry test
     index_of = {ti: m for m, ti in enumerate(idx)}
     cols: List[tuple] = []
     for (t, i) in idx:
@@ -286,7 +276,7 @@ def build_model(shape: ShapeSeq, mode: str, field=None) -> IsometryModel:
             continue
         top = hi + 1
         rhs = [table.value(t, y, top - j) for (y, j) in idx]
-        sol = solve_linear(gram_t, rhs)
+        sol = solve_linear(space._gram_t, rhs)
         if isinstance(sol, NoSolution):
             raise VerificationFailed(
                 f"no image for block end ({t}, {hi}) solves the pairing "
@@ -458,7 +448,8 @@ class IsoFlag:
         for a in range(n):
             if not m[a][nu - 1 - a]:
                 raise IsotropyViolation(f"V_{a + 1} perp is not V_{nu - a - 1}")
-        for a in range(n if space.q_basis is not None else 0):
+        # outside characteristic 2, Q(b_a) = M[a][a] / 2: 0 by the first loop
+        for a in range(n if space.field.char == 2 and space.q_basis else 0):
             q = space.quad(b.col(a))
             if not q.is_zero:
                 raise IsotropyViolation(f"Q(b_{a}) = {q} on V_{n}")
@@ -473,25 +464,37 @@ def flags_from(model: IsometryModel) -> Tuple[IsoFlag, IsoFlag]:
 
     The adapted basis B starts with the collection vectors w^r_h, h in
     [p_r, 2p_r - 1], block by block: they span the isotropic V_n.  Column
-    b_c, c = n..nu-1, is then the first basis vector v of V_k-perp,
-    k = nu-1-c, outside V_c: (b_k, v) != 0, or Q(v) != 0 for the middle
-    column of an odd nu, which gives V_{nu-i} = V_i-perp.  V' has basis
-    g B.  Both flags are fully verified.
+    b_c, c = n..nu-1, is then the first vector v of the echelon kernel
+    basis of V_j-perp, j = nu-1-c, with (b_j, v) != 0, or Q(v) != 0 for
+    the middle column of an odd nu: V_{nu-i} = V_i-perp.  That basis is
+    unique (1 at its own free column, 0 at the others), so for j + 1 it is
+    this one without v, each later u less (b_j, u) / (b_j, v) v, on kernel
+    scalars.  V' has basis g B.  Both flags are fully verified.
     """
     shape, space = model.shape, model.space
-    ext = model.extend_index
-    cols = [ext(r, h) for r in range(1, shape.sigma + 1)
+    k, gram = space.gram._raw()
+    cols = [model.raw_index(r, h) for r in range(1, shape.sigma + 1)
             for h in range(shape.part(r), 2 * shape.part(r))]
     nu = space.dim
-    for c in range(len(cols), nu):
-        k = nu - 1 - c
-        v = next((v for v in space.perp(cols[:k])
-                  if not (space.bilinear(cols[k], v) if k < c
-                          else space.quad(v)).is_zero), None)
-        if v is None:
-            raise IsotropyViolation(f"V_{k} perp has no vector outside V_{c}")
-        cols.append(v)
-    flag = IsoFlag(space, Matrix(space.field, cols).transpose())
+    basis, picks = _identity_rows(k, nu), []
+    for j in range(nu - len(cols)):
+        c = nu - 1 - j
+        if j < c:  # lead each u with (b_j, u) = (b_j^T G) u
+            rows = k.matmul([cols[j]], gram, nu) * len(basis)
+        elif space.q_basis is None:
+            raise InvalidInput("no quadratic form on this space")
+        else:  # the middle column: lead each u with Q(u) = (u^T U) u
+            rows = k.matmul(basis, space._upper._raw()[1], nu)
+        led = [(k.dot(x, u), *u) for x, u in zip(rows, basis)]
+        at = next((i for i, u in enumerate(led) if u[0]), None)
+        if at is None:
+            raise IsotropyViolation(f"V_{j} perp has no vector outside V_{c}")
+        picks.append(basis[at])
+        pivot = k.scale(led[at], led[at][0])
+        basis = basis[:at] + [k.eliminate(u, pivot, 0)[1:] if u[0] else u[1:]
+                              for u in led[at + 1:]]
+    flag = IsoFlag(space, Matrix.from_raw(
+        space.field, zip(*cols, *reversed(picks)), nu))
     flag.verify()
     flag_prime = flag.apply(model.g)
     flag_prime.verify()

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from isoflag import linalg
-from isoflag.cases import cuts_for
+from isoflag.cases import cuts_for, sweep_cases
 from isoflag.counting import SO_ODD, SP, FiniteFormSpace
 from isoflag.fields import (RATIONALS, FieldElement, FiniteField,
                             get_finite_field)
-from isoflag.linalg import Matrix, nilpotent_jordan_multiset, scalar_kernel
+from isoflag.gram import GramTable
+from isoflag.linalg import (Matrix, NoSolution, nilpotent_jordan_multiset,
+                            scalar_kernel)
 from isoflag.model import (IsoFlag, IsometryModel,
                            IsotropyViolation, QuadSpace, VerificationFailed,
                            _verify_model, build_T,
@@ -24,7 +26,7 @@ from isoflag.shapes import (ORTHOGONAL, SYMPLECTIC, InvalidInput, ShapeSeq,
                             jordan_prediction, psi)
 from components import component_check
 from dense import dense_isometry, dense_shear
-from spans import span_contains, span_dim
+from spans import span_contains, span_dim, span_perp
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +170,7 @@ def rank_verify(flag):
                     raise IsotropyViolation(f"form nonzero on V_{i}")
             if space.q_basis is not None and not space.quad(u).is_zero:
                 raise IsotropyViolation(f"Q nonzero on V_{i}")
-        perp = space.perp(vecs)
+        perp = span_perp(space, vecs)
         if span_dim(f, perp) != nu - i or \
                 not span_contains(f, perp, subspaces[nu - i]):
             raise IsotropyViolation(f"V_{i} perp is not V_{nu - i}")
@@ -272,7 +274,7 @@ def span_split_check(model, cut):
         - Matrix.identity(f, p.nrows - k)
     report["mutually_perpendicular"] = all(
         space.bilinear(u, v).is_zero for u in w_low for v in w_high)
-    perp = space.perp(w_low)
+    perp = span_perp(space, w_low)
     report["perp_complement"] = (
         span_dim(f, perp) == len(w_high)
         and span_contains(f, perp, w_high))
@@ -352,6 +354,51 @@ class TestBuildModel:
     def test_sign_flip_stays_adapted(self, sp1):
         flipped = sp1.with_signs({1: -1})
         assert check_adapted(flipped) == []
+
+
+class TestVerifyModelFailures:
+    """Each raise of build_model and _verify_model fires on one broken
+    input."""
+
+    @staticmethod
+    def edit_store(monkeypatch, key):
+        """build_model's table reads value + 1 at ``key``."""
+        def table(*args):
+            t = GramTable(*args)
+            t._store[key] = t._store[key] + t.field.one
+            return t
+        monkeypatch.setattr("isoflag.model.GramTable", table)
+
+    def test_clause_raise(self, monkeypatch):
+        # value(1, 1, 2) is only read for g's image of the block end, which
+        # then breaks the form
+        self.edit_store(monkeypatch, (1, 1, 2))
+        with pytest.raises(VerificationFailed, match=r"^collection clauses "
+                           r"violated: \[\('form', \(1, 1\), "):
+            build_model(ShapeSeq((1,), kappa=1), ORTHOGONAL)
+
+    def test_jordan_raise(self, monkeypatch):
+        monkeypatch.setattr("isoflag.model.jordan_prediction",
+                            lambda shape, mode: Counter({1: 2}))
+        with pytest.raises(VerificationFailed) as err:
+            build_model(ShapeSeq((1,)), SYMPLECTIC)
+        assert str(err.value) == \
+            "Jordan multiset {2: 1} differs from the predicted {1: 2}"
+
+    def test_round_trip_raise(self, monkeypatch):
+        # neither g, G nor the clauses read offset 6 p_1
+        self.edit_store(monkeypatch, (1, 1, 6))
+        with pytest.raises(VerificationFailed) as err:
+            build_model(ShapeSeq((1,)), SYMPLECTIC)
+        assert str(err.value) == "table round trip failed at [(1, 1, 6)]"
+
+    def test_no_image_raise(self, monkeypatch):
+        monkeypatch.setattr("isoflag.model.solve_linear",
+                            lambda a, b: NoSolution())
+        with pytest.raises(VerificationFailed) as err:
+            build_model(ShapeSeq((1,)), SYMPLECTIC)
+        assert str(err.value) == \
+            "no image for block end (1, 1) solves the pairing constraints"
 
 
 def model_digest(model_sweep):
@@ -638,6 +685,67 @@ class TestFlags:
         with pytest.raises(IsotropyViolation, match="V_2 not inside V_1"):
             swapped.verify()
         assert not passes(rank_verify, swapped)
+
+    def test_no_vector_outside(self):
+        # b_1 = w^1_3 is a copy of b_0 = w^1_2, so every vector of V_1 perp
+        # pairs to 0 with it
+        m = build_model(ShapeSeq((2,)), SYMPLECTIC)
+        cols = [m.w_cols.col(j) for j in range(4)]
+        cols[3] = cols[2]
+        copy = IsometryModel(m.shape, m.space, m.g,
+                             Matrix(m.field, cols).transpose())
+        with pytest.raises(IsotropyViolation) as err:
+            flags_from(copy)
+        assert str(err.value) == "V_1 perp has no vector outside V_2"
+
+
+def reference_flag_basis(model):
+    """flags_from's basis by the rule of one elimination per column: for
+    c = n..nu-1 and k = nu-1-c, the first vector v of Matrix.nullspace's
+    basis of V_k-perp with (b_k, v) != 0, or Q(v) != 0 for the middle
+    column of an odd nu."""
+    shape, space = model.shape, model.space
+    cols = [model.extend_index(r, h) for r in range(1, shape.sigma + 1)
+            for h in range(shape.part(r), 2 * shape.part(r))]
+    nu = space.dim
+    for c in range(len(cols), nu):
+        k = nu - 1 - c
+        cols.append(next(
+            v for v in span_perp(space, cols[:k])
+            if not (space.bilinear(cols[k], v) if k < c
+                    else space.quad(v)).is_zero))
+    return Matrix(space.field, cols).transpose()
+
+
+class TestFlagKernel:
+    """flags_from's one shrinking kernel basis against one elimination
+    per column."""
+
+    @pytest.mark.parametrize("field", [get_finite_field(3, 2),
+                                       get_finite_field(5, 2),
+                                       get_finite_field(17, 2)], ids=repr)
+    def test_bases_match_one_elimination_per_column(self, field):
+        # GF(9) and GF(25) run on the log-table kernel, GF(289) on the
+        # coordinate kernel; the sweep covers neither
+        models = [build_model(shape, mode, field)
+                  for shape, mode in sweep_cases(3)
+                  if mode == ORTHOGONAL or shape.kappa == 0]
+        assert len(models) == 14
+        assert {m.mode for m in models} == {SYMPLECTIC, ORTHOGONAL}
+        for m in models:
+            flag, _ = flags_from(m)
+            assert flag.basis == reference_flag_basis(m)
+
+    def test_no_field_element_outside_char2(self, model_sweep, monkeypatch):
+        models = [m for (parts, _k, _mode, _name), m in model_sweep.items()
+                  if sum(parts) <= 3 and m.field.char != 2]
+        made = []
+        init = FieldElement.__init__
+        monkeypatch.setattr(FieldElement, "__init__", lambda self, *args:
+                            made.append(1) or init(self, *args))
+        for m in models:
+            flags_from(m)
+        assert len(models) == 56 and made == []
 
 
 class TestReportedValues:
