@@ -219,7 +219,7 @@ def cmd_conjecture210(args):
     results = []
     all_ok = True
     for k in range(2, kmax + 1):
-        table, square, expected, matches = check_conjecture_210(k)
+        _, square, expected, matches = check_conjecture_210(k)
         results.append({"k": k, "square": square.to_json(),
                         "expected": expected.to_json(),
                         "matches": matches, "asserted": k <= 4})

@@ -21,12 +21,14 @@ Two kinds of field are supported, behind one element interface:
 
 Each field class owns the arithmetic on its coordinate tuples: ``add``,
 ``neg``, ``mul``, ``inv`` and ``dot``, with a fast path for a one-coordinate
-field (Q, GF(p)).  ``dot(xs, ys)`` is sum x_i y_i, with the products summed
-before one normalisation: integer numerators over one common denominator
-over Q, one such sum for each of the two parts over Q(sqrt r), one ``% p``
-over GF(p), and over GF(p^m) the unreduced polynomial products, reduced once
-mod p and the modulus.  ``FieldElement``'s operators, ``linalg``'s kernels
-and ``gram``'s recursion call them.
+field (Q, GF(p)).  Over Q(sqrt r) a product and an inverse are closed
+forms on the two rational halves, zero halves skipped.  ``dot(xs, ys)`` is
+sum x_i y_i, with the products summed before one normalisation: integer
+numerators over one common denominator over Q, one such sum for each of
+the two parts over Q(sqrt r), one ``% p`` over GF(p), and over GF(p^m) the
+unreduced polynomial products, reduced once mod p and the modulus.
+``FieldElement``'s operators, ``linalg``'s kernels and ``gram``'s recursion
+call them.
 
 ``sqrt_extend`` returns a deterministic square root, extending the field by one
 radicand (over Q) or doubling the extension degree (finite case) when the
@@ -76,11 +78,11 @@ def _qcoords(cs) -> tuple:
 
 
 def _qdot(xs, ys) -> Scalar:
-    """sum x[0] y[0] over one-coordinate rational tuples: int products
-    summed directly, the rest as integer numerators over one common
-    denominator; an int when the sum is integral, else one Fraction."""
+    """sum x y over bare rationals: int products summed directly, the
+    rest as integer numerators over one common denominator; an int when
+    the sum is integral, else one Fraction."""
     whole, num, den = 0, 0, 1
-    for (x,), (y,) in zip(xs, ys):
+    for x, y in zip(xs, ys):
         if type(x) is int and type(y) is int:
             whole += x * y
             continue
@@ -127,6 +129,7 @@ class TowerField:
         self.radicands = radicands
         self.depth = len(radicands)
         self.dim = 1 << self.depth
+        self._r = radicands[0][0] if radicands else None
 
     char = 0
     is_finite = False
@@ -185,44 +188,52 @@ class TowerField:
         return tuple(-x for x in a)
 
     def mul(self, a, b) -> tuple:
+        """a b; over Q(sqrt r), (a1 b1 + r a2 b2, a1 b2 + a2 b1), the
+        terms of a zero half skipped."""
         if not self.depth:
             return (_qn(a[0] * b[0]),)
-        return self.dot((a,), (b,))
+        a1, a2 = a
+        b1, b2 = b
+        if not a2:
+            return (_qn(a1 * b1), _qn(a1 * b2) if b2 else 0)
+        if not b2:
+            return (_qn(a1 * b1), _qn(a2 * b1))
+        return (_qn(a1 * b1 + self._r * a2 * b2), _qn(a1 * b2 + a2 * b1))
 
     def inv(self, a) -> tuple:
         """1/a; over Q(sqrt r), (a1 - a2 sqrt r) / (a1^2 - a2^2 r)."""
         if not self.depth or not a[1]:
             return (_qinv(a[0]),) + a[1:]
         a1, a2 = a
-        n = _qinv(a1 * a1 - self.radicands[0][0] * a2 * a2)
+        n = _qinv(a1 * a1 - self._r * a2 * a2)
         return (_qn(a1 * n), _qn(-a2 * n))
 
     def dot(self, xs, ys) -> tuple:
         """sum x_i y_i over coordinate tuples, each part normalised once.
 
         Over Q(sqrt r), with x = x1 + x2 sqrt(r) and y = y1 + y2 sqrt(r),
-        the rational part is the dot of the x1 y1 terms and one more, (sum
-        x2 y2) times r; the sqrt part is the dot of the x1 y2 and x2 y1
-        terms.  Zero sqrt halves drop their terms.  A product a b is the
-        one-term dot ((a,), (b,))."""
+        the terms are sorted once into bare-rational lists: the rational
+        part is the dot of the x1 y1 terms and one more, (sum x2 y2) times
+        r; the sqrt part is the dot of the x1 y2 and x2 y1 terms.  Zero
+        sqrt halves drop their terms, so at most three ``_qdot`` calls."""
         if not self.depth:
-            return (_qdot(xs, ys),)
+            return (_qdot([x for x, in xs], [y for y, in ys]),)
         lo_x, lo_y, sq_x, sq_y, hi_x, hi_y = [], [], [], [], [], []
         for (a1, a2), (b1, b2) in zip(xs, ys):
-            lo_x.append((a1,))
-            lo_y.append((b1,))
+            lo_x.append(a1)
+            lo_y.append(b1)
             if b2:
-                hi_x.append((a1,))
-                hi_y.append((b2,))
+                hi_x.append(a1)
+                hi_y.append(b2)
             if a2:
-                hi_x.append((a2,))
-                hi_y.append((b1,))
+                hi_x.append(a2)
+                hi_y.append(b1)
                 if b2:
-                    sq_x.append((a2,))
-                    sq_y.append((b2,))
+                    sq_x.append(a2)
+                    sq_y.append(b2)
         if sq_x:
-            lo_x.append((_qdot(sq_x, sq_y),))
-            lo_y.append(self.radicands[0])
+            lo_x.append(_qdot(sq_x, sq_y))
+            lo_y.append(self._r)
         return (_qdot(lo_x, lo_y), _qdot(hi_x, hi_y))
 
     def sqrt_or_none(self, elem: "FieldElement") -> Optional["FieldElement"]:

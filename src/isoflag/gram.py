@@ -55,6 +55,11 @@ later stages read them:
   pair the diagonal, only at offsets that pair stores;
 * the half level, the symplectic closed form and its constant pairs cover
   delta_bound.
+
+A 2.3 pair stores its support at every window, delta_bound 0 included:
+zeros from -level up to the seed mu nu_t at 2 p_t - level, the recursions
+only past it.  The corner-square scan reads its corner, value(1, 2, 2k - 1)
+of shape (k, 1), there, on a table built at window 0.
 """
 
 from __future__ import annotations
@@ -552,14 +557,16 @@ class GramTable:
 def check_conjecture_210(k: int, field=None):
     """The square of the corner cross value for shape (k, 1).
 
-    Returns (table, square, expected, matches): the table used, the computed
-    square of value(1, 2, 2k - 1), the predicted (-1)^(k-1) * 2^(2k) as a
-    field element, and whether they agree.
+    The table is built at window 0: level 1's window is [1, 1], so (1, 2)
+    is a 2.3 pair, whose seed at 2k - 1 is the corner.  Returns (table,
+    square, expected, matches): the table used, the computed square of
+    value(1, 2, 2k - 1), the predicted (-1)^(k-1) * 2^(2k) as a field
+    element, and whether they agree.
     """
     if k < 2:
         raise InvalidInput(f"k = {k} must be at least 2")
     shape = ShapeSeq((k, 1), kappa=0)
-    table = GramTable(shape, ORTHOGONAL, field, delta_bound=2 * k + 2)
+    table = GramTable(shape, ORTHOGONAL, field, delta_bound=0)
     v = table.value(1, 2, 2 * k - 1)
     square = v * v
     expected = table.field.from_int((-1) ** (k - 1) * 2 ** (2 * k))

@@ -334,8 +334,8 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
     powers of g, so clause (a) holds there by construction.  Then
     (w^t_i, w^r_j) = (w^t_{i-j}, w^r_0), so clauses b to e are read off
     the raw pairing profile at offsets d, and Q(w^t_i) = Q(w^t_0), so
-    clause (f) is read at i = 0.  Returns tuples (clause, witness indices,
-    got), got a FieldElement; empty on pass.
+    clause (f) is read at i = 0, in characteristic 2 only.  Returns tuples
+    (clause, witness indices, got), got a FieldElement; empty on pass.
     """
     shape, space, g, w = model.shape, model.space, model.g, model.w_cols
     sigma, kappa = shape.sigma, shape.kappa
@@ -371,7 +371,9 @@ def check_adapted(model: IsometryModel) -> List[tuple]:
         expect("d", sigma + 1, sigma + 1, (0,), k.add(k.one, k.one))
         for t in range(1, sigma + 1):
             expect("e", t, sigma + 1, range(2 * shape.part(t)), k.zero)
-    if space.q_basis is not None:
+    # outside characteristic 2, Q(w^t_0) = (w^t_0, w^t_0) / 2, which
+    # clauses (b) at offset 0 and (d) already fix
+    if f.char == 2 and space.q_basis is not None:
         for t in range(1, sigma + kappa + 1):
             v = space.quad(model.extend_index(t, 0))
             if v != (f.one if t > sigma else f.zero):

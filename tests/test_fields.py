@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoflag import fields
 from isoflag.fields import (FINITE_SCAN_CAP, PRIMALITY_BOUND, RATIONALS,
                             FieldElement, FiniteField, TowerDepthExceeded,
                             TowerField,
@@ -252,6 +253,42 @@ class TestQuadraticExtension:
         assert s2 * s2 == Q2.from_int(2)
         assert s2 * Q2.from_int(3) == Q2.element((0, 3))
         assert QM4.element((0, 1)) ** 2 == QM4.from_int(-4)
+
+
+class TestClosedFormWork:
+    """Over Q(sqrt r) a product and an inverse are closed forms, and a dot
+    of any length is at most three rational dots; TestQuadraticExtension
+    and TestCoordinateContract check their values."""
+
+    OPERANDS = ((3, Fraction(1, 2)), (Fraction(2, 3), 5), (0, 7),
+                (Fraction(-1, 4), 0), (1, 1), (0, 0))
+
+    @pytest.fixture
+    def qdots(self, monkeypatch):
+        calls = []
+        qdot = fields._qdot
+        monkeypatch.setattr(fields, "_qdot", lambda xs, ys:
+                            calls.append(len(xs)) or qdot(xs, ys))
+        return calls
+
+    @pytest.mark.parametrize("f", [Q2, QM4], ids=["Q2", "QM4"])
+    def test_product_and_inverse_make_no_rational_dot(self, f, qdots):
+        xs = [f.element(c) for c in self.OPERANDS]
+        products = [x * y for x in xs for y in xs]
+        inverses = [x.inverse() for x in xs if not x.is_zero]
+        assert qdots == []
+        assert products == [quadratic_product(x, y) for x in xs for y in xs]
+        assert all(x * y == f.one for x, y in zip(xs, inverses))
+
+    @pytest.mark.parametrize("f", [Q2, QM4], ids=["Q2", "QM4"])
+    @pytest.mark.parametrize("n", [1, 2, 6, 36])
+    def test_dot_makes_at_most_three_rational_dots(self, f, n, qdots):
+        xs = [f.element(c) for c in self.OPERANDS]
+        pairs = [(x, y) for x in xs for y in xs][:n]
+        got = f.dot([x.coords for x, _ in pairs], [y.coords for _, y in pairs])
+        assert len(qdots) <= 3
+        assert FieldElement(f, got) == sum(
+            (quadratic_product(x, y) for x, y in pairs), f.zero)
 
 
 class TestPrimality:

@@ -361,6 +361,30 @@ class TestConjecture:
                 assert matches_p == matches
 
 
+class TestCornerWindow:
+    """The scan reads its corner off a window-0 table: (1, 2) is a 2.3 pair,
+    which stores its support, the corner included, at every window."""
+
+    @pytest.mark.parametrize("field,kmax", [
+        (RATIONALS, 12), (get_finite_field(5), 10), (get_finite_field(7), 10),
+        (get_finite_field(11), 10), (get_finite_field(13), 10)], ids=repr)
+    def test_corner_matches_the_wide_window(self, field, kmax):
+        for k in range(2, kmax + 1):
+            shape = ShapeSeq((k, 1), kappa=0)
+            narrow = GramTable(shape, ORTHOGONAL, field, delta_bound=0)
+            wide = GramTable(shape, ORTHOGONAL, field, delta_bound=2 * k + 2)
+            assert narrow.case_map[(1, 2)] == "2.3"
+            assert narrow.field == wide.field
+            assert narrow.value(1, 2, 2 * k - 1) == \
+                wide.value(1, 2, 2 * k - 1)
+
+    def test_scan_tables_store_under_half_the_keys(self):
+        for k in range(2, 11):
+            table, _, _, _ = check_conjecture_210(k)
+            wide = GramTable(table.shape, ORTHOGONAL, delta_bound=2 * k + 2)
+            assert 2 * len(table._store) < len(wide._store)
+
+
 class TestOneSquareRoot:
     """An observation on these cases, not a theorem of the paper: over Q an
     orthogonal table adjoins at most one root, of some -s^2, so every

@@ -627,10 +627,20 @@ class TestClauseFailures:
         f = m.field
         bad = scaled_by(m, 2)
         assert m.space.isometry_violations(bad.g) == []
-        # (w^2_0, w^2_0) = 2 becomes 8 = 3 and Q(w^2_0) = 1 becomes 4
+        # (w^2_0, w^2_0) = 2 becomes 8 = 3; clause (f), Q(w^2_0) = 1, is
+        # (w^2_0, w^2_0) / 2 outside characteristic 2, so (d) reports it
         assert check_adapted(bad) == [("b", (1, 1, -1), f.from_int(4)),
-                                      ("d", (2, 2, 0), f.from_int(3)),
-                                      ("f", (2, 0), f.from_int(4))]
+                                      ("d", (2, 2, 0), f.from_int(3))]
+
+    def test_no_quad_outside_char2(self, model_sweep, monkeypatch):
+        models = [m for (parts, _k, _mode, _name), m in model_sweep.items()
+                  if sum(parts) <= 3 and m.field.char != 2]
+        calls = []
+        quad = QuadSpace.quad
+        monkeypatch.setattr(QuadSpace, "quad", lambda self, v:
+                            calls.append(1) or quad(self, v))
+        assert all(check_adapted(m) == [] for m in models)
+        assert len(models) == 56 and calls == []
 
 
 class TestFlags:
